@@ -274,7 +274,7 @@ class Experiment:
         :class:`~repro.simulate.datasets.SyntheticDataset`).
     config:
         The run configuration; defaults to :class:`MPCGSConfig` (the
-        paper's multi-proposal sampler with the batched engine).
+        paper's multi-proposal sampler with the fused engine).
     theta0:
         Initial driving θ; defaults to the alignment's Watterson estimate.
     seed:

@@ -199,7 +199,12 @@ class HeatedChainSampler:
         sweeps = 0
         recorded = 0
         start = time.perf_counter()
+        # An incremental engine keeps only the rungs' current partials (its
+        # working set); full-pruning engines have no ``retain``.
+        retain = getattr(self.engine, "retain", None)
         while recorded < cfg.n_samples:
+            if retain is not None:
+                retain([state.tree for state in chains])
             for state in chains:
                 self._update_chain(state, rng)
             sweeps += 1

@@ -112,7 +112,12 @@ class LamarcSampler:
         recorded = 0
         start = time.perf_counter()
 
+        # An incremental engine keeps only the current state's partials
+        # (its working set); full-pruning engines have no ``retain``.
+        retain = getattr(self.engine, "retain", None)
         while recorded < cfg.n_samples:
+            if retain is not None:
+                retain([current])
             outcome = self.resimulator.propose_random(current, rng)
             proposal = outcome.tree
             proposal_loglik = self.engine.evaluate(proposal)

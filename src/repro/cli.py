@@ -51,6 +51,7 @@ import json as _json
 
 from .api import Experiment, RunSpec
 from .core.config import (
+    DEFAULT_ENGINE,
     DEMOGRAPHIES,
     MULTICHAIN_MODES,
     EstimatorConfig,
@@ -101,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         choices=sorted(available_engines()),
-        default="batched",
-        help="likelihood evaluation engine (default: batched)",
+        default=DEFAULT_ENGINE,
+        help=f"likelihood evaluation engine (default: {DEFAULT_ENGINE})",
     )
     parser.add_argument(
         "--model",

@@ -33,11 +33,16 @@ __all__ = [
     "EstimatorConfig",
     "MPCGSConfig",
     "DEFAULT_SAMPLER",
+    "DEFAULT_ENGINE",
     "DEMOGRAPHIES",
     "MULTICHAIN_MODES",
 ]
 
 DEFAULT_SAMPLER = "gmh"
+
+#: The likelihood engine a config runs on unless it names another: the
+#: sparse dirty-path kernel stacked across the whole proposal set.
+DEFAULT_ENGINE = "fused"
 
 #: Execution modes of the multichain baseline sampler: ``"process"`` runs
 #: the chains on OS processes (``n_workers`` of them), ``"stacked"`` runs
@@ -223,10 +228,10 @@ class MPCGSConfig:
     ``SamplerConfig`` — is accepted and treated as ``sampler_name``.
 
     ``likelihood_engine`` names any engine from
-    :func:`repro.core.registry.available_engines`; ``"batched"`` (the
-    default) is the paper's literal full-pruning kernel layout, and
-    ``"fused"`` is the fastest GMH hot path (sparse dirty-path work, stacked
-    across the whole proposal set).  The batched/cached/fused trio drives
+    :func:`repro.core.registry.available_engines`; ``"fused"`` (the
+    default) is the fastest GMH hot path (sparse dirty-path work, stacked
+    across the whole proposal set), and ``"batched"`` is the paper's literal
+    full-pruning kernel layout.  The batched/cached/fused trio drives
     bit-identical fixed-seed chains (regression-pinned), so switching among
     them only affects speed; serial/vectorized agree to floating-point
     accumulation order.
@@ -253,7 +258,7 @@ class MPCGSConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     n_em_iterations: int = 4
     theta_convergence_tol: float = 1e-3
-    likelihood_engine: str = "batched"
+    likelihood_engine: str = DEFAULT_ENGINE
     mutation_model: str = "F81"
     sampler_name: str = DEFAULT_SAMPLER
     sampler_options: dict = field(default_factory=dict)
@@ -374,7 +379,11 @@ class MPCGSConfig:
 
         ``"backend"`` is emitted only when it is not the numpy default, so
         every pre-backend spec document — and its content hash — is
-        unchanged by the backend field's existence.
+        unchanged by the backend field's existence.  ``"likelihood_engine"``
+        is likewise emitted only when it is not :data:`DEFAULT_ENGINE`: a
+        document written when ``batched`` was the default names it
+        explicitly, so it still loads as ``batched`` and keeps its content
+        hash; a config left at the ``fused`` default hashes without the key.
         """
         doc = {
             "sampler": self.sampler_name,
@@ -383,12 +392,13 @@ class MPCGSConfig:
             "estimator": self.estimator.to_dict(),
             "n_em_iterations": self.n_em_iterations,
             "theta_convergence_tol": self.theta_convergence_tol,
-            "likelihood_engine": self.likelihood_engine,
             "mutation_model": self.mutation_model,
             "demography": self.demography,
             "growth0": self.growth0,
             "demography_params": _canonical_value(self.demography_params),
         }
+        if self.likelihood_engine != DEFAULT_ENGINE:
+            doc["likelihood_engine"] = self.likelihood_engine
         if self.backend != "numpy":
             doc["backend"] = self.backend
         return doc

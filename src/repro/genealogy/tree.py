@@ -22,6 +22,7 @@ parents), which both the pruning likelihood and the coalescent prior exploit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -47,6 +48,9 @@ class SignatureInterner:
 
     def __init__(self) -> None:
         self._ids: dict[tuple, int] = {}
+        #: Bumped by :meth:`clear`; signature arrays memoized on genealogies
+        #: record it, so ids issued before a clear are never reused after it.
+        self.generation = 0
 
     def intern(self, key: tuple) -> int:
         """Return the stable id for ``key``, assigning a fresh one if new."""
@@ -62,6 +66,22 @@ class SignatureInterner:
     def clear(self) -> None:
         """Forget every interned key (invalidates all previously issued ids)."""
         self._ids.clear()
+        self.generation += 1
+
+
+def _memo_valid(memo: tuple, interner: SignatureInterner, key: tuple) -> bool:
+    """Whether a ``(interner ref, generation, structure key, ...)`` record still applies."""
+    return memo[0]() is interner and memo[1] == interner.generation and memo[2] == key
+
+
+def _intern_interior(node: int, sigs, times: list, children: list, interner) -> int:
+    """Signature id of interior ``node`` from its children's ids and branch lengths."""
+    c0, c1 = children[node]
+    pair0 = (int(sigs[c0]), times[node] - times[c0])
+    pair1 = (int(sigs[c1]), times[node] - times[c1])
+    if pair1 < pair0:
+        pair0, pair1 = pair1, pair0
+    return interner.intern(pair0 + pair1)
 
 
 @dataclass
@@ -181,6 +201,14 @@ class Genealogy:
             raise TreeValidationError(
                 f"tree is disconnected: reached {len(seen)} of {n} nodes from the root"
             )
+
+    def __getstate__(self) -> dict:
+        # Memoized signatures refer to an in-process interner (by weak
+        # reference, which cannot be pickled and means nothing elsewhere).
+        state = self.__dict__.copy()
+        state.pop("_signature_memo", None)
+        state.pop("_signature_seed", None)
+        return state
 
     def copy(self) -> "Genealogy":
         """Deep copy (the proposal machinery edits copies in place)."""
@@ -336,22 +364,72 @@ class Genealogy:
         Child order is canonicalized (the two ``(signature, branch-length)``
         pairs are sorted), which is value-preserving because the pruning
         recursion multiplies the two child contributions elementwise.
+
+        With a shared ``interner`` the result is memoized on the genealogy
+        (keyed by the interner, its generation and the raw time/child bytes,
+        so in-place edits or an interner ``clear`` invalidate it) and
+        returned read-only.  A genealogy marked by
+        :meth:`derive_signatures` copies its base's memoized array and
+        re-interns only the rewritten nodes — O(depth) instead of a full
+        post-order walk.
         """
         if interner is None:
-            interner = SignatureInterner()
-        sigs = np.empty(self.n_nodes, dtype=np.int64)
-        times = self.times
-        for node in self.postorder():
-            if node < self.n_tips:
-                sigs[node] = interner.intern((-1, int(node)))
-            else:
-                c0, c1 = (int(c) for c in self.children[node])
-                pair0 = (int(sigs[c0]), float(times[node] - times[c0]))
-                pair1 = (int(sigs[c1]), float(times[node] - times[c1]))
-                if pair1 < pair0:
-                    pair0, pair1 = pair1, pair0
-                sigs[node] = interner.intern(pair0 + pair1)
+            return self._walk_signatures(SignatureInterner())
+        key = self._structure_key()
+        memo = getattr(self, "_signature_memo", None)
+        if memo is not None and _memo_valid(memo, interner, key):
+            return memo[3]
+        sigs = None
+        seed = getattr(self, "_signature_seed", None)
+        if seed is not None:
+            self._signature_seed = None  # one-shot: the memo takes over
+            if _memo_valid(seed, interner, key):
+                sigs = seed[3].copy()
+                times = self.times.tolist()
+                children = self.children.tolist()
+                for node in seed[4]:
+                    sigs[node] = _intern_interior(node, sigs, times, children, interner)
+        if sigs is None:
+            sigs = self._walk_signatures(interner)
+        sigs.setflags(write=False)
+        self._signature_memo = (weakref.ref(interner), interner.generation, key, sigs)
         return sigs
+
+    def _walk_signatures(self, interner: SignatureInterner) -> np.ndarray:
+        """Full post-order signature walk (the reference for the incremental path)."""
+        n_tips = self.n_tips
+        times = self.times.tolist()
+        children = self.children.tolist()
+        sigs = [0] * self.n_nodes
+        for node in self.postorder().tolist():
+            if node < n_tips:
+                sigs[node] = interner.intern((-1, node))
+            else:
+                sigs[node] = _intern_interior(node, sigs, times, children, interner)
+        return np.asarray(sigs, dtype=np.int64)
+
+    def derive_signatures(self, base: "Genealogy", changed: Sequence[int]) -> None:
+        """Declare ``self`` a copy of ``base`` rewritten only at ``changed``.
+
+        ``changed`` lists, children before parents, every node whose subtree
+        differs from ``base`` — after a neighbourhood resimulation, the two
+        re-created nodes plus the path from the region's ancestor to the
+        root.  If ``base`` holds a valid memoized signature array, the next
+        :meth:`subtree_signatures` call with the same interner inherits it
+        for every other node.  Otherwise this is a no-op and the full walk
+        runs as usual.
+        """
+        memo = getattr(base, "_signature_memo", None)
+        if memo is None or memo[2] != base._structure_key():
+            return
+        interner_ref, generation, _, base_sigs = memo
+        self._signature_seed = (
+            interner_ref, generation, self._structure_key(), base_sigs, tuple(changed)
+        )
+
+    def _structure_key(self) -> tuple[bytes, bytes]:
+        """Raw bytes of everything a signature depends on (times and topology)."""
+        return self.times.tobytes(), self.children.tobytes()
 
     def dirty_nodes(
         self, baseline: "Genealogy", interner: SignatureInterner | None = None

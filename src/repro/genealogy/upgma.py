@@ -60,26 +60,23 @@ def upgma_from_distances(
 
     # Active clusters: map cluster-representative node index -> member tips.
     active: dict[int, list[int]] = {i: [i] for i in range(n)}
-    # Working copy of tip-level distances for cluster-mean computation.
-    tip_dist = dist.copy()
+    # Mean tip-to-tip distance of every pair of active clusters, stored at
+    # [lower rep, higher rep] (inf elsewhere).  Each entry is computed once,
+    # when the younger cluster of the pair forms, as the mean over the
+    # cross-cluster block — the same reduction, in the same member order, as
+    # re-averaging every pair at every merge would give.
+    cluster_dist = np.full((n_nodes, n_nodes), np.inf)
+    upper = np.triu_indices(n, k=1)
+    cluster_dist[upper] = dist[upper]
 
     next_node = n
     last_height = 0.0
     while len(active) > 1:
-        reps = sorted(active)
-        # Find the closest pair of clusters by mean tip-to-tip distance.
-        best = None
-        best_pair = None
-        for ai in range(len(reps)):
-            for bi in range(ai + 1, len(reps)):
-                a, b = reps[ai], reps[bi]
-                members_a, members_b = active[a], active[b]
-                d = float(tip_dist[np.ix_(members_a, members_b)].mean())
-                if best is None or d < best:
-                    best = d
-                    best_pair = (a, b)
-        assert best_pair is not None and best is not None
-        a, b = best_pair
+        # The closest pair of clusters; argmin's row-major first occurrence
+        # breaks ties toward the lowest (lower rep, higher rep) pair.
+        flat = int(np.argmin(cluster_dist))
+        a, b = divmod(flat, n_nodes)
+        best = float(cluster_dist[a, b])
         # UPGMA places the new node at half the cluster distance.
         height = best / 2.0
         if height <= last_height:
@@ -93,6 +90,12 @@ def upgma_from_distances(
         parent[a] = node
         parent[b] = node
         active[node] = active.pop(a) + active.pop(b)
+        cluster_dist[[a, b], :] = np.inf
+        cluster_dist[:, [a, b]] = np.inf
+        members = active[node]
+        for c, members_c in active.items():
+            if c != node:
+                cluster_dist[c, node] = float(dist[np.ix_(members_c, members)].mean())
 
     tree = Genealogy(times=times, parent=parent, children=children, tip_names=names)
     tree.validate()

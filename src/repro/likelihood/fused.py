@@ -22,12 +22,15 @@ cached engine — and a **per-candidate dirty path**.  The dirty paths of all
 N+1 siblings are then recomputed together: the d-th dirty node of every
 candidate is processed in one stacked batched product (a
 ``(k, n_patterns, 4) @ (k, 4, 4)`` matmul — the einsum contraction spelled
-the way NumPy executes fastest) over a padded
-``(n_trees, max_dirty, n_patterns, 4)`` workspace that is preallocated once
-and reused across iterations (a dirty path is sequential in depth — node
-d+1 consumes node d's output — but across siblings depth d is embarrassingly
-parallel, which is exactly the lane layout the paper's dynamic-parallelism
-launch uses).  Transition matrices are deduplicated through
+the way NumPy executes fastest) whose operands are rows of one
+``(rows, n_patterns, 4)`` pool — tip partials, the batch's work items, and
+the frontier entries it reads — preallocated once and reused across
+iterations (a dirty path is sequential in depth — node d+1 consumes node
+d's output — but across siblings depth d is embarrassingly parallel, which
+is exactly the lane layout the paper's dynamic-parallelism launch uses).
+The pool holds one row per work item, not a padded
+``(n_trees, max_dirty)`` block, so its size follows the real dirty work.
+Transition matrices are deduplicated through
 a host-side ``unique`` of the batch's branch lengths, since siblings share
 most branches bitwise.  Planning (work-item tables, source/index gathers)
 is host-side; the stacked products run on the engine's array backend.
@@ -39,9 +42,10 @@ visit identical states — pinned down by the cross-engine equivalence suite
 and ``benchmarks/bench_fused_engine.py`` (``BENCH_fused.json``).
 
 Work accounting matches :class:`CachedEngine` exactly whenever the cache is
-not recycling entries (the normal regime: the default ``max_entries`` is
-derived from a 64 MiB budget).  Once recycling starts — LRU eviction past
-``max_entries``, or the interner-overflow ``clear_cache`` — the two engines'
+not recycling entries (the normal regime: samplers keep the cache to their
+working set, far below the ``max_entries`` cap).  Once recycling starts —
+LRU eviction past ``max_entries``, or the interner-overflow
+``clear_cache`` — the two engines'
 cache timelines diverge, because the fused engine refreshes, clears, and
 evicts once per batch where the cached engine does so per tree, so their
 work counters can drift slightly in either direction while the returned
@@ -55,25 +59,20 @@ from dataclasses import dataclass, field
 from ..backend.numpy_backend import NUMPY as B
 from ..genealogy.tree import Genealogy
 from .engines import _ENGINES
-from .felsenstein import _TINY
+from .felsenstein import _state_peak
 from .incremental import CachedEngine
 
 __all__ = ["FusedEngine"]
 
 Array = B.ndarray
 
-# Operand source tags for the child-gather stage of the stacked kernel.
-_SRC_TIP = 0  # precomputed tip partials (zero log-scale)
-_SRC_CACHE = 1  # shared-frontier entry fetched from the signature cache
-_SRC_WORK = 2  # earlier dirty node of the same candidate, still in the workspace
-
 
 @dataclass
 class FusedEngine(CachedEngine):
     """Incremental pruning of all N+1 siblings' dirty paths in one stacked kernel.
 
-    Inherits the signature-keyed frontier cache, LRU/eviction policy, warm-up
-    ``prepare`` hook, and single-tree ``evaluate`` from
+    Inherits the signature-keyed frontier cache, working-set and eviction
+    policy, warm-up ``prepare`` hook, and single-tree ``evaluate`` from
     :class:`~repro.likelihood.incremental.CachedEngine`; ``evaluate_batch``
     replaces the per-tree Python walk with the stacked dirty-path kernel.
 
@@ -85,7 +84,8 @@ class FusedEngine(CachedEngine):
     ``n_workspace_items``
         Dirty nodes actually computed in the workspace.
     ``n_padded_items``
-        Workspace slots the padded ``(n_trees, max_dirty)`` layout spanned;
+        Lanes the ``(n_trees, max_dirty)`` stacked schedule spans (every
+        launch has room for one node per candidate);
         ``workspace_occupancy`` is the ratio of the two, the quantity
         :meth:`repro.device.perfmodel.DeviceModel.projected_fused_speedup`
         models as padded-batch occupancy.
@@ -108,18 +108,17 @@ class FusedEngine(CachedEngine):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # Padded workspace, preallocated and reused across proposal sets and
-        # EM iterations: flat (capacity, n_patterns, 4) partials plus the
-        # matching (capacity, n_patterns) log-scales; slot t*max_dirty + d is
-        # candidate t's d-th dirty node, i.e. the flattened view of the
-        # padded (n_trees, max_dirty, n_patterns, 4) layout.  The operand
-        # staging buffers (left/right child partials and log-scales per work
-        # item) are reused the same way.
+        # One row pool, preallocated and reused across proposal sets and EM
+        # iterations: (capacity, n_patterns, 4) partials plus the matching
+        # (capacity, n_patterns) log-scales.  A batch lays out its rows as
+        # [tips | work items | frontier entries]: the tip rows are written
+        # once per allocation (log-scale zero), work item k — the batch's
+        # k-th dirty node in (depth step, candidate) order — writes row
+        # n_tips + k, and the shared-frontier entries it reads are copied in
+        # behind them, so every child operand is one row of one array.
         xp = self.xp
         self._work = xp.empty((0, 0, 4))
         self._work_scale = xp.empty((0, 0))
-        self._operands = xp.empty((2, 0, 0, 4))
-        self._operand_scales = xp.empty((2, 0, 0))
 
     def reset_counters(self) -> None:
         """Zero the work, reuse, and stacked-kernel counters (cache kept)."""
@@ -132,7 +131,7 @@ class FusedEngine(CachedEngine):
 
     @property
     def workspace_occupancy(self) -> float:
-        """Fraction of padded workspace slots that held real dirty-node work."""
+        """Fraction of the stacked schedule's lanes that held real dirty-node work."""
         return self.n_workspace_items / self.n_padded_items if self.n_padded_items else 0.0
 
     @property
@@ -140,24 +139,15 @@ class FusedEngine(CachedEngine):
         """Transition matrices requested per matrix actually built (≥ 1)."""
         return self.n_pmat_requests / self.n_pmat_builds if self.n_pmat_builds else 0.0
 
-    def _workspace(self, n_slots: int, n_patterns: int) -> tuple[Array, Array]:
-        """The reusable flat workspace, regrown geometrically when too small."""
-        if self._work.shape[0] < n_slots or self._work.shape[1] != n_patterns:
-            capacity = max(n_slots, 2 * self._work.shape[0])
-            self._work = self.xp.empty((capacity, n_patterns, 4))
-            self._work_scale = self.xp.empty((capacity, n_patterns))
+    def _workspace(self, n_rows: int) -> tuple[Array, Array]:
+        """The reusable row pool, regrown geometrically when too small."""
+        tips = self._tip_entries
+        if self._work.shape[0] < n_rows or self._work.shape[1] != tips.shape[1]:
+            capacity = max(n_rows, 2 * self._work.shape[0])
+            self._work = self.xp.empty((capacity, tips.shape[1], 4))
+            self._work_scale = self.xp.zeros((capacity, tips.shape[1]))
+            self._work[: tips.shape[0]] = tips
         return self._work, self._work_scale
-
-    def _staging(self, n_items: int, n_patterns: int) -> tuple[Array, Array]:
-        """Reusable operand staging buffers, zero-scaled over the used slice."""
-        if self._operands.shape[1] < n_items or self._operands.shape[2] != n_patterns:
-            capacity = max(n_items, 2 * self._operands.shape[1])
-            self._operands = self.xp.empty((2, capacity, n_patterns, 4))
-            self._operand_scales = self.xp.empty((2, capacity, n_patterns))
-        operands = self._operands[:, :n_items]
-        scales = self._operand_scales[:, :n_items]
-        scales[:] = 0.0  # tip-sourced operands rely on a zero log-scale
-        return operands, scales
 
     # ------------------------------------------------------------------ #
     # The stacked sparse-batched kernel
@@ -186,9 +176,9 @@ class FusedEngine(CachedEngine):
                 key = int(sigs[node])
                 if key in planned_sigs:
                     # Two candidates share an *uncached* subtree (bitwise-equal
-                    # times — e.g. duplicated trees in one batch).  The padded
-                    # stacked schedule orders items by per-candidate depth and
-                    # cannot express a cross-candidate dependency, so take the
+                    # times — e.g. duplicated trees in one batch).  The stacked
+                    # schedule orders items by per-candidate depth and cannot
+                    # express a cross-candidate dependency, so take the
                     # per-tree incremental path instead: it publishes each
                     # candidate's partials before planning the next, computing
                     # every shared subtree exactly once — same values, same
@@ -232,62 +222,61 @@ class FusedEngine(CachedEngine):
         max_dirty: int,
         n_items: int,
     ) -> Array:
-        """Recompute every candidate's dirty path in one padded stacked sweep."""
+        """Recompute every candidate's dirty path in one stacked sweep."""
         xp = self.xp
         cache = self._cache
-        tips = self._tip_entries
-        n_patterns = tips.shape[1]
-        n_trees = len(trees)
-
-        # Flat work-item tables ordered by (depth step, candidate): one
-        # stacked launch processes one contiguous [lo, hi) block below.
-        # All of this is host-side planning.
-        out_slot = B.empty(n_items, dtype=B.int64)
-        item_sig = B.empty(n_items, dtype=B.int64)
-        child_src = B.empty((n_items, 2), dtype=B.int8)
-        child_idx = B.empty((n_items, 2), dtype=B.int64)
-        lengths = B.empty((n_items, 2))
-        step_bounds = [0]
-        # Distinct frontier entries referenced by this batch, fetched once
-        # and stacked so the per-step gather is one fancy index.
-        cache_rows: dict[int, int] = {}
-        fetched_parts: list[Array] = []
-        fetched_scales: list[Array] = []
-
-        positions = [{node: d for d, node in enumerate(comp)} for comp in comps]
         n_tips = trees[0].n_tips
+        frontier_base = n_tips + n_items
+
+        # Work-item tables ordered by (depth step, candidate): one stacked
+        # launch processes one contiguous [lo, hi) block below, writing pool
+        # rows n_tips + lo .. n_tips + hi.  All of this is host-side planning.
+        item_sig = B.empty(n_items, dtype=B.int64)
+        child_row = B.empty((n_items, 2), dtype=B.int64)
+        lengths = B.empty((n_items, 2))
+        root_row = B.empty(len(trees), dtype=B.int64)
+        step_bounds = [0]
+        # Distinct frontier entries referenced by this batch, each copied into
+        # the pool once.
+        cache_rows: dict[int, int] = {}
+        fetched: list[tuple[Array, Array]] = []
+
+        def frontier_row(key: int) -> int:
+            row = cache_rows.get(key)
+            if row is None:
+                row = frontier_base + len(fetched)
+                cache_rows[key] = row
+                fetched.append(cache[key])
+            return row
+
+        items = [{} for _ in comps]  # per candidate: dirty node -> item index
         k = 0
         for step in range(max_dirty):
             for t, comp in enumerate(comps):
                 if step >= len(comp):
                     continue
-                tree, sigs, pos = trees[t], all_sigs[t], positions[t]
+                tree, sigs, mine = trees[t], all_sigs[t], items[t]
                 node = comp[step]
-                out_slot[k] = t * max_dirty + step
+                mine[node] = k
                 item_sig[k] = sigs[node]
                 for j in (0, 1):
                     child = int(tree.children[node, j])
                     lengths[k, j] = tree.times[node] - tree.times[child]
-                    depth = pos.get(child)
-                    if depth is not None:
-                        child_src[k, j] = _SRC_WORK
-                        child_idx[k, j] = t * max_dirty + depth
+                    item = mine.get(child)
+                    if item is not None:
+                        child_row[k, j] = n_tips + item
                     elif child < n_tips:
-                        child_src[k, j] = _SRC_TIP
-                        child_idx[k, j] = child
+                        child_row[k, j] = child
                     else:
-                        key = int(sigs[child])
-                        row = cache_rows.get(key)
-                        if row is None:
-                            row = len(fetched_parts)
-                            cache_rows[key] = row
-                            part, scale = cache[key]
-                            fetched_parts.append(part)
-                            fetched_scales.append(scale)
-                        child_src[k, j] = _SRC_CACHE
-                        child_idx[k, j] = row
+                        child_row[k, j] = frontier_row(int(sigs[child]))
                 k += 1
             step_bounds.append(k)
+        for t, tree in enumerate(trees):
+            item = items[t].get(tree.root)
+            if item is None:  # a fully cached candidate reads its root entry
+                root_row[t] = frontier_row(int(all_sigs[t][tree.root]))
+            else:
+                root_row[t] = n_tips + item
 
         # One transition-matrix computation per *unique* branch length in the
         # batch (siblings share most branches bitwise outside their dirty
@@ -302,62 +291,31 @@ class FusedEngine(CachedEngine):
         )
         pm_idx = inverse.reshape(n_items, 2)
 
-        # Stage the tip- and frontier-sourced operands for every item up
-        # front; workspace-sourced operands are gathered per step, once their
-        # producing step has run.
-        frontier = xp.stack(fetched_parts) if fetched_parts else xp.empty((0, n_patterns, 4))
-        frontier_scale = (
-            xp.stack(fetched_scales) if fetched_scales else xp.empty((0, n_patterns))
-        )
-        operands, scales = self._staging(n_items, n_patterns)
-        for j in (0, 1):
-            src, idx = child_src[:, j], child_idx[:, j]
-            mask = src == _SRC_TIP
-            if mask.any():
-                operands[j, xp.asindex(mask)] = tips[xp.asindex(idx[mask])]
-            mask = src == _SRC_CACHE
-            if mask.any():
-                operands[j, xp.asindex(mask)] = frontier[xp.asindex(idx[mask])]
-                scales[j, xp.asindex(mask)] = frontier_scale[xp.asindex(idx[mask])]
-
-        work, work_scale = self._workspace(n_trees * max_dirty, n_patterns)
+        pool, pool_scale = self._workspace(frontier_base + len(fetched))
+        for row, (part, scale) in enumerate(fetched, start=frontier_base):
+            pool[row] = part
+            pool_scale[row] = scale
         for step in range(max_dirty):
             lo, hi = step_bounds[step], step_bounds[step + 1]
-            block = slice(lo, hi)
-            for j in (0, 1):
-                mask = child_src[block, j] == _SRC_WORK
-                if mask.any():
-                    rows = xp.asindex(child_idx[block, j][mask])
-                    operands[j, block][xp.asindex(mask)] = work[rows]
-                    scales[j, block][xp.asindex(mask)] = work_scale[rows]
-            left = xp.matmul(operands[0, block], pmats_t[xp.asindex(pm_idx[block, 0])])
-            right = xp.matmul(operands[1, block], pmats_t[xp.asindex(pm_idx[block, 1])])
+            rows = child_row[lo:hi]
+            left_rows, right_rows = xp.asindex(rows[:, 0]), xp.asindex(rows[:, 1])
+            left = xp.matmul(pool[left_rows], pmats_t[xp.asindex(pm_idx[lo:hi, 0])])
+            right = xp.matmul(pool[right_rows], pmats_t[xp.asindex(pm_idx[lo:hi, 1])])
             vec = left * right
-            peak = xp.max(vec, axis=2)
-            peak = xp.where(peak > 0.0, peak, _TINY)
-            slots = xp.asindex(out_slot[block])
-            work[slots] = vec / peak[:, :, None]
-            work_scale[slots] = scales[0, block] + scales[1, block] + xp.log(peak)
+            peak = _state_peak(xp, vec)
+            out = slice(n_tips + lo, n_tips + hi)
+            pool[out] = vec / peak[:, :, None]
+            pool_scale[out] = pool_scale[left_rows] + pool_scale[right_rows] + xp.log(peak)
 
         # Publish the fresh partials into the shared frontier cache so the
         # chosen candidate (and any future evaluation of these states) hits.
         for i in range(n_items):
-            slot = int(out_slot[i])
-            cache[int(item_sig[i])] = (xp.copy(work[slot]), xp.copy(work_scale[slot]))
+            row = n_tips + i
+            cache[int(item_sig[i])] = (xp.copy(pool[row]), xp.copy(pool_scale[row]))
 
         # Root readout for every candidate.
-        root_parts = xp.empty((n_trees, n_patterns, 4))
-        root_scales = xp.empty((n_trees, n_patterns))
-        for t, (tree, comp) in enumerate(zip(trees, comps)):
-            if comp:
-                slot = t * max_dirty + len(comp) - 1
-                root_parts[t] = work[slot]
-                root_scales[t] = work_scale[slot]
-            else:
-                part, scale = cache[int(all_sigs[t][tree.root])]
-                root_parts[t] = part
-                root_scales[t] = scale
-        return xp.to_numpy(self._readout(root_parts, root_scales))
+        roots = xp.asindex(root_row)
+        return xp.to_numpy(self._readout(pool[roots], pool_scale[roots]))
 
     def _root_values_from_cache(
         self, trees: list[Genealogy], all_sigs: list[Array]

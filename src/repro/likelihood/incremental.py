@@ -30,11 +30,12 @@ the cross-engine equivalence suite pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..backend.numpy_backend import NUMPY as B
 from ..genealogy.tree import Genealogy, SignatureInterner
 from .engines import _ENGINES, LikelihoodEngine
-from .felsenstein import _TINY
+from .felsenstein import _TINY, _state_peak
 
 __all__ = ["CachedEngine"]
 
@@ -45,6 +46,11 @@ Array = B.ndarray
 class CachedEngine(LikelihoodEngine):
     """Incremental pruning with cached per-node partials; re-prunes only dirty nodes.
 
+    The cache holds a *working set*: samplers declare their current
+    state(s) through :meth:`retain` (the GMH ``prepare`` hook does so for
+    every proposal set), and entries off those states are dropped, so a GMH
+    chain keeps one tree's partials plus one set's dirty paths.
+
     Parameters
     ----------
     max_entries:
@@ -52,7 +58,8 @@ class CachedEngine(LikelihoodEngine):
         are evicted beyond it.  Each entry holds one ``(n_patterns, 4)``
         partial array plus an ``(n_patterns,)`` log-scale vector, so the
         default (``None``) derives the cap from a ~64 MiB byte budget once
-        the alignment's pattern count is known.
+        the alignment's pattern count is known.  Only callers that never
+        call :meth:`retain` come near it.
 
     Work accounting
     ---------------
@@ -197,8 +204,7 @@ class CachedEngine(LikelihoodEngine):
                 left = xp.matmul(left_part, xp.transpose(pmats[i, 0], (1, 0)))
                 right = xp.matmul(right_part, xp.transpose(pmats[i, 1], (1, 0)))
                 vec = left * right
-                peak = xp.max(vec, axis=1)
-                peak = xp.where(peak > 0.0, peak, _TINY)
+                peak = _state_peak(xp, vec)
                 cache[int(sigs[node])] = (
                     vec / peak[:, None],
                     left_scale + right_scale + xp.log(peak),
@@ -283,12 +289,15 @@ class CachedEngine(LikelihoodEngine):
         return values
 
     def prepare(self, tree: Genealogy) -> None:
-        """Warm the cache with ``tree``'s partials without counting an evaluation.
+        """Warm the cache with ``tree``'s partials and make them the working set.
 
         The GMH transition calls this on the generator state before building
         a proposal set, so sibling proposals find every untouched subtree
         already cached even when the generator's log-likelihood was carried
-        over from the previous iteration (or its entries were evicted).
+        over from the previous iteration.  No evaluation is counted.  The
+        cache is then cut to ``tree``'s entries (:meth:`retain`): the new
+        set's candidates share everything outside their dirty paths with
+        ``tree``, and the next generator is one of them or ``tree`` itself.
         """
         _, fresh, n_internal = self._evaluate_one(tree)
         if fresh:
@@ -297,6 +306,23 @@ class CachedEngine(LikelihoodEngine):
                 nodes_pruned=fresh,
                 tree_site_products=self._site_products(fresh, n_internal),
             )
+        self.retain([tree])
+
+    def retain(self, trees: Iterable[Genealogy]) -> None:
+        """Drop every cached entry that is not an interior node of one of ``trees``.
+
+        Samplers call this with their current state(s) — the working set:
+        each proposal is its state plus a dirty path, so an entry off every
+        current state is only reused if a proposal happens to rebuild that
+        exact subtree, bitwise.  Keeping the working set bounds the cache by
+        one tree per chain plus one proposal set of dirty paths, instead of
+        filling the ``max_entries`` budget; ``max_entries`` remains the cap
+        for samplers that never call this.
+        """
+        keep: set[int] = set()
+        for tree in trees:
+            keep.update(tree.subtree_signatures(self._interner)[tree.n_tips :].tolist())
+        self._cache = {key: entry for key, entry in self._cache.items() if key in keep}
 
 
 _ENGINES["cached"] = CachedEngine

@@ -142,9 +142,14 @@ class StackedMultiChain:
 
         rounds = 0
         running = sorted(states)
+        # An incremental engine keeps only the running chains' current
+        # partials (its working set); full-pruning engines have no ``retain``.
+        retain = getattr(engine, "retain", None)
         while running:
             rounds += 1
             stack = [states[i] for i in running]
+            if retain is not None:
+                retain([st.current for st in stack])
             outcomes = resimulator.propose_random_stack(
                 [st.current for st in stack], [st.rng for st in stack]
             )

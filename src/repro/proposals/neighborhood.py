@@ -714,6 +714,25 @@ class NeighborhoodResimulator:
 
         return new_nodes, first_pair
 
+    @staticmethod
+    def _rewritten_nodes(tree: Genealogy, region: Region) -> tuple[int, ...]:
+        """Nodes whose subtree a resimulation of ``region`` rewrites, children first.
+
+        The stitch re-creates ``region.target`` (the first merge) below
+        ``region.parent`` (the second); every other change is a new branch
+        length under the ancestor, which alters the ancestor's subtree and
+        so each subtree on the path from it to the root.  The three child
+        roots keep their subtrees.
+        """
+        nodes = [region.target, region.parent]
+        if region.bounded:
+            parent = tree.parent
+            node = region.ancestor
+            while node >= 0:
+                nodes.append(node)
+                node = int(parent[node])
+        return tuple(nodes)
+
     @classmethod
     def _rebuild(
         cls,
@@ -733,6 +752,7 @@ class NeighborhoodResimulator:
         new_nodes, first_pair = cls._stitch(
             new.times, new.parent, new.children, region, merge_times, choose_pair
         )
+        new.derive_signatures(tree, cls._rewritten_nodes(tree, region))
         return new, new_nodes, first_pair
 
     def _rebuild_batch(
@@ -758,6 +778,7 @@ class NeighborhoodResimulator:
         children_buf = np.repeat(tree.children[None, :, :], n, axis=0)
         pair_u = rng.random((n, 2))
         original_pair = {int(c) for c in tree.children[region.target]}
+        rewritten = self._rewritten_nodes(tree, region)
 
         outcomes = []
         for i in range(n):
@@ -778,6 +799,7 @@ class NeighborhoodResimulator:
                 children=children_buf[i],
                 tip_names=tree.tip_names,
             )
+            new.derive_signatures(tree, rewritten)
             if self.validate:
                 new.validate()
             outcomes.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ class TestRunSpec:
     def test_invalid_theta0_rejected(self):
         with pytest.raises(ValueError, match="theta0 must be positive"):
             RunSpec(theta0=-1.0)
+
+    def test_engine_is_serialized_only_off_the_default(self):
+        assert "likelihood_engine" not in MPCGSConfig().to_dict()
+        assert MPCGSConfig.from_dict(MPCGSConfig().to_dict()).likelihood_engine == "fused"
+        batched = MPCGSConfig(likelihood_engine="batched")
+        assert batched.to_dict()["likelihood_engine"] == "batched"
+        assert MPCGSConfig.from_dict(batched.to_dict()) == batched
+
+    def test_spec_naming_batched_keeps_its_pre_fused_content_hash(self):
+        """Every spec written while ``batched`` was the default names it, so it
+        still addresses the result it committed back then."""
+        config = MPCGSConfig(
+            sampler=SamplerConfig(n_proposals=4, n_samples=30, burn_in=5),
+            n_em_iterations=2,
+            likelihood_engine="batched",
+        )
+        spec = RunSpec(config=config, theta0=0.5, seed=3)
+        assert spec.content_hash(data_digest="0" * 64) == (
+            "874b0748199e7e2a134066fb33007f8eb31bfc08625d17752319f40f09d2c769"
+        )
+        fused = RunSpec(config=replace(config, likelihood_engine="fused"), theta0=0.5, seed=3)
+        assert fused.content_hash(data_digest="0" * 64) != spec.content_hash(
+            data_digest="0" * 64
+        )
 
 
 class TestExperimentFacade:

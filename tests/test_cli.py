@@ -26,7 +26,7 @@ class TestParser:
         args = parser.parse_args(["data.phy", "0.5"])
         assert args.sequence_file == "data.phy"
         assert args.initial_theta == 0.5
-        assert args.engine == "batched"
+        assert args.engine == "fused"
 
     def test_options(self):
         args = build_parser().parse_args(

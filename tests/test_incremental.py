@@ -92,6 +92,70 @@ class TestSubtreeSignatures:
             t1.subtree_signatures(interner), t2.subtree_signatures(interner)
         )
 
+    @pytest.mark.parametrize("batch_proposals", [True, False])
+    @pytest.mark.parametrize("growth", [None, 5.0])
+    def test_derived_signatures_match_the_full_walk(self, batch_proposals, growth):
+        """Proposals inherit their generator's signatures and re-intern only the
+        rewritten nodes; the result must equal a fresh post-order walk, across
+        bounded and root-level regions, both kernels, and interner clears."""
+        from repro.demography import make_demography
+
+        demography = make_demography("exponential", {"growth": growth}) if growth else None
+        resim = NeighborhoodResimulator(
+            1.0, demography=demography, batch_proposals=batch_proposals
+        )
+        class CountingInterner(SignatureInterner):
+            calls = 0
+
+            def intern(self, key):
+                self.calls += 1
+                return super().intern(key)
+
+        rng = np.random.default_rng(12)
+        interner = CountingInterner()
+        current = simulate_genealogy(10, 1.0, rng)
+        derived = 0
+        for step in range(60):
+            current.subtree_signatures(interner)
+            target = resim.choose_target(current, rng)
+            outcomes = resim.propose_set(current, target, 4, rng)
+            for outcome in outcomes:
+                before = interner.calls
+                incremental = outcome.tree.subtree_signatures(interner)
+                # A full walk interns every node, tips included.
+                derived += interner.calls - before <= outcome.tree.n_internal
+                assert np.array_equal(incremental, outcome.tree._walk_signatures(interner))
+            current = outcomes[step % 4].tree
+            if step % 25 == 24:
+                interner.clear()  # stale ids must never be inherited
+        assert derived == 60 * 4
+
+    def test_memo_follows_in_place_edits_and_interner_clears(self, tree):
+        interner = SignatureInterner()
+        first = tree.subtree_signatures(interner)
+        assert tree.subtree_signatures(interner) is first  # memoized
+        assert not first.flags.writeable
+        edited = tree.copy()
+        edited.subtree_signatures(interner)
+        node = int(edited.internal_nodes()[0])
+        edited.times[node] += 1e-6
+        assert np.array_equal(
+            edited.subtree_signatures(interner), edited._walk_signatures(interner)
+        )
+        interner.clear()
+        again = tree.subtree_signatures(interner)
+        assert again is not first
+        assert np.array_equal(again, tree._walk_signatures(interner))
+
+    def test_pickled_genealogy_drops_the_signature_memo(self, tree):
+        import pickle
+
+        interner = SignatureInterner()
+        tree.subtree_signatures(interner)
+        restored = pickle.loads(pickle.dumps(tree))
+        assert restored == tree
+        assert not hasattr(restored, "_signature_memo")
+
 
 class TestCachedEngineBehaviour:
     def test_second_evaluation_is_all_hits(self, small_dataset, model, tree):
@@ -235,6 +299,83 @@ class TestProposalSetReuse:
         pruned = engine.n_nodes_pruned
         assert engine.evaluate(tree) == loglik
         assert engine.n_nodes_pruned == pruned
+
+    def test_prepare_cuts_the_cache_to_the_generator(self, small_dataset, model, tree, rng):
+        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        resim = NeighborhoodResimulator(1.0)
+        engine.prepare(tree)
+        assert engine.cache_size == tree.n_internal
+        siblings = resim.propose_set(tree, resim.choose_target(tree, rng), 6, rng)
+        engine.evaluate_batch([o.tree for o in siblings])
+        assert engine.cache_size > tree.n_internal
+        chosen = siblings[2].tree
+        engine.prepare(chosen)
+        assert engine.cache_size == chosen.n_internal
+        # The kept entries are exactly the chosen state's: re-evaluating it
+        # is free.
+        pruned = engine.n_nodes_pruned
+        engine.evaluate(chosen)
+        assert engine.n_nodes_pruned == pruned
+
+    @pytest.mark.parametrize("engine_cls", ["cached", "fused"])
+    def test_working_set_does_the_work_of_an_unbounded_cache(
+        self, small_dataset, model, engine_cls
+    ):
+        """A GMH chain on the working-set cache prunes exactly the nodes, and
+        visits exactly the states, of the same chain on a cache that never
+        drops anything — while holding a fraction of the entries."""
+        from repro.core.sampler import MultiProposalSampler
+        from repro.likelihood.engines import make_engine
+
+        class KeepEverything(type(make_engine(engine_cls, small_dataset.alignment, model))):
+            def retain(self, trees):
+                pass
+
+        cfg = SamplerConfig(n_proposals=6, n_samples=120, burn_in=20)
+        start = simulate_genealogy(
+            8, 1.0, np.random.default_rng(2), tip_names=small_dataset.alignment.names
+        )
+        engines, chains = [], []
+        for cls in (type(make_engine(engine_cls, small_dataset.alignment, model)), KeepEverything):
+            engine = cls(alignment=small_dataset.alignment, model=model)
+            chains.append(
+                MultiProposalSampler(engine, 1.0, cfg).run(start, np.random.default_rng(9))
+            )
+            engines.append(engine)
+        working, unbounded = engines
+        assert np.array_equal(chains[0].trace.heights, chains[1].trace.heights)
+        assert working.n_nodes_pruned == unbounded.n_nodes_pruned
+        assert working.n_cache_hits == unbounded.n_cache_hits
+        assert working.cache_size <= start.n_internal * (1 + cfg.n_proposals)
+        assert unbounded.cache_size > 2 * working.cache_size
+
+    @pytest.mark.parametrize("sampler", ["lamarc", "heated", "stacked"])
+    def test_single_proposal_samplers_keep_a_working_set(self, small_dataset, model, sampler):
+        from repro.baselines.heated import HeatedChainSampler
+        from repro.baselines.lamarc import LamarcSampler
+        from repro.likelihood.fused import FusedEngine
+        from repro.parallel.stacked import StackedMultiChain
+
+        cfg = SamplerConfig(n_proposals=1, n_samples=150, burn_in=10)
+        start = simulate_genealogy(
+            8, 1.0, np.random.default_rng(3), tip_names=small_dataset.alignment.names
+        )
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
+        if sampler == "lamarc":
+            LamarcSampler(engine, 1.0, cfg).run(start, np.random.default_rng(1))
+            live = 2  # the current state plus the last proposal
+        elif sampler == "heated":
+            HeatedChainSampler(engine, 1.0, (1.0, 0.7, 0.4), cfg).run(
+                start, np.random.default_rng(1)
+            )
+            live = 2 * 3
+        else:
+            StackedMultiChain(lambda: engine, 1.0, 3, cfg).run(
+                start, np.random.default_rng(1)
+            )
+            live = 2 * 3
+        assert engine.n_evaluations > 100
+        assert engine.cache_size <= live * start.n_internal
 
     def test_mpcgs_shares_cached_engine_across_iterations(self, small_dataset):
         cfg = MPCGSConfig(

@@ -20,7 +20,7 @@ def quick_config():
 class TestConfig:
     def test_defaults(self):
         cfg = MPCGSConfig()
-        assert cfg.likelihood_engine == "batched"
+        assert cfg.likelihood_engine == "fused"
         assert cfg.n_em_iterations >= 1
 
     def test_validation(self):

@@ -5,8 +5,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.genealogy.tree import Genealogy
 from repro.genealogy.upgma import upgma_from_distances, upgma_tree
 from repro.sequences.alignment import Alignment
+
+
+def _all_pairs_upgma(dist: np.ndarray, min_separation: float = 1e-9) -> Genealogy:
+    """Reference UPGMA: rescan every cluster pair's mean distance at every merge."""
+    n = dist.shape[0]
+    times = np.zeros(2 * n - 1)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    children = np.full((2 * n - 1, 2), -1, dtype=np.int64)
+    active = {i: [i] for i in range(n)}
+    last_height = 0.0
+    for node in range(n, 2 * n - 1):
+        reps = sorted(active)
+        best, best_pair = None, None
+        for ai in range(len(reps)):
+            for bi in range(ai + 1, len(reps)):
+                a, b = reps[ai], reps[bi]
+                d = float(dist[np.ix_(active[a], active[b])].mean())
+                if best is None or d < best:
+                    best, best_pair = d, (a, b)
+        a, b = best_pair
+        height = best / 2.0
+        if height <= last_height:
+            height = last_height + min_separation
+        last_height = height
+        times[node] = height
+        children[node] = (a, b)
+        parent[a] = parent[b] = node
+        active[node] = active.pop(a) + active.pop(b)
+    return Genealogy(times=times, parent=parent, children=children)
 
 
 class TestFromDistances:
@@ -41,6 +71,24 @@ class TestFromDistances:
             upgma_from_distances(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(ValueError, match="at least two"):
             upgma_from_distances(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_all_pairs_reference(self, rng, ties):
+        """Caching each cluster pair's mean must build the very tree that
+        re-averaging every pair at every merge builds — bitwise, ties included
+        (the EM golden trajectories start from this tree)."""
+        for _ in range(25):
+            n = int(rng.integers(2, 20))
+            if ties:
+                codes = rng.integers(0, 4, size=(n, 5))
+                dist = (codes[:, None, :] != codes[None, :, :]).mean(axis=2)
+            else:
+                pts = rng.random((n, 3))
+                dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            got = upgma_from_distances(dist)
+            want = _all_pairs_upgma(dist)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.children, want.children)
 
     def test_larger_random_matrix_valid(self, rng):
         n = 12
