@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..demography.base import Demography
-from ..likelihood.coalescent_prior import PooledThetaLikelihood, batched_log_prior
+from ..likelihood.coalescent_prior import (
+    PooledThetaLikelihood,
+    log_prior_from_weighted,
+    weighted_times,
+)
 from ..likelihood.growth_prior import (
     CombinedGrowthLikelihood,
     GrowthPooledLikelihood,
@@ -51,9 +55,14 @@ class RelativeLikelihood:
             raise ValueError("driving_theta must be positive")
         self.interval_matrix = mat
         self.driving_theta = float(driving_theta)
-        self._log_prior_at_driving = batched_log_prior(
-            mat, np.asarray([driving_theta])
+        # θ enters Eq. 18 only through log(2/θ) and 1/θ: the weighted time
+        # is all the samples contribute, so it is computed once here.
+        self._weighted = weighted_times(mat)
+        self._log_prior_at_driving = log_prior_from_weighted(
+            self._weighted, mat.shape[1], np.asarray([driving_theta])
         )[:, 0]
+        #: Curve points evaluated so far (``log_likelihood`` calls).
+        self.n_evaluations = 0
 
     @property
     def n_samples(self) -> int:
@@ -67,8 +76,10 @@ class RelativeLikelihood:
         posterior-likelihood kernel's computation.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        if np.any(thetas <= 0):
+            raise ValueError("all theta values must be positive")
         log_ratios = (
-            batched_log_prior(self.interval_matrix, thetas)
+            log_prior_from_weighted(self._weighted, self.interval_matrix.shape[1], thetas)
             - self._log_prior_at_driving[:, None]
         )
         peak = log_ratios.max(axis=0)
@@ -76,6 +87,7 @@ class RelativeLikelihood:
 
     def log_likelihood(self, theta: float) -> float:
         """log L(θ) at a single θ."""
+        self.n_evaluations += 1
         return float(self.log_curve(np.asarray([theta]))[0])
 
     def curve(self, thetas: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ the accuracy comparison of Table 1 puts both samplers on identical footing.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -456,7 +457,9 @@ class MPCGS:
             chain = sampler.run(tree, rng)
 
             likelihood = RelativeLikelihood(chain.interval_matrix, driving_theta=theta)
+            m_step_start = time.perf_counter()
             estimate = maximize_theta(likelihood, theta, cfg.estimator)
+            m_step_seconds = time.perf_counter() - m_step_start
 
             result.iterations.append(
                 EMIteration(
@@ -487,6 +490,8 @@ class MPCGS:
                 n_samples=chain.n_samples,
                 n_likelihood_evaluations=chain.n_likelihood_evaluations,
                 wall_time_seconds=chain.wall_time_seconds,
+                m_step_seconds=m_step_seconds,
+                m_step_surface_evals=likelihood.n_evaluations,
             )
             if checkpoint_path is not None and (
                 converged
@@ -581,7 +586,9 @@ class MPCGS:
             likelihood = DemographyRelativeLikelihood(
                 chain.interval_matrix, demography, driving_theta=theta
             )
+            m_step_start = time.perf_counter()
             estimate = maximize_demography(likelihood, theta, demography, cfg.estimator)
+            m_step_seconds = time.perf_counter() - m_step_start
 
             result.iterations.append(
                 EMIteration(
@@ -620,6 +627,8 @@ class MPCGS:
                 n_samples=chain.n_samples,
                 n_likelihood_evaluations=chain.n_likelihood_evaluations,
                 wall_time_seconds=chain.wall_time_seconds,
+                m_step_seconds=m_step_seconds,
+                m_step_surface_evals=likelihood.n_evaluations,
             )
             if checkpoint_path is not None and (
                 converged

@@ -26,6 +26,15 @@ time.  Everything downstream needs only three functions of it:
         log P(G | θ) = Σ_events [ log(2/θ) + log ν(t_event) ]
                        − Σ_intervals k (k − 1) · (Λ(t_end) − Λ(t_start)) / θ
 
+    θ enters only through ``log(2/θ)`` and ``1/θ``, so every model reduces
+    a batch to two per-genealogy vectors (:meth:`Demography.prior_terms`):
+
+        log P(G | θ) = n_intervals · log(2/θ) + event_sum − exposure / θ
+
+    Surfaces that probe many θ at fixed parameters
+    (:mod:`repro.likelihood.demography_prior`) build those terms once per
+    parameter vector and combine them per θ with :func:`log_prior_from_terms`.
+
 Concrete demographies are frozen dataclasses whose fields are the model's
 free parameters; :attr:`Demography.param_specs` declares each parameter's
 default, feasible bounds, and trust-region step so the joint estimator
@@ -39,11 +48,64 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
-__all__ = ["ParamSpec", "Demography", "prior_ratio_adjustment"]
+__all__ = [
+    "ParamSpec",
+    "Demography",
+    "IntervalTimes",
+    "log_prior_from_terms",
+    "prior_ratio_adjustment",
+]
+
+
+class IntervalTimes:
+    """A batch of genealogies' coalescent intervals and the times derived from them.
+
+    ``lengths`` is the ``(n_samples, n_intervals)`` interval matrix (row
+    ``m`` is sampled genealogy ``m``, with ``n − i`` lineages during
+    interval ``i``); ``coeff`` holds each interval's ``k (k − 1)``.  The
+    interval start/end times are computed on first use and then kept, so a
+    surface that evaluates many parameter vectors over the same samples
+    pays for them once.
+    """
+
+    def __init__(self, interval_matrix: np.ndarray) -> None:
+        mat = np.asarray(interval_matrix, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError("interval_matrix must be 2-D (n_samples, n_intervals)")
+        self.lengths = mat
+        self.n_intervals = mat.shape[1]
+        lineages = (self.n_intervals + 1) - np.arange(self.n_intervals)
+        self.coeff = (lineages * (lineages - 1)).astype(float)
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Time (backwards) at which each interval ends."""
+        return np.cumsum(self.lengths, axis=1)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Time (backwards) at which each interval starts."""
+        return self.ends - self.lengths
+
+
+def log_prior_from_terms(n_intervals: int, terms, theta: float) -> np.ndarray:
+    """log P(G | θ) = n_intervals · log(2/θ) + event_sum − exposure / θ.
+
+    ``terms`` is a :meth:`Demography.prior_terms` pair; an ``event_sum`` of
+    ``None`` (the constant-size model) contributes nothing.
+    """
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    event_sum, exposure = terms
+    event_term = n_intervals * np.log(2.0 / theta)
+    if event_sum is not None:
+        event_term = event_term + event_sum
+    return event_term - exposure / theta
 
 
 @dataclass(frozen=True)
@@ -253,6 +315,21 @@ class Demography:
     # ------------------------------------------------------------------ #
     # The demography-parameterized coalescent prior
     # ------------------------------------------------------------------ #
+    def prior_terms(self, times: IntervalTimes) -> tuple[np.ndarray | None, np.ndarray]:
+        """The θ-free terms ``(event_sum, exposure)`` of the batched prior.
+
+        ``event_sum`` is Σ_events log ν(t_event) per genealogy (``None``
+        when it is identically zero) and ``exposure`` is
+        Σ_intervals k (k − 1) (Λ(t_end) − Λ(t_start)); see
+        :func:`log_prior_from_terms`.  Models override this with their
+        closed forms.
+        """
+        event_sum = self.log_intensity(times.ends).sum(axis=1)
+        exposure = (
+            self.integrated_intensity(times.starts, times.ends) * times.coeff[None, :]
+        ).sum(axis=1)
+        return event_sum, exposure
+
     def batched_log_prior(self, interval_matrix: np.ndarray, theta: float) -> np.ndarray:
         """log P(G | θ, params) for each row of ``interval_matrix``.
 
@@ -261,19 +338,8 @@ class Demography:
         sampled genealogy ``m`` (``n − i`` lineages during interval ``i``).
         Returns a ``(n_samples,)`` vector of log densities.
         """
-        mat = np.asarray(interval_matrix, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError("interval_matrix must be 2-D (n_samples, n_intervals)")
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        n_intervals = mat.shape[1]
-        lineages = (n_intervals + 1) - np.arange(n_intervals)
-        coeff = (lineages * (lineages - 1)).astype(float)
-        ends = np.cumsum(mat, axis=1)
-        starts = ends - mat
-        event_term = n_intervals * np.log(2.0 / theta) + self.log_intensity(ends).sum(axis=1)
-        exposure = (self.integrated_intensity(starts, ends) * coeff[None, :]).sum(axis=1)
-        return event_term - exposure / theta
+        times = IntervalTimes(interval_matrix)
+        return log_prior_from_terms(times.n_intervals, self.prior_terms(times), theta)
 
     def log_prior(self, interval_lengths: np.ndarray, theta: float) -> float:
         """log P(G | θ, params) for a single genealogy's interval lengths."""
@@ -325,7 +391,12 @@ def prior_ratio_adjustment(demography: Demography, theta: float):
     constant = ConstantDemography()
 
     def adjustment(trees) -> np.ndarray:
-        mat = np.vstack([tree.interval_representation() for tree in trees])
-        return demography.batched_log_prior(mat, theta) - constant.batched_log_prior(mat, theta)
+        # One IntervalTimes serves both priors, so the interval times are
+        # computed once per proposal set.
+        times = IntervalTimes(np.vstack([tree.interval_representation() for tree in trees]))
+        n = times.n_intervals
+        return log_prior_from_terms(n, demography.prior_terms(times), theta) - (
+            log_prior_from_terms(n, constant.prior_terms(times), theta)
+        )
 
     return adjustment

@@ -7,19 +7,19 @@ parameters beyond θ, and the LAMARC program this work descends from
 an exponential growth rate, and piecewise/sigmoid size curves for
 bottlenecks and logistic expansions.  Each model here supplies the three
 functions of the :class:`~repro.demography.base.Demography` protocol
-(ν, Λ, Λ⁻¹) plus the batched coalescent prior, and declares its free
-parameters with bounds so the joint estimator can ascend over them.
+(ν, Λ, Λ⁻¹), closed-form prior terms where it has them, and declares its
+free parameters with bounds so the joint estimator can ascend over them.
 
 Numerical contracts:
 
 * ``ExponentialDemography(growth=0)`` *is* the constant model —
   ``is_constant`` is true and the prior delegates to the constant-size
   code path, so the g → 0 limit matches the paper's prior bit-for-bit.
-* ``ConstantDemography`` delegates its prior to
+* ``ConstantDemography``'s prior terms are those of
   :func:`repro.likelihood.coalescent_prior.batched_log_prior` and
-  ``ExponentialDemography`` to
-  :func:`repro.likelihood.growth_prior.batched_log_growth_prior`, keeping
-  the demography layer bit-compatible with the pre-existing specialized
+  ``ExponentialDemography``'s come from
+  :func:`repro.likelihood.growth_prior.growth_prior_terms`, keeping the
+  demography layer bit-compatible with the pre-existing specialized
   implementations (and their overflow handling).
 """
 
@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .base import Demography, ParamSpec
+from .base import Demography, IntervalTimes, ParamSpec
 
 __all__ = [
     "ConstantDemography",
@@ -46,8 +46,8 @@ class ConstantDemography(Demography):
     """The paper's constant-size Kingman coalescent: ν(t) ≡ 1.
 
     No free parameters — θ alone is estimated, exactly the Eq. 18 prior of
-    :mod:`repro.likelihood.coalescent_prior` (to which the batched prior
-    delegates, bit-for-bit).
+    :mod:`repro.likelihood.coalescent_prior` (whose batched prior this
+    reproduces bit-for-bit).
     """
 
     name: ClassVar[str] = "constant"
@@ -69,10 +69,11 @@ class ConstantDemography(Demography):
     def integrated_intensity(self, starts, ends):
         return np.asarray(ends, dtype=float) - np.asarray(starts, dtype=float)
 
-    def batched_log_prior(self, interval_matrix: np.ndarray, theta: float) -> np.ndarray:
-        from ..likelihood.coalescent_prior import batched_log_prior
+    def prior_terms(self, times: IntervalTimes) -> tuple[None, np.ndarray]:
+        from ..likelihood.coalescent_prior import weighted_times
 
-        return batched_log_prior(interval_matrix, np.asarray([theta]))[:, 0]
+        # Eq. 18: no event term, and the exposure is Σ k (k − 1) t.
+        return None, weighted_times(times.lengths)
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,14 @@ class ExponentialDemography(Demography):
         ends = np.asarray(ends, dtype=float)
         return _growth_integral(starts, ends, self.growth)
 
-    def batched_log_prior(self, interval_matrix: np.ndarray, theta: float) -> np.ndarray:
+    def prior_terms(self, times: IntervalTimes) -> tuple[np.ndarray | None, np.ndarray]:
         if self.growth == 0.0:
             # The g -> 0 limit *is* the constant prior; delegating keeps the
             # limit bit-for-bit (and skips the growth-integral machinery).
-            return ConstantDemography().batched_log_prior(interval_matrix, theta)
-        from ..likelihood.growth_prior import batched_log_growth_prior
+            return ConstantDemography().prior_terms(times)
+        from ..likelihood.growth_prior import growth_prior_terms
 
-        return batched_log_growth_prior(
-            interval_matrix, np.asarray([theta]), np.asarray([self.growth])
-        )[:, 0, 0]
+        return growth_prior_terms(times, self.growth)
 
 
 @dataclass(frozen=True)

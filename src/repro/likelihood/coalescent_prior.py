@@ -142,11 +142,18 @@ def batched_log_prior(interval_matrix: np.ndarray, thetas: np.ndarray) -> np.nda
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas <= 0):
         raise ValueError("all theta values must be positive")
-    n = mat.shape[1] + 1
-    lineages = n - np.arange(mat.shape[1])
-    coeff = lineages * (lineages - 1)
-    weighted = mat @ coeff  # (n_samples,)
-    n_events = mat.shape[1]
+    return log_prior_from_weighted(weighted_times(mat), mat.shape[1], thetas)
+
+
+def weighted_times(interval_matrix: np.ndarray) -> np.ndarray:
+    """Σ_k k(k−1) t_k for each row: the only data the θ sweep of Eq. 18 needs."""
+    n = interval_matrix.shape[1] + 1
+    lineages = n - np.arange(interval_matrix.shape[1])
+    return interval_matrix @ (lineages * (lineages - 1))
+
+
+def log_prior_from_weighted(weighted: np.ndarray, n_events: int, thetas: np.ndarray) -> np.ndarray:
+    """``(n_samples, n_thetas)`` log P(G|θ) from :func:`weighted_times` output."""
     return n_events * np.log(2.0 / thetas)[None, :] - weighted[:, None] / thetas[None, :]
 
 
@@ -202,4 +209,4 @@ class PooledThetaLikelihood:
         return float(weighted.sum() / (self.n_samples * n_intervals))
 
 
-__all__.append("stats_from_intervals")
+__all__ += ["stats_from_intervals", "weighted_times", "log_prior_from_weighted"]

@@ -21,13 +21,24 @@ where ``params`` is the free-parameter vector of a
 All three expose ``log_likelihood(theta, params)`` — ``params`` optional,
 defaulting to the driving parameter vector — which is the interface
 :func:`repro.core.estimator.maximize_demography` ascends.
+
+The ascent probes θ far more often than it moves the parameters (each
+coordinate step holds all but one coordinate fixed), and θ enters the prior
+only through ``log(2/θ)`` and ``1/θ``.  So the surfaces keep the
+demography's θ-free prior terms (:meth:`Demography.prior_terms`) in a
+small memo keyed on the parameter vector's bytes: a θ probe costs one
+O(n_samples) expression plus the log-mean, and a demography instance is
+built only on a memo miss.  The values are bit-identical to calling
+``batched_log_prior`` at every point.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-from ..demography.base import Demography
+from ..demography.base import Demography, IntervalTimes, log_prior_from_terms
 
 __all__ = [
     "DemographyRelativeLikelihood",
@@ -60,6 +71,40 @@ def _log_mean_exp(log_values: np.ndarray) -> float:
     return -np.inf if out <= LOG_ZERO / 2 else out
 
 
+#: Parameter vectors whose prior terms a surface keeps.  The coordinate
+#: ascent revisits only the current point and its latest candidates, so a
+#: few dozen entries hit as often as an unbounded memo would.
+_TERMS_MEMO_SIZE = 32
+
+
+class _PriorTermsMemo:
+    """A demography's prior terms over fixed samples, memoized per parameter vector."""
+
+    def __init__(self, demography: Demography, times: IntervalTimes) -> None:
+        self.demography = demography
+        self.times = times
+        self._driving_key = demography.param_values().tobytes()
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()
+
+    def log_prior(self, theta: float, params=None) -> np.ndarray:
+        """log P(G | θ, params) per sample (params default: the demography's own)."""
+        if params is None:
+            key = self._driving_key
+        else:
+            params = np.asarray(params, dtype=float).reshape(-1)
+            key = params.tobytes()
+        terms = self._entries.get(key)
+        if terms is None:
+            dem = self.demography if params is None else self.demography.with_param_values(params)
+            terms = dem.prior_terms(self.times)
+            self._entries[key] = terms
+            if len(self._entries) > _TERMS_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        return log_prior_from_terms(self.times.n_intervals, terms, theta)
+
+
 class DemographyRelativeLikelihood:
     """Relative likelihood L(θ, params) / L(θ₀, params₀) from driven samples.
 
@@ -79,9 +124,11 @@ class DemographyRelativeLikelihood:
         self.interval_matrix = _check_interval_matrix(interval_matrix)
         self.demography = demography
         self.driving_theta = float(driving_theta)
-        self._log_at_driving = demography.batched_log_prior(
-            self.interval_matrix, self.driving_theta
-        )
+        self._times = IntervalTimes(self.interval_matrix)
+        self._memo = _PriorTermsMemo(demography, self._times)
+        self._log_at_driving = self._memo.log_prior(self.driving_theta)
+        #: Surface points evaluated so far (``log_likelihood`` calls).
+        self.n_evaluations = 0
 
     @property
     def n_samples(self) -> int:
@@ -90,9 +137,8 @@ class DemographyRelativeLikelihood:
 
     def log_likelihood(self, theta: float, params=None) -> float:
         """log L(θ, params) at one point (params default: the driving values)."""
-        dem = self.demography if params is None else self.demography.with_param_values(params)
-        log_ratios = dem.batched_log_prior(self.interval_matrix, theta) - self._log_at_driving
-        return _log_mean_exp(log_ratios)
+        self.n_evaluations += 1
+        return _log_mean_exp(self._memo.log_prior(theta, params) - self._log_at_driving)
 
 
 class DemographyPooledLikelihood:
@@ -107,6 +153,8 @@ class DemographyPooledLikelihood:
     def __init__(self, interval_matrix: np.ndarray, demography: Demography) -> None:
         self.interval_matrix = _check_interval_matrix(interval_matrix)
         self.demography = demography
+        self._times = IntervalTimes(self.interval_matrix)
+        self._memo = _PriorTermsMemo(demography, self._times)
 
     @property
     def n_samples(self) -> int:
@@ -115,8 +163,7 @@ class DemographyPooledLikelihood:
 
     def log_likelihood(self, theta: float, params=None) -> float:
         """Mean log P(G | θ, params) at one point (params default: current)."""
-        dem = self.demography if params is None else self.demography.with_param_values(params)
-        return float(np.mean(dem.batched_log_prior(self.interval_matrix, theta)))
+        return float(np.mean(self._memo.log_prior(theta, params)))
 
 
 class CombinedDemographyLikelihood:

@@ -18,8 +18,8 @@ grid + ascent maximizer, reusing the genealogy samples the existing sampler
 already produces — exactly the extension path the paper sketches.
 
 Growth is now one member of the demography-parameterized prior family
-(:mod:`repro.demography`): ``ExponentialDemography`` delegates its batched
-prior to :func:`batched_log_growth_prior`, and the surface classes below
+(:mod:`repro.demography`): ``ExponentialDemography`` takes its prior
+terms from :func:`growth_prior_terms`, and the surface classes below
 are (θ, g)-signature specializations of the generic ones in
 :mod:`repro.likelihood.demography_prior` — this module remains the single
 source of truth for the exponential density and its overflow handling.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..demography.base import IntervalTimes, log_prior_from_terms
 from .demography_prior import (
     CombinedDemographyLikelihood,
     DemographyPooledLikelihood,
@@ -39,6 +40,7 @@ from .demography_prior import (
 
 __all__ = [
     "log_growth_prior",
+    "growth_prior_terms",
     "batched_log_growth_prior",
     "GrowthRelativeLikelihood",
     "GrowthPooledLikelihood",
@@ -104,6 +106,35 @@ def log_growth_prior(interval_lengths: np.ndarray, theta: float, growth: float) 
     return event_term - exposure / theta
 
 
+def growth_prior_terms(times: IntervalTimes, growth: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(event_sum, exposure)`` of log P(G | θ, g) — its θ-free terms.
+
+    ``event_sum`` is g · Σ t_event and ``exposure`` is
+    Σ k (k − 1) ∫ e^{g t} dt per genealogy; combine them with
+    :func:`repro.demography.base.log_prior_from_terms`.  ``growth == 0``
+    is evaluated through the growth integral like any other rate (the
+    exponential demography routes g = 0 to the constant prior instead).
+    """
+    exposure = (
+        _growth_integral(times.starts, times.ends, growth) * times.coeff[None, :]
+    ).sum(axis=1)
+    return growth * times.ends.sum(axis=1), exposure
+
+
+def _growth_grid(times: IntervalTimes, thetas, growths) -> np.ndarray:
+    """log P(G | θ, g) on a (θ, g) grid; shape ``(n_samples, n_thetas, n_growths)``."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    growths = np.atleast_1d(np.asarray(growths, dtype=float))
+    if np.any(thetas <= 0):
+        raise ValueError("all theta values must be positive")
+    out = np.empty((times.lengths.shape[0], thetas.size, growths.size))
+    for gi, growth in enumerate(growths):
+        terms = growth_prior_terms(times, float(growth))
+        for ti, theta in enumerate(thetas):
+            out[:, ti, gi] = log_prior_from_terms(times.n_intervals, terms, theta)
+    return out
+
+
 def batched_log_growth_prior(
     interval_matrix: np.ndarray, thetas: np.ndarray, growths: np.ndarray
 ) -> np.ndarray:
@@ -112,29 +143,7 @@ def batched_log_growth_prior(
     Returns an array of shape ``(n_samples, n_thetas, n_growths)`` — the
     batched quantity a two-parameter posterior-likelihood kernel reduces.
     """
-    mat = np.asarray(interval_matrix, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("interval_matrix must be 2-D (n_samples, n_intervals)")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    growths = np.atleast_1d(np.asarray(growths, dtype=float))
-    if np.any(thetas <= 0):
-        raise ValueError("all theta values must be positive")
-
-    n_samples, n_intervals = mat.shape
-    n = n_intervals + 1
-    lineages = n - np.arange(n_intervals)
-    coeff = (lineages * (lineages - 1)).astype(float)
-    starts, ends = _interval_times(mat)
-
-    out = np.empty((n_samples, thetas.size, growths.size))
-    for gi, growth in enumerate(growths):
-        exposure = (_growth_integral(starts, ends, float(growth)) * coeff[None, :]).sum(axis=1)
-        event_time_term = float(growth) * ends.sum(axis=1)
-        for ti, theta in enumerate(thetas):
-            out[:, ti, gi] = (
-                n_intervals * np.log(2.0 / theta) + event_time_term - exposure / theta
-            )
-    return out
+    return _growth_grid(IntervalTimes(interval_matrix), thetas, growths)
 
 
 class GrowthRelativeLikelihood(DemographyRelativeLikelihood):
@@ -167,8 +176,7 @@ class GrowthRelativeLikelihood(DemographyRelativeLikelihood):
     def log_surface(self, thetas: np.ndarray, growths: np.ndarray) -> np.ndarray:
         """log L(θ, g) on a grid; shape ``(n_thetas, n_growths)``."""
         log_ratios = (
-            batched_log_growth_prior(self.interval_matrix, thetas, growths)
-            - self._log_at_driving[:, None, None]
+            _growth_grid(self._times, thetas, growths) - self._log_at_driving[:, None, None]
         )
         peak = log_ratios.max(axis=0)
         return peak + np.log(np.mean(np.exp(log_ratios - peak[None, :, :]), axis=0))
@@ -203,7 +211,7 @@ class GrowthPooledLikelihood(DemographyPooledLikelihood):
         The mean (rather than the sum) is returned so values are comparable
         across sample counts; the maximizer is unchanged.
         """
-        return batched_log_growth_prior(self.interval_matrix, thetas, growths).mean(axis=0)
+        return _growth_grid(self._times, thetas, growths).mean(axis=0)
 
     def log_likelihood(self, theta: float, growth: float) -> float:
         """Mean log P(G | θ, g) at a single parameter point."""

@@ -119,6 +119,8 @@ def log_sum(logs: Iterable[float] | Array, axis: int | None = None, xp: ArrayBac
     arr = _as_backend_array(logs, xp)
     if _size(arr) == 0:
         return LOG_ZERO
+    if axis is None and arr.ndim == 1:
+        return _log_sum_1d(arr, xp)
     k = xp.max(arr, axis=axis, keepdims=True)
     # All-zero slices (every entry LOG_ZERO) must stay LOG_ZERO.
     k_safe = xp.where(k <= LOG_ZERO / 2, 0.0, k)
@@ -129,6 +131,18 @@ def log_sum(logs: Iterable[float] | Array, axis: int | None = None, xp: ArrayBac
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _log_sum_1d(arr, xp: ArrayBackend) -> float:
+    """:func:`log_sum` of a non-empty 1-D array as host scalars, bit-identical
+    to the general path (the EM M-step's log-mean runs this per surface point)."""
+    k = float(xp.max(arr))
+    if k <= LOG_ZERO / 2:
+        return LOG_ZERO
+    with xp.errstate(under="ignore"):
+        s = float(xp.sum(xp.exp(arr - k)))
+    # NaN and +inf maxima leave s NaN; the general path logs 1.0 there.
+    return float(B.log(s if s > 0 else 1.0)) + k
 
 
 def _size(arr) -> int:

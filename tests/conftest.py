@@ -11,6 +11,10 @@ from repro.sequences.alignment import Alignment
 from repro.simulate.datasets import synthesize_dataset
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line("markers", "slow: long-running statistical or end-to-end test")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""

@@ -265,3 +265,55 @@ class TestLogSumExpProperties:
         assert ab == pytest.approx(ba, rel=1e-12)
         assert ab >= max(a, b)
         assert ab <= max(a, b) + np.log(2.0) + 1e-12
+
+
+def _general_log_sum(arr: np.ndarray) -> float:
+    """Reference: the keepdims/where/squeeze log-sum-exp path, for any shape."""
+    k = np.max(arr, keepdims=True)
+    k_safe = np.where(k <= LOG_ZERO / 2, 0.0, k)
+    with np.errstate(under="ignore"):
+        s = np.sum(np.exp(arr - k_safe), keepdims=True)
+    out = np.where(k <= LOG_ZERO / 2, LOG_ZERO, np.log(np.where(s > 0, s, 1.0)) + k_safe)
+    return float(out.reshape(()))
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestOneDimensionalFastPath:
+    """1-D ``axis=None`` reductions skip the keepdims path, bit for bit."""
+
+    entries = st.one_of(
+        finite_logs,
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+        st.just(LOG_ZERO),
+        st.just(-np.inf),
+    )
+
+    @given(st.lists(entries, min_size=1, max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_general_path(self, logs):
+        arr = np.asarray(logs)
+        want = _general_log_sum(arr)
+        assert _same(log_sum(arr), want)
+        assert _same(log_sum(logs), want)
+        assert _same(log_mean(arr), want - float(np.log(arr.size)))
+
+    @pytest.mark.parametrize(
+        "logs",
+        [
+            [LOG_ZERO, LOG_ZERO, LOG_ZERO],
+            [-np.inf, -np.inf],
+            [LOG_ZERO, -np.inf],
+            [np.inf, 1.0],
+            [np.nan, 1.0],
+            [5.0],
+        ],
+    )
+    def test_degenerate_batches(self, logs):
+        arr = np.asarray(logs)
+        with np.errstate(invalid="ignore"):
+            want = _general_log_sum(arr)
+            assert _same(log_sum(arr), want)
+            assert _same(log_mean(arr), want - float(np.log(arr.size)))
