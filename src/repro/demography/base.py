@@ -53,6 +53,8 @@ from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
+from ..brent import brentq
+
 __all__ = [
     "ParamSpec",
     "Demography",
@@ -224,7 +226,7 @@ class Demography:
         """Λ⁻¹(y): the time at which the integrated intensity reaches ``y``.
 
         Generic monotone inversion; models with closed-form inverses
-        override this.  Scalars go through ``scipy.optimize.brentq``; array
+        override this.  Scalars go through :func:`repro.brent.brentq`; array
         inputs run one vectorized bracketing-plus-bisection over the whole
         batch (the batched proposal kernel maps every sampled τ of a
         proposal set back to calendar time in a single call).  ``y`` beyond
@@ -262,7 +264,8 @@ class Demography:
             raise ValueError("failed to bracket the inverse cumulative intensity")
         lo = np.zeros_like(hi)
         # 100 halvings shrink the widest bracket below any representable
-        # spacing (matches the scalar brentq xtol of 1e-12·max(hi, 1)).
+        # spacing (matches the xtol of 1e-12·max(hi, 1) that _invert_scalar
+        # passes to repro.brent.brentq).
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             below = np.asarray(self.cumulative_intensity(mid), dtype=float) < y
@@ -274,8 +277,6 @@ class Demography:
         return out.reshape(targets.shape)
 
     def _invert_scalar(self, target: float) -> float:
-        from scipy.optimize import brentq
-
         if target < 0:
             raise ValueError("cumulative intensity is non-negative")
         if target == 0.0:
@@ -294,13 +295,11 @@ class Demography:
             hi *= 2.0
         else:  # pragma: no cover - total_intensity() guard prevents this
             raise ValueError("failed to bracket the inverse cumulative intensity")
-        return float(
-            brentq(
-                lambda t: float(self.cumulative_intensity(t)) - target,
-                0.0,
-                hi,
-                xtol=1e-12 * max(hi, 1.0),
-            )
+        return brentq(
+            lambda t: float(self.cumulative_intensity(t)) - target,
+            0.0,
+            hi,
+            xtol=1e-12 * max(hi, 1.0),
         )
 
     def integrated_intensity(self, starts, ends):

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ..brent import brentq
 
 __all__ = ["IntervalKinetics", "kinetics_for"]
 
@@ -375,7 +376,7 @@ class IntervalKinetics:
         u = float(rng.random()) * total
         if cdf(span) <= u:
             return span * (1.0 - 1e-12)
-        return float(brentq(lambda t: cdf(t) - u, 0.0, span, xtol=1e-14 * max(span, 1.0)))
+        return brentq(lambda t: cdf(t) - u, 0.0, span, xtol=1e-14 * max(span, 1.0))
 
     # ------------------------------------------------------------------ #
     # Batched sampling (the propose_set forward pass)

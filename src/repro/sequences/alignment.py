@@ -197,14 +197,16 @@ class Alignment:
         return out
 
     def segregating_sites(self) -> int:
-        """Number of polymorphic (segregating) sites in the alignment."""
-        seg = 0
-        for s in range(self.n_sites):
-            col = self.codes[:, s]
-            col = col[col != MISSING]
-            if col.size and np.unique(col).size > 1:
-                seg += 1
-        return seg
+        """Number of polymorphic (segregating) sites in the alignment.
+
+        A site segregates when its unambiguous bases are not all the same,
+        i.e. their column maximum exceeds their minimum.  MISSING is the
+        largest code, so it never lowers a minimum, and it is masked to −1
+        for the maximum; an all-missing column thus has max −1 < min 4.
+        """
+        low = self.codes.min(axis=0)
+        high = np.where(self.codes == MISSING, -1, self.codes).max(axis=0)
+        return int(np.count_nonzero(high > low))
 
     def watterson_theta(self) -> float:
         """Watterson's moment estimator of θ per site.

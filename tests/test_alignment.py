@@ -13,6 +13,24 @@ sequences_strategy = st.lists(
     st.text(alphabet="ACGT", min_size=12, max_size=12), min_size=2, max_size=8
 )
 
+#: Alignments with missing data: 2-8 rows of equal length over A/C/G/T/N.
+gappy_strategy = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n_sites: st.lists(
+        st.text(alphabet="ACGTN", min_size=n_sites, max_size=n_sites), min_size=2, max_size=8
+    )
+)
+
+
+def reference_segregating_sites(aln: Alignment) -> int:
+    """Per-column count: a site segregates if its non-missing bases differ."""
+    seg = 0
+    for s in range(aln.n_sites):
+        col = aln.codes[:, s]
+        col = col[col != MISSING]
+        if col.size and np.unique(col).size > 1:
+            seg += 1
+    return seg
+
 
 class TestConstruction:
     def test_from_sequences_basic(self, tiny_alignment):
@@ -123,6 +141,17 @@ class TestStatistics:
         # Columns differing across the four sequences: position 0 (A/A/A/C),
         # position 4 (A/A/T/T), position 7 (T/A/A/A) -> 3 segregating sites.
         assert tiny_alignment.segregating_sites() == 3
+
+    def test_segregating_sites_ignore_missing(self):
+        # Column 0: A/N (monomorphic), 1: N/N (empty), 2: A/C, 3: N/G.
+        aln = Alignment.from_sequences({"a": "ANAN", "b": "NNCG"})
+        assert aln.segregating_sites() == 1
+
+    @given(gappy_strategy)
+    @settings(max_examples=200)
+    def test_segregating_sites_matches_per_column_reference(self, seqs):
+        aln = Alignment.from_sequences([(f"s{i}", seq) for i, seq in enumerate(seqs)])
+        assert aln.segregating_sites() == reference_segregating_sites(aln)
 
     def test_watterson_theta_positive(self, tiny_alignment):
         assert tiny_alignment.watterson_theta() > 0
