@@ -353,30 +353,31 @@ class MultiChainSampler:
         fault_context = (
             (injector.plan.to_dict(), list(injector.scope)) if injector is not None else None
         )
-        futures = [
-            (
-                index,
-                pool.submit(
-                    _run_single_chain,
-                    self.engine_factory,
-                    self.theta,
-                    cfg,
-                    initial_tree,
-                    chain_rng,
-                    fault_context,
-                    index,
-                ),
-            )
-            for index, cfg, chain_rng in jobs
-        ]
         try:
+            futures = [
+                (
+                    index,
+                    pool.submit(
+                        _run_single_chain,
+                        self.engine_factory,
+                        self.theta,
+                        cfg,
+                        initial_tree,
+                        chain_rng,
+                        fault_context,
+                        index,
+                    ),
+                )
+                for index, cfg, chain_rng in jobs
+            ]
             return {index: future.result() for index, future in futures}
         except BrokenProcessPool as exc:
             # A killed worker otherwise surfaces as the pool's own plumbing
             # error; map it to the typed job-level failure the scheduler's
             # retry path catches — and drop the broken pool from the shared
             # cache so that retry (and every later run) really does start
-            # on a fresh pool.
+            # on a fresh pool.  The cached pool may have broken between
+            # runs, in which case ``submit`` itself raises.
             _discard_pool(max_workers)
             raise WorkerCrashError(
                 f"a multichain worker process died while running "

@@ -125,6 +125,24 @@ def extract_region(tree: Genealogy, target: int) -> Region:
     )
 
 
+def _fixed_edges(tree: Genealogy, region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """Child and parent times of the fixed (inactive) edges.
+
+    A fixed edge ``child → parent`` is one that does not involve the deleted
+    nodes (the target and its parent).
+    """
+    nodes = np.arange(tree.n_nodes)
+    parent = tree.parent
+    fixed = (
+        (parent >= 0)
+        & (nodes != region.target)
+        & (nodes != region.parent)
+        & (parent != region.target)
+        & (parent != region.parent)
+    )
+    return tree.times[fixed], tree.times[parent[fixed]]
+
+
 def inactive_lineage_count(tree: Genealogy, region: Region, time: float) -> int:
     """Number of fixed (inactive) lineages crossing ``time``.
 
@@ -132,20 +150,8 @@ def inactive_lineage_count(tree: Genealogy, region: Region, time: float) -> int:
     involve the deleted nodes (the target and its parent) and that spans the
     queried time: ``time(child) <= time < time(parent)``.
     """
-    nodes = np.arange(tree.n_nodes)
-    parent = tree.parent
-    has_parent = parent >= 0
-    involves_removed = (
-        (nodes == region.target)
-        | (nodes == region.parent)
-        | (parent == region.target)
-        | (parent == region.parent)
-    )
-    fixed = has_parent & ~involves_removed
-    child_times = tree.times
-    parent_times = np.where(has_parent, tree.times[np.clip(parent, 0, None)], np.inf)
-    crossing = fixed & (child_times <= time) & (time < parent_times)
-    return int(np.count_nonzero(crossing))
+    child_times, parent_times = _fixed_edges(tree, region)
+    return int(np.count_nonzero((child_times <= time) & (time < parent_times)))
 
 
 def rescaled_interval_spans(intervals, demography) -> tuple[list[float], list[float]]:
@@ -186,42 +192,46 @@ def build_intervals(tree: Genealogy, region: Region) -> list[FeasibleInterval]:
     ancestor time (or extends to infinity when the parent was the root).
     Breakpoints are inserted at every child-root time (an active lineage
     appears) and at every fixed-node time strictly inside the range (the
-    inactive count changes there).
+    inactive count changes there).  Every interval's inactive count is read
+    at its midpoint, all intervals at once.
     """
     start_time = min(region.child_times)
     end_time = region.ancestor_time
-
-    breakpoints: set[float] = set(region.child_times)
-    removed = {region.target, region.parent}
-    for node in range(tree.n_nodes):
-        if node in removed:
-            continue
-        t = float(tree.times[node])
-        if start_time < t < end_time:
-            breakpoints.add(t)
-    ordered = sorted(breakpoints)
-    if region.bounded:
-        if ordered[-1] < end_time:
-            ordered.append(end_time)
-    else:
-        ordered.append(float("inf"))
-
-    intervals: list[FeasibleInterval] = []
     child_times = np.asarray(region.child_times)
-    for i in range(len(ordered) - 1):
-        lo, hi = ordered[i], ordered[i + 1]
-        midpoint = lo + (min(hi, lo + 1.0) - lo) * 0.5 if np.isfinite(hi) else lo + 0.5
-        n_inactive = inactive_lineage_count(tree, region, midpoint)
-        # Each child root activates in exactly one interval: the one whose
-        # start equals its time (child times are themselves breakpoints, so
-        # exact floating-point equality is the right test here).
-        activations = int(np.count_nonzero(child_times == lo))
-        intervals.append(
-            FeasibleInterval(start=lo, end=hi, n_inactive=n_inactive, activations=activations)
-        )
-    if not intervals:
+
+    times = tree.times
+    kept = np.ones(tree.n_nodes, dtype=bool)
+    kept[[region.target, region.parent]] = False
+    inside = kept & (start_time < times) & (times < end_time)
+    # Sort and drop equal neighbours instead of np.unique: its masked-array
+    # check imports numpy.ma, which costs every process about 1 MiB of
+    # resident memory on the first proposal.
+    points = np.sort(np.concatenate((child_times, times[inside])))
+    points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+    if region.bounded:
+        if points[-1] < end_time:
+            points = np.append(points, end_time)
+    else:
+        points = np.append(points, np.inf)
+    if points.size < 2:
         raise ValueError("resimulation region is empty; the tree is degenerate")
-    return intervals
+
+    lo, hi = points[:-1], points[1:]
+    midpoints = np.where(
+        np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5
+    )[:, None]
+    edge_child, edge_parent = _fixed_edges(tree, region)
+    n_inactive = np.count_nonzero((edge_child <= midpoints) & (midpoints < edge_parent), axis=1)
+    # Each child root activates in exactly one interval: the one whose
+    # start equals its time (child times are themselves breakpoints, so
+    # exact floating-point equality is the right test here).
+    activations = np.count_nonzero(child_times == lo[:, None], axis=1)
+    return [
+        FeasibleInterval(start=start, end=end, n_inactive=k, activations=a)
+        for start, end, k, a in zip(
+            lo.tolist(), hi.tolist(), n_inactive.tolist(), activations.tolist()
+        )
+    ]
 
 
 __all__.append("inactive_lineage_count")

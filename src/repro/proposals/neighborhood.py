@@ -30,14 +30,19 @@ candidates (Eq. 31), so everything that depends only on (tree, target) —
 the region, the feasible intervals, the kinetics, the per-interval
 transition matrices, the backward-pass table, and the demography Λ
 rescaling — is identical for every sibling.  :meth:`propose_set` computes
-each of those exactly once per set and runs the forward pass and the tree
-surgery vectorized across all siblings; :meth:`propose` remains the
-per-proposal reference kernel the batched path is tested against.
+each of those exactly once per set, along with a table of the conditioned
+end-state weights of every interval and active-lineage count, and runs the
+forward pass from that table and the tree surgery vectorized across all
+siblings; :meth:`propose` remains the per-proposal reference kernel the
+batched path is tested against.  Transition matrices depend only on an
+interval's inactive count and span, so each resimulator memoizes them
+across sets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +65,12 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-12
+
+#: Interval transition matrices kept per resimulator, keyed by (n_inactive, span).
+_MATRIX_MEMO_SIZE = 256
+
+#: Active-lineage counts a, b ∈ {1, 2, 3} of the end-state table.
+_STATES = np.arange(1, 4)
 
 #: The three unordered pairs of a 3-element active list, indexed by ⌊3u⌋.
 _PAIRS_OF_THREE = ((0, 1), (0, 2), (1, 2))
@@ -92,7 +103,8 @@ class _SetContext:
     Built once per (tree, target) by :meth:`NeighborhoodResimulator._build_set_context`
     and shared by every candidate of the set: the deleted region, the
     feasible intervals, the per-interval kinetics and (log-)transition
-    matrices, the backward-pass goal table, and — on the demography path —
+    matrices (read-only, shared through the resimulator's memo), the
+    backward-pass goal table, and — on the demography path —
     the Λ-rescaled interval starts.  ``double_cdfs`` lazily caches the
     closed-form 3 → 1 first-merge CDF per interval so sibling double merges
     share one construction.
@@ -139,10 +151,14 @@ class NeighborhoodResimulator:
         consumption order.
 
     Work counters (``n_proposal_sets``, ``n_interval_builds``,
-    ``n_backward_passes``, ``n_proposals_generated``) accumulate across
-    calls; the batched path performs exactly one interval build and one
-    backward pass per proposal set, the reference path one of each per
-    proposal.
+    ``n_backward_passes``, ``n_proposals_generated``, ``n_intervals``,
+    ``n_matrix_builds``) accumulate across calls; the batched path performs
+    exactly one interval build and one backward pass per proposal set, the
+    reference path one of each per proposal.  ``n_intervals`` counts the
+    feasible intervals those builds produced and ``n_matrix_builds`` the
+    interval transition matrices actually computed: a matrix depends only on
+    the interval's inactive count and span (θ is fixed for the resimulator's
+    lifetime), so the last ``_MATRIX_MEMO_SIZE`` distinct ones are reused.
     """
 
     def __init__(
@@ -167,6 +183,9 @@ class NeighborhoodResimulator:
         self.n_interval_builds = 0
         self.n_backward_passes = 0
         self.n_proposals_generated = 0
+        self.n_intervals = 0
+        self.n_matrix_builds = 0
+        self._matrices: OrderedDict[tuple[int, float], np.ndarray] = OrderedDict()
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the shared-work counters (diagnostics / tests)."""
@@ -175,6 +194,8 @@ class NeighborhoodResimulator:
             "n_interval_builds": self.n_interval_builds,
             "n_backward_passes": self.n_backward_passes,
             "n_proposals_generated": self.n_proposals_generated,
+            "n_intervals": self.n_intervals,
+            "n_matrix_builds": self.n_matrix_builds,
         }
 
     # ------------------------------------------------------------------ #
@@ -323,21 +344,22 @@ class NeighborhoodResimulator:
         region = extract_region(tree, target)
         intervals = build_intervals(tree, region)
         self.n_interval_builds += 1
+        self.n_intervals += len(intervals)
         kinetics = [kinetics_for(iv.n_inactive, self.theta) for iv in intervals]
-        if self.demography is None:
+        # Rescaled spans can be so large that linear-space transition weights
+        # underflow while their ratios stay well defined, so the demography
+        # path runs the two passes in log space.
+        log_space = self.demography is not None
+        if log_space:
+            tau_starts, spans = rescaled_interval_spans(intervals, self.demography)
+        else:
             tau_starts = None
             spans = [iv.length for iv in intervals]
-            matrices = [k.transition_matrix(s) for k, s in zip(kinetics, spans)]
-            goal = self._backward_pass(intervals, matrices)
-            log_space = False
-        else:
-            # Rescaled spans can be so large that linear-space transition
-            # weights underflow while their ratios stay well defined, so the
-            # demography path runs the two passes in log space.
-            tau_starts, spans = rescaled_interval_spans(intervals, self.demography)
-            matrices = [k.log_transition_matrix(s) for k, s in zip(kinetics, spans)]
+        matrices = [self._transition_matrix(k, s) for k, s in zip(kinetics, spans)]
+        if log_space:
             goal = self._backward_pass_log(intervals, matrices)
-            log_space = True
+        else:
+            goal = self._backward_pass(intervals, matrices)
         self.n_backward_passes += 1
         return _SetContext(
             region=region,
@@ -349,6 +371,29 @@ class NeighborhoodResimulator:
             goal=goal,
             log_space=log_space,
         )
+
+    def _transition_matrix(self, kinetics: IntervalKinetics, span: float) -> np.ndarray:
+        """The interval's (log-, on the demography path) transition matrix, memoized.
+
+        The matrix is a pure function of ``(n_inactive, span)`` for this
+        resimulator's fixed θ, and chains revisit the same intervals often,
+        so a bounded LRU of read-only matrices serves the repeats.
+        """
+        key = (kinetics.n_inactive, span)
+        matrix = self._matrices.get(key)
+        if matrix is not None:
+            self._matrices.move_to_end(key)
+            return matrix
+        if self.demography is not None:
+            matrix = kinetics.log_transition_matrix(span)
+        else:
+            matrix = kinetics.transition_matrix(span)
+        matrix.flags.writeable = False
+        self._matrices[key] = matrix
+        if len(self._matrices) > _MATRIX_MEMO_SIZE:
+            self._matrices.popitem(last=False)
+        self.n_matrix_builds += 1
+        return matrix
 
     # ------------------------------------------------------------------ #
     # Backward pass: P_i(n) of the paper
@@ -493,52 +538,88 @@ class NeighborhoodResimulator:
             )
         return sorted(merge_times)
 
+    @staticmethod
+    def _end_state_table(ctx: _SetContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Conditioned end-state weights of every interval and active count.
+
+        Row ``[m, a-1]`` holds what the forward pass needs to draw the
+        active count ``b`` at the end of interval ``m`` from ``a`` at its
+        start: ``cum[m, a-1]`` the cumulative weights over ``b = 1, 2, 3``
+        (zero, or ``-inf`` before the log-space shift, where ``b > a`` or
+        the carried count would exceed three), ``total[m, a-1]`` their sum,
+        and ``dead[m, a-1]`` whether no valid finish exists from that state.
+        The weights depend on the interval and ``a`` only, so every sibling
+        of a set reads the same table; each row is computed with the same
+        element-wise arithmetic as the reference :meth:`_forward_pass`
+        (product with the goal tail, or in log space the sum, max-shift and
+        ``exp``).  Every weight is non-negative, so each ``cum`` row is
+        sorted.
+        """
+        n_intervals = len(ctx.intervals)
+        next_activations = np.zeros(n_intervals, dtype=np.int64)
+        next_activations[:-1] = [iv.activations for iv in ctx.intervals[1:]]
+        carried = _STATES[None, :] + next_activations[:, None]
+        allowed = (_STATES[None, :] <= _STATES[:, None])[None, :, :] & (carried <= 3)[:, None, :]
+        tail = ctx.goal[np.arange(1, n_intervals + 1)[:, None], np.minimum(carried, 3) - 1]
+        matrices = np.stack(ctx.matrices)
+        if ctx.log_space:
+            weights = np.where(allowed, matrices + tail[:, None, :], -np.inf)
+            peak = weights.max(axis=2)
+            reachable = np.isfinite(peak)
+            weights = np.exp(weights - np.where(reachable, peak, 0.0)[:, :, None])
+        else:
+            weights = np.where(allowed, matrices * tail[:, None, :], 0.0)
+        cum = np.cumsum(weights, axis=2)
+        total = cum[:, :, -1]
+        dead = total <= 0.0
+        if ctx.log_space:
+            dead |= ~reachable
+        return cum, total, dead
+
     def _forward_pass_batch(
         self, ctx: _SetContext, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         """The forward pass for all ``n`` siblings at once.
 
-        Walks the intervals once; at each interval the conditioned end-state
-        weights of every sibling form one ``(n, 3)`` array resolved by a
-        single batched categorical draw (per-row cumulative-sum inversion),
-        and the merge offsets of all siblings drawing the same move are
-        sampled by the vectorized kinetics.  Returns an ``(n, 2)`` array of
-        sorted calendar merge times; the demography path maps every sampled
-        τ back through one batched Λ⁻¹ call at the end.
+        Walks the intervals once, reading each sibling's conditioned
+        end-state weights from the per-set :meth:`_end_state_table`; one
+        uniform per sibling and interval resolves the draw (cumulative-sum
+        inversion), and the merge offsets of all siblings drawing the same
+        move are sampled by the vectorized kinetics.  Returns an ``(n, 2)``
+        array of sorted calendar merge times; the demography path maps every
+        sampled τ back through one batched Λ⁻¹ call at the end.
         """
+        cum, total, dead = self._end_state_table(ctx)
+        any_dead = dead.any(axis=1).tolist()
         intervals, spans = ctx.intervals, ctx.spans
-        n_intervals = len(intervals)
         active = np.zeros(n, dtype=np.int64)
         offsets = np.zeros((n, 2))
         owner = np.zeros((n, 2), dtype=np.int64)
         n_found = np.zeros(n, dtype=np.int64)
-        b_range = np.arange(1, 4)
 
-        for m in range(n_intervals):
-            active = active + intervals[m].activations
-            if np.any((active < 1) | (active > 3)):
+        for m, interval in enumerate(intervals):
+            active = active + interval.activations
+            lowest, highest = int(active.min()), int(active.max())
+            if lowest < 1 or highest > 3:
                 raise RuntimeError("active lineage bookkeeping is inconsistent")
-            span = spans[m]
-            next_activations = intervals[m + 1].activations if m + 1 < n_intervals else 0
-            carried = b_range + next_activations
-            allowed = (b_range[None, :] <= active[:, None]) & (carried[None, :] <= 3)
-            tail = ctx.goal[m + 1, np.minimum(carried, 3) - 1]
-            rows = ctx.matrices[m][active - 1]
-            if ctx.log_space:
-                w = np.where(allowed, rows + tail[None, :], -np.inf)
-                peak = w.max(axis=1)
-                if not np.all(np.isfinite(peak)):
+            if lowest == highest:
+                row = lowest - 1
+                if dead[m, row]:
                     raise RuntimeError("conditioned resimulation reached a dead end")
-                w = np.exp(w - peak[:, None])
+                u = rng.random(n) * total[m, row]
+                end_state = 1 + np.minimum(np.searchsorted(cum[m, row], u, side="right"), 2)
+                if lowest == 1:
+                    # A lone lineage cannot merge: nothing to place here.
+                    active = end_state
+                    continue
             else:
-                w = np.where(allowed, rows * tail[None, :], 0.0)
-            cum = np.cumsum(w, axis=1)
-            total = cum[:, -1]
-            if np.any(total <= 0.0):
-                raise RuntimeError("conditioned resimulation reached a dead end")
-            u = rng.random(n) * total
-            end_state = 1 + np.minimum((cum <= u[:, None]).sum(axis=1), 2)
+                rows = active - 1
+                if any_dead[m] and np.any(dead[m, rows]):
+                    raise RuntimeError("conditioned resimulation reached a dead end")
+                u = rng.random(n) * total[m, rows]
+                end_state = 1 + np.minimum((cum[m, rows] <= u[:, None]).sum(axis=1), 2)
             n_events = active - end_state
+            span = spans[m]
 
             kin = ctx.kinetics[m]
             singles = np.flatnonzero(n_events == 1)

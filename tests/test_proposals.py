@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.lamarc import LamarcSampler
+from repro.core.config import SamplerConfig
+from repro.core.sampler import MultiProposalSampler
 from repro.demography.models import ExponentialDemography
+from repro.genealogy.upgma import upgma_tree
+from repro.likelihood.engines import BatchedEngine
+from repro.parallel.stacked import StackedMultiChain
 from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
 from repro.proposals.kinetics import IntervalKinetics
 from repro.proposals.neighborhood import (
@@ -233,9 +239,13 @@ class TestResimulation:
 
     def test_propose_set_counter_accounting(self, rng):
         """The batched path shares one interval build + one backward pass per
-        set; the reference path pays one of each per proposal."""
+        set; the reference path pays one of each per proposal.  Transition
+        matrices are memoized by (n_inactive, span), so repeated builds of
+        the same intervals compute each distinct matrix once."""
         tree = simulate_genealogy(8, 1.0, rng)
         target = int(eligible_targets(tree)[0])
+        intervals = build_intervals(tree, extract_region(tree, target))
+        distinct = len({(iv.n_inactive, iv.length) for iv in intervals})
 
         batched = NeighborhoodResimulator(1.0, batch_proposals=True)
         batched.propose_set(tree, target, 8, rng)
@@ -244,6 +254,8 @@ class TestResimulation:
             "n_interval_builds": 1,
             "n_backward_passes": 1,
             "n_proposals_generated": 8,
+            "n_intervals": len(intervals),
+            "n_matrix_builds": distinct,
         }
 
         reference = NeighborhoodResimulator(1.0, batch_proposals=False)
@@ -253,7 +265,36 @@ class TestResimulation:
             "n_interval_builds": 8,
             "n_backward_passes": 8,
             "n_proposals_generated": 8,
+            "n_intervals": 8 * len(intervals),
+            "n_matrix_builds": distinct,
         }
+
+    def test_memoized_matrices_are_read_only(self, rng):
+        tree = simulate_genealogy(6, 1.0, rng)
+        resim = NeighborhoodResimulator(1.0)
+        ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
+        with pytest.raises(ValueError):
+            ctx.matrices[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("runner", ["gmh", "lamarc", "stacked"])
+    def test_run_extras_count_intervals_and_matrix_builds(
+        self, small_dataset, uniform_model, runner
+    ):
+        """The interval and matrix-build counters reach every chain's
+        ``proposal_counters``, and a chain revisits enough intervals that
+        the matrix memo computes fewer matrices than it serves."""
+        engine = BatchedEngine(alignment=small_dataset.alignment, model=uniform_model)
+        cfg = SamplerConfig(n_samples=40, burn_in=10, n_proposals=4)
+        tree = upgma_tree(small_dataset.alignment, driving_theta=1.0)
+        rng = np.random.default_rng(5)
+        if runner == "gmh":
+            result = MultiProposalSampler(engine, theta=1.0, config=cfg).run(tree, rng)
+        elif runner == "lamarc":
+            result = LamarcSampler(engine, 1.0, cfg).run(tree, rng)
+        else:
+            result = StackedMultiChain(lambda: engine, 1.0, 2, cfg).run(tree, rng)
+        counters = result.extras["proposal_counters"]
+        assert 0 < counters["n_matrix_builds"] < counters["n_intervals"]
 
     @pytest.mark.parametrize(
         "demography",

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.demography.models import ExponentialDemography
 from repro.genealogy.tree import Genealogy
-from repro.proposals.intervals import build_intervals, extract_region
+from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
 from repro.proposals.neighborhood import NeighborhoodResimulator, eligible_targets
 from repro.simulate.coalescent_sim import simulate_genealogy
 
@@ -154,3 +154,133 @@ class TestProposalInvariants:
             # First merge needs >= 2 activations at its time.
             active_at = sum(1 for ct in region.child_times if ct <= t1)
             assert active_at >= 2 or t1 - max(region.child_times) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The table-driven kernel against the per-interval / per-row code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_intervals(tree: Genealogy, region) -> list[tuple[float, float, int, int]]:
+    """The per-interval loop :func:`build_intervals` replaced: a set of
+    breakpoints, then one inactive-lineage query per interval midpoint."""
+    start_time = min(region.child_times)
+    end_time = region.ancestor_time
+    breakpoints = set(region.child_times)
+    removed = {region.target, region.parent}
+    for node in range(tree.n_nodes):
+        t = float(tree.times[node])
+        if node not in removed and start_time < t < end_time:
+            breakpoints.add(t)
+    ordered = sorted(breakpoints)
+    if region.bounded:
+        if ordered[-1] < end_time:
+            ordered.append(end_time)
+    else:
+        ordered.append(float("inf"))
+    out = []
+    child_times = np.asarray(region.child_times)
+    for lo, hi in zip(ordered[:-1], ordered[1:]):
+        midpoint = lo + (min(hi, lo + 1.0) - lo) * 0.5 if np.isfinite(hi) else lo + 0.5
+        out.append(
+            (
+                lo,
+                hi,
+                inactive_lineage_count(tree, region, midpoint),
+                int(np.count_nonzero(child_times == lo)),
+            )
+        )
+    return out
+
+
+def _reference_row(ctx, m: int, a: int) -> np.ndarray | None:
+    """The per-row end-state weights the forward pass used to compute for a
+    sibling with ``a`` active lineages in interval ``m``: cumulative weights,
+    or None where the conditioned walk reaches a dead end."""
+    n_intervals = len(ctx.intervals)
+    b_range = np.arange(1, 4)
+    next_activations = ctx.intervals[m + 1].activations if m + 1 < n_intervals else 0
+    carried = b_range + next_activations
+    active = np.array([a])
+    allowed = (b_range[None, :] <= active[:, None]) & (carried[None, :] <= 3)
+    tail = ctx.goal[m + 1, np.minimum(carried, 3) - 1]
+    rows = ctx.matrices[m][active - 1]
+    if ctx.log_space:
+        w = np.where(allowed, rows + tail[None, :], -np.inf)
+        peak = w.max(axis=1)
+        if not np.all(np.isfinite(peak)):
+            return None
+        w = np.exp(w - peak[:, None])
+    else:
+        w = np.where(allowed, rows * tail[None, :], 0.0)
+    cum = np.cumsum(w, axis=1)
+    if np.any(cum[:, -1] <= 0.0):
+        return None
+    return cum[0]
+
+
+_DEMOGRAPHIES = st.sampled_from([None, ExponentialDemography(growth=50.0)])
+
+
+class TestTableDrivenKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_tips=st.integers(3, 12),
+        tie_gap=st.sampled_from([None, 0.0, 1e-15, 1e-12]),
+    )
+    def test_build_intervals_matches_per_interval_loop(self, seed, n_tips, tie_gap):
+        """Every eligible target (bounded and unbounded regions), bitwise."""
+        if tie_gap is None:
+            tree = simulate_genealogy(n_tips, 1.0, np.random.default_rng(seed))
+        else:
+            tree = _tied_tree(tie_gap)
+        for target in eligible_targets(tree):
+            region = extract_region(tree, int(target))
+            got = [
+                (iv.start, iv.end, iv.n_inactive, iv.activations)
+                for iv in build_intervals(tree, region)
+            ]
+            want = _reference_intervals(tree, region)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.float64(g[0]).tobytes() == np.float64(w[0]).tobytes()
+                assert np.float64(g[1]).tobytes() == np.float64(w[1]).tobytes()
+                assert g[2:] == w[2:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_tips=st.integers(3, 10),
+        demography=_DEMOGRAPHIES,
+    )
+    def test_end_state_table_matches_per_row_weights(self, seed, n_tips, demography):
+        """Linear and log space, every interval and active count — the
+        unreachable ``-inf`` rows included — bitwise."""
+        tree = simulate_genealogy(n_tips, 1.0, np.random.default_rng(seed))
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        for target in eligible_targets(tree):
+            ctx = resim._build_set_context(tree, int(target))
+            assert ctx.log_space == (demography is not None)
+            cum, total, dead = resim._end_state_table(ctx)
+            for m in range(len(ctx.intervals)):
+                for a in (1, 2, 3):
+                    want = _reference_row(ctx, m, a)
+                    if want is None:
+                        assert dead[m, a - 1]
+                        continue
+                    assert not dead[m, a - 1]
+                    assert cum[m, a - 1].tobytes() == want.tobytes()
+                    assert total[m, a - 1] == want[-1]
+
+    @pytest.mark.parametrize("demography", [None, ExponentialDemography(growth=50.0)])
+    def test_forced_dead_end_raises(self, demography):
+        """A goal table with no valid finish stops both forward passes."""
+        tree = simulate_genealogy(6, 1.0, np.random.default_rng(4))
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
+        ctx.goal = np.full_like(ctx.goal, -np.inf if ctx.log_space else 0.0)
+        with pytest.raises(RuntimeError, match="dead end"):
+            resim._forward_pass_batch(ctx, 4, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="dead end"):
+            resim._forward_pass(ctx, np.random.default_rng(0))

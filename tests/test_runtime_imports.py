@@ -5,7 +5,8 @@ and memory as everything else a run imports, so nothing ``repro`` imports
 or runs may pull scipy in; only :mod:`repro.simulate.wright_fisher`
 imports ``scipy.stats`` lazily.  A fresh interpreter drives the package
 end to end and then checks ``sys.modules``; the static lint
-``tools/check_runtime_imports.py`` guards the source.
+``tools/check_runtime_imports.py`` guards the source.  The same run must
+not load ``numpy.ma`` either (about 1 MiB of resident memory per process).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ _RUN_SCRIPT = textwrap.dedent(
     t = LogisticDemography().inverse_cumulative_intensity(0.7)
     assert 0.0 < t < math.inf
 
+    print("NUMPY_MA=" + str("numpy.ma" in sys.modules))
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     print("SCIPY_MODULES=" + ",".join(loaded))
     """
@@ -64,8 +66,10 @@ def test_a_run_loads_no_scipy(tmp_path):
         timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    marker = out.stdout.strip().splitlines()[-1]
+    *_, numpy_ma, marker = out.stdout.strip().splitlines()
     assert marker == "SCIPY_MODULES=", f"scipy loaded on the run path: {marker[:120]}..."
+    # numpy.ma (pulled in by np.unique, among others) costs about 1 MiB per process.
+    assert numpy_ma == "NUMPY_MA=False", "numpy.ma loaded on the run path"
 
 
 def _load_lint():

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import RunSpec
+from repro.baselines import multichain as multichain_module
 from repro.baselines.multichain import MultiChainSampler, WorkerCrashError
 from repro.core.config import DEMOGRAPHIES, MPCGSConfig, SamplerConfig
 from repro.sequences.phylip import write_phylip
@@ -257,6 +260,37 @@ class TestWorkerCrashError:
 
     def test_worker_crash_error_is_runtime_error(self):
         assert issubclass(WorkerCrashError, RuntimeError)
+
+    def test_pool_broken_between_runs_is_replaced(self, small_dataset, uniform_model):
+        """A cached pool whose worker dies between runs fails the next run
+        with the typed error (not the pool's raw ``BrokenProcessPool`` from
+        ``submit``) and is dropped, so the run after it gets a fresh pool."""
+        from repro.core.mpcgs import _EngineBuilder
+
+        sampler = MultiChainSampler(
+            engine_factory=_EngineBuilder("vectorized", small_dataset.alignment, uniform_model),
+            theta=1.0,
+            n_chains=2,
+            config=SamplerConfig(n_samples=4, burn_in=0, n_proposals=2),
+            n_workers=2,
+        )
+        tree = small_dataset.true_tree
+        first = sampler.run(tree, np.random.default_rng(0))
+        pool = multichain_module._WORKER_POOLS[2]
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken, "the pool never noticed its killed worker"
+
+        with pytest.raises(WorkerCrashError, match="worker process died"):
+            sampler.run(tree, np.random.default_rng(0))
+        assert multichain_module._WORKER_POOLS.get(2) is not pool
+
+        again = sampler.run(tree, np.random.default_rng(0))
+        assert multichain_module._WORKER_POOLS[2] is not pool
+        assert np.array_equal(first.interval_matrix, again.interval_matrix)
 
 
 # ---------------------------------------------------------------------------
