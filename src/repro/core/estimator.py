@@ -172,38 +172,112 @@ class JointEstimate:
     converged: bool
 
 
+#: Log-spaced points of the global θ scan that starts every θ̂(params) solve.
+_THETA_SCAN_POINTS = 33
+#: Evenly spaced points per demography parameter scanned in the first sweep.
+_PARAM_SCAN_POINTS = 13
+#: Newton/bisection budget of the θ̂ solve inside its grid cell, and its
+#: relative stopping tolerance in θ.
+_THETA_SOLVE_ITERATIONS = 60
+_THETA_SOLVE_TOL = 1e-12
+
+
+def _theta_grid(bounds: tuple[float, float]) -> np.ndarray:
+    """``_THETA_SCAN_POINTS`` log-spaced θ values from ``bounds[0]`` to ``bounds[1]`` exactly."""
+    grid = np.geomspace(bounds[0], bounds[1], _THETA_SCAN_POINTS)
+    grid[0], grid[-1] = bounds
+    return grid
+
+
+def _solve_theta(likelihood, params, grid: np.ndarray, fallback: float):
+    """θ̂(params) = argmax over ``[grid[0], grid[-1]]`` of log L(θ, params),
+    and log L there.
+
+    One ``log_curve`` call scans the log-spaced ``grid`` (see
+    :func:`_theta_grid`) over the whole trust interval — the relative
+    surface can be bimodal in θ, so a local solve from the driving θ alone
+    may climb the wrong mode.
+    The best grid point's derivative sign picks the cell holding the
+    maximum (or, pointing out of the interval at an end point, makes that
+    end the answer); a Newton iteration on d log L/dθ = 0 then runs inside
+    that cell, bisecting whenever the step leaves the bracket or the
+    curvature is not negative.  The best point evaluated is returned, so
+    the result is never below the grid's maximum.  An all −∞ curve yields
+    ``(fallback, -inf)``.
+    """
+    curve = likelihood.log_curve(grid, params)
+    curve = np.where(np.isnan(curve), -np.inf, curve)
+    i = int(np.argmax(curve))
+    if curve[i] == -np.inf:
+        return fallback, -np.inf
+    theta = float(grid[i])
+    value, d1, d2 = likelihood.theta_derivatives(theta, params)
+    if d1 > 0 and i < grid.size - 1:
+        a, b = theta, float(grid[i + 1])
+    elif d1 < 0 and i > 0:
+        a, b = float(grid[i - 1]), theta
+    else:
+        # A stationary grid point, or an end point whose slope leaves the interval.
+        return theta, value
+    best_theta, best = theta, value
+    for _ in range(_THETA_SOLVE_ITERATIONS):
+        if b - a <= _THETA_SOLVE_TOL * b:
+            break
+        candidate = theta - d1 / d2 if d2 < 0 else np.nan
+        if not a < candidate < b:
+            candidate = 0.5 * (a + b)
+        elif abs(candidate - theta) <= _THETA_SOLVE_TOL * theta:
+            break  # the Newton step from theta is negligible: theta is the root
+        theta = candidate
+        value, d1, d2 = likelihood.theta_derivatives(theta, params)
+        if value > best:
+            best_theta, best = theta, value
+        if not np.isfinite(d1) or d1 == 0.0:
+            break
+        if d1 > 0:
+            a = theta
+        else:
+            b = theta
+    return best_theta, best
+
+
+def _scan_coordinate(objective, value: float, current: float, bounds: tuple[float, float]):
+    """The best of ``value`` and ``_PARAM_SCAN_POINTS`` evenly spaced points
+    over ``bounds``: ``(coordinate, objective there, whether it moved)``."""
+    best_value, best = value, current
+    for point in np.linspace(bounds[0], bounds[1], _PARAM_SCAN_POINTS):
+        f = objective(float(point))
+        if f > best:
+            best_value, best = float(point), f
+    return best_value, best, best_value != value
+
+
 def _ascend_coordinate(
     objective,
     value: float,
     current: float,
     cfg: EstimatorConfig,
-    *,
-    positive: bool,
     bounds: tuple[float, float],
 ) -> tuple[float, float, bool]:
-    """One gradient step with halving along a single coordinate.
+    """One Newton step with halving along a single coordinate.
 
-    ``objective`` maps the coordinate to log L with the other coordinate held
-    fixed.  Returns the (possibly unchanged) coordinate, the objective there,
-    and whether a step was accepted.  ``positive`` constrains the coordinate
-    to stay strictly positive (θ); ``bounds`` is the trust region around the
-    driving value — candidates outside it are treated like infeasible moves
-    and the step is halved.
+    ``objective`` maps the coordinate to log L with the other coordinates
+    held fixed (θ profiled out).  The two central-difference probes and
+    ``current`` give both the slope and the curvature: with negative
+    curvature the step is Newton's, otherwise it is the slope itself (the
+    gradient step).  A step past the trust region ``bounds`` is projected
+    onto it; a step that goes downhill is halved.  Returns the (possibly
+    unchanged) coordinate, the objective there, and whether it moved.
     """
-    scale = max(value, 1e-6) if positive else max(abs(value), 1.0)
-    delta = cfg.gradient_delta * scale
-    lo = max(value - delta, 1e-12) if positive else value - delta
-    hi = value + delta
+    delta = cfg.gradient_delta * max(abs(value), 1.0)
+    lo, hi = value - delta, value + delta
     f_lo, f_hi = objective(lo), objective(hi)
     grad = (f_hi - f_lo) / (hi - lo)
 
     width = bounds[1] - bounds[0]
     if np.isfinite(grad):
-        # Clamp to the trust-region width: a cliff-scale finite gradient
-        # (|grad| ~ 1e300 next to the growth prior's -inf region) cannot be
-        # halved into range within any reasonable budget, and any step
-        # longer than the region is infeasible anyway.
-        step = float(np.clip(grad, -width, width))
+        curvature = (f_hi - 2.0 * current + f_lo) / (delta * delta)
+        step = -grad / curvature if curvature < 0 else grad
     elif np.isfinite(f_hi) != np.isfinite(f_lo):
         # One probe fell off a -inf cliff: take a region-scale step toward
         # the finite side and let the halving loop refine it.
@@ -211,14 +285,14 @@ def _ascend_coordinate(
     else:
         # Both probes are non-finite; no usable direction along this axis.
         return value, current, False
+    candidate = min(max(value + step, bounds[0]), bounds[1])
     for _ in range(cfg.max_step_halvings):
-        candidate = value + step
-        feasible = (not positive or candidate > 0) and bounds[0] <= candidate <= bounds[1]
-        if feasible:
-            new = objective(candidate)
-            if new >= current - 1e-15:
-                return float(candidate), float(new), True
-        step *= 0.5
+        if candidate == value:
+            break
+        new = objective(candidate)
+        if new >= current - 1e-15:
+            return float(candidate), float(new), True
+        candidate = value + 0.5 * (candidate - value)
     return value, current, False
 
 
@@ -250,22 +324,33 @@ def maximize_demography(
     demography: Demography,
     config: EstimatorConfig | None = None,
 ) -> DemographyEstimate:
-    """Coordinate ascent on log L(θ, params) over (θ, demography.params).
+    """Maximize log L(θ, params) over (θ, demography.params) by profiling θ out.
 
     The N-dimensional generalization of Algorithm 2 and the EM M-step's
-    maximizer for any demography: each iteration takes one gradient step in
-    θ (halved until uphill and positive) and then one in each demography
-    parameter, in :attr:`~repro.demography.base.Demography.param_specs`
-    order.  Coordinate-wise steps are used because the finite-sample
-    surfaces are ridge-shaped — demography parameters trade off against
-    population size — where a joint gradient direction zig-zags.
+    maximizer for any demography.  For fixed parameters the surface's θ
+    axis is closed-form (``log L = logmeanexp_s(n·log(2/θ) + E_s − X_s/θ −
+    d_s)``), so θ is never stepped: every parameter vector gets its exact
+    θ̂(params) from :func:`_solve_theta` — a global log-spaced scan of the θ
+    trust interval, then a safeguarded Newton solve in the best cell — and
+    the ascent runs on the profile ℓ_p(params) = log L(θ̂(params), params).
+    Profiling removes the θ–parameter ridge along which a coordinate step in
+    θ creeps.  Each sweep takes one Newton step per parameter, in
+    :attr:`~repro.demography.base.Demography.param_specs` order, from its
+    two central-difference probes (the gradient step where the curvature is
+    not negative), projected onto the trust region and halved until uphill;
+    the first sweep starts each parameter from the best of its current
+    value and ``_PARAM_SCAN_POINTS`` evenly spaced points over its trust
+    interval, so a lower mode of the profile is not climbed instead.  The
+    ascent stops when a sweep moves no parameter by more than the
+    convergence tolerance, or after ``max_iterations`` sweeps.
 
-    ``likelihood`` must expose ``log_likelihood(theta, params)`` with
-    ``params`` the demography's free-parameter vector (e.g.
+    ``likelihood`` must expose ``log_curve(thetas, params)`` and
+    ``theta_derivatives(theta, params)`` with ``params`` the demography's
+    free-parameter vector (e.g.
     :class:`~repro.likelihood.demography_prior.DemographyRelativeLikelihood`);
     ``demography`` supplies the starting parameter vector (its current
     values — the chain's driving point) and the per-parameter feasibility
-    bounds and trust-region half-widths.  The whole ascent is confined to
+    bounds and trust-region half-widths.  The whole search is confined to
     ``[θ₀/max_theta_step_factor, θ₀·max_theta_step_factor]`` ×
     ``Π_i [p₀ᵢ − stepᵢ, p₀ᵢ + stepᵢ] ∩ [lowerᵢ, upperᵢ]`` around the
     driving values (``stepᵢ`` is the spec's ``max_step``, defaulting to
@@ -273,28 +358,40 @@ def maximize_demography(
     surface is dominated by a handful of samples and its maximizer is
     noise; the EM loop re-drives every iteration, so the region limits one
     M-step, not the estimate.  With a parameter-free demography (constant)
-    this reduces to θ-only ascent.
+    this is θ̂ alone.  A profile of −∞ at the driving parameters is
+    reported as ``converged=False`` at (θ₀, params₀) after 0 iterations.
     """
     cfg = config or EstimatorConfig()
     if theta0 <= 0:
         raise ValueError("theta0 must be positive")
 
     specs = demography.param_specs
-    theta = float(theta0)
+    theta0 = float(theta0)
     params = demography.param_values()
-    theta_bounds = (theta / cfg.max_theta_step_factor, theta * cfg.max_theta_step_factor)
+    theta_grid = _theta_grid(
+        (theta0 / cfg.max_theta_step_factor, theta0 * cfg.max_theta_step_factor)
+    )
     param_bounds = []
     for spec, value in zip(specs, params):
         half = spec.max_step if spec.max_step is not None else cfg.max_growth_step
         param_bounds.append((max(value - half, spec.lower), min(value + half, spec.upper)))
 
-    current = likelihood.log_likelihood(theta, params)
+    solved: dict[bytes, tuple[float, float]] = {}
+
+    def profile(vector: np.ndarray) -> tuple[float, float]:
+        """(θ̂, log L(θ̂, vector)), solved once per parameter vector."""
+        key = vector.tobytes()
+        if key not in solved:
+            solved[key] = _solve_theta(likelihood, vector, theta_grid, theta0)
+        return solved[key]
+
+    current = profile(params)[1]
     if not np.isfinite(current):
-        # The surface is degenerate at the driving point (e.g. saturated
-        # growth prior): gradients are NaN and no ascent is possible.
-        # Report honestly rather than claiming convergence at the start.
+        # The surface is degenerate at the driving parameters (e.g. a
+        # saturated growth prior): no ascent is possible.  Report honestly
+        # rather than claiming convergence at the start.
         return DemographyEstimate(
-            theta=theta,
+            theta=theta0,
             params=tuple(float(p) for p in params),
             param_names=demography.param_names,
             log_relative_likelihood=float(current),
@@ -305,17 +402,8 @@ def maximize_demography(
     iterations = 0
 
     for iterations in range(1, cfg.max_iterations + 1):
-        theta_before = theta
         params_before = params.copy()
-        theta, current, theta_accepted = _ascend_coordinate(
-            lambda t: likelihood.log_likelihood(t, params),
-            theta,
-            current,
-            cfg,
-            positive=True,
-            bounds=theta_bounds,
-        )
-        any_param_accepted = False
+        any_moved = False
         for i in range(params.size):
             def objective(value: float, i: int = i) -> float:
                 # Finite-difference probes may step just past a parameter's
@@ -327,29 +415,25 @@ def maximize_demography(
                     return -np.inf
                 probe = params.copy()
                 probe[i] = value
-                return likelihood.log_likelihood(theta, probe)
+                return profile(probe)[1]
 
-            params[i], current, accepted = _ascend_coordinate(
-                objective,
-                float(params[i]),
-                current,
-                cfg,
-                positive=False,
-                bounds=param_bounds[i],
+            scanned = False
+            if iterations == 1:
+                params[i], current, scanned = _scan_coordinate(
+                    objective, float(params[i]), current, param_bounds[i]
+                )
+            params[i], current, stepped = _ascend_coordinate(
+                objective, float(params[i]), current, cfg, param_bounds[i]
             )
-            any_param_accepted = any_param_accepted or accepted
-        if not theta_accepted and not any_param_accepted:
-            converged = True
-            break
-        theta_settled = abs(theta - theta_before) < cfg.convergence_tol * max(theta, 1.0)
-        params_settled = all(
+            any_moved = any_moved or scanned or stepped
+        if not any_moved or all(
             abs(p - p_before) < cfg.convergence_tol * max(abs(p), 1.0)
             for p, p_before in zip(params, params_before)
-        )
-        if theta_settled and params_settled:
+        ):
             converged = True
             break
 
+    theta, current = profile(params)
     return DemographyEstimate(
         theta=theta,
         params=tuple(float(p) for p in params),
@@ -366,8 +450,15 @@ class _GrowthVectorAdapter:
     def __init__(self, inner) -> None:
         self.inner = inner
 
-    def log_likelihood(self, theta: float, params) -> float:
-        return self.inner.log_likelihood(theta, float(np.asarray(params).reshape(-1)[0]))
+    def log_curve(self, thetas, params) -> np.ndarray:
+        return self.inner.log_curve(thetas, self._growth(params))
+
+    def theta_derivatives(self, theta: float, params) -> tuple[float, float, float]:
+        return self.inner.theta_derivatives(theta, self._growth(params))
+
+    @staticmethod
+    def _growth(params) -> float:
+        return float(np.asarray(params).reshape(-1)[0])
 
 
 def maximize_joint(
@@ -376,7 +467,7 @@ def maximize_joint(
     growth0: float = 0.0,
     config: EstimatorConfig | None = None,
 ) -> JointEstimate:
-    """Coordinate ascent on log L(θ, g) with step halving on both parameters.
+    """Maximize log L(θ, g): θ profiled out, Newton steps with halving in g.
 
     The (θ, g)-signature form of :func:`maximize_demography` with the
     exponential demography (the complementary *global* grid scan, for
@@ -384,8 +475,8 @@ def maximize_joint(
     :func:`repro.likelihood.growth_prior.maximize_theta_growth`).  The
     trust region is ``[θ₀/max_theta_step_factor, θ₀·max_theta_step_factor]
     × [g₀ − max_growth_step, g₀ + max_growth_step]`` around the driving
-    values.  Iteration stops when neither parameter moves more than the
-    convergence tolerance or the iteration budget is spent.
+    values.  Iteration stops when g moves less than the convergence
+    tolerance or the iteration budget is spent.
     """
     from ..demography.models import ExponentialDemography
 

@@ -492,6 +492,8 @@ class MPCGS:
                 wall_time_seconds=chain.wall_time_seconds,
                 m_step_seconds=m_step_seconds,
                 m_step_surface_evals=likelihood.n_evaluations,
+                m_step_converged=estimate.converged,
+                m_step_iterations=estimate.n_iterations,
             )
             if checkpoint_path is not None and (
                 converged
@@ -535,7 +537,7 @@ class MPCGS:
         the Expectation stage's chain targets the posterior under the
         demography prior P(G | θ, params) at the current driving point
         (demography-conditional proposal kernel by default), and the
-        Maximization stage ascends the (θ, params) relative-likelihood
+        Maximization stage maximizes the (θ, params) relative-likelihood
         surface and adopts all maximizers as the next driving values.
         Checkpointing and event streaming mirror :meth:`run`; the checkpoint
         additionally carries the driving demography (a plain dataclass, so
@@ -629,6 +631,8 @@ class MPCGS:
                 wall_time_seconds=chain.wall_time_seconds,
                 m_step_seconds=m_step_seconds,
                 m_step_surface_evals=likelihood.n_evaluations,
+                m_step_converged=estimate.converged,
+                m_step_iterations=estimate.n_iterations,
             )
             if checkpoint_path is not None and (
                 converged

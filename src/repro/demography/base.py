@@ -122,7 +122,7 @@ class ParamSpec:
     default:
         Value used when a config does not set the parameter.
     lower, upper:
-        Hard feasibility bounds (the coordinate ascent never evaluates
+        Hard feasibility bounds (the estimator's ascent never evaluates
         outside them).
     max_step:
         Trust-region half-width for one M-step of the joint estimator;
@@ -152,7 +152,7 @@ class Demography:
 
     #: Registry name of the model ("constant", "exponential", …).
     name: ClassVar[str] = ""
-    #: Free parameters, in the order the estimator's coordinate ascent visits them.
+    #: Free parameters, in the order the estimator's profile ascent visits them.
     param_specs: ClassVar[tuple[ParamSpec, ...]] = ()
 
     # ------------------------------------------------------------------ #

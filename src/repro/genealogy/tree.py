@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class Genealogy:
     children: np.ndarray
     tip_names: tuple[str, ...] = field(default=())
 
+    #: Index of the root once :attr:`root` has looked it up (-1: not yet).
+    _root: ClassVar[int] = -1
+
     # ------------------------------------------------------------------ #
     # Construction and validation
     # ------------------------------------------------------------------ #
@@ -122,7 +125,19 @@ class Genealogy:
 
     @property
     def root(self) -> int:
-        """Index of the root node (the unique node with no parent)."""
+        """Index of the root node (the unique node with no parent).
+
+        Found from ``parent`` on first use, then kept and passed on by
+        :meth:`copy`.  The proposal machinery rewires copies in place but
+        keeps the root's index; code that moves the root must reset
+        ``_root`` to -1.  :meth:`validate` checks the kept value.
+        """
+        if self._root < 0:
+            self._root = self._count_root()
+        return self._root
+
+    def _count_root(self) -> int:
+        """The unique node with no parent, counted from the ``parent`` array."""
         roots = np.flatnonzero(self.parent < 0)
         if roots.size != 1:
             raise TreeValidationError(f"expected exactly one root, found {roots.size}")
@@ -147,7 +162,9 @@ class Genealogy:
             raise TreeValidationError(
                 f"{len(self.tip_names)} tip names for {self.n_tips} tips"
             )
-        root = self.root  # also checks uniqueness
+        root = self._count_root()  # from the array: also checks uniqueness
+        if self._root >= 0 and self._root != root:
+            raise TreeValidationError(f"stored root {self._root} is not the root {root}")
 
         # Tips: time 0, no children.
         if not np.allclose(self.times[: self.n_tips], 0.0):
@@ -212,12 +229,14 @@ class Genealogy:
 
     def copy(self) -> "Genealogy":
         """Deep copy (the proposal machinery edits copies in place)."""
-        return Genealogy(
+        new = Genealogy(
             times=self.times.copy(),
             parent=self.parent.copy(),
             children=self.children.copy(),
             tip_names=self.tip_names,
         )
+        new._root = self._root
+        return new
 
     # ------------------------------------------------------------------ #
     # Navigation

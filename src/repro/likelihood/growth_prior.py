@@ -185,6 +185,14 @@ class GrowthRelativeLikelihood(DemographyRelativeLikelihood):
         """log L(θ, g) at a single parameter point."""
         return float(self.log_surface(np.asarray([theta]), np.asarray([growth]))[0, 0])
 
+    def log_curve(self, thetas, growth: float) -> np.ndarray:
+        """log L(θ, g) at each θ of ``thetas`` (the generic surface's θ axis)."""
+        return super().log_curve(thetas, np.asarray([float(growth)]))
+
+    def theta_derivatives(self, theta: float, growth: float) -> tuple[float, float, float]:
+        """``(log L, d/dθ, d²/dθ²)`` at (θ, g) (the generic surface's)."""
+        return super().theta_derivatives(theta, np.asarray([float(growth)]))
+
 
 class GrowthPooledLikelihood(DemographyPooledLikelihood):
     """Direct pooled log-likelihood  Σᵢ log P(Gᵢ | θ, g)  of observed genealogies.
@@ -217,6 +225,14 @@ class GrowthPooledLikelihood(DemographyPooledLikelihood):
         """Mean log P(G | θ, g) at a single parameter point."""
         return float(self.log_surface(np.asarray([theta]), np.asarray([growth]))[0, 0])
 
+    def log_curve(self, thetas, growth: float) -> np.ndarray:
+        """Mean log P(G | θ, g) at each θ of ``thetas`` (the generic surface's θ axis)."""
+        return super().log_curve(thetas, np.asarray([float(growth)]))
+
+    def theta_derivatives(self, theta: float, growth: float) -> tuple[float, float, float]:
+        """``(mean log P, d/dθ, d²/dθ²)`` at (θ, g) (the generic surface's)."""
+        return super().theta_derivatives(theta, np.asarray([float(growth)]))
+
 
 class CombinedGrowthLikelihood(CombinedDemographyLikelihood):
     """Sum of independent per-locus log-likelihood surfaces in (θ, g).
@@ -232,7 +248,9 @@ class CombinedGrowthLikelihood(CombinedDemographyLikelihood):
     genealogy count so every observed genealogy carries equal weight in
     the joint maximization, regardless of how the genealogies are split
     across components).  The (θ, g)-signature specialization of
-    :class:`~repro.likelihood.demography_prior.CombinedDemographyLikelihood`.
+    :class:`~repro.likelihood.demography_prior.CombinedDemographyLikelihood`;
+    its inherited ``log_curve`` and ``theta_derivatives`` pass g on to the
+    components unchanged.
     """
 
     def log_surface(self, thetas: np.ndarray, growths: np.ndarray) -> np.ndarray:
@@ -275,7 +293,7 @@ def maximize_theta_growth(
     maximizer for offline exploration of a caller-chosen region: it scans
     wherever the grids reach, with no notion of a driving point.  The EM
     M-step instead uses :func:`repro.core.estimator.maximize_joint` — a
-    trust-region coordinate ascent around the driving values — because the
+    trust-region profile ascent around the driving values — because the
     importance-sampled surface is only trustworthy near the driving point
     and a region-bounded local ascent is what one M-step needs.
     """

@@ -723,7 +723,9 @@ class NeighborhoodResimulator:
         of subtree roots joined by the first merge (for the cheap topology
         comparison).
         """
-        node_a, node_b = region.target, region.parent  # indices reused for the new events
+        # Indices reused for the new events.  The top merge takes the
+        # parent's index, so a tree's root index never changes.
+        node_a, node_b = region.target, region.parent
 
         # Active handles: the three dangling subtree roots, ordered by time so
         # that whoever is active at each merge is well defined.
@@ -880,6 +882,7 @@ class NeighborhoodResimulator:
                 children=children_buf[i],
                 tip_names=tree.tip_names,
             )
+            new._root = tree.root  # the stitch keeps the root's index
             new.derive_signatures(tree, rewritten)
             if self.validate:
                 new.validate()

@@ -80,8 +80,9 @@ RUN_STARTED = "run.started"
 RUN_COMPLETED = "run.completed"
 #: One EM iteration finished (payload: ``iteration``, ``driving_theta``,
 #: ``theta_estimate``, ``n_samples``, ``n_likelihood_evaluations``,
-#: ``wall_time_seconds``, ``m_step_seconds``, ``m_step_surface_evals``;
-#: joint runs add ``demography_params``).
+#: ``wall_time_seconds``, ``m_step_seconds``, ``m_step_surface_evals``,
+#: ``m_step_converged``, ``m_step_iterations``; joint runs add
+#: ``demography_params``).
 EM_ITERATION_COMPLETED = "em.iteration_completed"
 #: A resumable checkpoint was durably written (payload: ``iteration``, ``path``).
 CHECKPOINT_WRITTEN = "checkpoint.written"

@@ -1,25 +1,36 @@
-"""The EM M-step: prior terms, memoized surfaces, and the demography EM goldens.
+"""The EM M-step: prior terms, memoized surfaces, the profile maximizer, and
+the demography EM goldens.
 
 Every demography's batched prior is ``n·log(2/θ) + event_sum − exposure/θ``
 with θ-free ``(event_sum, exposure)`` from :meth:`Demography.prior_terms`;
 the likelihood surfaces memoize those terms per parameter vector.  The
 contract is bit-identity: every value equals the direct per-point formula
 each model used before the terms existed (written out below as references),
-so the M-step ascent and the EM trajectories do not move.
+and the surfaces' vectorized θ axis (``log_curve``, ``theta_derivatives``)
+equals their scalar ``log_likelihood``.  The M-step solves θ̂(params) from
+that axis and ascends the parameters' profile; it is checked against log L
+values the coordinate ascent it replaced reached on ridge and bimodal
+surfaces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import MPCGSConfig, SamplerConfig
-from repro.core.estimator import RelativeLikelihood
+from repro.core.config import EstimatorConfig, MPCGSConfig, SamplerConfig
+from repro.core.estimator import (
+    RelativeLikelihood,
+    _solve_theta,
+    _theta_grid,
+    maximize_demography,
+)
 from repro.core.mpcgs import MPCGS
 from repro.demography import (
     BottleneckDemography,
@@ -30,6 +41,7 @@ from repro.demography import (
 from repro.demography.base import Demography, IntervalTimes, prior_ratio_adjustment
 from repro.likelihood.demography_prior import (
     _TERMS_MEMO_SIZE,
+    CombinedDemographyLikelihood,
     DemographyPooledLikelihood,
     DemographyRelativeLikelihood,
 )
@@ -42,6 +54,7 @@ from repro.likelihood.growth_prior import (
 from repro.likelihood.logspace import LOG_ZERO, log_mean
 from repro.service.events import EM_ITERATION_COMPLETED
 from repro.simulate.datasets import synthesize_dataset
+from repro.simulate.demography_sim import simulate_demography_intervals
 
 # --------------------------------------------------------------------------- #
 # Reference formulas: each model's direct per-point prior
@@ -290,15 +303,193 @@ class TestConstantRelativeLikelihood:
 
 
 # --------------------------------------------------------------------------- #
+# The surfaces' θ axis: log_curve and theta_derivatives
+# --------------------------------------------------------------------------- #
+
+AXIS_DEMOGRAPHIES = {
+    "constant": ConstantDemography(),
+    "exponential": ExponentialDemography(growth=1.5),
+    "bottleneck": BottleneckDemography(start=0.1, duration=0.2, strength=0.1),
+}
+AXIS_SURFACES = ("relative", "pooled", "combined")
+
+
+def _axis_surface(kind: str, name: str):
+    dem = AXIS_DEMOGRAPHIES[name]
+    rng = np.random.default_rng(17)
+    mat = np.vstack([simulate_demography_intervals(10, 1.0, dem, rng) for _ in range(150)])
+    if kind == "relative":
+        return DemographyRelativeLikelihood(mat, dem, 1.0), dem
+    if kind == "pooled":
+        return DemographyPooledLikelihood(mat, dem), dem
+    return (
+        CombinedDemographyLikelihood(
+            [DemographyRelativeLikelihood(mat[:75], dem, 1.0), DemographyPooledLikelihood(mat[75:], dem)]
+        ),
+        dem,
+    )
+
+
+def _param_points(dem):
+    """The driving vector (as ``None``) and a moved one."""
+    return [None, dem.param_values() * 1.1 + 0.01]
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_DEMOGRAPHIES))
+@pytest.mark.parametrize("kind", AXIS_SURFACES)
+class TestThetaAxis:
+    def test_log_curve_is_bit_identical_to_log_likelihood(self, kind, name):
+        surface, dem = _axis_surface(kind, name)
+        thetas = np.geomspace(0.05, 20.0, 41)
+        for params in _param_points(dem):
+            curve = surface.log_curve(thetas, params)
+            assert curve.shape == thetas.shape
+            for theta, value in zip(thetas, curve):
+                assert value == surface.log_likelihood(float(theta), params)
+
+    def test_derivatives_match_central_differences(self, kind, name):
+        surface, dem = _axis_surface(kind, name)
+        for params in _param_points(dem):
+            for theta in (0.3, 0.7, 1.6, 4.0):
+                value, d1, d2 = surface.theta_derivatives(theta, params)
+                assert value == surface.log_likelihood(theta, params)
+                h = 1e-5 * theta
+                f_hi = surface.log_likelihood(theta + h, params)
+                f_lo = surface.log_likelihood(theta - h, params)
+                g_hi = surface.theta_derivatives(theta + h, params)[1]
+                g_lo = surface.theta_derivatives(theta - h, params)[1]
+                # Relative to the size of one interval's term (n/θ, n/θ²),
+                # so a derivative passing through zero is still compared.
+                n = 9
+                assert abs(d1 - (f_hi - f_lo) / (2 * h)) <= 1e-6 * max(abs(d1), n / theta)
+                assert abs(d2 - (g_hi - g_lo) / (2 * h)) <= 1e-6 * max(abs(d2), n / theta**2)
+
+    def test_theta_hat_clamps_to_each_trust_region_end(self, kind, name):
+        surface, dem = _axis_surface(kind, name)
+        for params in _param_points(dem):
+            # The maximizer (near θ = 1) lies above the first interval and
+            # below the second: θ̂ is exactly the nearer end, and log L there.
+            for lo, hi, end in ((0.01, 0.02, 0.02), (30.0, 60.0, 30.0)):
+                theta, value = _solve_theta(surface, params, _theta_grid((lo, hi)), 1.0)
+                assert theta == end
+                assert value == surface.log_likelihood(end, params)
+
+    def test_theta_hat_is_a_stationary_point_inside_the_region(self, kind, name):
+        surface, dem = _axis_surface(kind, name)
+        for params in _param_points(dem):
+            theta, value = _solve_theta(surface, params, _theta_grid((1 / 3, 3.0)), 1.0)
+            assert 1 / 3 < theta < 3.0
+            assert value == surface.log_likelihood(theta, params)
+            _, d1, d2 = surface.theta_derivatives(theta, params)
+            assert d2 < 0
+            assert abs(d1) <= 1e-6 * abs(d2) * theta
+            grid = np.geomspace(1 / 3, 3.0, 401)
+            assert value >= surface.log_curve(grid, params).max()
+
+
+def _all_minus_inf_surfaces():
+    """Exponential surfaces whose every θ is -inf at g = 5 (exposure past the cap)."""
+    mat = np.array([[280.0, 10.0], [300.0, 12.0]])
+    dem = ExponentialDemography(growth=2.0)
+    relative = DemographyRelativeLikelihood(mat[:1], dem, 1.0)
+    pooled = DemographyPooledLikelihood(mat, dem)
+    return {
+        "relative": relative,
+        "pooled": pooled,
+        "combined": CombinedDemographyLikelihood([relative, pooled]),
+    }
+
+
+@pytest.mark.parametrize("kind", AXIS_SURFACES)
+def test_all_minus_inf_surface_is_minus_inf_without_warnings(kind):
+    surface = _all_minus_inf_surfaces()[kind]
+    params = np.array([5.0])
+    grid = _theta_grid((1 / 3, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(surface.log_curve(grid, params) == -np.inf)
+        value, d1, d2 = surface.theta_derivatives(1.0, params)
+        assert value == -np.inf and np.isnan(d1) and np.isnan(d2)
+        assert _solve_theta(surface, params, grid, 1.0) == (1.0, -np.inf)
+
+
+# --------------------------------------------------------------------------- #
+# The profile M-step on ridge and bimodal surfaces
+# --------------------------------------------------------------------------- #
+
+# log L the coordinate ascent that preceded the profile M-step reached on
+# the synthetic sweep's surfaces below.  It stopped unconverged at the
+# iteration budget on every seed but 36, creeping along the θ–g ridge; seed
+# 36 is bimodal in θ, and its maximum (θ ≈ 0.294, g ≈ 4.13) is on the mode
+# away from the driving θ.
+_COORDINATE_ASCENT_LOG_L = {
+    2: 0.22134990388392772,
+    5: 0.0272140567560335,
+    10: 0.04027796950382179,
+    13: 0.06554030066194727,
+    14: 0.07346955282087997,
+    22: 0.10264078820760769,
+    26: 0.8961951597349902,
+    31: 0.020182484860795213,
+    33: 0.04941907078360508,
+    36: 1.9001837739891085,
+}
+
+
+def _sweep_surface(seed: int):
+    """The synthetic sweep's surface for ``seed`` and its driving point."""
+    rng = np.random.default_rng(seed)
+    growth0 = rng.uniform(0.5, 4)
+    theta0 = rng.uniform(0.3, 1.5)
+    dem = ExponentialDemography(growth0)
+    mat = np.vstack([simulate_demography_intervals(16, theta0, dem, rng) for _ in range(100)])
+    return DemographyRelativeLikelihood(mat, dem, theta0), theta0, dem
+
+
+class TestProfileMStep:
+    @pytest.mark.parametrize("seed", sorted(_COORDINATE_ASCENT_LOG_L))
+    def test_converges_at_or_above_the_coordinate_ascent(self, seed):
+        surface, theta0, dem = _sweep_surface(seed)
+        est = maximize_demography(surface, theta0, dem, EstimatorConfig())
+        assert est.converged
+        assert est.log_relative_likelihood >= _COORDINATE_ASCENT_LOG_L[seed] - 1e-9
+        assert est.log_relative_likelihood == surface.log_likelihood(est.theta, est.params)
+        if seed == 36:
+            assert est.theta == pytest.approx(0.294, abs=1e-3)
+            assert est.growth == pytest.approx(4.13, abs=1e-2)
+
+    def test_parameter_free_demography_is_theta_hat_alone(self):
+        surface, _ = _axis_surface("relative", "constant")
+        est = maximize_demography(surface, 1.0, ConstantDemography())
+        assert est.converged and est.n_iterations == 1 and est.params == ()
+        assert (est.theta, est.log_relative_likelihood) == _solve_theta(
+            surface, None, _theta_grid((1 / 3, 3.0)), 1.0
+        )
+
+    def test_boundary_maximum_is_projected_onto_the_trust_region(self):
+        # Genealogies simulated at g = 3 driven from g = 0 with a 0.5 step:
+        # the profile rises across the whole trust interval.
+        rng = np.random.default_rng(8)
+        mat = np.vstack(
+            [simulate_demography_intervals(12, 1.0, ExponentialDemography(3.0), rng) for _ in range(300)]
+        )
+        dem = ExponentialDemography(growth=0.0)
+        cfg = EstimatorConfig(max_growth_step=0.5)
+        est = maximize_demography(DemographyPooledLikelihood(mat, dem), 1.0, dem, cfg)
+        assert est.converged
+        assert est.growth == 0.5
+
+
+# --------------------------------------------------------------------------- #
 # The demography EM loop: goldens and M-step telemetry
 # --------------------------------------------------------------------------- #
 
-# θ/params trajectories recorded before the surfaces switched to prior
-# terms: SHA-256 of the float64 rows (driving θ, *driving params) per EM
-# iteration plus the final (θ, *params).
+# θ/params trajectories of the profile-likelihood M-step (θ̂(params) solved
+# exactly, Newton steps in the parameters): SHA-256 of the float64 rows
+# (driving θ, *driving params) per EM iteration plus the final (θ, *params).
 _EM_GOLDEN = {
-    "exponential": "1e078a2135eb5b92bd4ca71eb51b0ed7182adcddeee4306f8f201c3de7d66ca7",
-    "bottleneck": "f828d4f220568f1ebf51228f383e57d6d0ee5bc805b1403d7a510965166eca9d",
+    "exponential": "eb9cdd5894fa515dfeb96379d7522a1c55215d17a887fb46d198eab905e7b7ba",
+    "bottleneck": "d84304cf10b2ce37757a8aaf029b348b6298ec03536fc946ef14c156de3835a2",
 }
 
 
@@ -335,5 +526,12 @@ class TestMStepTelemetry:
             for payload in done:
                 assert payload["m_step_seconds"] >= 0.0
                 assert payload["m_step_surface_evals"] > 0
-            runs.append([payload["m_step_surface_evals"] for payload in done])
+                assert payload["m_step_converged"] is True
+                assert payload["m_step_iterations"] >= 1
+            runs.append(
+                [
+                    (p["m_step_surface_evals"], p["m_step_converged"], p["m_step_iterations"])
+                    for p in done
+                ]
+            )
         assert runs[0] == runs[1]
