@@ -36,11 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import SamplerConfig
-from repro.core.estimator import maximize_joint
+from repro.core.estimator import maximize_demography
 from repro.core.sampler import MultiProposalSampler
 from repro.demography import ExponentialDemography
 from repro.diagnostics.convergence import effective_sample_size
-from repro.likelihood.growth_prior import GrowthPooledLikelihood
+from repro.likelihood.demography_prior import DemographyPooledLikelihood
 from repro.simulate.coalescent_sim import simulate_genealogy
 
 SMOKE = os.environ.get("MPCGS_BENCH_SMOKE", "") not in ("", "0")
@@ -83,8 +83,10 @@ def run_chain(growth: float, kernel: str, n_samples: int, burn_in: int, seed: in
 
     heights = chain.trace.heights
     ess = effective_sample_size(heights)
-    estimate = maximize_joint(
-        GrowthPooledLikelihood(chain.interval_matrix), THETA, growth
+    estimate = maximize_demography(
+        DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+        THETA,
+        ExponentialDemography(growth=growth),
     )
     return {
         "kernel": kernel,

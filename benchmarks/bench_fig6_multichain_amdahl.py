@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.multichain import MultiChainSampler
+from repro.baselines.multichain import AmdahlModel, MultiChainSampler
 from repro.core.config import SamplerConfig
-from repro.device.perfmodel import AmdahlModel
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import VectorizedEngine
 from repro.likelihood.mutation_models import Felsenstein81

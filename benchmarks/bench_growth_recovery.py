@@ -7,7 +7,7 @@ pipeline recovers *both* parameters from data simulated at a known truth
 
 1. **Pooled-genealogy recovery** — simulate many independent genealogies at
    (θ*, g*) with :func:`repro.simulate.growth_sim.simulate_growth_intervals`
-   and maximize the pooled log-likelihood with the joint coordinate-ascent
+   and maximize the pooled log-likelihood with the joint profile-likelihood
    maximizer.  This validates the (θ, g) estimation machinery itself, so its
    tolerance is tight.
 
@@ -22,7 +22,7 @@ pipeline recovers *both* parameters from data simulated at a known truth
 
 3. **Multi-locus pipeline recovery** — several unlinked loci simulated at
    the same (θ*, g*), estimated jointly with
-   :func:`repro.core.mpcgs.run_multilocus_growth` (per-locus growth-driven
+   :func:`repro.core.mpcgs.run_multilocus` (per-locus growth-driven
    chains, summed relative-likelihood surfaces).  Curvature adds across
    loci: θ recovers within tens of percent, and the growth MLE lands within
    a couple of units of the truth — still carrying the upward bias that
@@ -46,9 +46,10 @@ import numpy as np
 
 from repro.api import run_experiment
 from repro.core.config import MPCGSConfig, SamplerConfig
-from repro.core.estimator import maximize_joint
-from repro.core.mpcgs import run_multilocus_growth
-from repro.likelihood.growth_prior import GrowthPooledLikelihood
+from repro.core.estimator import maximize_demography
+from repro.core.mpcgs import run_multilocus
+from repro.demography import ExponentialDemography
+from repro.likelihood.demography_prior import DemographyPooledLikelihood
 from repro.likelihood.mutation_models import F84
 from repro.sequences.evolve import evolve_sequences
 from repro.simulate.growth_sim import simulate_growth_genealogy, simulate_growth_intervals
@@ -83,7 +84,11 @@ def recover_pooled(n_replicates: int, n_tips: int, seed: int) -> dict:
         ]
     )
     start = time.perf_counter()
-    estimate = maximize_joint(GrowthPooledLikelihood(mat), TRUE_THETA / 2.0, 0.0)
+    estimate = maximize_demography(
+        DemographyPooledLikelihood(mat, ExponentialDemography()),
+        TRUE_THETA / 2.0,
+        ExponentialDemography(growth=0.0),
+    )
     elapsed = time.perf_counter() - start
     return {
         "n_replicates": n_replicates,
@@ -152,7 +157,7 @@ def recover_multilocus(
         growth0=0.0,
     )
     start = time.perf_counter()
-    result = run_multilocus_growth(loci, config, theta0=0.5, rng=np.random.default_rng(seed + 1))
+    result = run_multilocus(loci, config, theta0=0.5, rng=np.random.default_rng(seed + 1))
     elapsed = time.perf_counter() - start
     return {
         "n_loci": n_loci,

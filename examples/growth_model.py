@@ -4,13 +4,15 @@ The paper's future-work section (Section 7) sketches how mpcgs would be
 extended to additional population parameters: a proposal/posterior pair for
 the new parameter plus a posterior-likelihood curve over it.  This example
 exercises that path with the classic second LAMARC parameter — exponential
-population growth ``g`` — using the growth-aware coalescent prior in
-``repro.likelihood.growth_prior`` and the growth-coalescent simulator in
+population growth ``g`` — using the exponential demography of
+``repro.demography``, its likelihood surfaces in
+``repro.likelihood.demography_prior`` and the growth-coalescent simulator in
 ``repro.simulate.growth_sim``:
 
 1. simulate genealogies from a *growing* population (θ = 1, g = 2),
-2. maximize the pooled two-parameter likelihood over a (θ, g) grid with
-   local refinement, and
+2. maximize the pooled two-parameter likelihood with the EM M-step's
+   maximizer (θ profiled out, Newton steps in g), starting from
+   θ = 0.5, g = 0, and
 3. contrast the result with samples from a constant-size population, where
    the growth estimate collapses back toward zero.
 
@@ -28,20 +30,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.likelihood.growth_prior import (
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-    maximize_theta_growth,
+from repro.core.estimator import maximize_demography
+from repro.demography import ExponentialDemography
+from repro.likelihood.demography_prior import (
+    DemographyPooledLikelihood,
+    DemographyRelativeLikelihood,
 )
 from repro.simulate.coalescent_sim import simulate_genealogy
 from repro.simulate.growth_sim import simulate_growth_intervals
 
 
 def estimate(samples: np.ndarray):
-    return maximize_theta_growth(
-        GrowthPooledLikelihood(samples),
-        theta_grid=np.linspace(0.3, 3.0, 17),
-        growth_grid=np.linspace(-2.0, 6.0, 17),
+    return maximize_demography(
+        DemographyPooledLikelihood(samples, ExponentialDemography()),
+        theta0=0.5,
+        demography=ExponentialDemography(growth=0.0),
     )
 
 
@@ -75,8 +78,11 @@ def main(seed: int = 9) -> None:
     # genealogies drawn at the driving parameters it is ~0 nearby, which is
     # why the EM loop re-drives at each new maximizer instead of reading far
     # θ values off one curve.
-    relative = GrowthRelativeLikelihood(constant, driving_theta=true_theta, driving_growth=0.0)
-    nearby = relative.log_surface(np.array([0.9, 1.0, 1.1]), np.array([-0.2, 0.0, 0.2]))
+    relative = DemographyRelativeLikelihood(
+        constant, ExponentialDemography(growth=0.0), driving_theta=true_theta
+    )
+    thetas = np.array([0.9, 1.0, 1.1])
+    nearby = np.column_stack([relative.log_curve(thetas, [g]) for g in (-0.2, 0.0, 0.2)])
     print("\nrelative log-likelihood surface near the driving point (should be ~0):")
     print(np.array2string(nearby, precision=3))
 

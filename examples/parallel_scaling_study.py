@@ -5,12 +5,11 @@ then adds the measured ingredient the paper contributes: the per-sample cost
 of the batched (device-style) evaluation versus the serial evaluation, as a
 function of problem size.
 
-The script prints three blocks:
+The script prints two blocks:
 
-1. the Amdahl step-count table for the multiple-chains baseline vs GMH,
+1. the Amdahl step-count table for the multiple-chains baseline vs GMH, and
 2. measured wall-clock cost per retained sample for the serial baseline and
-   the batched multi-proposal sampler on the same dataset, and
-3. the device model's projected speedup across proposal-set sizes.
+   the batched multi-proposal sampler on the same dataset.
 
 Run with::
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from repro import SamplerConfig, synthesize_dataset, upgma_tree
 from repro.baselines.lamarc import LamarcSampler
+from repro.baselines.multichain import AmdahlModel
 from repro.core.sampler import MultiProposalSampler
-from repro.device.perfmodel import AmdahlModel, DeviceModel
 from repro.likelihood.engines import BatchedEngine, SerialEngine
 from repro.likelihood.mutation_models import Felsenstein81
 
@@ -74,15 +73,6 @@ def measured_costs(seed: int = 11) -> None:
     print()
 
 
-def projected_speedups() -> None:
-    print("=== 3. Device-model projected speedup vs proposal-set size (12 seqs x 1000 bp) ===")
-    model = DeviceModel()
-    for n_proposals in (8, 16, 32, 64, 128):
-        s = model.projected_speedup(n_proposals=n_proposals, n_sites=1000, n_sequences=12)
-        print(f"  N = {n_proposals:>4}: projected speedup {s:.1f}x")
-
-
 if __name__ == "__main__":
     amdahl_table()
     measured_costs()
-    projected_speedups()

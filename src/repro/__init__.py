@@ -5,7 +5,7 @@ of a Markov Coalescent Genealogy Sampler*: the mpcgs sampler, its
 LAMARC-style single-proposal baseline, the population-genetics substrates
 they share (coalescent genealogies, Felsenstein pruning likelihoods,
 mutation models, neutral-coalescent and sequence-evolution simulators), and
-a simulated SIMD device substrate that stands in for the paper's CUDA GPU.
+the experiment service that runs them.
 
 Quickstart::
 
@@ -40,7 +40,6 @@ from .core.mpcgs import (
     MPCGSResult,
     MultiLocusResult,
     run_multilocus,
-    run_multilocus_growth,
 )
 from .core.registry import (
     Sampler,
@@ -85,11 +84,6 @@ from .likelihood.engines import (
     make_engine,
 )
 from .likelihood.felsenstein import batched_log_likelihood, log_likelihood
-from .likelihood.growth_prior import (
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-    maximize_theta_growth,
-)
 from .likelihood.mutation_models import (
     F84,
     HKY85,
@@ -171,9 +165,6 @@ __all__ = [
     "default_temperatures",
     "ConstantEngine",
     "PooledThetaLikelihood",
-    "GrowthRelativeLikelihood",
-    "GrowthPooledLikelihood",
-    "maximize_theta_growth",
     "read_fasta",
     "write_fasta",
     "summarize_alignment",
@@ -192,7 +183,6 @@ __all__ = [
     "CombinedDemographyLikelihood",
     "MultiLocusResult",
     "run_multilocus",
-    "run_multilocus_growth",
     "simulate_demography_genealogy",
     "simulate_demography_intervals",
     "WorkerCrashError",

@@ -17,8 +17,8 @@ Any subset of chains/loci/workers reproduces bit-identically.
 Keys are derived by hashing the canonical encoding of the name components
 with SHA-256 and taking 128 bits as the 2-word Philox key.  SHA-256 makes
 distinct names collide with probability ~2^-128 and — unlike additive
-seed arithmetic (the old ``ThreadStreams.spawn`` bug) — no two distinct
-component tuples can alias by sliding values between positions.
+seed arithmetic (``seed + offset``) — no two distinct component tuples can
+alias by sliding values between positions.
 """
 
 from __future__ import annotations

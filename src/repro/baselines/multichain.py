@@ -8,7 +8,7 @@ efficiency collapses toward the burn-in cost as P grows.  This module
 implements that baseline so the scalability argument can be measured rather
 than asserted: it runs the chains — sequentially by default, or on real OS
 processes with ``n_workers > 1`` so the Amdahl curves of
-:mod:`repro.device.perfmodel` can be *measured* wall-clock instead of only
+:class:`AmdahlModel` can be *measured* wall-clock instead of only
 modeled — pools the traces in deterministic chain order, and reports both
 the measured work and the idealized parallel-time model the paper uses.
 """
@@ -37,6 +37,7 @@ __all__ = [
     "WorkerCrashError",
     "multichain_parallel_time",
     "gmh_parallel_time",
+    "AmdahlModel",
     "shutdown_worker_pools",
 ]
 
@@ -139,6 +140,68 @@ def gmh_parallel_time(burn_in: float, total_samples: float, n_processors: int) -
     if n_processors < 1:
         raise ValueError("n_processors must be positive")
     return (burn_in + total_samples) / n_processors
+
+
+@dataclass(frozen=True)
+class AmdahlModel:
+    """Step-count scaling model for burn-in-limited parallel MCMC."""
+
+    burn_in: float
+    n_samples: float
+
+    def __post_init__(self) -> None:
+        if self.burn_in < 0 or self.n_samples <= 0:
+            raise ValueError("burn_in must be >= 0 and n_samples > 0")
+
+    @property
+    def serial_steps(self) -> float:
+        """Steps a single chain performs: B + N."""
+        return self.burn_in + self.n_samples
+
+    def multichain_steps(self, n_processors: int | np.ndarray) -> np.ndarray:
+        """Per-processor steps for P independent chains: B + N/P (Eq. 27's subject)."""
+        p = np.asarray(n_processors, dtype=float)
+        if np.any(p < 1):
+            raise ValueError("processor counts must be >= 1")
+        return self.burn_in + self.n_samples / p
+
+    def gmh_steps(self, n_processors: int | np.ndarray, serial_fraction: float = 0.0) -> np.ndarray:
+        """Per-processor steps when burn-in parallelizes too: (B + N)/P plus a serial residue."""
+        if not 0.0 <= serial_fraction < 1.0:
+            raise ValueError("serial_fraction must be in [0, 1)")
+        p = np.asarray(n_processors, dtype=float)
+        if np.any(p < 1):
+            raise ValueError("processor counts must be >= 1")
+        total = self.serial_steps
+        return serial_fraction * total + (1.0 - serial_fraction) * total / p
+
+    def multichain_speedup(self, n_processors: int | np.ndarray) -> np.ndarray:
+        """Speedup of the multi-chain approach over one chain."""
+        return self.serial_steps / self.multichain_steps(n_processors)
+
+    def gmh_speedup(
+        self, n_processors: int | np.ndarray, serial_fraction: float = 0.0
+    ) -> np.ndarray:
+        """Speedup of the GMH approach over one chain."""
+        return self.serial_steps / self.gmh_steps(n_processors, serial_fraction)
+
+    def multichain_efficiency(self, n_processors: int | np.ndarray) -> np.ndarray:
+        """Parallel efficiency (speedup / P) of the multi-chain approach."""
+        p = np.asarray(n_processors, dtype=float)
+        return self.multichain_speedup(p) / p
+
+    def gmh_efficiency(
+        self, n_processors: int | np.ndarray, serial_fraction: float = 0.0
+    ) -> np.ndarray:
+        """Parallel efficiency (speedup / P) of the GMH approach."""
+        p = np.asarray(n_processors, dtype=float)
+        return self.gmh_speedup(p, serial_fraction) / p
+
+    def multichain_speedup_limit(self) -> float:
+        """The Amdahl limit lim_{P→∞} of the multi-chain speedup: (B + N) / B."""
+        if self.burn_in == 0:
+            return float("inf")
+        return self.serial_steps / self.burn_in
 
 
 @dataclass

@@ -26,19 +26,12 @@ from ..likelihood.coalescent_prior import (
     log_prior_from_weighted,
     weighted_times,
 )
-from ..likelihood.growth_prior import (
-    CombinedGrowthLikelihood,
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-)
 from .config import EstimatorConfig
 
 __all__ = [
     "RelativeLikelihood",
     "maximize_theta",
     "ThetaEstimate",
-    "JointEstimate",
-    "maximize_joint",
     "DemographyEstimate",
     "maximize_demography",
 ]
@@ -159,17 +152,6 @@ def maximize_theta(
         n_iterations=iterations,
         converged=converged,
     )
-
-
-@dataclass(frozen=True)
-class JointEstimate:
-    """Result of one joint (θ, g) surface maximization."""
-
-    theta: float
-    growth: float
-    log_relative_likelihood: float
-    n_iterations: int
-    converged: bool
 
 
 #: Log-spaced points of the global θ scan that starts every θ̂(params) solve.
@@ -441,55 +423,4 @@ def maximize_demography(
         log_relative_likelihood=current,
         n_iterations=iterations,
         converged=converged,
-    )
-
-
-class _GrowthVectorAdapter:
-    """Present a scalar (θ, g)-signature likelihood as a (θ, params) one."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    def log_curve(self, thetas, params) -> np.ndarray:
-        return self.inner.log_curve(thetas, self._growth(params))
-
-    def theta_derivatives(self, theta: float, params) -> tuple[float, float, float]:
-        return self.inner.theta_derivatives(theta, self._growth(params))
-
-    @staticmethod
-    def _growth(params) -> float:
-        return float(np.asarray(params).reshape(-1)[0])
-
-
-def maximize_joint(
-    likelihood: GrowthRelativeLikelihood | GrowthPooledLikelihood | CombinedGrowthLikelihood,
-    theta0: float,
-    growth0: float = 0.0,
-    config: EstimatorConfig | None = None,
-) -> JointEstimate:
-    """Maximize log L(θ, g): θ profiled out, Newton steps with halving in g.
-
-    The (θ, g)-signature form of :func:`maximize_demography` with the
-    exponential demography (the complementary *global* grid scan, for
-    offline use over a caller-chosen region, is
-    :func:`repro.likelihood.growth_prior.maximize_theta_growth`).  The
-    trust region is ``[θ₀/max_theta_step_factor, θ₀·max_theta_step_factor]
-    × [g₀ − max_growth_step, g₀ + max_growth_step]`` around the driving
-    values.  Iteration stops when g moves less than the convergence
-    tolerance or the iteration budget is spent.
-    """
-    from ..demography.models import ExponentialDemography
-
-    estimate = maximize_demography(
-        _GrowthVectorAdapter(likelihood),
-        theta0,
-        ExponentialDemography(growth=float(growth0)),
-        config,
-    )
-    return JointEstimate(
-        theta=estimate.theta,
-        growth=estimate.params[0],
-        log_relative_likelihood=estimate.log_relative_likelihood,
-        n_iterations=estimate.n_iterations,
-        converged=estimate.converged,
     )

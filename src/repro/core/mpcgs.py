@@ -51,7 +51,6 @@ from ..sequences.alignment import Alignment
 from .config import MPCGSConfig
 from .estimator import (
     DemographyEstimate,
-    JointEstimate,
     RelativeLikelihood,
     ThetaEstimate,
     maximize_demography,
@@ -139,25 +138,13 @@ class _EngineBuilder:
         return make_engine(self.engine_name, self.alignment, self.model, backend=self.backend)
 
 
-def require_growth_sampler(config: MPCGSConfig) -> None:
-    """Back-compat alias of :func:`repro.core.registry.require_demography_support`.
-
-    The capability now lives on the sampler registry entry
-    (``supports_demography``) instead of a hardcoded sampler set, so custom
-    samplers can opt in; the one shared check covers the library, the
-    :mod:`repro.api` facade, and the CLI.
-    """
-    require_demography_support(config)
-
 __all__ = [
     "MPCGS",
     "EMIteration",
     "MPCGSResult",
     "MultiLocusResult",
-    "MultiLocusGrowthResult",
     "SamplerFactory",
     "run_multilocus",
-    "run_multilocus_growth",
 ]
 
 
@@ -176,7 +163,7 @@ class EMIteration:
 
     iteration: int
     driving_theta: float
-    estimate: ThetaEstimate | JointEstimate | DemographyEstimate
+    estimate: ThetaEstimate | DemographyEstimate
     chain: ChainResult
     driving_growth: float = 0.0
     driving_params: dict | None = None
@@ -677,14 +664,6 @@ class MPCGS:
             **cfg.sampler_options,
         )
 
-    def growth_iteration_sampler(self, theta: float, growth: float, engine_factory=None):
-        """Back-compat (PR-3) spelling of :meth:`demography_iteration_sampler`."""
-        from ..demography.models import ExponentialDemography
-
-        return self.demography_iteration_sampler(
-            theta, ExponentialDemography(growth=float(growth)), engine_factory
-        )
-
     @staticmethod
     def _reseed_tree(previous: Genealogy, chain: ChainResult) -> Genealogy:
         """Build the next EM iteration's starting tree.
@@ -752,10 +731,6 @@ class MultiLocusResult:
     def n_iterations(self) -> int:
         """Number of EM iterations performed."""
         return max(len(self.trajectory) - 1, 0)
-
-
-#: Back-compat (PR-3) name for the growth-demography multi-locus result.
-MultiLocusGrowthResult = MultiLocusResult
 
 
 def run_multilocus(
@@ -843,19 +818,3 @@ def run_multilocus(
             break
 
     return result
-
-
-def run_multilocus_growth(
-    alignments,
-    config: MPCGSConfig,
-    theta0: float,
-    rng: np.random.Generator,
-) -> MultiLocusResult:
-    """Joint (θ, g) estimation from several unlinked loci (PR-3 surface).
-
-    The exponential-growth spelling of :func:`run_multilocus`; ``config``
-    must name the growth/exponential demography.
-    """
-    if config.demography not in ("growth", "exponential"):
-        raise ValueError("run_multilocus_growth requires a demography='growth' config")
-    return run_multilocus(alignments, config, theta0, rng)

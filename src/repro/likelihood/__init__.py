@@ -23,14 +23,7 @@ from .demography_prior import (
     DemographyPooledLikelihood,
     DemographyRelativeLikelihood,
 )
-from .growth_prior import (
-    GrowthEstimate,
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-    batched_log_growth_prior,
-    log_growth_prior,
-    maximize_theta_growth,
-)
+from .growth_prior import batched_log_growth_prior, log_growth_prior
 from .felsenstein import (
     SiteData,
     batched_log_likelihood,
@@ -59,12 +52,8 @@ __all__ = [
     "DemographyRelativeLikelihood",
     "DemographyPooledLikelihood",
     "CombinedDemographyLikelihood",
-    "GrowthEstimate",
-    "GrowthPooledLikelihood",
-    "GrowthRelativeLikelihood",
     "batched_log_growth_prior",
     "log_growth_prior",
-    "maximize_theta_growth",
     "SiteData",
     "log_likelihood",
     "log_likelihood_reference",

@@ -20,8 +20,8 @@ implementations in :mod:`repro.likelihood.felsenstein`:
     in one fused call, which is the work distribution of the paper's
     proposal + data-likelihood kernels (Sections 5.2.1–5.2.2).
 
-Every engine counts evaluations and evaluated sites so benchmarks and the
-device performance model can report work done alongside wall-clock time.
+Every engine counts evaluations and evaluated sites so benchmarks can
+report work done alongside wall-clock time.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class LikelihoodEngine:
     ``n_tree_site_products``
         Site-level work in units of "full-tree evaluations × sites": a full
         pruning of one tree adds ``n_sites``; partial re-pruning adds the
-        matching fraction.  Benchmarks and the device performance model use
-        this as the hardware-independent cost measure.
+        matching fraction.  Benchmarks use this as the hardware-independent
+        cost measure.
     """
 
     alignment: Alignment

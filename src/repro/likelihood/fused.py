@@ -38,8 +38,7 @@ is host-side; the stacked products run on the engine's array backend.
 The arithmetic per recomputed node is identical to the other engines'
 pruning step (pattern compression and per-node log-scaling included), so
 results agree to floating-point accumulation order and fixed-seed chains
-visit identical states — pinned down by the cross-engine equivalence suite
-and ``benchmarks/bench_fused_engine.py`` (``BENCH_fused.json``).
+visit identical states — pinned down by the cross-engine equivalence suite.
 
 Work accounting matches :class:`CachedEngine` exactly whenever the cache is
 not recycling entries (the normal regime: samplers keep the cache to their
@@ -86,9 +85,8 @@ class FusedEngine(CachedEngine):
     ``n_padded_items``
         Lanes the ``(n_trees, max_dirty)`` stacked schedule spans (every
         launch has room for one node per candidate);
-        ``workspace_occupancy`` is the ratio of the two, the quantity
-        :meth:`repro.device.perfmodel.DeviceModel.projected_fused_speedup`
-        models as padded-batch occupancy.
+        ``workspace_occupancy`` is the ratio of the two, the padded-batch
+        occupancy the benchmark harness reports.
     ``n_pmat_requests`` / ``n_pmat_builds``
         Transition matrices the batch's work items referenced (two child
         branches per item) versus the *unique* branch lengths actually

@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.lamarc import LamarcSampler
 from repro.baselines.multichain import (
+    AmdahlModel,
     MultiChainSampler,
     gmh_parallel_time,
     multichain_parallel_time,
@@ -387,3 +388,41 @@ class TestStepCountHelpers:
             multichain_parallel_time(10, 10, 0)
         with pytest.raises(ValueError):
             gmh_parallel_time(10, 10, 0)
+
+
+class TestAmdahlModel:
+    def test_matches_paper_equation(self):
+        model = AmdahlModel(burn_in=4, n_samples=4)
+        # Fig. 6: with B = N = 4, four chains each do 4 + 1 = 5 steps.
+        assert model.multichain_steps(4) == pytest.approx(5.0)
+        assert model.gmh_steps(4) == pytest.approx(2.0)
+
+    def test_limit_is_burn_in(self):
+        model = AmdahlModel(burn_in=100, n_samples=10_000)
+        assert model.multichain_steps(10**9) == pytest.approx(100, rel=1e-3)
+        assert model.multichain_speedup_limit() == pytest.approx(101.0)
+
+    def test_gmh_speedup_is_ideal_without_serial_fraction(self):
+        model = AmdahlModel(burn_in=50, n_samples=500)
+        ps = np.array([1, 2, 8, 64])
+        assert np.allclose(model.gmh_speedup(ps), ps)
+        assert np.allclose(model.gmh_efficiency(ps), 1.0)
+
+    def test_multichain_efficiency_decays(self):
+        model = AmdahlModel(burn_in=50, n_samples=500)
+        eff = model.multichain_efficiency(np.array([1, 4, 16, 64, 256]))
+        assert np.all(np.diff(eff) < 0)
+
+    def test_serial_fraction_caps_gmh_speedup(self):
+        model = AmdahlModel(burn_in=50, n_samples=500)
+        capped = model.gmh_speedup(10**6, serial_fraction=0.02)
+        assert capped == pytest.approx(50.0, rel=0.01)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            AmdahlModel(burn_in=-1, n_samples=10)
+        model = AmdahlModel(burn_in=1, n_samples=10)
+        with pytest.raises(ValueError):
+            model.multichain_steps(0)
+        with pytest.raises(ValueError):
+            model.gmh_steps(4, serial_fraction=1.5)

@@ -24,7 +24,7 @@ from repro.api import Experiment, RunSpec
 from repro.cli import main
 from repro.core.config import DEMOGRAPHIES as CONFIG_DEMOGRAPHIES
 from repro.core.config import EstimatorConfig, MPCGSConfig, SamplerConfig
-from repro.core.estimator import maximize_demography, maximize_joint
+from repro.core.estimator import maximize_demography
 from repro.core.mpcgs import MPCGS, run_multilocus
 from repro.core.registry import require_demography_support
 from repro.core.sampler import MultiProposalSampler
@@ -48,7 +48,7 @@ from repro.likelihood.demography_prior import (
     DemographyPooledLikelihood,
     DemographyRelativeLikelihood,
 )
-from repro.likelihood.growth_prior import GrowthPooledLikelihood, batched_log_growth_prior
+from repro.likelihood.growth_prior import batched_log_growth_prior
 from repro.likelihood.mutation_models import F84
 from repro.sequences.evolve import evolve_sequences
 from repro.sequences.phylip import write_phylip
@@ -297,23 +297,6 @@ class TestPriors:
 
 
 class TestMaximizeDemography:
-    def test_exponential_matches_maximize_joint_bitwise(self):
-        rng = np.random.default_rng(3)
-        mat = np.vstack(
-            [simulate_demography_intervals(10, 1.0, ExponentialDemography(growth=2.0), rng)
-             for _ in range(200)]
-        )
-        joint = maximize_joint(GrowthPooledLikelihood(mat), 0.6, 0.0)
-        generic = maximize_demography(
-            DemographyPooledLikelihood(mat, ExponentialDemography(growth=0.0)),
-            0.6,
-            ExponentialDemography(growth=0.0),
-        )
-        assert generic.theta == joint.theta
-        assert generic.params[0] == joint.growth
-        assert generic.param_names == ("growth",)
-        assert generic.growth == joint.growth
-
     def test_parameter_free_demography_reduces_to_theta_ascent(self):
         rng = np.random.default_rng(5)
         mat = np.vstack(
@@ -414,7 +397,11 @@ class TestConditionalKernel:
         chain = sampler.run(seed_tree, np.random.default_rng(42))
         assert chain.extras["proposal_kernel"] == "conditional"
         assert chain.extras["demography"]["name"] == "exponential"
-        est = maximize_joint(GrowthPooledLikelihood(chain.interval_matrix), 1.0, 2.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=2.0),
+        )
         assert est.theta == pytest.approx(1.0, rel=0.3)
         assert est.growth == pytest.approx(2.0, abs=0.8)
 
@@ -428,7 +415,11 @@ class TestConditionalKernel:
             _FlatEngine(), 1.0, cfg, demography=ExponentialDemography(growth=50.0)
         )
         chain = sampler.run(seed_tree, np.random.default_rng(43))
-        est = maximize_joint(GrowthPooledLikelihood(chain.interval_matrix), 1.0, 50.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=50.0),
+        )
         assert est.theta == pytest.approx(1.0, rel=0.4)
         assert est.growth == pytest.approx(50.0, rel=0.25)
 
@@ -478,7 +469,11 @@ class TestCorrectedBaselines:
             "constant+correction" if importance_correction else "conditional"
         )
         assert chain.extras["proposal_kernel"] == expected_kernel
-        est = maximize_joint(GrowthPooledLikelihood(chain.interval_matrix), 1.0, 2.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=2.0),
+        )
         assert est.theta == pytest.approx(1.0, rel=0.3)
         assert est.growth == pytest.approx(2.0, abs=0.8)
 
@@ -495,7 +490,11 @@ class TestCorrectedBaselines:
             importance_correction=importance_correction,
         )
         chain = sampler.run(seed_tree, np.random.default_rng(22))
-        est = maximize_joint(GrowthPooledLikelihood(chain.interval_matrix), 1.0, 2.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=2.0),
+        )
         assert est.theta == pytest.approx(1.0, rel=0.35)
         assert est.growth == pytest.approx(2.0, abs=0.9)
 

@@ -13,6 +13,7 @@ backoff delays.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -454,12 +455,20 @@ class TestChaosBatch:
         baseline: dict[str, dict] = {}
         with ExperimentService(tmp_path / "baseline") as service:
             records = [service.submit(spec) for spec in specs]
+            start = time.perf_counter()
             service.serve()
+            per_job_seconds = (time.perf_counter() - start) / N_CHAOS_JOBS
             for record in records:
                 report = service.report_for(record.job_id)
                 assert report is not None
                 baseline[record.spec_hash] = scrub(report)
 
+        # Every injected hang lasts until the job timeout cuts it off, so the
+        # timeout, not the jobs, sets this test's run time.  Twenty times the
+        # unfaulted per-job wall time (at least 1 s) still leaves a healthy
+        # job far from the cutoff on a slow machine; a spurious cutoff would
+        # only cost a retry, which the invariants below tolerate.
+        job_timeout = max(1.0, 20.0 * per_job_seconds)
         plan = FaultPlan(**CHAOS_PLAN)
         with ExperimentService(
             tmp_path / "chaos",
@@ -470,12 +479,14 @@ class TestChaosBatch:
             retry_backoff_cap=0.2,
         ) as service:
             records = [service.submit(spec) for spec in specs]
-            stats = service.serve(job_timeout=5.0)
+            stats = service.serve(job_timeout=job_timeout)
 
         assert stats["completed"] + stats["failed"] == N_CHAOS_JOBS
         # The plan's rates make at least one fault of some kind certain at
         # this seed; a chaos run where nothing fired tests nothing.
         assert stats["retries"] + stats["failed"] + stats["timeouts"] > 0
+        # The hang path must fire: a shorter timeout may not skip it.
+        assert stats["timeouts"] > 0
 
         finals = [service.status(r.job_id) for r in records]
         typed = ("WorkerCrashError", "JobTimeoutError", "NumericalFaultError")

@@ -4,8 +4,7 @@ Value-level equivalence with the other engines lives in
 ``test_engine_equivalence.py`` and the in-sampler bit-for-bit regressions in
 ``test_statistical_correctness.py``; this file covers the fused engine's own
 mechanics — workspace reuse, counters, the fully-cached fast path, warm-up —
-plus the hoisted site data, the registry/driver integration, and the device
-cost model's padded-batch projection.
+plus the hoisted site data and the registry/driver integration.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.core.config import MPCGSConfig, SamplerConfig
 from repro.core.mpcgs import MPCGS
 from repro.core.registry import available_engines
-from repro.device.perfmodel import DeviceModel
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import BatchedEngine, VectorizedEngine
 from repro.likelihood.felsenstein import SiteData, batched_log_likelihood
@@ -243,33 +241,6 @@ class TestSiteDataHoisting:
         batched = batched_log_likelihood(trees, dataset.alignment, model)
         singles = np.array([oracle.evaluate(t) for t in trees])
         assert np.allclose(batched, singles, rtol=1e-10, atol=1e-9)
-
-
-class TestFusedDeviceProjection:
-    def test_projected_fused_speedup_exceeds_one(self):
-        model = DeviceModel()
-        for n_proposals in (8, 16, 64):
-            assert model.projected_fused_speedup(n_proposals, 300, 24) > 1.0
-
-    def test_speedup_grows_with_proposal_count(self):
-        model = DeviceModel()
-        small = model.projected_fused_speedup(4, 300, 24)
-        large = model.projected_fused_speedup(64, 300, 24)
-        assert large > small
-
-    def test_fused_set_kernel_shape(self):
-        model = DeviceModel()
-        cost = model.fused_set_kernel(16, 300, 24)
-        assert cost.name == "fused_set"
-        assert cost.work_items == 17 * 300
-        assert cost.total_time > 0
-
-    def test_fused_set_kernel_validation(self):
-        model = DeviceModel()
-        with pytest.raises(ValueError):
-            model.fused_set_kernel(0, 300, 24)
-        with pytest.raises(ValueError):
-            model.fused_set_kernel(8, 300, 24, mean_dirty_nodes=9.0, max_dirty_nodes=4)
 
 
 class TestSamplerIntegration:

@@ -1,10 +1,11 @@
 """End-to-end tests for the exponential-growth workload: joint (θ, g) estimation.
 
 Covers the whole vertical slice the growth demography cuts through the
-stack: the config field and its serialization, the joint coordinate-ascent
-maximizer, the growth-targeted GMH chain (prior-adjusted index weights),
-the single- and multi-locus EM drivers, the API report, and the CLI path —
-plus the guarantee that the constant-demography path is untouched.
+stack: the config field and its serialization, the joint (θ, g) maximizer
+(``maximize_demography`` with the exponential demography), the
+growth-targeted GMH chain (prior-adjusted index weights), the single- and
+multi-locus EM drivers, the API report, and the CLI path — plus the
+guarantee that the constant-demography path is untouched.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import pytest
 from repro.api import Experiment, RunSpec, run_experiment
 from repro.cli import main
 from repro.core.config import EstimatorConfig, MPCGSConfig, SamplerConfig
-from repro.core.estimator import maximize_joint
-from repro.core.mpcgs import MPCGS, run_multilocus_growth
+from repro.core.estimator import maximize_demography
+from repro.core.mpcgs import MPCGS, run_multilocus
 from repro.core.sampler import MultiProposalSampler
-from repro.likelihood.growth_prior import (
-    CombinedGrowthLikelihood,
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
+from repro.demography import ExponentialDemography
+from repro.likelihood.demography_prior import (
+    CombinedDemographyLikelihood,
+    DemographyPooledLikelihood,
 )
 from repro.likelihood.mutation_models import F84
 from repro.sequences.evolve import evolve_sequences
@@ -101,7 +102,11 @@ class TestMaximizeJoint:
                 for _ in range(500)
             ]
         )
-        est = maximize_joint(GrowthPooledLikelihood(mat), TRUE_THETA / 2.0, 0.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(mat, ExponentialDemography()),
+            TRUE_THETA / 2.0,
+            ExponentialDemography(growth=0.0),
+        )
         assert est.converged
         assert est.theta == pytest.approx(TRUE_THETA, rel=0.25)
         assert est.growth == pytest.approx(TRUE_GROWTH, abs=0.75)
@@ -114,7 +119,11 @@ class TestMaximizeJoint:
                 for _ in range(500)
             ]
         )
-        est = maximize_joint(GrowthPooledLikelihood(mat), 0.8, 0.0)
+        est = maximize_demography(
+            DemographyPooledLikelihood(mat, ExponentialDemography()),
+            0.8,
+            ExponentialDemography(growth=0.0),
+        )
         assert abs(est.growth) < 1.0
         assert est.theta == pytest.approx(TRUE_THETA, rel=0.25)
 
@@ -125,14 +134,23 @@ class TestMaximizeJoint:
         )
         cfg = EstimatorConfig(max_theta_step_factor=2.0, max_growth_step=0.5)
         # Truth (theta=4) lies outside the trust region of theta0=1.
-        est = maximize_joint(GrowthPooledLikelihood(mat), 1.0, 0.0, cfg)
+        est = maximize_demography(
+            DemographyPooledLikelihood(mat, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=0.0),
+            cfg,
+        )
         assert est.theta <= 2.0 + 1e-9
         assert abs(est.growth) <= 0.5 + 1e-9
 
     def test_validation(self):
         mat = np.ones((3, 4))
         with pytest.raises(ValueError):
-            maximize_joint(GrowthPooledLikelihood(mat), -1.0, 0.0)
+            maximize_demography(
+                DemographyPooledLikelihood(mat, ExponentialDemography()),
+                -1.0,
+                ExponentialDemography(growth=0.0),
+            )
         with pytest.raises(ValueError):
             EstimatorConfig(max_theta_step_factor=1.0)
         with pytest.raises(ValueError):
@@ -144,8 +162,8 @@ class TestMaximizeJoint:
         every halved step stayed infeasible, and the ascent falsely reported
         convergence at the degenerate start.  A region-scale fallback step
         toward the finite side must escape."""
-        lik = GrowthPooledLikelihood(np.array([[280.0, 10.0]]))
-        est = maximize_joint(lik, 1.0, 2.4137)
+        lik = DemographyPooledLikelihood(np.array([[280.0, 10.0]]), ExponentialDemography())
+        est = maximize_demography(lik, 1.0, ExponentialDemography(growth=2.4137))
         # Off the cliff (log-likelihood ~ -1e303 at the start) and into the
         # sane region of the surface.
         assert est.log_relative_likelihood > -1e6
@@ -153,8 +171,10 @@ class TestMaximizeJoint:
 
     def test_degenerate_start_reports_not_converged(self):
         """A -inf surface at the driving point must not claim convergence."""
-        est = maximize_joint(
-            GrowthPooledLikelihood(np.array([[300.0, 10.0]])), 1.0, 5.0
+        est = maximize_demography(
+            DemographyPooledLikelihood(np.array([[300.0, 10.0]]), ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=5.0),
         )
         assert not est.converged
         assert est.n_iterations == 0
@@ -199,8 +219,10 @@ class TestGrowthTargetedChain:
         sampler = MultiProposalSampler(_FlatEngine(), 1.0, cfg, growth=TRUE_GROWTH)
         chain = sampler.run(seed_tree, np.random.default_rng(42))
         assert chain.extras["driving_growth"] == TRUE_GROWTH
-        est = maximize_joint(
-            GrowthPooledLikelihood(chain.interval_matrix), 1.0, TRUE_GROWTH
+        est = maximize_demography(
+            DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
+            1.0,
+            ExponentialDemography(growth=TRUE_GROWTH),
         )
         assert est.theta == pytest.approx(1.0, rel=0.3)
         assert est.growth == pytest.approx(TRUE_GROWTH, abs=0.8)
@@ -324,16 +346,14 @@ class TestMultiLocus:
             )
             for _ in range(3)
         ]
-        parts = [GrowthPooledLikelihood(m) for m in mats]
-        combined = CombinedGrowthLikelihood(parts)
+        parts = [DemographyPooledLikelihood(m, ExponentialDemography()) for m in mats]
+        combined = CombinedDemographyLikelihood(parts)
         assert combined.n_loci == 3
         # Pooled components enter as their summed (mean x count) log-likelihood.
-        expected = sum(p.n_samples * p.log_likelihood(0.9, 1.2) for p in parts)
-        assert combined.log_likelihood(0.9, 1.2) == pytest.approx(expected)
-        surface = combined.log_surface(np.array([0.8, 1.0]), np.array([0.0, 1.0]))
-        assert surface.shape == (2, 2)
+        expected = sum(p.n_samples * p.log_likelihood(0.9, [1.2]) for p in parts)
+        assert combined.log_likelihood(0.9, [1.2]) == pytest.approx(expected)
         with pytest.raises(ValueError):
-            CombinedGrowthLikelihood([])
+            CombinedDemographyLikelihood([])
 
     def test_combined_pooled_weighting_is_split_invariant(self):
         """Splitting one genealogy pool across components must not change
@@ -342,12 +362,16 @@ class TestMultiLocus:
         mat = np.vstack(
             [simulate_growth_intervals(8, 1.0, 1.0, rng) for _ in range(30)]
         )
-        whole = CombinedGrowthLikelihood([GrowthPooledLikelihood(mat)])
-        split = CombinedGrowthLikelihood(
-            [GrowthPooledLikelihood(mat[:5]), GrowthPooledLikelihood(mat[5:])]
+        exponential = ExponentialDemography()
+        whole = CombinedDemographyLikelihood([DemographyPooledLikelihood(mat, exponential)])
+        split = CombinedDemographyLikelihood(
+            [
+                DemographyPooledLikelihood(mat[:5], exponential),
+                DemographyPooledLikelihood(mat[5:], exponential),
+            ]
         )
-        assert split.log_likelihood(0.9, 1.2) == pytest.approx(
-            whole.log_likelihood(0.9, 1.2)
+        assert split.log_likelihood(0.9, [1.2]) == pytest.approx(
+            whole.log_likelihood(0.9, [1.2])
         )
 
     def test_multilocus_run_returns_joint_estimates(self):
@@ -355,9 +379,7 @@ class TestMultiLocus:
         config = growth_config(
             sampler=SamplerConfig(n_proposals=4, n_samples=40, burn_in=10)
         )
-        result = run_multilocus_growth(
-            loci, config, theta0=0.5, rng=np.random.default_rng(9)
-        )
+        result = run_multilocus(loci, config, theta0=0.5, rng=np.random.default_rng(9))
         assert result.n_loci == 2
         assert result.theta > 0
         assert np.isfinite(result.growth)
@@ -370,14 +392,10 @@ class TestMultiLocus:
     def test_multilocus_validation(self):
         locus = growth_dataset(n_tips=6, n_sites=80)
         with pytest.raises(ValueError, match="alignment"):
-            run_multilocus_growth(
-                [], growth_config(), theta0=0.5, rng=np.random.default_rng(0)
-            )
-        constant = MPCGSConfig()
+            run_multilocus([], growth_config(), theta0=0.5, rng=np.random.default_rng(0))
+        incapable = growth_config(sampler_name="multichain")
         with pytest.raises(ValueError, match="demography"):
-            run_multilocus_growth(
-                [locus], constant, theta0=0.5, rng=np.random.default_rng(0)
-            )
+            run_multilocus([locus], incapable, theta0=0.5, rng=np.random.default_rng(0))
 
 
 class TestApiAndCli:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.estimator import maximize_demography
+from repro.demography import ExponentialDemography
 from repro.likelihood.coalescent_prior import log_prior_from_intervals
-from repro.likelihood.growth_prior import (
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-    batched_log_growth_prior,
-    log_growth_prior,
-    maximize_theta_growth,
+from repro.likelihood.demography_prior import (
+    DemographyPooledLikelihood,
+    DemographyRelativeLikelihood,
 )
+from repro.likelihood.growth_prior import batched_log_growth_prior, log_growth_prior
 from repro.simulate.coalescent_sim import simulate_genealogy
 
 
@@ -116,20 +116,17 @@ class TestEstimation:
         mat = np.vstack(
             [simulate_genealogy(6, 1.0, rng).interval_representation() for _ in range(50)]
         )
-        rl = GrowthRelativeLikelihood(mat, driving_theta=1.0, driving_growth=0.0)
-        assert rl.log_likelihood(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        rl = DemographyRelativeLikelihood(mat, ExponentialDemography(growth=0.0), driving_theta=1.0)
+        assert rl.log_likelihood(1.0, [0.0]) == pytest.approx(0.0, abs=1e-12)
         assert rl.n_samples == 50
 
     def test_recovers_growth_parameters_from_simulated_genealogies(self, growth_samples):
         """The pooled MLE over genealogies simulated at a known (θ, g) is
-        consistent: grid + refinement maximization lands near the truth."""
+        consistent: the profile-likelihood maximizer, started away from the
+        truth, lands near it."""
         mat, true_theta, true_growth = growth_samples
-        pooled = GrowthPooledLikelihood(mat)
-        estimate = maximize_theta_growth(
-            pooled,
-            theta_grid=np.linspace(0.3, 3.0, 15),
-            growth_grid=np.linspace(-1.0, 5.0, 15),
-        )
+        pooled = DemographyPooledLikelihood(mat, ExponentialDemography())
+        estimate = maximize_demography(pooled, 0.5, ExponentialDemography(growth=0.0))
         assert estimate.theta == pytest.approx(true_theta, rel=0.35)
         assert estimate.growth == pytest.approx(true_growth, abs=1.2)
 
@@ -137,12 +134,8 @@ class TestEstimation:
         mat = np.vstack(
             [simulate_genealogy(8, 1.0, rng).interval_representation() for _ in range(1200)]
         )
-        pooled = GrowthPooledLikelihood(mat)
-        estimate = maximize_theta_growth(
-            pooled,
-            theta_grid=np.linspace(0.3, 3.0, 13),
-            growth_grid=np.linspace(-3.0, 3.0, 13),
-        )
+        pooled = DemographyPooledLikelihood(mat, ExponentialDemography())
+        estimate = maximize_demography(pooled, 0.5, ExponentialDemography(growth=1.0))
         assert abs(estimate.growth) < 1.0
         assert estimate.theta == pytest.approx(1.0, rel=0.3)
 
@@ -153,24 +146,20 @@ class TestEstimation:
         mat = np.vstack(
             [simulate_genealogy(8, 1.0, rng).interval_representation() for _ in range(1200)]
         )
-        rl = GrowthRelativeLikelihood(mat, driving_theta=1.0, driving_growth=0.0)
-        surface = rl.log_surface(np.array([0.9, 1.0, 1.1]), np.array([-0.2, 0.0, 0.2]))
+        rl = DemographyRelativeLikelihood(mat, ExponentialDemography(growth=0.0), driving_theta=1.0)
+        thetas = np.array([0.9, 1.0, 1.1])
+        surface = np.column_stack([rl.log_curve(thetas, [g]) for g in (-0.2, 0.0, 0.2)])
         assert np.all(np.abs(surface) < 0.3)
 
     def test_pooled_validation(self):
         with pytest.raises(ValueError):
-            GrowthPooledLikelihood(np.zeros(4))
+            DemographyPooledLikelihood(np.zeros(4), ExponentialDemography())
         with pytest.raises(ValueError):
-            GrowthPooledLikelihood(np.full((2, 3), -1.0))
+            DemographyPooledLikelihood(np.full((2, 3), -1.0), ExponentialDemography())
 
     def test_input_validation(self, rng):
         mat = np.vstack(
             [simulate_genealogy(5, 1.0, rng).interval_representation() for _ in range(5)]
         )
         with pytest.raises(ValueError):
-            GrowthRelativeLikelihood(mat, driving_theta=0.0)
-        rl = GrowthRelativeLikelihood(mat, driving_theta=1.0)
-        with pytest.raises(ValueError):
-            maximize_theta_growth(rl, np.array([1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            maximize_theta_growth(rl, np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
+            DemographyRelativeLikelihood(mat, ExponentialDemography(), driving_theta=0.0)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.likelihood.growth_prior import GrowthPooledLikelihood, maximize_theta_growth
+from repro.core.estimator import maximize_demography
+from repro.demography import ExponentialDemography
+from repro.likelihood.demography_prior import DemographyPooledLikelihood
 from repro.simulate.coalescent_sim import expected_tmrca
 from repro.simulate.growth_sim import (
     expected_growth_tmrca,
@@ -104,10 +106,10 @@ class TestRoundTripWithPrior:
         mat = np.vstack(
             [simulate_growth_intervals(10, true_theta, true_growth, rng) for _ in range(1200)]
         )
-        estimate = maximize_theta_growth(
-            GrowthPooledLikelihood(mat),
-            theta_grid=np.linspace(0.3, 3.0, 13),
-            growth_grid=np.linspace(-1.0, 5.0, 13),
+        estimate = maximize_demography(
+            DemographyPooledLikelihood(mat, ExponentialDemography()),
+            0.5,
+            ExponentialDemography(growth=0.0),
         )
         assert estimate.theta == pytest.approx(true_theta, rel=0.3)
         assert estimate.growth == pytest.approx(true_growth, abs=1.0)

@@ -2,9 +2,8 @@
 
 Covers the subtree-signature machinery exposed by :mod:`repro.genealogy.tree`,
 the :class:`~repro.likelihood.incremental.CachedEngine` cache behaviour and
-work counters, the proposal-set reuse threaded through the GMH transition and
-the EM driver, and the partial-recomputation extension of the device cost
-model.
+work counters, and the proposal-set reuse threaded through the GMH transition
+and the EM driver.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from repro.core.config import MPCGSConfig, SamplerConfig
 from repro.core.gmh import GeneralizedMetropolisHastings
 from repro.core.mpcgs import MPCGS
-from repro.device.perfmodel import DeviceModel
 from repro.genealogy.tree import SignatureInterner
 from repro.likelihood.engines import BatchedEngine
 from repro.likelihood.incremental import CachedEngine
@@ -428,34 +426,3 @@ class TestProposalSetReuse:
         driver.run(1.0, np.random.default_rng(6))
         assert len(seen) >= 2
         assert len(set(map(id, seen))) == len(seen)  # all distinct instances
-
-
-class TestIncrementalCostModel:
-    def test_dirty_kernel_is_cheaper_and_bounded(self):
-        device = DeviceModel()
-        full = device.data_likelihood_kernel(600, 24)
-        dirty = device.data_likelihood_kernel(600, 24, n_dirty_nodes=7)
-        assert dirty.parallel_time < full.parallel_time
-        assert dirty.serial_time == full.serial_time  # overheads do not shrink
-        assert dirty.work_per_item == pytest.approx(full.work_per_item * 7 / 47)
-
-    def test_dirty_node_validation(self):
-        device = DeviceModel()
-        with pytest.raises(ValueError, match="n_dirty_nodes"):
-            device.data_likelihood_kernel(100, 8, n_dirty_nodes=0)
-        with pytest.raises(ValueError, match="n_dirty_nodes"):
-            device.data_likelihood_kernel(100, 8, n_dirty_nodes=16)
-
-    def test_expected_dirty_nodes_scales_logarithmically(self):
-        small = DeviceModel.expected_dirty_nodes(8)
-        large = DeviceModel.expected_dirty_nodes(1024)
-        assert small <= large
-        assert large == 12  # 2 + log2(1024)
-        assert DeviceModel.expected_dirty_nodes(2) == 1  # clamped to n_internal
-
-    def test_projected_caching_speedup_above_one(self):
-        device = DeviceModel()
-        speedup = device.projected_caching_speedup(16, 600, 24)
-        assert speedup > 1.0
-        # The full-repruning ceiling bounds the projection.
-        assert speedup <= (2 * 24 - 1) / DeviceModel.expected_dirty_nodes(24)

@@ -45,12 +45,7 @@ from repro.likelihood.demography_prior import (
     DemographyPooledLikelihood,
     DemographyRelativeLikelihood,
 )
-from repro.likelihood.growth_prior import (
-    GrowthPooledLikelihood,
-    GrowthRelativeLikelihood,
-    _growth_integral,
-    batched_log_growth_prior,
-)
+from repro.likelihood.growth_prior import _growth_integral, batched_log_growth_prior
 from repro.likelihood.logspace import LOG_ZERO, log_mean
 from repro.service.events import EM_ITERATION_COMPLETED
 from repro.simulate.datasets import synthesize_dataset
@@ -250,18 +245,6 @@ class TestMemoizedSurfaces:
             theta = data.draw(thetas)
             want = float(np.mean(ref_prior(dem, mat, theta)))
             assert same(surface.log_likelihood(theta, params), want)
-
-    def test_growth_grid_surfaces_use_growth_terms(self):
-        mat = _matrix(5, 12, 6)
-        relative = GrowthRelativeLikelihood(mat, driving_theta=0.8, driving_growth=0.5)
-        pooled = GrowthPooledLikelihood(mat)
-        thetas_, growths_ = np.array([0.5, 1.0]), np.array([-1.0, 0.0, 2.0])
-        grid = batched_log_growth_prior(mat, thetas_, growths_)
-        assert np.array_equal(pooled.log_surface(thetas_, growths_), grid.mean(axis=0))
-        log_ratios = grid - ref_growth(mat, 0.8, 0.5)[:, None, None]
-        peak = log_ratios.max(axis=0)
-        want = peak + np.log(np.mean(np.exp(log_ratios - peak[None, :, :]), axis=0))
-        assert np.array_equal(relative.log_surface(thetas_, growths_), want)
 
     def test_memo_is_bounded_and_builds_demographies_only_on_misses(self, monkeypatch):
         built = []

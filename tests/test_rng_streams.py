@@ -4,8 +4,7 @@ Modeled on the RNG-registry test idiom: named/spawned child streams must be
 (a) deterministic per seed, (b) pairwise independent, and (c) invariant to
 the order in which other streams are created or consumed.  The multi-chain
 baseline relies on all three — its per-chain generators come from
-``rng.spawn`` — and the device-side ``ThreadStreams`` pool mirrors the same
-contract with counter-based Philox streams.
+``rng.spawn``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.baselines.multichain import MultiChainSampler
 from repro.core.config import SamplerConfig
-from repro.device.rng import ThreadStreams, host_generator
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import VectorizedEngine
 from repro.likelihood.mutation_models import Felsenstein81
@@ -103,61 +101,3 @@ class TestMultiChainSamplerStreams:
         mat = result.interval_matrix
         third = mat.shape[0] // 3
         assert not np.array_equal(mat[:third], mat[third : 2 * third])
-
-
-class TestThreadStreams:
-    def test_streams_deterministic_per_seed(self):
-        a = ThreadStreams(4, seed=123)
-        b = ThreadStreams(4, seed=123)
-        for i in range(4):
-            assert np.array_equal(a.generator(i).random(8), b.generator(i).random(8))
-
-    def test_streams_pairwise_distinct(self):
-        pool = ThreadStreams(4, seed=123)
-        draws = pool.uniforms(64)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.allclose(draws[i], draws[j])
-
-    def test_use_order_invariance(self):
-        a = ThreadStreams(4, seed=9)
-        b = ThreadStreams(4, seed=9)
-        early = a.generator(0).random(8)
-        b.generator(3).random(8)  # consuming thread 3 first ...
-        late = b.generator(0).random(8)  # ... leaves thread 0 untouched
-        assert np.array_equal(early, late)
-
-    def test_spawn_shifts_every_stream(self):
-        pool = ThreadStreams(3, seed=1)
-        spawned = pool.spawn(7)
-        assert spawned.seed == 1  # launch is a distinct key component, not folded in
-        assert spawned.launch == 7
-        for i in range(3):
-            assert not np.allclose(pool.generator(i).random(8), spawned.generator(i).random(8))
-
-    def test_spawn_does_not_alias_across_seeds(self):
-        """Regression: launch 5 of seed 0 must not equal launch 0 of seed 5.
-
-        The historical additive derivation (``seed + offset``) made those two
-        pools bitwise identical, coupling adjacent seeds' proposal streams.
-        """
-        a = ThreadStreams(3, seed=0).spawn(5)
-        b = ThreadStreams(3, seed=5).spawn(0)
-        for i in range(3):
-            assert not np.allclose(a.generator(i).random(16), b.generator(i).random(16))
-        assert not np.allclose(
-            ThreadStreams(3, seed=0).spawn(5).uniforms(32),
-            ThreadStreams(3, seed=5).spawn(0).uniforms(32),
-        )
-
-    def test_uniforms_counter_continuation(self):
-        """Two back-to-back draws equal one big draw split in half."""
-        a = ThreadStreams(2, seed=4)
-        b = ThreadStreams(2, seed=4)
-        combined = a.uniforms(8)
-        first, second = b.uniforms(4), b.uniforms(4)
-        assert np.array_equal(combined[:, :4], first)
-        assert np.array_equal(combined[:, 4:], second)
-
-    def test_host_generator_seeded_reproducibility(self):
-        assert np.array_equal(host_generator(3).random(5), host_generator(3).random(5))
