@@ -27,9 +27,13 @@ whether the implementation's dependency is importable — and selected through
 ``MPCGSConfig.backend`` / ``mpcgs run --backend`` / listed by ``mpcgs info``.
 
 The kernels draw a host/device line the way real accelerator code does:
-**planning** (dirty-path walks, index tables, unique-length dedup) always
+**planning** (dirty masks, index tables, unique-length dedup) always
 runs on the host through the explicit numpy handle, while **device math**
 (the stacked products and reductions) goes through the *selected* backend.
+The host handle also carries a few index ops only planning needs
+(``concatenate``, ``nonzero``, ``flatnonzero``, ``cumsum``, ``sort``,
+``argsort``); they are not part of :class:`ArrayBackend`, so device
+backends need not implement them.
 A lint step (``tools/check_backend_purity.py``) keeps the abstracted modules
 honest: no direct ``np.`` usage, only backend handles.
 """

@@ -127,6 +127,14 @@ class NumpyBackend:
     def errstate(**kwargs):
         return np.errstate(**kwargs)
 
+    # -- host-only index ops (planning; not part of ArrayBackend) ----------
+    concatenate = staticmethod(np.concatenate)
+    nonzero = staticmethod(np.nonzero)
+    flatnonzero = staticmethod(np.flatnonzero)
+    cumsum = staticmethod(np.cumsum)
+    sort = staticmethod(np.sort)
+    argsort = staticmethod(np.argsort)
+
 
 #: The shared host-backend instance.  The abstracted kernel modules import
 #: this directly for *host-side planning* (index tables, dedup, layout) and

@@ -158,12 +158,11 @@ class GeneralizedMetropolisHastings:
             target = self.resimulator.choose_target(current, rng)
 
         # Sibling proposals share everything outside the resimulated region:
-        # an incremental engine (cached, fused) can reuse the generator's
-        # cached partials for all of it, so warm them before the set is
-        # evaluated — for the fused engine this is what makes every
-        # candidate's workspace column sparse (dirty path only) instead of a
-        # full pruning.  (Full-pruning engines expose no ``prepare`` and
-        # skip this.)
+        # the sparse engine (fused) can reuse the generator's cached
+        # partials for all of it, so warm them before the set is evaluated —
+        # this is what makes every candidate's work its dirty path only
+        # instead of a full pruning.  (Full-pruning engines expose no
+        # ``prepare`` and skip this.)
         prepare = getattr(self.engine, "prepare", None)
         if prepare is not None:
             prepare(current)

@@ -101,6 +101,24 @@ def _interior_topological_order(tree: Genealogy) -> list[int]:
 _SINGLE_ENGINE_SAMPLERS = frozenset({"gmh", "lamarc", "heated", "bayesian"})
 
 
+def _cache_counts(sampler) -> tuple[int, int]:
+    """Cache hits and misses so far of ``sampler``'s engine; (0, 0) without one.
+
+    Multichain samplers hold no single engine, so they report no reuse.
+    """
+    engine = getattr(sampler, "engine", None)
+    return getattr(engine, "n_cache_hits", 0), getattr(engine, "n_cache_misses", 0)
+
+
+def _mixing_and_reuse(chain, sampler, counts_before: tuple[int, int]) -> dict[str, float]:
+    """The ``acceptance_rate`` and ``cache_hit_rate`` of one EM iteration's chain."""
+    hits, misses = (now - before for now, before in zip(_cache_counts(sampler), counts_before))
+    return {
+        "acceptance_rate": chain.n_accepted / chain.n_decisions if chain.n_decisions else 0.0,
+        "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+    }
+
+
 def _uses_single_engine(cfg: MPCGSConfig) -> bool:
     """Whether this config's sampler holds exactly one engine per run.
 
@@ -441,6 +459,7 @@ class MPCGS:
 
         for iteration in range(start_iteration, cfg.n_em_iterations):
             sampler = sampler_factory(engine_factory, theta)
+            counts = _cache_counts(sampler)
             chain = sampler.run(tree, rng)
 
             likelihood = RelativeLikelihood(chain.interval_matrix, driving_theta=theta)
@@ -481,6 +500,7 @@ class MPCGS:
                 m_step_surface_evals=likelihood.n_evaluations,
                 m_step_converged=estimate.converged,
                 m_step_iterations=estimate.n_iterations,
+                **_mixing_and_reuse(chain, sampler, counts),
             )
             if checkpoint_path is not None and (
                 converged
@@ -570,6 +590,7 @@ class MPCGS:
 
         for iteration in range(start_iteration, cfg.n_em_iterations):
             sampler = self.demography_iteration_sampler(theta, demography, engine_factory)
+            counts = _cache_counts(sampler)
             chain = sampler.run(tree, rng)
 
             likelihood = DemographyRelativeLikelihood(
@@ -620,6 +641,7 @@ class MPCGS:
                 m_step_surface_evals=likelihood.n_evaluations,
                 m_step_converged=estimate.converged,
                 m_step_iterations=estimate.n_iterations,
+                **_mixing_and_reuse(chain, sampler, counts),
             )
             if checkpoint_path is not None and (
                 converged

@@ -16,7 +16,6 @@ from .engines import (
     VectorizedEngine,
     make_engine,
 )
-from .incremental import CachedEngine
 from .fused import FusedEngine
 from .demography_prior import (
     CombinedDemographyLikelihood,
@@ -45,7 +44,6 @@ __all__ = [
     "SerialEngine",
     "VectorizedEngine",
     "BatchedEngine",
-    "CachedEngine",
     "FusedEngine",
     "ConstantEngine",
     "make_engine",

@@ -71,13 +71,13 @@ class NumericalFaultError(ArithmeticError):
 
 #: Engine-degradation order: when a run dies with :class:`NumericalFaultError`
 #: on an engine, the job runner retries it on the named fallback (the next
-#: rung strips one layer of evaluation machinery — fused stacking, then the
-#: partial-likelihood cache, then proposal batching).  Engines absent from
-#: the map (``vectorized``, ``serial``, ``constant``) have nothing simpler
-#: to fall back to; the fault is final there.
+#: rung strips one layer of evaluation machinery — the partials arena, then
+#: proposal batching).  ``batched`` is the first rung below ``fused`` because
+#: it is bitwise equal to it, so a degraded run commits the same report.
+#: Engines absent from the map (``vectorized``, ``serial``, ``constant``)
+#: have nothing simpler to fall back to; the fault is final there.
 DEGRADATION_LADDER: dict[str, str | None] = {
-    "fused": "cached",
-    "cached": "vectorized",
+    "fused": "batched",
     "batched": "vectorized",
 }
 
@@ -155,7 +155,7 @@ class LikelihoodEngine:
         Historically every ``evaluate``/``evaluate_batch`` call re-ran pattern
         compression and rebuilt the one-hot tip partials; they depend only on
         the alignment, so they are hoisted here and shared by every call (the
-        incremental engines always worked this way).  Built lazily so engines
+        sparse engine always worked this way).  Built lazily so engines
         that never touch them — :class:`ConstantEngine` — pay nothing.
         """
         if self._site_data is None:
@@ -201,8 +201,8 @@ class LikelihoodEngine:
         ``groups`` holds one list of candidate genealogies per logical unit
         of work — e.g. one group per chain of a stacked multichain round.
         The groups are flattened into a *single* ``evaluate_batch`` call (so
-        a batching engine sees the full cross-group batch: one fused
-        workspace, transition matrices deduplicated across groups) and the
+        a batching engine sees the full cross-group batch: one stacked
+        sweep, transition matrices deduplicated across groups) and the
         values are split back per group.  Because every engine's batch values
         are independent of batch composition, each group's values are
         identical to evaluating it alone — only the execution shape changes.
@@ -322,9 +322,8 @@ class ConstantEngine(LikelihoodEngine):
         return self._healthy(np.zeros(len(trees)))
 
 
-# The incremental engines (repro.likelihood.incremental's CachedEngine and
-# repro.likelihood.fused's FusedEngine) register themselves here on import;
-# the package __init__ imports them, so any normal
+# The sparse engine (repro.likelihood.fused's FusedEngine) registers itself
+# here on import; the package __init__ imports it, so any normal
 # ``import repro.likelihood.engines`` sees the full table.
 _ENGINES = {
     "serial": SerialEngine,

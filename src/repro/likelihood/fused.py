@@ -1,65 +1,54 @@
-"""Fused sparse-batched proposal-set engine (the stacked GMH hot-path kernel).
+"""The sparse proposal-set engine: stacked dirty-path pruning over a partials arena.
 
 The paper's core performance claim (Sections 5.2.1–5.2.2) is that the GMH
 proposal and data-likelihood kernels win by evaluating the *whole proposal
-set* as one data-parallel unit.  The two fast engines each captured half of
-that:
+set* as one data-parallel unit over partials that stay resident in device
+memory.  :class:`FusedEngine` does that with two ingredients.
 
-* :class:`~repro.likelihood.engines.BatchedEngine` evaluates all N+1
-  candidates in one stacked kernel — but re-prunes every interior node of
-  every candidate, even though sibling proposals share everything outside
-  their resimulated neighbourhood;
-* :class:`~repro.likelihood.incremental.CachedEngine` re-prunes only each
-  candidate's dirty path — but walks the candidates one at a time through
-  per-node Python dict lookups and scalar-sized matrix products.
+**Subtree signatures.**  Sibling proposals share everything outside their
+resimulated neighbourhood.  Every node carries a hash-consed signature
+(:meth:`repro.genealogy.tree.Genealogy.subtree_signatures`) that is equal
+across trees exactly when the tip rows, topology and branch lengths below it
+are identical, so a node whose signature is already cached needs no work:
+only each candidate's *dirty path* — the resimulated region plus its
+ancestors — is re-pruned.
 
-:class:`FusedEngine` composes both.  Per proposal set it splits every
-candidate's interior nodes into a **shared frontier** — subtrees whose
-partial likelihoods are already cached under their subtree signatures
-(:meth:`repro.genealogy.tree.Genealogy.subtree_signatures`), computed once
-and reused across candidates *and* across EM iterations exactly like the
-cached engine — and a **per-candidate dirty path**.  The dirty paths of all
-N+1 siblings are then recomputed together: the d-th dirty node of every
-candidate is processed in one stacked batched product (a
-``(k, n_patterns, 4) @ (k, 4, 4)`` matmul — the einsum contraction spelled
-the way NumPy executes fastest) whose operands are rows of one
-``(rows, n_patterns, 4)`` pool — tip partials, the batch's work items, and
-the frontier entries it reads — preallocated once and reused across
-iterations (a dirty path is sequential in depth — node d+1 consumes node
-d's output — but across siblings depth d is embarrassingly parallel, which
-is exactly the lane layout the paper's dynamic-parallelism launch uses).
-The pool holds one row per work item, not a padded
-``(n_trees, max_dirty)`` block, so its size follows the real dirty work.
-Transition matrices are deduplicated through
-a host-side ``unique`` of the batch's branch lengths, since siblings share
-most branches bitwise.  Planning (work-item tables, source/index gathers)
-is host-side; the stacked products run on the engine's array backend.
+**A persistent arena.**  Cached partials live in rows of one growable
+``(rows, n_patterns, 4)`` array plus a ``(rows, n_patterns)`` log-scale
+array; rows ``0 .. n_tips - 1`` hold the tip partials.  A dense
+``row_of[signature]`` table (signature ids are dense, ``0 .. len - 1``)
+finds a subtree's row.  Planning a batch is a handful of host-side array
+gathers: the dirty mask is ``row_of[signatures] < 0``, each candidate's
+dirty nodes are ordered by node time (children before parents), and the
+work items are laid out in (depth step, candidate) order.  Fresh rows are
+allocated before the sweep; the d-th dirty node of every candidate is then
+computed in one stacked ``(k, n_patterns, 4) @ (k, 4, 4)`` matmul whose
+operands are gathered straight from arena rows, and whose results are
+written straight into the items' rows — nothing is copied into a scratch
+pool and nothing is copied back out.  Transition matrices are deduplicated
+by a host-side ``unique`` of the batch's branch lengths, since siblings
+share most branches bitwise.
+
+The mask equals a top-down walk that stops at cached nodes because the arena
+is closed under descendants: a row enters only as a batch item whose children
+are tips or live rows, and :meth:`FusedEngine.retain` keeps whole trees.
 
 The arithmetic per recomputed node is identical to the other engines'
 pruning step (pattern compression and per-node log-scaling included), so
 results agree to floating-point accumulation order and fixed-seed chains
 visit identical states — pinned down by the cross-engine equivalence suite.
-
-Work accounting matches :class:`CachedEngine` exactly whenever the cache is
-not recycling entries (the normal regime: samplers keep the cache to their
-working set, far below the ``max_entries`` cap).  Once recycling starts —
-LRU eviction past ``max_entries``, or the interner-overflow
-``clear_cache`` — the two engines'
-cache timelines diverge, because the fused engine refreshes, clears, and
-evicts once per batch where the cached engine does so per tree, so their
-work counters can drift slightly in either direction while the returned
-values stay exact.
+A tree's value never depends on which other trees share its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..backend.numpy_backend import NUMPY as B
-from ..genealogy.tree import Genealogy
-from .engines import _ENGINES
-from .felsenstein import _state_peak
-from .incremental import CachedEngine
+from ..genealogy.tree import Genealogy, SignatureInterner
+from .engines import _ENGINES, LikelihoodEngine
+from .felsenstein import _TINY, _state_peak
 
 __all__ = ["FusedEngine"]
 
@@ -67,37 +56,58 @@ Array = B.ndarray
 
 
 @dataclass
-class FusedEngine(CachedEngine):
+class FusedEngine(LikelihoodEngine):
     """Incremental pruning of all N+1 siblings' dirty paths in one stacked kernel.
 
-    Inherits the signature-keyed frontier cache, working-set and eviction
-    policy, warm-up ``prepare`` hook, and single-tree ``evaluate`` from
-    :class:`~repro.likelihood.incremental.CachedEngine`; ``evaluate_batch``
-    replaces the per-tree Python walk with the stacked dirty-path kernel.
+    The arena holds a *working set*: samplers declare their current
+    state(s) through :meth:`retain` (the GMH ``prepare`` hook does so for
+    every proposal set), and rows off those states return to a free list,
+    so a GMH chain keeps one tree's partials plus one set's dirty paths.
+    ``evaluate(tree)`` is a batch of one.
 
-    Extra work counters (all zeroed by :meth:`reset_counters`):
+    Parameters
+    ----------
+    max_entries:
+        Cap on live interior-node rows; a batch that starts above it clears
+        the arena first.  Each row holds one ``(n_patterns, 4)`` partial
+        array plus an ``(n_patterns,)`` log-scale vector, so the default
+        (``None``) derives the cap from a ~64 MiB byte budget once the
+        alignment's pattern count is known.  Only callers that never call
+        :meth:`retain` come near it.
+
+    Work accounting
+    ---------------
+    ``n_nodes_pruned`` counts only the interior nodes actually recomputed;
+    ``n_tree_site_products`` accrues the matching fraction of a full-tree
+    evaluation (fractional remainders are carried between calls, so long-run
+    totals are exact), which keeps the counters directly comparable with the
+    full-pruning engines.  ``n_cache_hits`` counts the cached subtrees a
+    top-down walk would stop at (cached interior children of dirty nodes,
+    plus cached roots) and ``n_cache_misses`` the dirty nodes.
+
+    Stacked-kernel counters, over every stacked sweep (``prepare`` and
+    ``evaluate`` included):
 
     ``n_stacked_steps``
-        Stacked einsum launches performed (one per dirty depth level per
-        batch) — the fused analogue of kernel-launch count.
+        Stacked matmul launches (one per dirty depth level per batch).
     ``n_workspace_items``
-        Dirty nodes actually computed in the workspace.
+        Dirty nodes computed.
     ``n_padded_items``
-        Lanes the ``(n_trees, max_dirty)`` stacked schedule spans (every
-        launch has room for one node per candidate);
-        ``workspace_occupancy`` is the ratio of the two, the padded-batch
-        occupancy the benchmark harness reports.
+        Lanes the ``(n_trees, max_dirty)`` stacked schedule spans;
+        ``workspace_occupancy`` is the ratio of the two.
     ``n_pmat_requests`` / ``n_pmat_builds``
         Transition matrices the batch's work items referenced (two child
         branches per item) versus the *unique* branch lengths actually
-        exponentiated.  Within one proposal set siblings share most branches;
-        under stacked cross-chain execution the dedup also spans chains —
-        candidates from different chains of the same lock-step round share
-        every branch outside their dirty regions bitwise —
-        so ``pmat_dedup_ratio`` is the direct measure of the cross-chain
-        sharing the stacked batch shape buys.
+        exponentiated; ``pmat_dedup_ratio`` measures the sharing between
+        siblings (and, under stacked cross-chain execution, between chains).
     """
 
+    #: Byte budget used to derive ``max_entries`` when it is not given.
+    DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
+
+    max_entries: int | None = None
+    n_cache_hits: int = field(default=0, init=False)
+    n_cache_misses: int = field(default=0, init=False)
     n_stacked_steps: int = field(default=0, init=False)
     n_workspace_items: int = field(default=0, init=False)
     n_padded_items: int = field(default=0, init=False)
@@ -105,27 +115,105 @@ class FusedEngine(CachedEngine):
     n_pmat_builds: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        # One row pool, preallocated and reused across proposal sets and EM
-        # iterations: (capacity, n_patterns, 4) partials plus the matching
-        # (capacity, n_patterns) log-scales.  A batch lays out its rows as
-        # [tips | work items | frontier entries]: the tip rows are written
-        # once per allocation (log-scale zero), work item k — the batch's
-        # k-th dirty node in (depth step, candidate) order — writes row
-        # n_tips + k, and the shared-frontier entries it reads are copied in
-        # behind them, so every child operand is one row of one array.
+        if self.max_entries is not None and self.max_entries < 16:
+            raise ValueError("max_entries must be at least 16")
+        self._interner = SignatureInterner()
+        self._row_of = B.full(0, -1, dtype=B.int64)
+        self._site_product_carry = 0.0
+        self._ready = False
+
+    # ------------------------------------------------------------------ #
+    # The arena
+    # ------------------------------------------------------------------ #
+    def _ensure_ready(self) -> None:
+        if self._ready:
+            return
+        site_data = self.site_data  # shared hoisted patterns + tip partials
         xp = self.xp
-        self._work = xp.empty((0, 0, 4))
-        self._work_scale = xp.empty((0, 0))
+        self._pattern_weights = xp.asarray(site_data.weights)
+        self._freqs = xp.asarray(self.model.base_frequencies)
+        n_tips = site_data.tips.shape[0]
+        capacity = 3 * n_tips
+        self._arena = xp.empty((capacity, site_data.n_cols, 4))
+        self._arena_scale = xp.zeros((capacity, site_data.n_cols))
+        self._arena[:n_tips] = xp.asarray(site_data.tips)
+        # sig_of_row[r] is the signature held by interior row r (-1: free);
+        # tip rows are permanent and never enter the free list.
+        self._sig_of_row = B.full(capacity, -1, dtype=B.int64)
+        self._free = B.arange(n_tips, capacity)
+        if self.max_entries is None:
+            # One row: (n_patterns, 4) partials + (n_patterns,) scales, f64.
+            entry_bytes = 8 * 5 * site_data.n_cols
+            self.max_entries = max(1024, self.DEFAULT_CACHE_BYTES // entry_bytes)
+        # The interner itself must stay bounded: ids are only issued, never
+        # retired, and each key is a small tuple (~150 bytes), so cap it at a
+        # small multiple of the row budget and rebuild from scratch beyond
+        # it.  This keeps total resident memory within the same order as
+        # DEFAULT_CACHE_BYTES rather than a silent multiple of it.
+        self._intern_limit = 4 * self.max_entries
+        self._ready = True
+
+    def _synced_row_of(self) -> Array:
+        """``row_of`` grown (geometrically, absent = -1) to cover every issued id."""
+        issued = len(self._interner)
+        if self._row_of.shape[0] < issued:
+            grown = B.full(max(issued, 2 * self._row_of.shape[0]), -1, dtype=B.int64)
+            grown[: self._row_of.shape[0]] = self._row_of
+            self._row_of = grown
+        return self._row_of
+
+    def _allocate(self, n_rows: int) -> Array:
+        """Pop ``n_rows`` free rows, regrowing the arena geometrically first."""
+        short = n_rows - self._free.shape[0]
+        if short > 0:
+            xp = self.xp
+            old = self._arena.shape[0]
+            capacity = max(old + short, 2 * old)
+            arena = xp.empty((capacity,) + tuple(self._arena.shape[1:]))
+            scale = xp.zeros((capacity, self._arena.shape[1]))
+            arena[:old] = self._arena
+            scale[:old] = self._arena_scale
+            self._arena, self._arena_scale = arena, scale
+            sig_of_row = B.full(capacity, -1, dtype=B.int64)
+            sig_of_row[:old] = self._sig_of_row
+            self._sig_of_row = sig_of_row
+            self._free = B.concatenate([self._free, B.arange(old, capacity)])
+        rows, self._free = self._free[:n_rows], self._free[n_rows:]
+        return rows
+
+    def clear_cache(self) -> None:
+        """Drop every cached partial (counters are left untouched)."""
+        self._interner.clear()
+        self._row_of = B.full(0, -1, dtype=B.int64)
+        if self._ready:
+            n_tips = self.alignment.n_sequences
+            self._sig_of_row[:] = -1
+            self._free = B.arange(n_tips, self._arena.shape[0])
 
     def reset_counters(self) -> None:
-        """Zero the work, reuse, and stacked-kernel counters (cache kept)."""
+        """Zero the work, reuse and stacked-kernel counters; the arena is kept."""
         super().reset_counters()
+        self.n_cache_hits = 0
+        self.n_cache_misses = 0
+        self._site_product_carry = 0.0
         self.n_stacked_steps = 0
         self.n_workspace_items = 0
         self.n_padded_items = 0
         self.n_pmat_requests = 0
         self.n_pmat_builds = 0
+
+    @property
+    def cache_size(self) -> int:
+        """Number of live interior-node rows."""
+        if not self._ready:
+            return 0
+        return self._arena.shape[0] - self.alignment.n_sequences - self._free.shape[0]
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of interior-node lookups served from the arena."""
+        total = self.n_cache_hits + self.n_cache_misses
+        return self.n_cache_hits / total if total else 0.0
 
     @property
     def workspace_occupancy(self) -> float:
@@ -137,193 +225,185 @@ class FusedEngine(CachedEngine):
         """Transition matrices requested per matrix actually built (≥ 1)."""
         return self.n_pmat_requests / self.n_pmat_builds if self.n_pmat_builds else 0.0
 
-    def _workspace(self, n_rows: int) -> tuple[Array, Array]:
-        """The reusable row pool, regrown geometrically when too small."""
-        tips = self._tip_entries
-        if self._work.shape[0] < n_rows or self._work.shape[1] != tips.shape[1]:
-            capacity = max(n_rows, 2 * self._work.shape[0])
-            self._work = self.xp.empty((capacity, tips.shape[1], 4))
-            self._work_scale = self.xp.zeros((capacity, tips.shape[1]))
-            self._work[: tips.shape[0]] = tips
-        return self._work, self._work_scale
-
     # ------------------------------------------------------------------ #
     # The stacked sparse-batched kernel
     # ------------------------------------------------------------------ #
-    def evaluate_batch(self, trees: list[Genealogy]) -> Array:
-        if not trees:
-            return B.zeros(0)
+    def _evaluate(self, trees: list[Genealogy], counted: bool = True) -> Array:
+        """Log-likelihoods of ``trees``, counted as evaluations when ``counted``."""
         self._ensure_ready()
         n_tips = self.alignment.n_sequences
-        if len(self._interner) > self._intern_limit:
-            self.clear_cache()
-        cache = self._cache
-        n_trees = len(trees)
-
-        # ---- plan: per-candidate dirty paths, children before parents ----
-        all_sigs: list[Array] = []
-        comps: list[list[int]] = []
-        hits_total = 0
-        planned_sigs: set[int] = set()
         for tree in trees:
             if tree.n_tips != n_tips:
                 raise ValueError("genealogy tip count does not match the alignment")
-            sigs = tree.subtree_signatures(self._interner)
-            plan, hits = self._plan_dirty(tree, sigs)
-            for node in plan:
-                key = int(sigs[node])
-                if key in planned_sigs:
-                    # Two candidates share an *uncached* subtree (bitwise-equal
-                    # times — e.g. duplicated trees in one batch).  The stacked
-                    # schedule orders items by per-candidate depth and cannot
-                    # express a cross-candidate dependency, so take the
-                    # per-tree incremental path instead: it publishes each
-                    # candidate's partials before planning the next, computing
-                    # every shared subtree exactly once — same values, same
-                    # work counters as the cached engine on this batch.
-                    return super().evaluate_batch(trees)
-                planned_sigs.add(key)
-            all_sigs.append(sigs)
-            comps.append(plan[::-1])
-            hits_total += hits
+        if len(self._interner) > self._intern_limit or self.cache_size > self.max_entries:
+            self.clear_cache()
+        n_trees = len(trees)
+        sigs = B.array([tree.subtree_signatures(self._interner) for tree in trees])
+        row_of = self._synced_row_of()
+        row_of[sigs[0, :n_tips]] = B.arange(n_tips)
+        dirty = row_of[sigs[:, n_tips:]] < 0  # (n_trees, n_internal)
+        n_dirty = dirty.sum(axis=1)
+        n_items = int(n_dirty.sum())
 
-        max_dirty = max(len(comp) for comp in comps)
-        n_items = sum(len(comp) for comp in comps)
+        if n_trees > 1 and n_items > 1:
+            fresh = B.sort(sigs[:, n_tips:][dirty])
+            if B.any(fresh[1:] == fresh[:-1]):
+                # Two candidates share an *uncached* subtree (bitwise-equal
+                # times — e.g. duplicated trees in one batch).  The stacked
+                # schedule orders items by per-candidate depth and cannot
+                # express a cross-candidate dependency, so evaluate the
+                # candidates as consecutive batches of one: each shared
+                # subtree is then computed once, by the first candidate.
+                return B.concatenate([self._evaluate([tree], counted) for tree in trees])
 
+        # A walk from the root stops at every cached subtree it meets: the
+        # cached roots of fully cached candidates, and (below) the cached
+        # interior children of dirty nodes.
+        hits = int((n_dirty == 0).sum())
+        xp = self.xp
         if n_items:
-            values = self._run_stacked(trees, all_sigs, comps, max_dirty, n_items)
-        else:
-            # Every candidate fully cached (e.g. re-evaluating the warmed
-            # generator): read the root entries straight from the frontier.
-            values = self._root_values_from_cache(trees, all_sigs)
+            # ---- plan: (depth step, candidate) work items by array gathers ----
+            # Each candidate's dirty nodes by node time, which puts children
+            # before parents; lane (t, d) is candidate t's d-th dirty node.
+            times = B.array([tree.times for tree in trees])
+            children = B.array([tree.children for tree in trees])
+            order = B.argsort(B.where(dirty, times[:, n_tips:], B.inf), axis=1)
+            max_dirty = int(n_dirty.max())
+            lanes = B.arange(max_dirty) < n_dirty[:, None]
+            step_of, tree_of = B.nonzero(lanes.T)  # item k, in (step, candidate) order
+            node_of = order[tree_of, step_of] + n_tips
+            item_children = children[tree_of, node_of]  # (n_items, 2)
+            child_sigs = sigs[tree_of[:, None], item_children]
+            hits += int(((item_children >= n_tips) & (row_of[child_sigs] >= 0)).sum())
 
-        # ---- bookkeeping: identical accounting to the cached engine ----
-        self.n_cache_hits += hits_total
-        self.n_cache_misses += n_items
-        while len(cache) > self.max_entries:
-            cache.pop(next(iter(cache)))
-        total_products = 0
-        for tree, comp in zip(trees, comps):
-            total_products += self._site_products(len(comp), tree.n_internal)
-        self._count(n_trees, nodes_pruned=n_items, tree_site_products=total_products)
-        self.n_workspace_items += n_items
-        if n_items:
+            # One transition matrix per *unique* branch length, stored
+            # pre-transposed so each step is a contiguous batched matmul.
+            lengths = times[tree_of, node_of][:, None] - times[tree_of[:, None], item_children]
+            unique_lengths, inverse = B.unique(lengths.reshape(-1), return_inverse=True)
+            self.n_pmat_requests += 2 * n_items
+            self.n_pmat_builds += int(unique_lengths.shape[0])
+            pmats_t = xp.ascontiguousarray(
+                xp.transpose(self.model.transition_matrices(unique_lengths, xp=xp), (0, 2, 1))
+            )
+            pm_idx = inverse.reshape(n_items, 2)
+
+            # Fresh items get their rows before the sweep, so child rows are
+            # one gather for tips, cached subtrees and fresh items alike.
+            rows = self._allocate(n_items)
+            item_sigs = sigs[tree_of, node_of]
+            row_of[item_sigs] = rows
+            self._sig_of_row[rows] = item_sigs
+            child_rows = row_of[child_sigs]
+            arena, arena_scale = self._arena, self._arena_scale
+            bounds = [0] + B.cumsum(lanes.sum(axis=0)).tolist()
+            try:
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    # The step's left children, then its right children: one
+                    # gather and one stacked matmul cover both branches.
+                    k = hi - lo
+                    src = xp.asindex(child_rows[lo:hi].T.reshape(-1))
+                    both = xp.matmul(arena[src], pmats_t[xp.asindex(pm_idx[lo:hi].T.reshape(-1))])
+                    vec = both[:k] * both[k:]
+                    peak = _state_peak(xp, vec)
+                    out = xp.asindex(rows[lo:hi])
+                    arena[out] = vec / peak[:, :, None]
+                    scale = arena_scale[src]
+                    arena_scale[out] = scale[:k] + scale[k:] + xp.log(peak)
+            except BaseException:
+                self.clear_cache()  # the batch's rows are live but not all written
+                raise
             self.n_stacked_steps += max_dirty
             self.n_padded_items += n_trees * max_dirty
+            self.n_workspace_items += n_items
+
+        roots = xp.asindex(row_of[sigs[B.arange(n_trees), [tree.root for tree in trees]]])
+        values = xp.to_numpy(self._readout(self._arena[roots], self._arena_scale[roots]))
+
+        self.n_cache_hits += hits
+        self.n_cache_misses += n_items
+        n_internal = n_tips - 1
+        products = sum(self._site_products(d, n_internal) for d in n_dirty.tolist())
+        self._count(n_trees if counted else 0, nodes_pruned=n_items, tree_site_products=products)
         return self._healthy(values)
 
-    def _run_stacked(
-        self,
-        trees: list[Genealogy],
-        all_sigs: list[Array],
-        comps: list[list[int]],
-        max_dirty: int,
-        n_items: int,
-    ) -> Array:
-        """Recompute every candidate's dirty path in one stacked sweep."""
+    def _readout(self, part: Array, scale: Array):
+        """log P(D | G) per tree from stacked root partials and their log-scales.
+
+        Each tree's pattern weights are reduced through its own 1-D dot — not
+        one multi-row matrix-vector product, whose BLAS reduction order can
+        differ from the dot's — so a tree's value never depends on how many
+        trees share its readout.
+        """
         xp = self.xp
-        cache = self._cache
-        n_tips = trees[0].n_tips
-        frontier_base = n_tips + n_items
-
-        # Work-item tables ordered by (depth step, candidate): one stacked
-        # launch processes one contiguous [lo, hi) block below, writing pool
-        # rows n_tips + lo .. n_tips + hi.  All of this is host-side planning.
-        item_sig = B.empty(n_items, dtype=B.int64)
-        child_row = B.empty((n_items, 2), dtype=B.int64)
-        lengths = B.empty((n_items, 2))
-        root_row = B.empty(len(trees), dtype=B.int64)
-        step_bounds = [0]
-        # Distinct frontier entries referenced by this batch, each copied into
-        # the pool once.
-        cache_rows: dict[int, int] = {}
-        fetched: list[tuple[Array, Array]] = []
-
-        def frontier_row(key: int) -> int:
-            row = cache_rows.get(key)
-            if row is None:
-                row = frontier_base + len(fetched)
-                cache_rows[key] = row
-                fetched.append(cache[key])
-            return row
-
-        items = [{} for _ in comps]  # per candidate: dirty node -> item index
-        k = 0
-        for step in range(max_dirty):
-            for t, comp in enumerate(comps):
-                if step >= len(comp):
-                    continue
-                tree, sigs, mine = trees[t], all_sigs[t], items[t]
-                node = comp[step]
-                mine[node] = k
-                item_sig[k] = sigs[node]
-                for j in (0, 1):
-                    child = int(tree.children[node, j])
-                    lengths[k, j] = tree.times[node] - tree.times[child]
-                    item = mine.get(child)
-                    if item is not None:
-                        child_row[k, j] = n_tips + item
-                    elif child < n_tips:
-                        child_row[k, j] = child
-                    else:
-                        child_row[k, j] = frontier_row(int(sigs[child]))
-                k += 1
-            step_bounds.append(k)
-        for t, tree in enumerate(trees):
-            item = items[t].get(tree.root)
-            if item is None:  # a fully cached candidate reads its root entry
-                root_row[t] = frontier_row(int(all_sigs[t][tree.root]))
-            else:
-                root_row[t] = n_tips + item
-
-        # One transition-matrix computation per *unique* branch length in the
-        # batch (siblings share most branches bitwise outside their dirty
-        # regions, so this collapses the 2·n_items matrix builds).  Stored
-        # pre-transposed so the stacked product is a contiguous batched
-        # matmul, the fastest spelling of this contraction for 4-wide states.
-        unique_lengths, inverse = B.unique(lengths.reshape(-1), return_inverse=True)
-        self.n_pmat_requests += 2 * n_items
-        self.n_pmat_builds += int(unique_lengths.shape[0])
-        pmats_t = xp.ascontiguousarray(
-            xp.transpose(self.model.transition_matrices(unique_lengths, xp=xp), (0, 2, 1))
+        site_like = xp.matmul(part, self._freqs)
+        per_pattern = xp.log(xp.maximum(site_like, _TINY)) + scale
+        return xp.stack(
+            [
+                xp.matmul(per_pattern[t], self._pattern_weights)
+                for t in range(per_pattern.shape[0])
+            ]
         )
-        pm_idx = inverse.reshape(n_items, 2)
 
-        pool, pool_scale = self._workspace(frontier_base + len(fetched))
-        for row, (part, scale) in enumerate(fetched, start=frontier_base):
-            pool[row] = part
-            pool_scale[row] = scale
-        for step in range(max_dirty):
-            lo, hi = step_bounds[step], step_bounds[step + 1]
-            rows = child_row[lo:hi]
-            left_rows, right_rows = xp.asindex(rows[:, 0]), xp.asindex(rows[:, 1])
-            left = xp.matmul(pool[left_rows], pmats_t[xp.asindex(pm_idx[lo:hi, 0])])
-            right = xp.matmul(pool[right_rows], pmats_t[xp.asindex(pm_idx[lo:hi, 1])])
-            vec = left * right
-            peak = _state_peak(xp, vec)
-            out = slice(n_tips + lo, n_tips + hi)
-            pool[out] = vec / peak[:, :, None]
-            pool_scale[out] = pool_scale[left_rows] + pool_scale[right_rows] + xp.log(peak)
+    def _site_products(self, fresh: int, n_internal: int) -> int:
+        """Fraction of a full-tree site sweep actually performed.
 
-        # Publish the fresh partials into the shared frontier cache so the
-        # chosen candidate (and any future evaluation of these states) hits.
-        for i in range(n_items):
-            row = n_tips + i
-            cache[int(item_sig[i])] = (xp.copy(pool[row]), xp.copy(pool_scale[row]))
+        The exact value is fractional; the sub-integer remainder is carried
+        into the next call so the running total never drifts (and small
+        workloads cannot round every contribution down to zero).
+        """
+        exact = self.alignment.n_sites * fresh / max(n_internal, 1) + self._site_product_carry
+        whole = int(exact)
+        self._site_product_carry = exact - whole
+        return whole
 
-        # Root readout for every candidate.
-        roots = xp.asindex(root_row)
-        return xp.to_numpy(self._readout(pool[roots], pool_scale[roots]))
+    # ------------------------------------------------------------------ #
+    # Engine interface
+    # ------------------------------------------------------------------ #
+    def evaluate(self, tree: Genealogy) -> float:
+        return float(self._evaluate([tree])[0])
 
-    def _root_values_from_cache(
-        self, trees: list[Genealogy], all_sigs: list[Array]
-    ) -> Array:
-        """Log-likelihoods of fully-cached candidates (no dirty work at all)."""
-        values = B.empty(len(trees))
-        for t, tree in enumerate(trees):
-            part, scale = self._cache[int(all_sigs[t][tree.root])]
-            values[t] = float(self._readout(part, scale))
-        return values
+    def evaluate_batch(self, trees: list[Genealogy]) -> Array:
+        if not trees:
+            return B.zeros(0)
+        return self._evaluate(list(trees))
+
+    def prepare(self, tree: Genealogy) -> None:
+        """Warm the arena with ``tree``'s partials and make them the working set.
+
+        The GMH transition calls this on the generator state before building
+        a proposal set, so sibling proposals find every untouched subtree
+        already cached even when the generator's log-likelihood was carried
+        over from the previous iteration.  No evaluation is counted.  The
+        arena is then cut to ``tree``'s rows (:meth:`retain`): the new set's
+        candidates share everything outside their dirty paths with ``tree``,
+        and the next generator is one of them or ``tree`` itself.
+        """
+        self._evaluate([tree], counted=False)
+        self.retain([tree])
+
+    def retain(self, trees: Iterable[Genealogy]) -> None:
+        """Free every arena row that is not an interior node of one of ``trees``.
+
+        Samplers call this with their current state(s) — the working set:
+        each proposal is its state plus a dirty path, so a row off every
+        current state is only reused if a proposal happens to rebuild that
+        exact subtree, bitwise.  Keeping the working set bounds the arena by
+        one tree per chain plus one proposal set of dirty paths, instead of
+        filling the ``max_entries`` budget; ``max_entries`` remains the cap
+        for samplers that never call this.
+        """
+        keep = [tree.subtree_signatures(self._interner)[tree.n_tips :] for tree in trees]
+        if not self._ready:
+            return
+        sigs = B.concatenate(keep) if keep else B.zeros(0, dtype=B.int64)
+        kept_rows = self._synced_row_of()[sigs]
+        kept = B.zeros(self._sig_of_row.shape[0], dtype=bool)
+        kept[kept_rows[kept_rows >= 0]] = True
+        drop = (self._sig_of_row >= 0) & ~kept
+        self._row_of[self._sig_of_row[drop]] = -1
+        self._sig_of_row[drop] = -1
+        n_tips = self.alignment.n_sequences
+        self._free = B.flatnonzero(self._sig_of_row[n_tips:] < 0) + n_tips
 
 
 _ENGINES["fused"] = FusedEngine

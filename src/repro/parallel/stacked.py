@@ -15,8 +15,8 @@ process and advance in lock-step rounds:
    propose_random_stack`), which shares the per-interval kinetics memo
    across chains;
 2. all K candidates go through **one** ``evaluate_stacked`` call on a
-   single shared engine — one fused workspace sized for the whole stack,
-   transition matrices deduplicated across chains, one frontier cache warm
+   single shared engine — one stacked sweep over the whole stack,
+   transition matrices deduplicated across chains, one partials arena warm
    for every chain's neighbourhood;
 3. each chain applies its own Metropolis-Hastings decision from its own
    named stream.
@@ -154,7 +154,7 @@ class StackedMultiChain:
                 [st.current for st in stack], [st.rng for st in stack]
             )
             # One batched call for the whole round: the fused engine sees all
-            # chains' candidates in one workspace.
+            # chains' candidates in one stacked sweep.
             values = engine.evaluate_stacked([[o.tree] for o in outcomes])
             for st, outcome, vals in zip(stack, outcomes, values):
                 proposal_loglik = float(vals[0])
@@ -219,8 +219,8 @@ class StackedMultiChain:
         }
         dedup = getattr(engine, "pmat_dedup_ratio", None)
         if dedup:
-            # Cross-chain transition-matrix reuse inside the fused workspace
-            # (requests per matrix built); absent for non-fused engines.
+            # Cross-chain transition-matrix reuse inside the fused engine's
+            # stacked sweep (requests per matrix built); absent elsewhere.
             extras["pmat_dedup_ratio"] = float(dedup)
         return ChainResult(
             trace=pooled,

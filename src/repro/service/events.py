@@ -81,8 +81,10 @@ RUN_COMPLETED = "run.completed"
 #: One EM iteration finished (payload: ``iteration``, ``driving_theta``,
 #: ``theta_estimate``, ``n_samples``, ``n_likelihood_evaluations``,
 #: ``wall_time_seconds``, ``m_step_seconds``, ``m_step_surface_evals``,
-#: ``m_step_converged``, ``m_step_iterations``; joint runs add
-#: ``demography_params``).
+#: ``m_step_converged``, ``m_step_iterations``, ``acceptance_rate`` (the
+#: chain's accepted moves per decision) and ``cache_hit_rate`` (the
+#: iteration's share of interior-node lookups served by the engine's cache;
+#: 0.0 for engines without one); joint runs add ``demography_params``).
 EM_ITERATION_COMPLETED = "em.iteration_completed"
 #: A resumable checkpoint was durably written (payload: ``iteration``, ``path``).
 CHECKPOINT_WRITTEN = "checkpoint.written"

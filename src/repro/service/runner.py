@@ -41,10 +41,11 @@ crash.
 *Numerical* — an engine producing NaN/-inf
 (:class:`~repro.likelihood.engines.NumericalFaultError`): the worker
 degrades one step down the engine ladder
-(:data:`~repro.likelihood.engines.DEGRADATION_LADDER`, fused → cached →
-vectorized) and reruns; if the bottom of the ladder still faults, the job
-fails with the typed error (retrying cannot help — the draw sequence is
-deterministic).
+(:data:`~repro.likelihood.engines.DEGRADATION_LADDER`, fused → batched →
+vectorized; ``batched`` is bitwise equal to ``fused``, so a run degraded
+there commits the same report) and reruns; if the bottom of the ladder
+still faults, the job fails with the typed error (retrying cannot help —
+the draw sequence is deterministic).
 
 *Deterministic* — any other exception raised by experiment code: fails the
 job immediately.

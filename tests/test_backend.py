@@ -8,7 +8,7 @@ Three layers of guarantee:
 2. the numpy backend is a pure pass-through, so abstracted kernels on the
    default backend run the byte-identical numpy calls the pre-backend code
    ran;
-3. the golden fixed-seed chain regression: serial/cached/fused chains on
+3. the golden fixed-seed chain regression: serial/fused chains on
    the default backend reproduce the exact pre-refactor floats (values
    recorded from the pre-backend tree).
 """
@@ -38,7 +38,6 @@ from repro.core.config import SamplerConfig
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import VectorizedEngine
 from repro.likelihood.fused import FusedEngine
-from repro.likelihood.incremental import CachedEngine
 from repro.likelihood.mutation_models import Felsenstein81
 from repro.simulate.datasets import synthesize_dataset
 
@@ -153,14 +152,11 @@ class TestCLISurface:
 # tree (commit 2d7310d): the default numpy backend must reproduce every
 # float bit-for-bit.  (ll_first, ll_last, np.sum(lls), n_accepted.)
 #
-# The fused entry equals the cached entry exactly: since the stacked
-# readout reduces each tree's pattern weights through the same 1-D dot as
-# the scalar path (so batch composition cannot move a value's last bit —
-# the stacked cross-chain executor's contract), the fused engine's values
-# are bitwise those of the cached engine rather than one ulp off.
+# The fused readout reduces each tree's pattern weights through its own
+# 1-D dot, so batch composition cannot move a value's last bit (the
+# stacked cross-chain executor's contract).
 _GOLDEN = {
     "serial": (-322.3815795125959, -319.24835895850373, -6417.293081893069, 17),
-    "cached": (-322.38157951259603, -319.24835895850384, -6417.293081893071, 17),
     "fused": (-322.38157951259603, -319.24835895850384, -6417.293081893071, 17),
 }
 _GOLDEN_INTERVAL_SHA = "3514a90f828e383a916529a5c580ef51954abb569e0d6d7b6f70b39a18dea86e"
@@ -212,6 +208,5 @@ class TestTorchBackend:
         model = Felsenstein81(dataset.alignment.base_frequencies(pseudocount=1.0))
         tree = upgma_tree(dataset.alignment, 1.0)
         reference = VectorizedEngine(alignment=dataset.alignment, model=model).evaluate(tree)
-        for cls in (CachedEngine, FusedEngine):
-            engine = cls(alignment=dataset.alignment, model=model, backend="torch")
-            assert engine.evaluate(tree) == pytest.approx(reference, abs=1e-9)
+        engine = FusedEngine(alignment=dataset.alignment, model=model, backend="torch")
+        assert engine.evaluate(tree) == pytest.approx(reference, abs=1e-9)

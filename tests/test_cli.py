@@ -237,14 +237,14 @@ class TestInfoSubcommand:
         for name in ("gmh", "lamarc", "multichain", "heated", "bayesian"):
             assert name in out
         assert "batched" in out
-        assert "cached" in out
+        assert "fused" in out
         assert "F81" in out
 
     def test_json_output(self, capsys):
         assert main(["info", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["samplers"]) == {"bayesian", "gmh", "heated", "lamarc", "multichain"}
-        assert "cached" in payload["engines"]
+        assert "fused" in payload["engines"]
         assert "version" in payload
 
 

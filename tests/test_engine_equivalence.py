@@ -1,8 +1,8 @@
 """Cross-engine golden equivalence suite (satellite of ISSUEs 2 and 5).
 
 Every likelihood engine — serial scalar, site-vectorized, proposal-batched,
-the incremental cached engine, and the fused sparse-batched engine —
-implements the *same* function log P(D | G).  These tests pin that down over
+and the fused sparse engine over its partials arena — implements the *same*
+function log P(D | G).  These tests pin that down over
 random genealogies, random alignments, and every registered mutation model
 (golden seeds plus a hypothesis sweep), including the failure mode the
 caching engines are most at risk of: returning a stale partial after a long
@@ -25,13 +25,12 @@ from repro.likelihood.engines import (
     make_engine,
 )
 from repro.likelihood.fused import FusedEngine
-from repro.likelihood.incremental import CachedEngine
 from repro.likelihood.mutation_models import make_model
 from repro.proposals.neighborhood import NeighborhoodResimulator
 from repro.simulate.datasets import synthesize_dataset
 from repro.simulate.coalescent_sim import simulate_genealogy
 
-ENGINE_CLASSES = (SerialEngine, VectorizedEngine, BatchedEngine, CachedEngine, FusedEngine)
+ENGINE_CLASSES = (SerialEngine, VectorizedEngine, BatchedEngine, FusedEngine)
 MODEL_NAMES = ("F81", "JC69", "K80", "F84", "HKY85")
 
 # The engines differ only in floating-point accumulation order, so their
@@ -98,12 +97,12 @@ class TestGoldenEquivalence:
 
 
 class TestCacheStalenessRegression:
-    """The cached engine must stay exact through long perturbation histories."""
+    """The sparse engine's arena must stay exact through long perturbation histories."""
 
     def test_long_perturb_evaluate_sequence(self):
         dataset, (tree, *_ ) = _dataset_and_trees(seed=17, n_sequences=10, n_sites=90, n_trees=1)
         model = make_model("F81", dataset.alignment.base_frequencies(pseudocount=1.0))
-        cached = CachedEngine(alignment=dataset.alignment, model=model)
+        cached = FusedEngine(alignment=dataset.alignment, model=model)
         oracle = VectorizedEngine(alignment=dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         rng = np.random.default_rng(1234)
@@ -129,7 +128,7 @@ class TestCacheStalenessRegression:
         """Branch-length edits (no topology change) must invalidate the cache."""
         dataset, (tree, *_ ) = _dataset_and_trees(seed=3, n_sequences=6, n_sites=60, n_trees=1)
         model = make_model("F81", dataset.alignment.base_frequencies(pseudocount=1.0))
-        cached = CachedEngine(alignment=dataset.alignment, model=model)
+        cached = FusedEngine(alignment=dataset.alignment, model=model)
         oracle = VectorizedEngine(alignment=dataset.alignment, model=model)
         assert cached.evaluate(tree) == pytest.approx(oracle.evaluate(tree), rel=RTOL, abs=ATOL)
 
@@ -147,10 +146,10 @@ class TestCacheStalenessRegression:
         )
 
     def test_tiny_cache_still_exact(self):
-        """Heavy eviction (max_entries at the floor) degrades speed, never values."""
+        """Heavy clearing (max_entries at the floor) degrades speed, never values."""
         dataset, (tree, *_ ) = _dataset_and_trees(seed=8, n_sequences=8, n_sites=50, n_trees=1)
         model = make_model("F81", dataset.alignment.base_frequencies(pseudocount=1.0))
-        cached = CachedEngine(alignment=dataset.alignment, model=model, max_entries=16)
+        cached = FusedEngine(alignment=dataset.alignment, model=model, max_entries=16)
         oracle = VectorizedEngine(alignment=dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         rng = np.random.default_rng(9)
@@ -160,13 +159,16 @@ class TestCacheStalenessRegression:
             assert cached.evaluate(current) == pytest.approx(
                 oracle.evaluate(current), rel=RTOL, abs=ATOL
             )
-        assert cached.cache_size <= 16
+        # The cap is checked at batch start, so one batch of items may sit
+        # above it until the next batch clears the arena.
+        assert cached.cache_size <= 16 + tree.n_internal
 
-    def test_make_engine_builds_cached(self):
+    def test_make_engine_rejects_cached(self):
+        """The per-tree ``cached`` engine is gone; its name is an unknown engine."""
         dataset, _ = _dataset_and_trees(seed=2, n_trees=1)
         model = make_model("F81", dataset.alignment.base_frequencies(pseudocount=1.0))
-        assert isinstance(make_engine("cached", dataset.alignment, model), CachedEngine)
-        assert isinstance(make_engine("CACHED", dataset.alignment, model), CachedEngine)
+        with pytest.raises(ValueError, match="unknown engine 'cached'; choose from"):
+            make_engine("cached", dataset.alignment, model)
 
     def test_make_engine_builds_fused(self):
         dataset, _ = _dataset_and_trees(seed=2, n_trees=1)
@@ -185,7 +187,7 @@ BACKEND_TOLERANCES = {"numpy": 0.0, "torch": 1e-9}
 class TestCrossBackendEquivalence:
     """Every registered backend reproduces the default path's numbers."""
 
-    BACKEND_ENGINES = (VectorizedEngine, BatchedEngine, CachedEngine, FusedEngine)
+    BACKEND_ENGINES = (VectorizedEngine, BatchedEngine, FusedEngine)
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -215,7 +217,11 @@ class TestCrossBackendEquivalence:
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_proposal_stream_matches_default(self, instance, backend):
-        """The GMH-shaped prepare → sibling-batch hot path, per backend."""
+        """The GMH-shaped prepare → sibling-batch hot path, per backend.
+
+        Twelve sets exercise the arena's row reuse, scatter writes into arena
+        rows, and at least one regrowth on every backend.
+        """
         if not backend_available(backend):
             pytest.skip(f"backend {backend!r} library not installed")
         dataset, model, (tree, *_) = instance
@@ -225,11 +231,12 @@ class TestCrossBackendEquivalence:
         resim = NeighborhoodResimulator(1.0)
         rng = np.random.default_rng(23)
         current = tree
-        for _ in range(3):
+        for _ in range(12):
             target = resim.choose_target(current, rng)
             siblings = [resim.propose(current, target, rng).tree for _ in range(5)]
             default.prepare(current)
             under_test.prepare(current)
+            assert default.cache_size == under_test.cache_size == current.n_internal
             reference = default.evaluate_batch(siblings)
             values = under_test.evaluate_batch(siblings)
             if tolerance == 0.0:
@@ -266,11 +273,15 @@ class TestHypothesisEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_fused_matches_cached_through_proposal_streams(self, seed):
-        """A GMH-shaped prepare → sibling-batch stream agrees engine-for-engine."""
+        """A GMH-shaped prepare → sibling-batch stream agrees engine-for-engine.
+
+        ``cached`` is the per-tree walk: the same engine fed one tree at a
+        time through ``evaluate``, a batch of one.
+        """
         dataset, (tree, *_) = _dataset_and_trees(seed=seed, n_sequences=7, n_sites=60, n_trees=1)
         model = make_model("F81", dataset.alignment.base_frequencies(pseudocount=1.0))
         fused = FusedEngine(alignment=dataset.alignment, model=model)
-        cached = CachedEngine(alignment=dataset.alignment, model=model)
+        cached = FusedEngine(alignment=dataset.alignment, model=model)
         oracle = BatchedEngine(alignment=dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         rng = np.random.default_rng(seed)
@@ -281,10 +292,12 @@ class TestHypothesisEquivalence:
             fused.prepare(current)
             cached.prepare(current)
             values = fused.evaluate_batch(siblings)
-            assert np.allclose(values, cached.evaluate_batch(siblings), rtol=RTOL, atol=ATOL)
+            # Batch composition never moves a value's last bit.
+            assert np.array_equal(values, [cached.evaluate(t) for t in siblings])
             assert np.allclose(values, oracle.evaluate_batch(siblings), rtol=RTOL, atol=ATOL)
             current = siblings[int(rng.integers(len(siblings)))]
-        # Planning is shared with the cached engine, so the sparse work
+        # The stacked plan equals the per-tree walk, so the sparse work
         # accounting must match exactly.
         assert fused.n_nodes_pruned == cached.n_nodes_pruned
         assert fused.n_tree_site_products == cached.n_tree_site_products
+        assert fused.n_cache_hits == cached.n_cache_hits

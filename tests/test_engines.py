@@ -83,16 +83,16 @@ class TestFactory:
             make_sampler("gpu", engine_factory=lambda: None)
         # Both messages: unknown <kind> '<name>'; choose from a, b, c
         assert str(engine_err.value) == (
-            "unknown engine 'gpu'; choose from batched, cached, constant, fused, "
+            "unknown engine 'gpu'; choose from batched, constant, fused, "
             "serial, vectorized"
         )
         assert str(sampler_err.value).startswith("unknown sampler 'gpu'; choose from ")
         assert "[" not in str(engine_err.value)  # no raw list repr
 
-    def test_case_normalization_covers_cached(self, small_dataset, uniform_model):
-        from repro.likelihood.incremental import CachedEngine
+    def test_case_normalization_covers_fused(self, small_dataset, uniform_model):
+        from repro.likelihood.fused import FusedEngine
 
-        for name in ("cached", "Cached", "CACHED"):
+        for name in ("fused", "Fused", "FUSED"):
             assert isinstance(
-                make_engine(name, small_dataset.alignment, uniform_model), CachedEngine
+                make_engine(name, small_dataset.alignment, uniform_model), FusedEngine
             )

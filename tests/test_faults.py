@@ -320,9 +320,9 @@ class TestEngineHealth:
                 checked_loglik(-3.0, "Z")
 
     def test_ladder_shape(self):
-        assert DEGRADATION_LADDER["fused"] == "cached"
-        assert DEGRADATION_LADDER["cached"] == "vectorized"
+        assert DEGRADATION_LADDER["fused"] == "batched"
         assert DEGRADATION_LADDER["batched"] == "vectorized"
+        assert "cached" not in DEGRADATION_LADDER
         assert "vectorized" not in DEGRADATION_LADDER  # the ladder has a floor
 
 

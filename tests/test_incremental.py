@@ -1,9 +1,10 @@
-"""Tests for the incremental partial-likelihood caching engine (ISSUE 2 tentpole).
+"""Tests for incremental partial-likelihood caching.
 
 Covers the subtree-signature machinery exposed by :mod:`repro.genealogy.tree`,
-the :class:`~repro.likelihood.incremental.CachedEngine` cache behaviour and
-work counters, and the proposal-set reuse threaded through the GMH transition
-and the EM driver.
+the cache behaviour and work counters of the sparse
+:class:`~repro.likelihood.fused.FusedEngine` when it is fed one tree at a
+time (the per-tree cached walk), and the proposal-set reuse threaded through
+the GMH transition and the EM driver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.core.gmh import GeneralizedMetropolisHastings
 from repro.core.mpcgs import MPCGS
 from repro.genealogy.tree import SignatureInterner
 from repro.likelihood.engines import BatchedEngine
-from repro.likelihood.incremental import CachedEngine
+from repro.likelihood.fused import FusedEngine
 from repro.likelihood.mutation_models import Felsenstein81
 from repro.proposals.neighborhood import NeighborhoodResimulator
 from repro.simulate.coalescent_sim import simulate_genealogy
@@ -156,8 +157,10 @@ class TestSubtreeSignatures:
 
 
 class TestCachedEngineBehaviour:
+    """The engine's cache, driven one tree at a time through ``evaluate``."""
+
     def test_second_evaluation_is_all_hits(self, small_dataset, model, tree):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         engine.evaluate(tree)
         pruned_first = engine.n_nodes_pruned
         assert pruned_first == tree.n_internal
@@ -167,7 +170,7 @@ class TestCachedEngineBehaviour:
         assert np.isfinite(value)
 
     def test_sibling_proposals_reuse_shared_subtrees(self, small_dataset, model, tree, rng):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         engine.evaluate(tree)
         target = resim.choose_target(tree, rng)
@@ -181,7 +184,7 @@ class TestCachedEngineBehaviour:
     def test_strictly_fewer_site_products_than_batched_on_local_moves(
         self, small_dataset, model, tree, rng
     ):
-        cached = CachedEngine(alignment=small_dataset.alignment, model=model)
+        cached = FusedEngine(alignment=small_dataset.alignment, model=model)
         batched = BatchedEngine(alignment=small_dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         current = tree
@@ -196,7 +199,7 @@ class TestCachedEngineBehaviour:
         assert cached.n_evaluations == batched.n_evaluations
 
     def test_counters_monotone_and_reset(self, small_dataset, model, tree, rng):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         current = tree
         snapshots = []
@@ -220,7 +223,7 @@ class TestCachedEngineBehaviour:
         assert engine.n_nodes_pruned == 0
 
     def test_clear_cache_forces_full_recompute(self, small_dataset, model, tree):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         first = engine.evaluate(tree)
         engine.clear_cache()
         assert engine.cache_size == 0
@@ -229,7 +232,7 @@ class TestCachedEngineBehaviour:
         assert engine.n_nodes_pruned == 2 * tree.n_internal
 
     def test_hit_rate_and_cache_size_reporting(self, small_dataset, model, tree):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         assert engine.hit_rate == 0.0
         engine.evaluate(tree)
         engine.evaluate(tree)
@@ -237,17 +240,17 @@ class TestCachedEngineBehaviour:
         assert engine.cache_size == tree.n_internal
 
     def test_mismatched_tip_count_raises(self, small_dataset, model, rng):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         wrong = simulate_genealogy(5, 1.0, rng)
         with pytest.raises(ValueError, match="tip count"):
             engine.evaluate(wrong)
 
     def test_max_entries_validation(self, small_dataset, model):
         with pytest.raises(ValueError, match="max_entries"):
-            CachedEngine(alignment=small_dataset.alignment, model=model, max_entries=2)
+            FusedEngine(alignment=small_dataset.alignment, model=model, max_entries=2)
 
     def test_empty_batch(self, small_dataset, model):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         assert engine.evaluate_batch([]).size == 0
         assert engine.n_evaluations == 0
 
@@ -259,7 +262,7 @@ class TestCachedEngineBehaviour:
         tiny = Alignment.from_codes(
             small_dataset.alignment.names, small_dataset.alignment.codes[:, :10]
         )
-        engine = CachedEngine(alignment=tiny, model=model)
+        engine = FusedEngine(alignment=tiny, model=model)
         tree = simulate_genealogy(8, 1.0, rng, tip_names=tiny.names)
         resim = NeighborhoodResimulator(1.0)
         engine.evaluate(tree)
@@ -273,17 +276,17 @@ class TestCachedEngineBehaviour:
         assert engine.n_tree_site_products == pytest.approx(expected, abs=1.0)
 
     def test_default_cache_cap_derived_from_byte_budget(self, small_dataset, model, tree):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         assert engine.max_entries is None
         engine.evaluate(tree)  # _ensure_ready resolves the cap
         n_patterns = small_dataset.alignment.site_patterns()[0].shape[1]
-        expected = max(1024, CachedEngine.DEFAULT_CACHE_BYTES // (40 * n_patterns))
+        expected = max(1024, FusedEngine.DEFAULT_CACHE_BYTES // (40 * n_patterns))
         assert engine.max_entries == expected
 
 
 class TestProposalSetReuse:
     def test_gmh_prepare_warms_generator_partials(self, small_dataset, model, tree, rng):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         gmh = GeneralizedMetropolisHastings(
             engine=engine, resimulator=NeighborhoodResimulator(1.0), n_proposals=4
         )
@@ -299,7 +302,7 @@ class TestProposalSetReuse:
         assert engine.n_nodes_pruned == pruned
 
     def test_prepare_cuts_the_cache_to_the_generator(self, small_dataset, model, tree, rng):
-        engine = CachedEngine(alignment=small_dataset.alignment, model=model)
+        engine = FusedEngine(alignment=small_dataset.alignment, model=model)
         resim = NeighborhoodResimulator(1.0)
         engine.prepare(tree)
         assert engine.cache_size == tree.n_internal
@@ -321,11 +324,18 @@ class TestProposalSetReuse:
     ):
         """A GMH chain on the working-set cache prunes exactly the nodes, and
         visits exactly the states, of the same chain on a cache that never
-        drops anything — while holding a fraction of the entries."""
+        drops anything — while holding a fraction of the entries.  ``cached``
+        is the per-tree walk: the engine fed each proposal set one tree at a
+        time."""
         from repro.core.sampler import MultiProposalSampler
-        from repro.likelihood.engines import make_engine
 
-        class KeepEverything(type(make_engine(engine_cls, small_dataset.alignment, model))):
+        class PerTree(FusedEngine):
+            def evaluate_batch(self, trees):
+                return np.array([self.evaluate(tree) for tree in trees])
+
+        base = PerTree if engine_cls == "cached" else FusedEngine
+
+        class KeepEverything(base):
             def retain(self, trees):
                 pass
 
@@ -334,7 +344,7 @@ class TestProposalSetReuse:
             8, 1.0, np.random.default_rng(2), tip_names=small_dataset.alignment.names
         )
         engines, chains = [], []
-        for cls in (type(make_engine(engine_cls, small_dataset.alignment, model)), KeepEverything):
+        for cls in (base, KeepEverything):
             engine = cls(alignment=small_dataset.alignment, model=model)
             chains.append(
                 MultiProposalSampler(engine, 1.0, cfg).run(start, np.random.default_rng(9))
@@ -351,7 +361,6 @@ class TestProposalSetReuse:
     def test_single_proposal_samplers_keep_a_working_set(self, small_dataset, model, sampler):
         from repro.baselines.heated import HeatedChainSampler
         from repro.baselines.lamarc import LamarcSampler
-        from repro.likelihood.fused import FusedEngine
         from repro.parallel.stacked import StackedMultiChain
 
         cfg = SamplerConfig(n_proposals=1, n_samples=150, burn_in=10)
@@ -379,11 +388,11 @@ class TestProposalSetReuse:
         cfg = MPCGSConfig(
             sampler=SamplerConfig(n_proposals=4, n_samples=30, burn_in=10),
             n_em_iterations=2,
-            likelihood_engine="cached",
+            likelihood_engine="fused",
         )
         driver = MPCGS(small_dataset.alignment, cfg)
         factory = driver._engine_factory(share_cache=True)
-        assert factory() is factory()  # one shared cached engine
+        assert factory() is factory()  # one shared caching engine
         result = driver.run(1.0, np.random.default_rng(4))
         assert result.theta > 0
         # Per-iteration evaluation counts stay per-run despite the shared engine.
@@ -403,7 +412,7 @@ class TestProposalSetReuse:
         cfg = MPCGSConfig(
             sampler=SamplerConfig(n_proposals=1, n_samples=12, burn_in=4),
             n_em_iterations=1,
-            likelihood_engine="cached",
+            likelihood_engine="fused",
             sampler_name="multichain",
             sampler_options={"n_chains": 2},
         )

@@ -518,3 +518,28 @@ class TestMStepTelemetry:
                 ]
             )
         assert runs[0] == runs[1]
+
+
+class TestIterationTelemetry:
+    @pytest.mark.parametrize("demography", ["constant", "exponential"])
+    def test_iteration_events_carry_acceptance_and_cache_hit_rates(self, demography):
+        events = []
+        _em_run(demography, events)
+        done = [e.payload for e in events if e.kind == EM_ITERATION_COMPLETED]
+        assert done
+        for payload in done:
+            assert 0.0 <= payload["acceptance_rate"] <= 1.0
+            assert 0.0 < payload["cache_hit_rate"] <= 1.0  # the default engine caches
+
+    def test_engines_without_a_cache_report_a_zero_hit_rate(self):
+        dataset = synthesize_dataset(6, 60, true_theta=1.0, rng=np.random.default_rng(5))
+        cfg = MPCGSConfig(
+            sampler=SamplerConfig(n_proposals=4, n_samples=20, burn_in=5),
+            n_em_iterations=1,
+            likelihood_engine="batched",
+        )
+        events = []
+        MPCGS(dataset.alignment, cfg).run(0.5, np.random.default_rng(6), on_event=events.append)
+        (payload,) = [e.payload for e in events if e.kind == EM_ITERATION_COMPLETED]
+        assert payload["cache_hit_rate"] == 0.0
+        assert 0.0 < payload["acceptance_rate"] <= 1.0

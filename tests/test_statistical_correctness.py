@@ -1,12 +1,12 @@
-"""Statistical correctness of the incremental engines inside real samplers.
+"""Statistical correctness of the sparse engine inside real samplers.
 
-The incremental engines (ISSUE 2's ``CachedEngine``, ISSUE 5's
-``FusedEngine``) must be *invisible* statistically: driving the GMH chain
-and the EM driver with them has to reproduce the fixed-seed
-``BatchedEngine`` results bit-for-bit (identical proposal-set weights up to
-accumulation order → identical index draws → identical sampled genealogies →
-identical θ estimates), and the resulting chain has to look stationary to
-the formal diagnostics.
+The sparse ``FusedEngine`` — fed whole proposal sets, or one tree at a time
+(``PerTreeEngine``, the per-tree cached walk) — must be *invisible*
+statistically: driving the GMH chain and the EM driver with it has to
+reproduce the fixed-seed ``BatchedEngine`` results bit-for-bit (identical
+proposal-set weights up to accumulation order → identical index draws →
+identical sampled genealogies → identical θ estimates), and the resulting
+chain has to look stationary to the formal diagnostics.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.diagnostics.stationarity import geweke_z_score, heidelberger_welch
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import BatchedEngine
 from repro.likelihood.fused import FusedEngine
-from repro.likelihood.incremental import CachedEngine
 from repro.likelihood.mutation_models import Felsenstein81
 from repro.simulate.datasets import synthesize_dataset
 
@@ -35,31 +34,42 @@ def tiny_instance():
     return dataset, model
 
 
+class PerTreeEngine(FusedEngine):
+    """The per-tree cached walk: every batch evaluated as batches of one."""
+
+    def evaluate_batch(self, trees):
+        return np.array([self.evaluate(tree) for tree in trees])
+
+
 def _run_mpcgs(dataset, engine_name: str):
     config = MPCGSConfig(
         sampler=SamplerConfig(n_proposals=4, n_samples=60, burn_in=20),
         n_em_iterations=3,
-        likelihood_engine=engine_name,
+        likelihood_engine="fused" if engine_name == "cached" else engine_name,
     )
-    return MPCGS(dataset.alignment, config).run(0.5, np.random.default_rng(SEED))
+    driver = MPCGS(dataset.alignment, config)
+    if engine_name == "cached":
+        engine = PerTreeEngine(alignment=dataset.alignment, model=driver.model)
+        driver._engine_factory = lambda share_cache=False: lambda: engine
+    return driver.run(0.5, np.random.default_rng(SEED))
 
 
 class TestBitForBitReproduction:
     def test_mpcgs_estimate_is_bit_identical(self, tiny_instance):
         dataset, _ = tiny_instance
         batched = _run_mpcgs(dataset, "batched")
-        cached = _run_mpcgs(dataset, "cached")
+        fused = _run_mpcgs(dataset, "fused")
         # Not approx: the chains visit identical states, so the estimates
         # must match to the last bit.
-        assert cached.theta == batched.theta
-        assert np.array_equal(cached.theta_trajectory, batched.theta_trajectory)
-        assert len(cached.iterations) == len(batched.iterations)
-        for a, b in zip(cached.iterations, batched.iterations):
+        assert fused.theta == batched.theta
+        assert np.array_equal(fused.theta_trajectory, batched.theta_trajectory)
+        assert len(fused.iterations) == len(batched.iterations)
+        for a, b in zip(fused.iterations, batched.iterations):
             assert np.array_equal(a.chain.interval_matrix, b.chain.interval_matrix)
             assert a.chain.n_accepted == b.chain.n_accepted
 
     def test_mpcgs_fused_estimate_is_bit_identical_to_cached(self, tiny_instance):
-        """The ISSUE 5 regression: fused vs cached MPCGS, bit for bit."""
+        """Stacked proposal sets vs the per-tree cached walk, MPCGS bit for bit."""
         dataset, _ = tiny_instance
         cached = _run_mpcgs(dataset, "cached")
         fused = _run_mpcgs(dataset, "fused")
@@ -78,7 +88,7 @@ class TestBitForBitReproduction:
         results = {}
         for name, engine_cls in (
             ("batched", BatchedEngine),
-            ("cached", CachedEngine),
+            ("cached", PerTreeEngine),
             ("fused", FusedEngine),
         ):
             engine = engine_cls(alignment=dataset.alignment, model=model)
@@ -113,7 +123,7 @@ class TestStationarity:
 
     def _run(self, tiny_instance, *, batch_proposals: bool, seed: int):
         dataset, model = tiny_instance
-        engine = CachedEngine(alignment=dataset.alignment, model=model)
+        engine = FusedEngine(alignment=dataset.alignment, model=model)
         cfg = SamplerConfig(
             n_proposals=6, n_samples=200, burn_in=100, batch_proposals=batch_proposals
         )

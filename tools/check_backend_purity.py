@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: backend-abstracted kernel modules must not call numpy directly.
 
-The five hot-path modules behind the ``ArrayBackend`` protocol do all of
+The four hot-path modules behind the ``ArrayBackend`` protocol do all of
 their math through a backend handle — either the explicit host handle
 ``B`` (= the shared ``NUMPY`` instance, for planning work that must stay on
 the host) or the engine-selected ``xp`` (for device math).  A bare
@@ -28,7 +28,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ABSTRACTED_MODULES = (
     "src/repro/likelihood/felsenstein.py",
     "src/repro/likelihood/fused.py",
-    "src/repro/likelihood/incremental.py",
     "src/repro/likelihood/logspace.py",
     "src/repro/likelihood/mutation_models.py",
 )
