@@ -48,7 +48,6 @@ from .core.registry import (
     available_samplers,
     make_sampler,
     register_sampler,
-    sampler_factory,
 )
 from .demography import (
     BottleneckDemography,
@@ -117,7 +116,6 @@ __all__ = [
     "Sampler",
     "make_sampler",
     "register_sampler",
-    "sampler_factory",
     "available_samplers",
     "available_engines",
     "available_models",

@@ -35,8 +35,6 @@ from .lamarc import LamarcSampler
 __all__ = [
     "MultiChainSampler",
     "WorkerCrashError",
-    "multichain_parallel_time",
-    "gmh_parallel_time",
     "AmdahlModel",
     "shutdown_worker_pools",
 ]
@@ -126,20 +124,6 @@ def shutdown_worker_pools() -> None:
 
 
 atexit.register(shutdown_worker_pools)
-
-
-def multichain_parallel_time(burn_in: float, total_samples: float, n_processors: int) -> float:
-    """Idealized per-processor step count ``B + N/P`` for P independent chains (Eq. 27)."""
-    if n_processors < 1:
-        raise ValueError("n_processors must be positive")
-    return burn_in + total_samples / n_processors
-
-
-def gmh_parallel_time(burn_in: float, total_samples: float, n_processors: int) -> float:
-    """Idealized per-processor step count ``(B + N)/P`` when burn-in parallelizes too."""
-    if n_processors < 1:
-        raise ValueError("n_processors must be positive")
-    return (burn_in + total_samples) / n_processors
 
 
 @dataclass(frozen=True)
@@ -339,10 +323,8 @@ class MultiChainSampler:
             total_time += result.wall_time_seconds
 
         n_proc = self.n_chains
-        ideal_parallel = multichain_parallel_time(
-            burn_in=self.config.burn_in,
-            total_samples=self.config.n_samples,
-            n_processors=n_proc,
+        ideal_parallel = float(
+            AmdahlModel(self.config.burn_in, self.config.n_samples).multichain_steps(n_proc)
         )
         return ChainResult(
             trace=pooled,

@@ -97,6 +97,11 @@ class ThetaEstimate:
     n_iterations: int
     converged: bool
 
+    @property
+    def params(self) -> tuple[float, ...]:
+        """The θ-only estimate's demography parameters: none."""
+        return ()
+
 
 def maximize_theta(
     likelihood: RelativeLikelihood | PooledThetaLikelihood,

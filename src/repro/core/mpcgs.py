@@ -11,11 +11,16 @@ does:
    adopt the maximizer as the next driving value,
 4. return the final θ estimate together with the per-iteration history.
 
+One loop serves every demography.  Under a model with free parameters the
+chain is driven by (θ, params) and the Maximization stage ascends the joint
+(θ, params) surface; a parameter-free demography (the constant-size model)
+keeps the paper's θ-only M-step (Algorithm 2).
+
 The same driver can run any registered sampler in place of the
 multi-proposal chain — set ``n_proposals=1`` for the single-proposal
-reduction, name a sampler in the config (``MPCGSConfig(sampler="lamarc")``),
-or pass an explicit ``sampler_factory`` to :meth:`MPCGS.run` — which is how
-the accuracy comparison of Table 1 puts both samplers on identical footing.
+reduction, or name a sampler in the config (``MPCGSConfig(sampler="lamarc")``)
+— which is how the accuracy comparison of Table 1 puts both samplers on
+identical footing.
 """
 
 from __future__ import annotations
@@ -56,10 +61,7 @@ from .estimator import (
     maximize_demography,
     maximize_theta,
 )
-from .registry import Sampler, make_sampler, require_demography_support
-from .registry import sampler_factory as registry_sampler_factory
-
-SamplerFactory = Callable[[Callable[[], LikelihoodEngine], float], Sampler]
+from .registry import make_sampler, require_demography_support
 
 
 def _interior_topological_order(tree: Genealogy) -> list[int]:
@@ -119,6 +121,23 @@ def _mixing_and_reuse(chain, sampler, counts_before: tuple[int, int]) -> dict[st
     }
 
 
+def _settled(
+    estimate: ThetaEstimate | DemographyEstimate,
+    theta: float,
+    demography: Demography,
+    tol: float,
+) -> bool:
+    """Whether an M-step moved θ and every parameter of ``demography`` by less than ``tol``.
+
+    Each move is measured relative to its new value, floored at 1.  A
+    parameter-free demography has no parameters, so only θ is tested.
+    """
+    return abs(estimate.theta - theta) < tol * max(estimate.theta, 1.0) and all(
+        abs(new - old) < tol * max(abs(new), 1.0)
+        for new, old in zip(estimate.params, demography.param_values())
+    )
+
+
 def _uses_single_engine(cfg: MPCGSConfig) -> bool:
     """Whether this config's sampler holds exactly one engine per run.
 
@@ -161,7 +180,6 @@ __all__ = [
     "EMIteration",
     "MPCGSResult",
     "MultiLocusResult",
-    "SamplerFactory",
     "run_multilocus",
 ]
 
@@ -359,13 +377,22 @@ class MPCGS:
         rng: np.random.Generator,
         *,
         initial_tree: Genealogy | None = None,
-        sampler_factory: SamplerFactory | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 1,
         on_event: Callable[[Event], None] | None = None,
         resume_from: str | Path | EMCheckpoint | None = None,
     ) -> MPCGSResult:
         """Estimate θ from the alignment starting from the driving value ``theta0``.
+
+        Every iteration builds the config's sampler at the driving point
+        (:meth:`demography_iteration_sampler`), runs it, maximizes the
+        relative likelihood of its samples and adopts the maximizer.  Under
+        a demography with free parameters the chain targets the posterior
+        under the prior P(G | θ, params), the M-step maximizes the joint
+        (θ, params) surface, and the checkpoint also carries the driving
+        demography.  A parameter-free demography (the constant-size model)
+        keeps the θ-only M-step, and its result, events and checkpoints carry
+        no demography.
 
         Parameters
         ----------
@@ -377,13 +404,6 @@ class MPCGS:
             NumPy random generator for the whole run.
         initial_tree:
             Optional starting genealogy; defaults to the UPGMA tree.
-        sampler_factory:
-            Explicit ``(engine_factory, theta) -> Sampler`` used to build
-            each EM iteration's chain.  Defaults to the registry builder for
-            ``config.sampler_name`` (the multi-proposal GMH sampler unless
-            the config names another one);
-            :func:`repro.core.registry.sampler_factory` constructs suitable
-            factories for any registered sampler.
         checkpoint_path:
             When set, an :class:`~repro.service.checkpoint.EMCheckpoint` is
             written (atomically) here after every ``checkpoint_every``-th EM
@@ -405,161 +425,17 @@ class MPCGS:
         """
         if theta0 <= 0:
             raise ValueError("theta0 must be positive")
-        cfg = self.config
-        demography = cfg.demography_model()
-        if demography.param_specs:
-            # Any demography with free parameters runs the joint EM loop; a
-            # parameter-free demography is the constant-size model, whose
-            # θ-only loop below stays bit-identical to the paper's driver.
-            return self._run_demography(
-                theta0,
-                rng,
-                demography,
-                initial_tree=initial_tree,
-                sampler_factory=sampler_factory,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                on_event=on_event,
-                resume_from=resume_from,
-            )
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        cfg = self.config
+        require_demography_support(cfg)
+        demography = cfg.demography_model()
+        joint = bool(demography.param_specs)
         # Cache sharing is safe only for samplers known to hold a single
         # engine.  Everything else — the process-mode multi-chain baseline
         # (which must pay and count every chain's full pruning work
-        # independently), custom registered samplers whose engine discipline
-        # is unknown, and explicit sampler_factory callers — gets fresh
-        # engines per call.
-        share_cache = sampler_factory is None and _uses_single_engine(cfg)
-        if sampler_factory is None:
-            sampler_factory = registry_sampler_factory(
-                cfg.sampler_name, cfg.sampler, **cfg.sampler_options
-            )
-        engine_factory = self._engine_factory(share_cache=share_cache)
-        run_key = (
-            self.run_key(theta0)
-            if checkpoint_path is not None or resume_from is not None
-            else ""
-        )
-        theta = float(theta0)
-        result = MPCGSResult(theta=theta)
-        start_iteration = 0
-        if resume_from is not None:
-            checkpoint = self._resolve_checkpoint(resume_from, run_key)
-            start_iteration = checkpoint.completed_iterations
-            theta = float(checkpoint.theta)
-            result.theta = theta
-            result.iterations = list(checkpoint.iterations)
-            tree = checkpoint.tree.copy()
-            rng.bit_generator.state = checkpoint.rng_state
-            if checkpoint.converged:
-                return result
-        else:
-            tree = initial_tree if initial_tree is not None else self.initial_tree(theta)
-
-        for iteration in range(start_iteration, cfg.n_em_iterations):
-            sampler = sampler_factory(engine_factory, theta)
-            counts = _cache_counts(sampler)
-            chain = sampler.run(tree, rng)
-
-            likelihood = RelativeLikelihood(chain.interval_matrix, driving_theta=theta)
-            m_step_start = time.perf_counter()
-            estimate = maximize_theta(likelihood, theta, cfg.estimator)
-            m_step_seconds = time.perf_counter() - m_step_start
-
-            result.iterations.append(
-                EMIteration(
-                    iteration=iteration,
-                    driving_theta=theta,
-                    estimate=estimate,
-                    chain=chain,
-                )
-            )
-
-            new_theta = estimate.theta
-            moved = abs(new_theta - theta)
-            driving_theta = theta
-            theta = new_theta
-            result.theta = theta
-            # Carry the last sampled genealogy forward as the next seed, so
-            # successive EM iterations do not restart from the UPGMA tree.
-            tree = self._reseed_tree(tree, chain)
-            converged = moved < cfg.theta_convergence_tol * max(theta, 1.0)
-            completed = iteration + 1
-            self._emit(
-                on_event,
-                EM_ITERATION_COMPLETED,
-                iteration=iteration,
-                driving_theta=driving_theta,
-                theta_estimate=theta,
-                converged=converged,
-                n_samples=chain.n_samples,
-                n_likelihood_evaluations=chain.n_likelihood_evaluations,
-                wall_time_seconds=chain.wall_time_seconds,
-                m_step_seconds=m_step_seconds,
-                m_step_surface_evals=likelihood.n_evaluations,
-                m_step_converged=estimate.converged,
-                m_step_iterations=estimate.n_iterations,
-                **_mixing_and_reuse(chain, sampler, counts),
-            )
-            if checkpoint_path is not None and (
-                converged
-                or completed % checkpoint_every == 0
-                or completed == cfg.n_em_iterations
-            ):
-                self._write_checkpoint(
-                    checkpoint_path,
-                    on_event,
-                    run_key=run_key,
-                    completed=completed,
-                    theta=theta,
-                    demography=None,
-                    tree=tree,
-                    rng=rng,
-                    iterations=result.iterations,
-                    share_cache=share_cache,
-                    converged=converged,
-                )
-            if converged:
-                break
-
-        return result
-
-    def _run_demography(
-        self,
-        theta0: float,
-        rng: np.random.Generator,
-        demography: Demography,
-        *,
-        initial_tree: Genealogy | None,
-        sampler_factory: SamplerFactory | None,
-        checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 1,
-        on_event: Callable[[Event], None] | None = None,
-        resume_from: str | Path | EMCheckpoint | None = None,
-    ) -> MPCGSResult:
-        """The joint (θ, demography-parameters) EM loop.
-
-        Same program flow as the constant-θ loop, with both stages widened:
-        the Expectation stage's chain targets the posterior under the
-        demography prior P(G | θ, params) at the current driving point
-        (demography-conditional proposal kernel by default), and the
-        Maximization stage maximizes the (θ, params) relative-likelihood
-        surface and adopts all maximizers as the next driving values.
-        Checkpointing and event streaming mirror :meth:`run`; the checkpoint
-        additionally carries the driving demography (a plain dataclass, so
-        it pickles alongside the tree).
-        """
-        cfg = self.config
-        if sampler_factory is not None:
-            raise ValueError(
-                "a non-constant demography drives the sampler with (theta, "
-                "demography params); an explicit sampler_factory only rebinds "
-                "theta — select a demography-capable sampler via the config instead"
-            )
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
-        require_demography_support(cfg)
+        # independently) and custom registered samplers whose engine
+        # discipline is unknown — gets fresh engines per call.
         share_cache = _uses_single_engine(cfg)
         engine_factory = self._engine_factory(share_cache=share_cache)
         run_key = (
@@ -568,23 +444,19 @@ class MPCGS:
             else ""
         )
         theta = float(theta0)
-        result = MPCGSResult(theta=theta, demography=demography.name)
-        result.demography_params = demography.params
-        result.growth = demography.params.get("growth")
+        iterations: list[EMIteration] = []
         start_iteration = 0
         if resume_from is not None:
             checkpoint = self._resolve_checkpoint(resume_from, run_key)
             start_iteration = checkpoint.completed_iterations
             theta = float(checkpoint.theta)
-            demography = checkpoint.demography
-            result.theta = theta
-            result.demography_params = demography.params
-            result.growth = demography.params.get("growth")
-            result.iterations = list(checkpoint.iterations)
+            if joint:
+                demography = checkpoint.demography
+            iterations = list(checkpoint.iterations)
             tree = checkpoint.tree.copy()
             rng.bit_generator.state = checkpoint.rng_state
             if checkpoint.converged:
-                return result
+                return self._result(theta, demography, iterations)
         else:
             tree = initial_tree if initial_tree is not None else self.initial_tree(theta)
 
@@ -593,38 +465,37 @@ class MPCGS:
             counts = _cache_counts(sampler)
             chain = sampler.run(tree, rng)
 
-            likelihood = DemographyRelativeLikelihood(
-                chain.interval_matrix, demography, driving_theta=theta
-            )
-            m_step_start = time.perf_counter()
-            estimate = maximize_demography(likelihood, theta, demography, cfg.estimator)
+            if joint:
+                likelihood = DemographyRelativeLikelihood(
+                    chain.interval_matrix, demography, driving_theta=theta
+                )
+                m_step_start = time.perf_counter()
+                estimate = maximize_demography(likelihood, theta, demography, cfg.estimator)
+            else:
+                # The paper's θ-only gradient ascent (Algorithm 2).
+                likelihood = RelativeLikelihood(chain.interval_matrix, driving_theta=theta)
+                m_step_start = time.perf_counter()
+                estimate = maximize_theta(likelihood, theta, cfg.estimator)
             m_step_seconds = time.perf_counter() - m_step_start
 
-            result.iterations.append(
+            iterations.append(
                 EMIteration(
                     iteration=iteration,
                     driving_theta=theta,
                     estimate=estimate,
                     chain=chain,
                     driving_growth=demography.params.get("growth", 0.0),
-                    driving_params=demography.params,
+                    driving_params=demography.params if joint else None,
                 )
             )
 
-            tol = cfg.theta_convergence_tol
-            theta_settled = abs(estimate.theta - theta) < tol * max(estimate.theta, 1.0)
-            params_settled = all(
-                abs(new - old) < tol * max(abs(new), 1.0)
-                for new, old in zip(estimate.params, demography.param_values())
-            )
+            converged = _settled(estimate, theta, demography, cfg.theta_convergence_tol)
             driving_theta = theta
             theta = estimate.theta
             demography = demography.with_param_values(estimate.params)
-            result.theta = theta
-            result.demography_params = demography.params
-            result.growth = demography.params.get("growth")
+            # Carry the last sampled genealogy forward as the next seed, so
+            # successive EM iterations do not restart from the UPGMA tree.
             tree = self._reseed_tree(tree, chain)
-            converged = theta_settled and params_settled
             completed = iteration + 1
             self._emit(
                 on_event,
@@ -632,7 +503,7 @@ class MPCGS:
                 iteration=iteration,
                 driving_theta=driving_theta,
                 theta_estimate=theta,
-                demography_params=dict(demography.params),
+                **({"demography_params": dict(demography.params)} if joint else {}),
                 converged=converged,
                 n_samples=chain.n_samples,
                 n_likelihood_evaluations=chain.n_likelihood_evaluations,
@@ -654,17 +525,32 @@ class MPCGS:
                     run_key=run_key,
                     completed=completed,
                     theta=theta,
-                    demography=demography,
+                    demography=demography if joint else None,
                     tree=tree,
                     rng=rng,
-                    iterations=result.iterations,
+                    iterations=iterations,
                     share_cache=share_cache,
                     converged=converged,
                 )
             if converged:
                 break
 
-        return result
+        return self._result(theta, demography, iterations)
+
+    @staticmethod
+    def _result(
+        theta: float, demography: Demography, iterations: list[EMIteration]
+    ) -> MPCGSResult:
+        """The run's result; a parameter-free demography leaves its fields ``None``."""
+        if not demography.param_specs:
+            return MPCGSResult(theta=theta, iterations=iterations)
+        return MPCGSResult(
+            theta=theta,
+            iterations=iterations,
+            growth=demography.params.get("growth"),
+            demography=demography.name,
+            demography_params=demography.params,
+        )
 
     def demography_iteration_sampler(
         self, theta: float, demography: Demography, engine_factory=None
@@ -825,18 +711,13 @@ def run_multilocus(
         estimate = maximize_demography(
             CombinedDemographyLikelihood(components), theta, demography, config.estimator
         )
-        tol = config.theta_convergence_tol
-        theta_settled = abs(estimate.theta - theta) < tol * max(estimate.theta, 1.0)
-        params_settled = all(
-            abs(new - old) < tol * max(abs(new), 1.0)
-            for new, old in zip(estimate.params, demography.param_values())
-        )
+        converged = _settled(estimate, theta, demography, config.theta_convergence_tol)
         theta = estimate.theta
         demography = demography.with_param_values(estimate.params)
         result.theta = theta
         result.params = demography.params
         result.trajectory.append((theta, *estimate.params))
-        if theta_settled and params_settled:
+        if converged:
             break
 
     return result

@@ -75,7 +75,6 @@ __all__ = [
     "BayesianSamplerAdapter",
     "make_sampler",
     "register_sampler",
-    "sampler_factory",
     "make_engine",
     "make_model",
     "available_samplers",
@@ -315,25 +314,6 @@ def make_sampler(
         def engine_factory() -> LikelihoodEngine:  # noqa: F811 - deliberate rebind
             return engine
     return SAMPLERS.create(name, engine_factory, theta, config, **options)
-
-
-def sampler_factory(
-    name: str, config: SamplerConfig | None = None, **options
-) -> Callable[[EngineFactory, float], Sampler]:
-    """A deferred-construction handle for drivers that re-bind θ per iteration.
-
-    The EM driver (:class:`~repro.core.mpcgs.MPCGS`) builds a fresh engine
-    and sampler at every iteration's current driving θ; this returns the
-    ``(engine_factory, theta) -> Sampler`` callable it consumes.
-    """
-    SAMPLERS.get(name)  # fail fast on unknown names
-
-    def factory(engine_factory: EngineFactory, theta: float) -> Sampler:
-        return make_sampler(
-            name, engine_factory=engine_factory, theta=theta, config=config, **options
-        )
-
-    return factory
 
 
 # ---------------------------------------------------------------------------

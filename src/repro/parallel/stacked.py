@@ -195,7 +195,7 @@ class StackedMultiChain:
             total_steps += st.n_steps
             total_accepted += st.n_accepted
 
-        from ..baselines.multichain import multichain_parallel_time
+        from ..baselines.multichain import AmdahlModel
 
         extras = {
             "n_chains": self.n_chains,
@@ -203,10 +203,8 @@ class StackedMultiChain:
             "per_chain_steps": per_chain_steps,
             "per_chain_samples": quotas,
             "chain_boundaries": boundaries,
-            "ideal_parallel_steps": multichain_parallel_time(
-                burn_in=cfg.burn_in,
-                total_samples=cfg.n_samples,
-                n_processors=self.n_chains,
+            "ideal_parallel_steps": float(
+                AmdahlModel(cfg.burn_in, cfg.n_samples).multichain_steps(self.n_chains)
             ),
             "serial_steps_equivalent": cfg.burn_in + cfg.n_samples,
             "parallel_wall_seconds": wall,

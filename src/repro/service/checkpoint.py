@@ -73,7 +73,8 @@ class EMCheckpoint:
         The driving θ for the *next* iteration.
     demography:
         The driving :class:`~repro.demography.base.Demography` for the next
-        iteration (``None`` for the constant θ-only loop).
+        iteration (``None`` for a parameter-free demography, which has no
+        parameters to carry).
     tree:
         The carried-forward seed :class:`~repro.genealogy.tree.Genealogy`.
     rng_state:

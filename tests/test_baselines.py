@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.lamarc import LamarcSampler
-from repro.baselines.multichain import (
-    AmdahlModel,
-    MultiChainSampler,
-    gmh_parallel_time,
-    multichain_parallel_time,
-)
+from repro.baselines.multichain import AmdahlModel, MultiChainSampler
 from repro.core.config import SamplerConfig
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import VectorizedEngine
@@ -370,24 +365,28 @@ class TestStackedMultiChain:
 
 
 class TestStepCountHelpers:
+    """Per-processor step counts of one (B, N) = (100, 1000) model."""
+
+    model = AmdahlModel(burn_in=100, n_samples=1000)
+
     def test_multichain_steps(self):
-        assert multichain_parallel_time(100, 1000, 1) == 1100
-        assert multichain_parallel_time(100, 1000, 10) == 200
-        assert multichain_parallel_time(100, 1000, 10**6) == pytest.approx(100, rel=1e-2)
+        assert self.model.multichain_steps(1) == 1100
+        assert self.model.multichain_steps(10) == 200
+        assert self.model.multichain_steps(10**6) == pytest.approx(100, rel=1e-2)
 
     def test_gmh_steps(self):
-        assert gmh_parallel_time(100, 1000, 1) == 1100
-        assert gmh_parallel_time(100, 1000, 10) == 110
+        assert self.model.gmh_steps(1) == 1100
+        assert self.model.gmh_steps(10) == 110
 
     def test_gmh_scales_better_than_multichain(self):
         for p in (2, 8, 64, 512):
-            assert gmh_parallel_time(100, 1000, p) < multichain_parallel_time(100, 1000, p)
+            assert self.model.gmh_steps(p) < self.model.multichain_steps(p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            multichain_parallel_time(10, 10, 0)
+            AmdahlModel(burn_in=10, n_samples=10).multichain_steps(0)
         with pytest.raises(ValueError):
-            gmh_parallel_time(10, 10, 0)
+            AmdahlModel(burn_in=10, n_samples=10).gmh_steps(0)
 
 
 class TestAmdahlModel:

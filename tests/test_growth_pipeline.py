@@ -270,16 +270,6 @@ class TestGrowthEMDriver:
         for sampler in ("lamarc", "heated"):
             require_demography_support(growth_config(sampler_name=sampler))
 
-    def test_growth_rejects_explicit_sampler_factory(self):
-        alignment = growth_dataset(n_tips=6, n_sites=80)
-        driver = MPCGS(alignment, growth_config())
-        with pytest.raises(ValueError, match="sampler_factory"):
-            driver.run(
-                theta0=0.5,
-                rng=np.random.default_rng(1),
-                sampler_factory=lambda ef, theta: None,
-            )
-
     def test_constant_run_has_no_growth(self, small_dataset, rng):
         config = MPCGSConfig(
             sampler=SamplerConfig(n_proposals=4, n_samples=30, burn_in=10),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,26 +88,28 @@ class TestDriver:
 
 
 class TestSamplerFactory:
-    """The driver honors an explicit sampler factory (and the config's sampler name)."""
+    """The driver builds the sampler the config names, once per EM iteration."""
 
     def test_explicit_sampler_factory_is_used(self, small_dataset, quick_config, rng):
         from repro.baselines.lamarc import LamarcSampler
-        from repro.core.registry import sampler_factory
 
+        config = replace(quick_config, sampler_name="lamarc")
+        driver = MPCGS(small_dataset.alignment, config)
         built = []
+        build = driver.demography_iteration_sampler
 
-        def factory(engine_factory, theta):
-            sampler = sampler_factory("lamarc", quick_config.sampler)(engine_factory, theta)
+        def recording_build(*args, **kwargs):
+            sampler = build(*args, **kwargs)
             built.append(sampler)
             return sampler
 
-        result = MPCGS(small_dataset.alignment, quick_config).run(
-            theta0=0.5, rng=rng, sampler_factory=factory
-        )
+        driver.demography_iteration_sampler = recording_build
+        result = driver.run(theta0=0.5, rng=rng)
         assert result.theta > 0
         assert built and all(isinstance(s, LamarcSampler) for s in built)
         # Each EM iteration builds a fresh sampler at the current driving theta.
         assert len(built) == len(result.iterations)
+        assert [s.theta for s in built] == [it.driving_theta for it in result.iterations]
         assert built[0].theta == 0.5
 
     def test_config_sampler_name_selects_the_chain(self, small_dataset, rng):
@@ -188,16 +192,3 @@ class TestSamplerFactory:
         new_order = np.argsort(reseeded.times[tree.n_tips :], kind="stable")
         assert np.array_equal(old_order, new_order)
         assert reseeded.times[tree.n_tips :].max() == pytest.approx(intervals.sum())
-
-    def test_default_factory_matches_hardcoded_gmh(self, small_dataset, quick_config):
-        from repro.core.registry import sampler_factory
-
-        explicit = MPCGS(small_dataset.alignment, quick_config).run(
-            theta0=0.5,
-            rng=np.random.default_rng(5),
-            sampler_factory=sampler_factory("gmh", quick_config.sampler),
-        )
-        default = MPCGS(small_dataset.alignment, quick_config).run(
-            theta0=0.5, rng=np.random.default_rng(5)
-        )
-        assert explicit.theta == default.theta

@@ -47,6 +47,7 @@ from repro.likelihood.demography_prior import (
 )
 from repro.likelihood.growth_prior import _growth_integral, batched_log_growth_prior
 from repro.likelihood.logspace import LOG_ZERO, log_mean
+from repro.service.checkpoint import load_checkpoint
 from repro.service.events import EM_ITERATION_COMPLETED
 from repro.simulate.datasets import synthesize_dataset
 from repro.simulate.demography_sim import simulate_demography_intervals
@@ -470,13 +471,16 @@ class TestProfileMStep:
 # θ/params trajectories of the profile-likelihood M-step (θ̂(params) solved
 # exactly, Newton steps in the parameters): SHA-256 of the float64 rows
 # (driving θ, *driving params) per EM iteration plus the final (θ, *params).
+# The parameter-free constant model's rows are θ alone, from the θ-only
+# M-step (Algorithm 2); its pin guards that path of the shared EM loop.
 _EM_GOLDEN = {
+    "constant": "6c14032f2276636607f2ec894771e75c2ecd447b528175bcb3f7cad5523ccb78",
     "exponential": "eb9cdd5894fa515dfeb96379d7522a1c55215d17a887fb46d198eab905e7b7ba",
     "bottleneck": "d84304cf10b2ce37757a8aaf029b348b6298ec03536fc946ef14c156de3835a2",
 }
 
 
-def _em_run(demography: str, events=None):
+def _em_run(demography: str, events=None, checkpoint_path=None):
     dataset = synthesize_dataset(8, 100, true_theta=1.0, rng=np.random.default_rng(41))
     cfg = MPCGSConfig(
         sampler=SamplerConfig(n_proposals=4, n_samples=60, burn_in=10),
@@ -484,29 +488,56 @@ def _em_run(demography: str, events=None):
         demography=demography,
     )
     on_event = events.append if events is not None else None
-    return MPCGS(dataset.alignment, cfg).run(0.5, np.random.default_rng(43), on_event=on_event)
+    return MPCGS(dataset.alignment, cfg).run(
+        0.5, np.random.default_rng(43), on_event=on_event, checkpoint_path=checkpoint_path
+    )
 
 
 class TestDemographyEMGolden:
     @pytest.mark.parametrize("demography", sorted(_EM_GOLDEN))
     def test_fixed_seed_trajectory_is_bit_identical(self, demography):
         result = _em_run(demography)
-        rows = [[it.driving_theta, *it.driving_params.values()] for it in result.iterations]
-        rows.append([result.theta, *result.demography_params.values()])
+        rows = [
+            [it.driving_theta, *(it.driving_params or {}).values()] for it in result.iterations
+        ]
+        rows.append([result.theta, *(result.demography_params or {}).values()])
         digest = hashlib.sha256(np.asarray(rows, dtype=float).tobytes()).hexdigest()
         assert digest == _EM_GOLDEN[demography]
 
 
+_ITERATION_PAYLOAD_KEYS = {
+    "iteration",
+    "driving_theta",
+    "theta_estimate",
+    "converged",
+    "n_samples",
+    "n_likelihood_evaluations",
+    "wall_time_seconds",
+    "m_step_seconds",
+    "m_step_surface_evals",
+    "m_step_converged",
+    "m_step_iterations",
+    "acceptance_rate",
+    "cache_hit_rate",
+}
+
+
 class TestMStepTelemetry:
-    @pytest.mark.parametrize("demography", ["constant", "exponential"])
-    def test_iteration_events_carry_deterministic_m_step_counts(self, demography):
+    @pytest.mark.parametrize("demography", ["constant", "exponential", "bottleneck"])
+    def test_iteration_events_carry_deterministic_m_step_counts(self, demography, tmp_path):
+        # Only a joint run reports its demography parameters, in events and
+        # in checkpoints alike.
+        joint = demography != "constant"
+        expected_keys = _ITERATION_PAYLOAD_KEYS | ({"demography_params"} if joint else set())
+        checkpoint_path = tmp_path / "em.ckpt"
         runs = []
-        for _ in range(2):
+        for checkpoint in (None, checkpoint_path):
             events = []
-            _em_run(demography, events)
+            _em_run(demography, events, checkpoint_path=checkpoint)
             done = [e.payload for e in events if e.kind == EM_ITERATION_COMPLETED]
             assert done
             for payload in done:
+                assert set(payload) == expected_keys
                 assert payload["m_step_seconds"] >= 0.0
                 assert payload["m_step_surface_evals"] > 0
                 assert payload["m_step_converged"] is True
@@ -518,6 +549,11 @@ class TestMStepTelemetry:
                 ]
             )
         assert runs[0] == runs[1]
+        written = load_checkpoint(checkpoint_path).demography
+        if joint:
+            assert written.name == demography
+        else:
+            assert written is None
 
 
 class TestIterationTelemetry:

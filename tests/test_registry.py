@@ -21,7 +21,6 @@ from repro.core.registry import (
     make_model,
     make_sampler,
     register_sampler,
-    sampler_factory,
 )
 from repro.core.sampler import MultiProposalSampler
 from repro.diagnostics.traces import ChainResult
@@ -150,16 +149,6 @@ class TestMakeSampler:
         finally:
             SAMPLERS._builders.pop("echo", None)
             SAMPLERS._descriptions.pop("echo", None)
-
-    def test_sampler_factory_defers_theta_binding(self, engine, seed_tree, rng):
-        factory = sampler_factory("lamarc", SMALL)
-        sampler = factory(lambda: engine, 0.75)
-        assert isinstance(sampler, LamarcSampler)
-        assert sampler.theta == 0.75
-
-    def test_sampler_factory_rejects_unknown_names_eagerly(self):
-        with pytest.raises(ValueError, match="unknown sampler"):
-            sampler_factory("does-not-exist")
 
 
 class TestEngineAndModelRegistries:
