@@ -274,11 +274,13 @@ class MPCGS:
         counters stay honest (the multi-chain baseline's documented
         contract).  With ``share_cache=True`` an engine that carries a
         reusable partial-likelihood cache (it exposes ``clear_cache``) is
-        built once and shared across EM iterations: the cache is keyed only
-        by subtree structure, the alignment, and the mutation model — none
-        of which change when the driving θ moves — so successive iterations
-        keep their warm cache.  Samplers report per-run counter deltas,
-        which keeps the shared instance's statistics per-iteration accurate.
+        built once and shared across EM iterations: partials depend only on
+        the tree, the alignment and the mutation model — none of which
+        change when the driving θ moves — so the rows a tree carries stay
+        valid and the grown arena is reused.  The re-timed start tree of
+        each iteration carries no rows and is pruned once in full.  Samplers
+        report per-run counter deltas, which keeps the shared instance's
+        statistics per-iteration accurate.
         """
         # Picklable (unlike a local closure) so the multichain baseline can
         # ship it to worker processes under n_workers > 1.

@@ -22,66 +22,34 @@ parents), which both the pruning likelihood and the coalescent prior exploit.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Genealogy", "TreeValidationError", "SignatureInterner"]
+__all__ = ["ArenaRows", "Genealogy", "TreeValidationError"]
 
 
 class TreeValidationError(ValueError):
     """Raised when a genealogy's arrays do not describe a valid coalescent tree."""
 
 
-class SignatureInterner:
-    """Hash-consing table mapping structural subtree keys to dense integer ids.
+class ArenaRows(NamedTuple):
+    """Where one likelihood engine holds a genealogy's per-node partials.
 
-    Two subtrees receive the same id *if and only if* they are structurally
-    identical: same tip rows, same topology, and bitwise-equal branch lengths
-    (keys are compared by equality, not by hash, so there are no collision
-    hazards).  Sharing one interner across many genealogies is what lets the
-    incremental likelihood engine recognise that a proposal left most of the
-    tree untouched.
+    ``rows[k]`` is node ``k``'s row in the engine's partials arena (-1: none)
+    and ``versions[k]`` that row's version when it was recorded; the engine
+    bumps a row's version whenever it frees the row, so a record naming a
+    freed or reused row no longer matches.  ``owner`` is the engine's
+    identity token, and ``key`` is the genealogy's
+    :meth:`Genealogy._structure_key` at recording time, so an in-place edit
+    of ``times`` or ``children`` voids the record.
     """
 
-    def __init__(self) -> None:
-        self._ids: dict[tuple, int] = {}
-        #: Bumped by :meth:`clear`; signature arrays memoized on genealogies
-        #: record it, so ids issued before a clear are never reused after it.
-        self.generation = 0
-
-    def intern(self, key: tuple) -> int:
-        """Return the stable id for ``key``, assigning a fresh one if new."""
-        found = self._ids.get(key)
-        if found is None:
-            found = len(self._ids)
-            self._ids[key] = found
-        return found
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def clear(self) -> None:
-        """Forget every interned key (invalidates all previously issued ids)."""
-        self._ids.clear()
-        self.generation += 1
-
-
-def _memo_valid(memo: tuple, interner: SignatureInterner, key: tuple) -> bool:
-    """Whether a ``(interner ref, generation, structure key, ...)`` record still applies."""
-    return memo[0]() is interner and memo[1] == interner.generation and memo[2] == key
-
-
-def _intern_interior(node: int, sigs, times: list, children: list, interner) -> int:
-    """Signature id of interior ``node`` from its children's ids and branch lengths."""
-    c0, c1 = children[node]
-    pair0 = (int(sigs[c0]), times[node] - times[c0])
-    pair1 = (int(sigs[c1]), times[node] - times[c1])
-    if pair1 < pair0:
-        pair0, pair1 = pair1, pair0
-    return interner.intern(pair0 + pair1)
+    owner: object
+    key: tuple[bytes, bytes]
+    rows: np.ndarray
+    versions: np.ndarray
 
 
 @dataclass
@@ -95,6 +63,10 @@ class Genealogy:
 
     #: Index of the root once :attr:`root` has looked it up (-1: not yet).
     _root: ClassVar[int] = -1
+    #: The likelihood engine's rows for this genealogy's partials, once an
+    #: engine has evaluated it or a proposal inherited them (see
+    #: :meth:`inherit_rows`).  :meth:`copy` and pickling carry none.
+    arena_rows: ClassVar[ArenaRows | None] = None
 
     # ------------------------------------------------------------------ #
     # Construction and validation
@@ -220,11 +192,9 @@ class Genealogy:
             )
 
     def __getstate__(self) -> dict:
-        # Memoized signatures refer to an in-process interner (by weak
-        # reference, which cannot be pickled and means nothing elsewhere).
+        # Arena rows name memory inside one in-process engine.
         state = self.__dict__.copy()
-        state.pop("_signature_memo", None)
-        state.pop("_signature_seed", None)
+        state.pop("arena_rows", None)
         return state
 
     def copy(self) -> "Genealogy":
@@ -369,102 +339,71 @@ class Genealogy:
 
         return clade(self.root)
 
-    def subtree_signatures(self, interner: SignatureInterner | None = None) -> np.ndarray:
-        """Per-node subtree signature ids (the incremental engine's cache keys).
+    def subtree_signatures(self, table: dict | None = None) -> np.ndarray:
+        """Per-node subtree signature ids: a reference walk, not used by the engines.
 
         ``signatures[k]`` identifies the *entire computation* that produces
         node ``k``'s partial likelihoods: the tip rows below it, the subtree
         topology, and every branch length inside the subtree.  Two nodes —
-        in the same genealogy or across different genealogies sharing the
-        ``interner`` — receive equal ids exactly when those inputs are
-        bitwise identical, so a cached partial-likelihood array indexed by
-        the signature can be reused verbatim.
+        in the same genealogy or across genealogies sharing ``table`` (a
+        dict from structural key to id) — receive equal ids exactly when
+        those inputs are bitwise identical (keys are compared by equality,
+        not by hash).
 
         Child order is canonicalized (the two ``(signature, branch-length)``
         pairs are sorted), which is value-preserving because the pruning
         recursion multiplies the two child contributions elementwise.
-
-        With a shared ``interner`` the result is memoized on the genealogy
-        (keyed by the interner, its generation and the raw time/child bytes,
-        so in-place edits or an interner ``clear`` invalidate it) and
-        returned read-only.  A genealogy marked by
-        :meth:`derive_signatures` copies its base's memoized array and
-        re-interns only the rewritten nodes — O(depth) instead of a full
-        post-order walk.
         """
-        if interner is None:
-            return self._walk_signatures(SignatureInterner())
-        key = self._structure_key()
-        memo = getattr(self, "_signature_memo", None)
-        if memo is not None and _memo_valid(memo, interner, key):
-            return memo[3]
-        sigs = None
-        seed = getattr(self, "_signature_seed", None)
-        if seed is not None:
-            self._signature_seed = None  # one-shot: the memo takes over
-            if _memo_valid(seed, interner, key):
-                sigs = seed[3].copy()
-                times = self.times.tolist()
-                children = self.children.tolist()
-                for node in seed[4]:
-                    sigs[node] = _intern_interior(node, sigs, times, children, interner)
-        if sigs is None:
-            sigs = self._walk_signatures(interner)
-        sigs.setflags(write=False)
-        self._signature_memo = (weakref.ref(interner), interner.generation, key, sigs)
-        return sigs
-
-    def _walk_signatures(self, interner: SignatureInterner) -> np.ndarray:
-        """Full post-order signature walk (the reference for the incremental path)."""
+        if table is None:
+            table = {}
         n_tips = self.n_tips
         times = self.times.tolist()
         children = self.children.tolist()
         sigs = [0] * self.n_nodes
         for node in self.postorder().tolist():
             if node < n_tips:
-                sigs[node] = interner.intern((-1, node))
+                key = (-1, node)
             else:
-                sigs[node] = _intern_interior(node, sigs, times, children, interner)
+                c0, c1 = children[node]
+                pair0 = (sigs[c0], times[node] - times[c0])
+                pair1 = (sigs[c1], times[node] - times[c1])
+                key = pair0 + pair1 if pair0 <= pair1 else pair1 + pair0
+            sigs[node] = table.setdefault(key, len(table))
         return np.asarray(sigs, dtype=np.int64)
 
-    def derive_signatures(self, base: "Genealogy", changed: Sequence[int]) -> None:
-        """Declare ``self`` a copy of ``base`` rewritten only at ``changed``.
-
-        ``changed`` lists, children before parents, every node whose subtree
-        differs from ``base`` — after a neighbourhood resimulation, the two
-        re-created nodes plus the path from the region's ancestor to the
-        root.  If ``base`` holds a valid memoized signature array, the next
-        :meth:`subtree_signatures` call with the same interner inherits it
-        for every other node.  Otherwise this is a no-op and the full walk
-        runs as usual.
-        """
-        memo = getattr(base, "_signature_memo", None)
-        if memo is None or memo[2] != base._structure_key():
-            return
-        interner_ref, generation, _, base_sigs = memo
-        self._signature_seed = (
-            interner_ref, generation, self._structure_key(), base_sigs, tuple(changed)
-        )
-
-    def _structure_key(self) -> tuple[bytes, bytes]:
-        """Raw bytes of everything a signature depends on (times and topology)."""
-        return self.times.tobytes(), self.children.tobytes()
-
-    def dirty_nodes(
-        self, baseline: "Genealogy", interner: SignatureInterner | None = None
-    ) -> np.ndarray:
+    def dirty_nodes(self, baseline: "Genealogy") -> np.ndarray:
         """Nodes of ``self`` whose subtree computation cannot be reused from ``baseline``.
 
         After a local perturbation this is exactly the modified region plus
         the path from it to the root — the set an incremental engine must
         re-prune when ``baseline``'s partials are cached.  Returned sorted by
-        node index.
+        node index.  The reference for the rows a proposal inherits.
         """
-        if interner is None:
-            interner = SignatureInterner()
-        known = np.unique(baseline.subtree_signatures(interner))
-        mine = self.subtree_signatures(interner)
+        table: dict = {}
+        known = np.unique(baseline.subtree_signatures(table))
+        mine = self.subtree_signatures(table)
         return np.flatnonzero(~np.isin(mine, known))
+
+    def inherit_rows(self, base: "Genealogy", rewritten: Sequence[int]) -> None:
+        """Take ``base``'s arena rows for every node outside ``rewritten``.
+
+        ``self`` is a copy of ``base`` whose subtrees differ only at
+        ``rewritten`` — after a neighbourhood resimulation, the two
+        re-created nodes plus the path from the region's ancestor to the
+        root.  Every other node's partials are ``base``'s, so the engine
+        re-prunes only the rewritten nodes.  A no-op when ``base`` holds no
+        rows, or holds rows recorded before an in-place edit.
+        """
+        record = base.arena_rows
+        if record is None or record.key != base._structure_key():
+            return
+        rows = record.rows.copy()
+        rows[list(rewritten)] = -1
+        self.arena_rows = record._replace(key=self._structure_key(), rows=rows)
+
+    def _structure_key(self) -> tuple[bytes, bytes]:
+        """Raw bytes of everything a node's partials depend on (times and topology)."""
+        return self.times.tobytes(), self.children.tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Genealogy):

@@ -5,33 +5,39 @@ proposal and data-likelihood kernels win by evaluating the *whole proposal
 set* as one data-parallel unit over partials that stay resident in device
 memory.  :class:`FusedEngine` does that with two ingredients.
 
-**Subtree signatures.**  Sibling proposals share everything outside their
-resimulated neighbourhood.  Every node carries a hash-consed signature
-(:meth:`repro.genealogy.tree.Genealogy.subtree_signatures`) that is equal
-across trees exactly when the tip rows, topology and branch lengths below it
-are identical, so a node whose signature is already cached needs no work:
-only each candidate's *dirty path* — the resimulated region plus its
-ancestors — is re-pruned.
+**Rows that travel with the tree.**  Cached partials live in rows of one
+growable ``(rows, n_patterns, 4)`` array plus a ``(rows, n_patterns)``
+log-scale array; rows ``0 .. n_tips - 1`` hold the tip partials.  After it
+evaluates a tree the engine records that tree's per-node rows on it
+(:class:`repro.genealogy.tree.ArenaRows`), together with each row's version
+and the tree's structure key.  Sibling proposals share everything outside
+their resimulated neighbourhood, and the proposal kernel knows which nodes
+it rewrote, so a proposal copies its generator's rows and clears only those
+(:meth:`repro.genealogy.tree.Genealogy.inherit_rows`): each candidate's
+*dirty path* — the resimulated region plus its ancestors — is all that is
+re-pruned.  A row's version is bumped whenever the row is freed, so the
+dirty mask of a batch is one gather-and-compare: a node is dirty when its
+row is missing, stale, recorded by another engine, or recorded before an
+in-place edit of the tree.  A tree without rows (a :meth:`copy`, an
+unpickled tree, a fresh start tree) is pruned in full from the tip rows.
 
-**A persistent arena.**  Cached partials live in rows of one growable
-``(rows, n_patterns, 4)`` array plus a ``(rows, n_patterns)`` log-scale
-array; rows ``0 .. n_tips - 1`` hold the tip partials.  A dense
-``row_of[signature]`` table (signature ids are dense, ``0 .. len - 1``)
-finds a subtree's row.  Planning a batch is a handful of host-side array
-gathers: the dirty mask is ``row_of[signatures] < 0``, each candidate's
-dirty nodes are ordered by node time (children before parents), and the
-work items are laid out in (depth step, candidate) order.  Fresh rows are
-allocated before the sweep; the d-th dirty node of every candidate is then
-computed in one stacked ``(k, n_patterns, 4) @ (k, 4, 4)`` matmul whose
-operands are gathered straight from arena rows, and whose results are
-written straight into the items' rows — nothing is copied into a scratch
-pool and nothing is copied back out.  Transition matrices are deduplicated
-by a host-side ``unique`` of the batch's branch lengths, since siblings
-share most branches bitwise.
+**A stacked sweep.**  Planning a batch is a handful of host-side array
+gathers: each candidate's dirty nodes are ordered by node time (children
+before parents), and the work items are laid out in (depth step, candidate)
+order.  Fresh rows are allocated before the sweep; the d-th dirty node of
+every candidate is then computed in one stacked
+``(k, n_patterns, 4) @ (k, 4, 4)`` matmul whose operands are gathered
+straight from arena rows, and whose results are written straight into the
+items' rows — nothing is copied into a scratch pool and nothing is copied
+back out.  Transition matrices are deduplicated by a host-side ``unique``
+of the batch's branch lengths, since siblings share most branches bitwise.
 
-The mask equals a top-down walk that stops at cached nodes because the arena
-is closed under descendants: a row enters only as a batch item whose children
-are tips or live rows, and :meth:`FusedEngine.retain` keeps whole trees.
+The mask equals a top-down walk that stops at cached nodes because valid
+rows are closed under descendants: a row is computed from the rows its tree
+records at the node's children, a proposal clears every ancestor of a node
+it rewrites, and :meth:`FusedEngine.retain` keeps whole trees.  A subtree
+that two candidates of one batch both lack is computed twice, bitwise
+equal.
 
 The arithmetic per recomputed node is identical to the other engines'
 pruning step (pattern compression and per-node log-scaling included), so
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..backend.numpy_backend import NUMPY as B
-from ..genealogy.tree import Genealogy, SignatureInterner
+from ..genealogy.tree import ArenaRows, Genealogy
 from .engines import _ENGINES, LikelihoodEngine
 from .felsenstein import _TINY, _state_peak
 
@@ -117,8 +123,7 @@ class FusedEngine(LikelihoodEngine):
     def __post_init__(self) -> None:
         if self.max_entries is not None and self.max_entries < 16:
             raise ValueError("max_entries must be at least 16")
-        self._interner = SignatureInterner()
-        self._row_of = B.full(0, -1, dtype=B.int64)
+        self._owner = object()  # identifies this engine's records, copies included
         self._site_product_carry = 0.0
         self._ready = False
 
@@ -137,30 +142,19 @@ class FusedEngine(LikelihoodEngine):
         self._arena = xp.empty((capacity, site_data.n_cols, 4))
         self._arena_scale = xp.zeros((capacity, site_data.n_cols))
         self._arena[:n_tips] = xp.asarray(site_data.tips)
-        # sig_of_row[r] is the signature held by interior row r (-1: free);
-        # tip rows are permanent and never enter the free list.
-        self._sig_of_row = B.full(capacity, -1, dtype=B.int64)
+        # version[r] is bumped whenever interior row r is freed, so a record
+        # naming a freed (and maybe reused) row no longer matches; tip rows
+        # are permanent and stay at version 0.
+        self._version = B.zeros(capacity, dtype=B.int64)
         self._free = B.arange(n_tips, capacity)
+        # The rows of a tree that records none: its tips, nothing else.
+        self._bare_rows = B.concatenate([B.arange(n_tips), B.full(n_tips - 1, -1)])
+        self._bare_versions = B.zeros(2 * n_tips - 1, dtype=B.int64)
         if self.max_entries is None:
             # One row: (n_patterns, 4) partials + (n_patterns,) scales, f64.
             entry_bytes = 8 * 5 * site_data.n_cols
             self.max_entries = max(1024, self.DEFAULT_CACHE_BYTES // entry_bytes)
-        # The interner itself must stay bounded: ids are only issued, never
-        # retired, and each key is a small tuple (~150 bytes), so cap it at a
-        # small multiple of the row budget and rebuild from scratch beyond
-        # it.  This keeps total resident memory within the same order as
-        # DEFAULT_CACHE_BYTES rather than a silent multiple of it.
-        self._intern_limit = 4 * self.max_entries
         self._ready = True
-
-    def _synced_row_of(self) -> Array:
-        """``row_of`` grown (geometrically, absent = -1) to cover every issued id."""
-        issued = len(self._interner)
-        if self._row_of.shape[0] < issued:
-            grown = B.full(max(issued, 2 * self._row_of.shape[0]), -1, dtype=B.int64)
-            grown[: self._row_of.shape[0]] = self._row_of
-            self._row_of = grown
-        return self._row_of
 
     def _allocate(self, n_rows: int) -> Array:
         """Pop ``n_rows`` free rows, regrowing the arena geometrically first."""
@@ -174,20 +168,27 @@ class FusedEngine(LikelihoodEngine):
             arena[:old] = self._arena
             scale[:old] = self._arena_scale
             self._arena, self._arena_scale = arena, scale
-            sig_of_row = B.full(capacity, -1, dtype=B.int64)
-            sig_of_row[:old] = self._sig_of_row
-            self._sig_of_row = sig_of_row
+            self._version = B.concatenate([self._version, B.zeros(capacity - old, dtype=B.int64)])
             self._free = B.concatenate([self._free, B.arange(old, capacity)])
         rows, self._free = self._free[:n_rows], self._free[n_rows:]
         return rows
 
+    def _recorded_rows(self, tree: Genealogy, key: tuple[bytes, bytes]) -> tuple[Array, Array]:
+        """``tree``'s recorded ``(rows, versions)``, or the bare tip rows if unusable."""
+        record = tree.arena_rows
+        if record is None or record.owner is not self._owner or record.key != key:
+            return self._bare_rows, self._bare_versions
+        return record.rows, record.versions
+
+    def _live_mask(self, rows: Array, versions: Array) -> Array:
+        """Which recorded rows still hold what they held when recorded."""
+        return (rows >= 0) & (self._version[rows] == versions)
+
     def clear_cache(self) -> None:
         """Drop every cached partial (counters are left untouched)."""
-        self._interner.clear()
-        self._row_of = B.full(0, -1, dtype=B.int64)
         if self._ready:
             n_tips = self.alignment.n_sequences
-            self._sig_of_row[:] = -1
+            self._version[n_tips:] += 1
             self._free = B.arange(n_tips, self._arena.shape[0])
 
     def reset_counters(self) -> None:
@@ -235,26 +236,16 @@ class FusedEngine(LikelihoodEngine):
         for tree in trees:
             if tree.n_tips != n_tips:
                 raise ValueError("genealogy tip count does not match the alignment")
-        if len(self._interner) > self._intern_limit or self.cache_size > self.max_entries:
+        if self.cache_size > self.max_entries:
             self.clear_cache()
         n_trees = len(trees)
-        sigs = B.array([tree.subtree_signatures(self._interner) for tree in trees])
-        row_of = self._synced_row_of()
-        row_of[sigs[0, :n_tips]] = B.arange(n_tips)
-        dirty = row_of[sigs[:, n_tips:]] < 0  # (n_trees, n_internal)
+        keys = [tree._structure_key() for tree in trees]
+        recorded = [self._recorded_rows(tree, key) for tree, key in zip(trees, keys)]
+        rows = B.stack([r for r, _ in recorded])  # (n_trees, n_nodes), written below
+        cached = self._live_mask(rows, B.stack([v for _, v in recorded]))
+        dirty = ~cached[:, n_tips:]  # (n_trees, n_internal)
         n_dirty = dirty.sum(axis=1)
         n_items = int(n_dirty.sum())
-
-        if n_trees > 1 and n_items > 1:
-            fresh = B.sort(sigs[:, n_tips:][dirty])
-            if B.any(fresh[1:] == fresh[:-1]):
-                # Two candidates share an *uncached* subtree (bitwise-equal
-                # times — e.g. duplicated trees in one batch).  The stacked
-                # schedule orders items by per-candidate depth and cannot
-                # express a cross-candidate dependency, so evaluate the
-                # candidates as consecutive batches of one: each shared
-                # subtree is then computed once, by the first candidate.
-                return B.concatenate([self._evaluate([tree], counted) for tree in trees])
 
         # A walk from the root stops at every cached subtree it meets: the
         # cached roots of fully cached candidates, and (below) the cached
@@ -273,8 +264,8 @@ class FusedEngine(LikelihoodEngine):
             step_of, tree_of = B.nonzero(lanes.T)  # item k, in (step, candidate) order
             node_of = order[tree_of, step_of] + n_tips
             item_children = children[tree_of, node_of]  # (n_items, 2)
-            child_sigs = sigs[tree_of[:, None], item_children]
-            hits += int(((item_children >= n_tips) & (row_of[child_sigs] >= 0)).sum())
+            cached_children = cached[tree_of[:, None], item_children]
+            hits += int(((item_children >= n_tips) & cached_children).sum())
 
             # One transition matrix per *unique* branch length, stored
             # pre-transposed so each step is a contiguous batched matmul.
@@ -289,11 +280,9 @@ class FusedEngine(LikelihoodEngine):
 
             # Fresh items get their rows before the sweep, so child rows are
             # one gather for tips, cached subtrees and fresh items alike.
-            rows = self._allocate(n_items)
-            item_sigs = sigs[tree_of, node_of]
-            row_of[item_sigs] = rows
-            self._sig_of_row[rows] = item_sigs
-            child_rows = row_of[child_sigs]
+            fresh = self._allocate(n_items)
+            rows[tree_of, node_of] = fresh
+            child_rows = rows[tree_of[:, None], item_children]
             arena, arena_scale = self._arena, self._arena_scale
             bounds = [0] + B.cumsum(lanes.sum(axis=0)).tolist()
             try:
@@ -305,7 +294,7 @@ class FusedEngine(LikelihoodEngine):
                     both = xp.matmul(arena[src], pmats_t[xp.asindex(pm_idx[lo:hi].T.reshape(-1))])
                     vec = both[:k] * both[k:]
                     peak = _state_peak(xp, vec)
-                    out = xp.asindex(rows[lo:hi])
+                    out = xp.asindex(fresh[lo:hi])
                     arena[out] = vec / peak[:, :, None]
                     scale = arena_scale[src]
                     arena_scale[out] = scale[:k] + scale[k:] + xp.log(peak)
@@ -316,7 +305,8 @@ class FusedEngine(LikelihoodEngine):
             self.n_padded_items += n_trees * max_dirty
             self.n_workspace_items += n_items
 
-        roots = xp.asindex(row_of[sigs[B.arange(n_trees), [tree.root for tree in trees]]])
+        self._record(trees, keys, rows)
+        roots = xp.asindex(rows[B.arange(n_trees), [tree.root for tree in trees]])
         values = xp.to_numpy(self._readout(self._arena[roots], self._arena_scale[roots]))
 
         self.n_cache_hits += hits
@@ -325,6 +315,18 @@ class FusedEngine(LikelihoodEngine):
         products = sum(self._site_products(d, n_internal) for d in n_dirty.tolist())
         self._count(n_trees if counted else 0, nodes_pruned=n_items, tree_site_products=products)
         return self._healthy(values)
+
+    def _record(self, trees: list[Genealogy], keys: list, rows: Array) -> None:
+        """Record each tree's rows (one per batch position) on the tree itself.
+
+        A tree that fills two positions keeps the later one's rows; the
+        earlier position's fresh rows stay live until :meth:`retain` or a
+        clear frees them.
+        """
+        rows.setflags(write=False)
+        versions = self._version[rows]
+        for t, tree in enumerate(trees):
+            tree.arena_rows = ArenaRows(self._owner, keys[t], rows[t], versions[t])
 
     def _readout(self, part: Array, scale: Array):
         """log P(D | G) per tree from stacked root partials and their log-scales.
@@ -385,25 +387,25 @@ class FusedEngine(LikelihoodEngine):
         """Free every arena row that is not an interior node of one of ``trees``.
 
         Samplers call this with their current state(s) — the working set:
-        each proposal is its state plus a dirty path, so a row off every
-        current state is only reused if a proposal happens to rebuild that
-        exact subtree, bitwise.  Keeping the working set bounds the arena by
-        one tree per chain plus one proposal set of dirty paths, instead of
-        filling the ``max_entries`` budget; ``max_entries`` remains the cap
-        for samplers that never call this.
+        each proposal is its state plus a dirty path, so it inherits every
+        row it needs from its state.  Freed rows return to the free list
+        with their versions bumped, so any other tree that still records
+        them re-prunes those nodes.  Keeping the working set bounds the
+        arena by one tree per chain plus one proposal set of dirty paths,
+        instead of filling the ``max_entries`` budget; ``max_entries``
+        remains the cap for samplers that never call this.
         """
-        keep = [tree.subtree_signatures(self._interner)[tree.n_tips :] for tree in trees]
         if not self._ready:
             return
-        sigs = B.concatenate(keep) if keep else B.zeros(0, dtype=B.int64)
-        kept_rows = self._synced_row_of()[sigs]
-        kept = B.zeros(self._sig_of_row.shape[0], dtype=bool)
-        kept[kept_rows[kept_rows >= 0]] = True
-        drop = (self._sig_of_row >= 0) & ~kept
-        self._row_of[self._sig_of_row[drop]] = -1
-        self._sig_of_row[drop] = -1
+        keep = B.zeros(self._version.shape[0], dtype=bool)
+        for tree in trees:
+            rows, versions = self._recorded_rows(tree, tree._structure_key())
+            keep[rows[self._live_mask(rows, versions)]] = True
         n_tips = self.alignment.n_sequences
-        self._free = B.flatnonzero(self._sig_of_row[n_tips:] < 0) + n_tips
+        keep[:n_tips] = True
+        drop = B.flatnonzero(~keep)
+        self._version[drop] += 1
+        self._free = drop
 
 
 _ENGINES["fused"] = FusedEngine

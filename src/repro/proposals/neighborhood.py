@@ -835,7 +835,7 @@ class NeighborhoodResimulator:
         new_nodes, first_pair = cls._stitch(
             new.times, new.parent, new.children, region, merge_times, choose_pair
         )
-        new.derive_signatures(tree, cls._rewritten_nodes(tree, region))
+        new.inherit_rows(tree, cls._rewritten_nodes(tree, region))
         return new, new_nodes, first_pair
 
     def _rebuild_batch(
@@ -883,7 +883,7 @@ class NeighborhoodResimulator:
                 tip_names=tree.tip_names,
             )
             new._root = tree.root  # the stitch keeps the root's index
-            new.derive_signatures(tree, rewritten)
+            new.inherit_rows(tree, rewritten)
             if self.validate:
                 new.validate()
             outcomes.append(

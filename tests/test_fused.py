@@ -3,9 +3,11 @@
 Value-level equivalence with the other engines lives in
 ``test_engine_equivalence.py`` and the in-sampler bit-for-bit regressions in
 ``test_statistical_correctness.py``; this file covers the fused engine's own
-mechanics — the partials arena's lifecycle, its plan against the top-down
-walk it replaced, counters, the fully-cached fast path, warm-up — plus the
-hoisted site data and the registry/driver integration.
+mechanics — the partials arena's lifecycle, the rows that travel with each
+tree and their stale-row guards, the dirty sets of row ownership against the
+signature walk over a sampler × demography grid, counters, the fully-cached
+fast path, warm-up — plus the hoisted site data and the registry/driver
+integration.
 """
 
 from __future__ import annotations
@@ -111,24 +113,6 @@ class TestFusedEngineMechanics:
         assert engine.n_padded_items == 0
         assert engine.workspace_occupancy == 0.0
 
-    def test_intra_batch_signature_overlap_matches_cached_exactly(self, instance):
-        """Duplicated candidates in one cold batch: the shared dirty subtree is
-        computed once (consecutive batches of one), with counters identical to
-        the per-tree cached walk — the stacked schedule would have
-        double-counted it."""
-        dataset, model = instance
-        fused = FusedEngine(alignment=dataset.alignment, model=model)
-        cached = FusedEngine(alignment=dataset.alignment, model=model)
-        tree = _trees(dataset, 1, seed=23)[0]
-        batch = [tree.copy(), tree.copy()]
-        vf = fused.evaluate_batch(batch)
-        vc = [cached.evaluate(t) for t in batch]
-        assert np.array_equal(vf, vc)
-        assert fused.n_nodes_pruned == cached.n_nodes_pruned == tree.n_internal
-        assert fused.n_tree_site_products == cached.n_tree_site_products
-        assert fused.n_cache_hits == cached.n_cache_hits
-        assert fused.n_cache_misses == cached.n_cache_misses
-
     def test_work_accounting_matches_cached(self, instance):
         """Stacked sibling sets do the work of the per-tree cached walk."""
         dataset, model = instance
@@ -158,103 +142,159 @@ class TestFusedEngineMechanics:
         assert isinstance(first, FusedEngine)
 
 
-def _walk(tree, sigs, cached):
-    """The top-down walk the arena plan replaced: (dirty nodes, cache hits).
+SAMPLERS = ("gmh", "lamarc", "heated", "multichain")
+DEMOGRAPHIES = ("constant", "exponential")
 
-    Walks down from the root, stopping at tips and at cached nodes (each
-    cached node met is one hit); every node it enters is dirty.
+
+def pytest_generate_tests(metafunc):
+    """One cell per sampler × demography for the row-ownership oracle."""
+    if "sampler_cell" in metafunc.fixturenames:
+        cells = [(s, d) for s in SAMPLERS for d in DEMOGRAPHIES]
+        metafunc.parametrize("sampler_cell", cells, ids=[f"{s}-{d}" for s, d in cells])
+
+
+def _cold_values(engine, trees):
+    """Each tree's value pruned in full from the tip rows.
+
+    ``engine`` evaluates a copy of each tree (a copy carries no rows) and
+    then frees everything.  It is the bitwise reference: the batched engine
+    agrees with the fused one only to accumulation order.
     """
-    plan, hits, stack = [], 0, [tree.root]
-    while stack:
-        node = stack.pop()
-        if node < tree.n_tips:
-            continue
-        if int(sigs[node]) in cached:
-            hits += 1
-            continue
-        plan.append(node)
-        stack.extend(int(child) for child in tree.children[node])
-    return plan, hits
+    values = np.array([engine.evaluate(tree.copy()) for tree in trees])
+    engine.retain([])
+    return values
 
 
-def _walk_plan(trees, sigs, cached):
-    """Dirty signatures and hits of one batch as the walk-based engine planned it:
-    every tree against the batch-start cache, or — when two trees share an
-    uncached subtree — one tree at a time, each seeing the ones before it."""
-    walks = [_walk(tree, s, cached) for tree, s in zip(trees, sigs)]
-    dirty = [int(s[node]) for (plan, _), s in zip(walks, sigs) for node in plan]
-    if len(set(dirty)) == len(dirty):
-        return set(dirty), sum(hits for _, hits in walks)
-    seen, total = set(cached), 0
-    for tree, s in zip(trees, sigs):
-        plan, hits = _walk(tree, s, seen)
-        seen |= {int(s[node]) for node in plan}
-        total += hits
-    return seen - set(cached), total
+def _reference_dirty(tree, held):
+    """Interior nodes of ``tree`` that no ``held`` tree has, by the signature walk."""
+    dirty = np.arange(tree.n_tips, tree.n_nodes)
+    for other in held:
+        dirty = np.intersect1d(dirty, tree.dirty_nodes(other))
+    return dirty
 
 
-class WalkCheckedEngine(FusedEngine):
-    """Checks every batch's plan against the walk, and the arena's closure."""
+class RowRecordingEngine(FusedEngine):
+    """Remembers, for every row it records, the rows of the node's children."""
 
     def __post_init__(self):
         super().__post_init__()
-        self.children_of = {}  # interior signature -> its children's signatures
+        self.row_children = {}
+
+    def _record(self, trees, keys, rows):
+        for tree, tree_rows in zip(trees, rows):
+            for node in range(tree.n_tips, tree.n_nodes):
+                self.row_children[int(tree_rows[node])] = [
+                    int(tree_rows[c]) for c in tree.children[node]
+                ]
+        super()._record(trees, keys, rows)
+
+    def assert_closed(self):
+        """Every live row's children are tips or live rows."""
+        n_tips = self.alignment.n_sequences
+        free = set(self._free.tolist())
+        for row in range(n_tips, self._arena.shape[0]):
+            if row not in free:
+                assert all(c < n_tips or c not in free for c in self.row_children[row])
+
+
+class WalkCheckedEngine(RowRecordingEngine):
+    """Checks every batch against the content-addressed reference walk.
+
+    The reference is the signature cache the arena rows replaced: a node is
+    cached when a tree the engine holds — those of the last ``retain``, plus
+    every tree evaluated since — has a bitwise-equal subtree
+    (:meth:`~repro.genealogy.tree.Genealogy.dirty_nodes`).  Each batch's
+    dirty set must equal it node for node, hits and misses must equal a
+    top-down walk's over it, values must equal a cold evaluation's bitwise
+    (and the batched engine's to accumulation order), and every live row's
+    children must be tips or live rows.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.held = []
+        self.cold = FusedEngine(alignment=self.alignment, model=self.model)
+        self.batched = BatchedEngine(alignment=self.alignment, model=self.model)
         self.n_checked = 0
 
-    def _live(self):
-        if not self._ready:
-            return set()
-        return set(self._sig_of_row[self._sig_of_row >= 0].tolist())
-
     def _evaluate(self, trees, counted=True):
-        generation = self._interner.generation
-        sigs = [tree.subtree_signatures(self._interner) for tree in trees]
-        before = self._live()
+        self._ensure_ready()
+        n_tips = trees[0].n_tips
+        assert self.cache_size <= self.max_entries  # no clear: the reference holds
+        engine_dirty, reference, walk_hits = [], [], 0
+        for tree in trees:
+            rows, versions = self._recorded_rows(tree, tree._structure_key())
+            engine_dirty.append(np.flatnonzero(~self._live_mask(rows, versions)[n_tips:]) + n_tips)
+            dirty = _reference_dirty(tree, self.held)
+            reference.append(dirty)
+            walk_hits += int(tree.root not in dirty) + sum(
+                int(c >= n_tips and c not in dirty) for d in dirty for c in tree.children[d]
+            )
         hits, misses = self.n_cache_hits, self.n_cache_misses
         values = super()._evaluate(trees, counted)
-        assert self._interner.generation == generation  # no clear: plan comparable
-        dirty, walk_hits = _walk_plan(trees, sigs, before)
-        live = self._live()
-        assert live == before | dirty and not before & dirty
+        for mine, ref in zip(engine_dirty, reference):
+            assert np.array_equal(mine, ref)
         assert self.n_cache_hits - hits == walk_hits
-        assert self.n_cache_misses - misses == len(dirty)
-        for tree, s in zip(trees, sigs):
-            for node in range(tree.n_tips, tree.n_nodes):
-                self.children_of[int(s[node])] = [int(s[c]) for c in tree.children[node]]
-        tips = set(sigs[0][: trees[0].n_tips].tolist())
-        for sig in live:
-            assert all(c in tips or c in live for c in self.children_of[sig])
+        assert self.n_cache_misses - misses == sum(len(ref) for ref in reference)
+        assert np.array_equal(values, _cold_values(self.cold, trees))
+        assert np.allclose(values, self.batched.evaluate_batch(trees), rtol=1e-12, atol=0.0)
+        self.held.extend(trees)
+        self.assert_closed()
         self.n_checked += 1
         return values
 
+    def retain(self, trees):
+        trees = list(trees)
+        super().retain(trees)
+        self.held = trees
+
 
 class TestArenaPlanMatchesWalk:
-    """The arena's gather-based plan equals the top-down walk, batch by batch."""
+    """Row ownership finds exactly the dirty sets of the signature walk."""
 
-    @pytest.mark.parametrize("growth", [None, 2.0])
-    def test_gmh_chain(self, instance, growth):
+    def test_sampler_grid(self, instance, sampler_cell, monkeypatch):
+        from functools import partial
+
+        import repro.parallel.stacked as stacked
+        from repro.baselines.heated import HeatedChainSampler
+        from repro.baselines.lamarc import LamarcSampler
         from repro.core.sampler import MultiProposalSampler
         from repro.demography.models import ExponentialDemography
 
+        sampler, demography_name = sampler_cell
         dataset, model = instance
         engine = WalkCheckedEngine(alignment=dataset.alignment, model=model)
-        demography = ExponentialDemography(growth=growth) if growth else None
-        cfg = SamplerConfig(n_proposals=4, n_samples=190, burn_in=10, samples_per_set=1)
+        demography = ExponentialDemography(growth=2.0) if demography_name != "constant" else None
         start = _trees(dataset, 1, seed=60)[0]
-        MultiProposalSampler(engine, 1.0, cfg, demography=demography).run(
-            start, np.random.default_rng(61)
-        )
-        assert engine.n_checked >= 2 * 200  # prepare plus the set, per set
-
-    def test_stacked_multichain(self, instance):
-        from repro.parallel.stacked import StackedMultiChain
-
-        dataset, model = instance
-        engine = WalkCheckedEngine(alignment=dataset.alignment, model=model)
-        cfg = SamplerConfig(n_proposals=1, n_samples=240, burn_in=40)
-        start = _trees(dataset, 1, seed=62)[0]
-        StackedMultiChain(lambda: engine, 1.0, 4, cfg).run(start, np.random.default_rng(63))
-        assert engine.n_checked >= 60  # one round of K = 4 chains per batch
+        rng = np.random.default_rng(61)
+        if sampler == "gmh":
+            cfg = SamplerConfig(n_proposals=4, n_samples=90, burn_in=10, samples_per_set=1)
+            MultiProposalSampler(engine, 1.0, cfg, demography=demography).run(start, rng)
+            minimum = 2 * 100  # prepare plus the set, per set
+        elif sampler == "lamarc":
+            cfg = SamplerConfig(n_proposals=1, n_samples=150, burn_in=50)
+            LamarcSampler(engine, 1.0, cfg, demography=demography).run(start, rng)
+            minimum = 200
+        elif sampler == "heated":
+            cfg = SamplerConfig(n_proposals=1, n_samples=40, burn_in=10)
+            HeatedChainSampler(
+                engine, 1.0, (1.0, 0.8, 0.6, 0.4), cfg, demography=demography
+            ).run(start, rng)
+            minimum = 4 * 50
+        else:
+            # The stacked sampler takes no demography; its proposals are
+            # drawn under one all the same, to cover the growth kernel.
+            if demography is not None:
+                monkeypatch.setattr(
+                    stacked,
+                    "NeighborhoodResimulator",
+                    partial(stacked.NeighborhoodResimulator, demography=demography),
+                )
+            cfg = SamplerConfig(n_proposals=1, n_samples=160, burn_in=40)
+            stacked.StackedMultiChain(lambda: engine, 1.0, 4, cfg).run(start, rng)
+            minimum = 60  # one round of K = 4 chains per batch
+        assert engine.n_checked >= minimum
+        assert engine.n_cache_hits > 0 and engine.n_cache_misses > 0
 
 
 class TestArenaLifecycle:
@@ -302,13 +342,20 @@ class TestArenaLifecycle:
         assert engine.evaluate(tree) == pytest.approx(oracle.evaluate(tree), rel=1e-10)
 
     def test_max_entries_cap_clears_the_arena_and_stays_exact(self, instance):
+        class CountingClears(FusedEngine):
+            n_clears = 0
+
+            def clear_cache(self):
+                self.n_clears += 1
+                super().clear_cache()
+
         dataset, model = instance
-        engine = FusedEngine(alignment=dataset.alignment, model=model, max_entries=16)
+        engine = CountingClears(alignment=dataset.alignment, model=model, max_entries=16)
         oracle = VectorizedEngine(alignment=dataset.alignment, model=model)
         current = _trees(dataset, 1, seed=27)[0]
         clears = 0
         for seed in range(28, 28 + 8):
-            generation = engine._interner.generation
+            cleared = engine.n_clears
             engine.prepare(current)
             siblings = _sibling_set(dataset, current, 6, seed=seed)
             items = engine.n_workspace_items
@@ -316,9 +363,102 @@ class TestArenaLifecycle:
             singles = np.array([oracle.evaluate(t) for t in siblings])
             assert np.allclose(values, singles, rtol=1e-10, atol=1e-9)
             assert engine.cache_size <= 16 + engine.n_workspace_items - items
-            clears += engine._interner.generation != generation
+            clears += engine.n_clears != cleared
             current = siblings[0]
         assert clears > 0  # the cap did bind
+
+
+class TestStaleRowGuards:
+    """A tree's recorded rows are used only while they still hold its partials.
+
+    Each case is checked bitwise against a cold evaluation (the tree pruned
+    in full from the tip rows) and within accumulation order of the batched
+    engine.
+    """
+
+    @staticmethod
+    def _check(engine, trees, values):
+        dataset_alignment, model = engine.alignment, engine.model
+        cold = FusedEngine(alignment=dataset_alignment, model=model)
+        batched = BatchedEngine(alignment=dataset_alignment, model=model)
+        assert np.array_equal(values, _cold_values(cold, trees))
+        assert np.allclose(values, batched.evaluate_batch(trees), rtol=1e-12, atol=0.0)
+
+    def test_rows_freed_by_retain_then_reused(self, instance):
+        dataset, model = instance
+        engine = FusedEngine(alignment=dataset.alignment, model=model)
+        first, second = _trees(dataset, 2, seed=80)
+        engine.evaluate(first)
+        stale = first.arena_rows.rows.copy()
+        engine.retain([])  # frees every row ``first`` records
+        engine.evaluate(second)  # ... and this batch reuses them
+        assert set(second.arena_rows.rows[first.n_tips :]) == set(stale[first.n_tips :])
+        pruned = engine.n_nodes_pruned
+        values = engine.evaluate_batch([first, second])
+        assert engine.n_nodes_pruned - pruned == first.n_internal  # first, in full
+        self._check(engine, [first, second], values)
+
+    def test_in_place_edits_void_the_rows(self, instance):
+        dataset, model = instance
+        engine = FusedEngine(alignment=dataset.alignment, model=model)
+        retimed, rewired = _trees(dataset, 2, seed=81)
+        engine.evaluate_batch([retimed, rewired])
+        retimed.times[retimed.n_tips :] *= 1.25
+        # Exchange two tips of different parents (tips all sit at time 0).
+        a = 0
+        b = next(t for t in range(1, rewired.n_tips) if rewired.parent[t] != rewired.parent[a])
+        pa, pb = int(rewired.parent[a]), int(rewired.parent[b])
+        rewired.children[pa][rewired.children[pa] == a] = b
+        rewired.children[pb][rewired.children[pb] == b] = a
+        rewired.parent[a], rewired.parent[b] = pb, pa
+        for tree in (retimed, rewired):
+            tree.validate()
+            # A proposal from an edited tree inherits none of its rows.
+            outcome = NeighborhoodResimulator(1.0).propose_random(tree, np.random.default_rng(5))
+            assert outcome.tree.arena_rows is None
+        pruned = engine.n_nodes_pruned
+        values = engine.evaluate_batch([retimed, rewired])
+        assert engine.n_nodes_pruned - pruned == retimed.n_internal + rewired.n_internal
+        self._check(engine, [retimed, rewired], values)
+
+    def test_one_tree_twice_in_a_batch_and_its_copy(self, instance):
+        dataset, model = instance
+        engine = RowRecordingEngine(alignment=dataset.alignment, model=model)
+        tree = _trees(dataset, 1, seed=82)[0]
+        for _ in range(2):
+            batch = [tree, tree, tree.copy()]
+            pruned = engine.n_nodes_pruned
+            values = engine.evaluate_batch(batch)
+            engine.assert_closed()
+            self._check(engine, batch, values)
+        # Cold, each position is pruned in full; warm, only the copy (which
+        # carries no rows) is.
+        assert engine.n_nodes_pruned - pruned == tree.n_internal
+        assert engine.n_nodes_pruned == 4 * tree.n_internal
+        engine.retain([tree])  # frees the copies' and the orphaned position's rows
+        assert engine.cache_size == tree.n_internal
+        engine.assert_closed()
+        pruned = engine.n_nodes_pruned
+        assert engine.evaluate(tree) == values[0]
+        assert engine.n_nodes_pruned == pruned
+
+    def test_unpickled_or_foreign_rows_are_pruned_in_full(self, instance):
+        import pickle
+
+        dataset, model = instance
+        engine = FusedEngine(alignment=dataset.alignment, model=model)
+        tree = _trees(dataset, 1, seed=83)[0]
+        value = engine.evaluate(tree)
+        restored = pickle.loads(pickle.dumps(tree))
+        assert restored == tree
+        assert restored.arena_rows is None
+        other = FusedEngine(alignment=dataset.alignment, model=model)
+        other.evaluate(_trees(dataset, 1, seed=84)[0])  # its rows hold other partials
+        for evaluator, candidate in ((engine, restored), (other, tree)):
+            pruned = evaluator.n_nodes_pruned
+            assert evaluator.evaluate(candidate) == value
+            assert evaluator.n_nodes_pruned - pruned == tree.n_internal
+        self._check(engine, [restored, tree], [value, value])
 
 
 class TestSiteDataHoisting:

@@ -1,10 +1,10 @@
 """Tests for incremental partial-likelihood caching.
 
-Covers the subtree-signature machinery exposed by :mod:`repro.genealogy.tree`,
-the cache behaviour and work counters of the sparse
-:class:`~repro.likelihood.fused.FusedEngine` when it is fed one tree at a
-time (the per-tree cached walk), and the proposal-set reuse threaded through
-the GMH transition and the EM driver.
+Covers the subtree-signature reference walk and the arena rows a proposal
+inherits, both exposed by :mod:`repro.genealogy.tree`; the cache behaviour
+and work counters of the sparse :class:`~repro.likelihood.fused.FusedEngine`
+when it is fed one tree at a time (the per-tree cached walk); and the
+proposal-set reuse threaded through the GMH transition and the EM driver.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import MPCGSConfig, SamplerConfig
 from repro.core.gmh import GeneralizedMetropolisHastings
 from repro.core.mpcgs import MPCGS
-from repro.genealogy.tree import SignatureInterner
+from repro.genealogy.tree import ArenaRows, Genealogy
 from repro.likelihood.engines import BatchedEngine
 from repro.likelihood.fused import FusedEngine
 from repro.likelihood.mutation_models import Felsenstein81
@@ -35,9 +35,9 @@ def tree(rng, small_dataset):
 
 class TestSubtreeSignatures:
     def test_identical_trees_share_all_signatures(self, tree):
-        interner = SignatureInterner()
-        a = tree.subtree_signatures(interner)
-        b = tree.copy().subtree_signatures(interner)
+        table = {}
+        a = tree.subtree_signatures(table)
+        b = tree.copy().subtree_signatures(table)
         assert np.array_equal(a, b)
 
     def test_signatures_are_per_node_unique_within_a_tree(self, tree):
@@ -45,13 +45,12 @@ class TestSubtreeSignatures:
         assert len(set(sigs.tolist())) == tree.n_nodes
 
     def test_branch_length_change_flips_path_to_root(self, tree):
-        interner = SignatureInterner()
         edited = tree.copy()
         node = int(edited.internal_nodes()[0])
         # Stay strictly between the node's children and its parent.
         edited.times[node] += 1e-6
         edited.validate()
-        dirty = edited.dirty_nodes(tree, interner)
+        dirty = edited.dirty_nodes(tree)
         assert node in dirty
         assert edited.root in dirty
         # Everything dirty must be the edited node or one of its ancestors.
@@ -71,89 +70,63 @@ class TestSubtreeSignatures:
             assert not outcome.tree.is_tip(node)
 
     def test_interner_is_exact_not_hash_based(self):
-        interner = SignatureInterner()
-        a = interner.intern((0, 1.0, 1, 2.0))
-        b = interner.intern((0, 1.0, 1, 2.0))
-        # A representable perturbation (well above ulp(2.0)) is a new key.
-        c = interner.intern((0, 1.0, 1, 2.0 + 1e-12))
-        assert a == b
-        assert c != a
-        assert len(interner) == 2
+        t1 = Genealogy.from_times_and_topology([(0, 1), (2, 3), (4, 5)], [0.1, 0.2, 0.5])
+        # A representable perturbation (well above ulp(0.2)) is a new key.
+        t2 = Genealogy.from_times_and_topology([(0, 1), (2, 3), (4, 5)], [0.1, 0.2 + 1e-12, 0.5])
+        table = {}
+        a = t1.subtree_signatures(table)
+        b = t2.subtree_signatures(table)
+        assert np.array_equal(a[:5], b[:5])  # the tips and the untouched cherry
+        assert a[5] != b[5] and a[6] != b[6]
+        assert len(table) == t1.n_nodes + 2
 
     def test_child_order_is_canonicalized(self):
         # Same subtree built with swapped merge argument order must intern equal.
-        from repro.genealogy.tree import Genealogy
-
         t1 = Genealogy.from_times_and_topology([(0, 1), (2, 3), (4, 5)], [0.1, 0.2, 0.5])
         t2 = Genealogy.from_times_and_topology([(1, 0), (3, 2), (5, 4)], [0.1, 0.2, 0.5])
-        interner = SignatureInterner()
-        assert np.array_equal(
-            t1.subtree_signatures(interner), t2.subtree_signatures(interner)
-        )
+        table = {}
+        assert np.array_equal(t1.subtree_signatures(table), t2.subtree_signatures(table))
 
     @pytest.mark.parametrize("batch_proposals", [True, False])
     @pytest.mark.parametrize("growth", [None, 5.0])
     def test_derived_signatures_match_the_full_walk(self, batch_proposals, growth):
-        """Proposals inherit their generator's signatures and re-intern only the
-        rewritten nodes; the result must equal a fresh post-order walk, across
-        bounded and root-level regions, both kernels, and interner clears."""
+        """Proposals inherit their generator's rows except at the nodes they
+        rewrote; those must be exactly the nodes the signature walk finds
+        dirty, across bounded and root-level regions and both kernels.  A
+        generator without rows (every 25th) hands none on."""
         from repro.demography import make_demography
 
         demography = make_demography("exponential", {"growth": growth}) if growth else None
         resim = NeighborhoodResimulator(
             1.0, demography=demography, batch_proposals=batch_proposals
         )
-        class CountingInterner(SignatureInterner):
-            calls = 0
-
-            def intern(self, key):
-                self.calls += 1
-                return super().intern(key)
-
         rng = np.random.default_rng(12)
-        interner = CountingInterner()
         current = simulate_genealogy(10, 1.0, rng)
         derived = 0
         for step in range(60):
-            current.subtree_signatures(interner)
+            bare = step % 25 == 24
+            if not bare:
+                current.arena_rows = ArenaRows(
+                    None,
+                    current._structure_key(),
+                    np.arange(current.n_nodes),
+                    np.zeros(current.n_nodes, dtype=np.int64),
+                )
             target = resim.choose_target(current, rng)
             outcomes = resim.propose_set(current, target, 4, rng)
             for outcome in outcomes:
-                before = interner.calls
-                incremental = outcome.tree.subtree_signatures(interner)
-                # A full walk interns every node, tips included.
-                derived += interner.calls - before <= outcome.tree.n_internal
-                assert np.array_equal(incremental, outcome.tree._walk_signatures(interner))
-            current = outcomes[step % 4].tree
-            if step % 25 == 24:
-                interner.clear()  # stale ids must never be inherited
-        assert derived == 60 * 4
-
-    def test_memo_follows_in_place_edits_and_interner_clears(self, tree):
-        interner = SignatureInterner()
-        first = tree.subtree_signatures(interner)
-        assert tree.subtree_signatures(interner) is first  # memoized
-        assert not first.flags.writeable
-        edited = tree.copy()
-        edited.subtree_signatures(interner)
-        node = int(edited.internal_nodes()[0])
-        edited.times[node] += 1e-6
-        assert np.array_equal(
-            edited.subtree_signatures(interner), edited._walk_signatures(interner)
-        )
-        interner.clear()
-        again = tree.subtree_signatures(interner)
-        assert again is not first
-        assert np.array_equal(again, tree._walk_signatures(interner))
-
-    def test_pickled_genealogy_drops_the_signature_memo(self, tree):
-        import pickle
-
-        interner = SignatureInterner()
-        tree.subtree_signatures(interner)
-        restored = pickle.loads(pickle.dumps(tree))
-        assert restored == tree
-        assert not hasattr(restored, "_signature_memo")
+                record = outcome.tree.arena_rows
+                if bare:
+                    assert record is None
+                    continue
+                assert record.key == outcome.tree._structure_key()
+                rows = record.rows
+                kept = rows >= 0
+                assert np.array_equal(rows[kept], np.flatnonzero(kept))
+                assert np.array_equal(np.flatnonzero(~kept), outcome.tree.dirty_nodes(current))
+                derived += 1
+            current = outcomes[step % 4].tree.copy()
+        assert derived == 58 * 4
 
 
 class TestCachedEngineBehaviour:
