@@ -555,7 +555,7 @@ class Experiment:
         cfg = self.config
         base_freqs = self.alignment.base_frequencies(pseudocount=1.0)
         model = make_model(cfg.mutation_model, base_frequencies=base_freqs)
-        engine = make_engine(cfg.likelihood_engine, self.alignment, model, backend=cfg.backend)
+        engine = make_engine(cfg.likelihood_engine, self.alignment, model)
         adapter = make_sampler(
             "bayesian",
             engine=engine,

@@ -1,10 +1,5 @@
-"""Array backends and named RNG streams for the hot kernels.
+"""Named RNG streams.
 
-``repro.backend`` is the seam between the likelihood kernels and the array
-library that executes them.  The kernels are written against the
-:class:`~repro.backend.base.ArrayBackend` protocol; ``numpy`` (the
-bit-exact default) and ``torch`` (optional, float64) implement it and are
-registered here with capability metadata.  The sibling
 :mod:`~repro.backend.rng_registry` provides counter-based named RNG
 streams — pure functions of ``(master_seed, name)`` — so reproducibility
 is independent of worker count and execution order.
@@ -12,54 +7,11 @@ is independent of worker count and execution order.
 
 from __future__ import annotations
 
-from .base import (
-    ArrayBackend,
-    BACKENDS,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-)
-from .numpy_backend import NUMPY, NumpyBackend
 from .rng_registry import RNGRegistry, derive_master_seed, named_stream, philox_key
 
 __all__ = [
-    "ArrayBackend",
-    "BACKENDS",
-    "NUMPY",
-    "NumpyBackend",
-    "available_backends",
-    "backend_available",
-    "get_backend",
-    "register_backend",
     "RNGRegistry",
     "derive_master_seed",
     "named_stream",
     "philox_key",
 ]
-
-
-def _build_torch_backend():
-    from .torch_backend import TorchBackend
-
-    return TorchBackend()
-
-
-register_backend(
-    "numpy",
-    lambda: NUMPY,
-    description="NumPy host backend (default; bit-exact with pre-backend code)",
-    metadata={"dtype": "float64", "device": "cpu", "determinism": "bitwise"},
-)
-
-register_backend(
-    "torch",
-    _build_torch_backend,
-    description="PyTorch backend (optional; float64, CPU or CUDA)",
-    metadata={
-        "requires": "torch",
-        "dtype": "float64",
-        "device": "cpu|cuda",
-        "determinism": "float64-tolerance",
-    },
-)

@@ -59,12 +59,10 @@ from .core.config import (
     SamplerConfig,
 )
 from .core.registry import (
-    available_backends,
     available_demographies,
     available_engines,
     available_models,
     available_samplers,
-    backend_available,
     require_demography_support,
 )
 from .sequences.phylip import read_phylip
@@ -210,12 +208,6 @@ def _add_chain_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine", choices=sorted(available_engines()), default=None, help="likelihood engine"
     )
     parser.add_argument(
-        "--backend",
-        choices=sorted(available_backends()),
-        default=None,
-        help="array backend for the likelihood hot path (default: numpy)",
-    )
-    parser.add_argument(
         "--model",
         choices=sorted(name.upper() for name in available_models()),
         default=None,
@@ -347,8 +339,8 @@ def build_cli() -> argparse.ArgumentParser:
     p_info = sub.add_parser(
         "info",
         help=(
-            "list registered samplers, likelihood engines, mutation models, "
-            "demographies, and array backends"
+            "list registered samplers, likelihood engines, mutation models "
+            "and demographies"
         ),
     )
     p_info.add_argument("--json", action="store_true", help="print the registries as JSON")
@@ -472,8 +464,6 @@ def _resolve_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     config_changes = {}
     if args.engine is not None:
         config_changes["likelihood_engine"] = args.engine
-    if getattr(args, "backend", None) is not None:
-        config_changes["backend"] = args.backend
     if args.model is not None:
         config_changes["mutation_model"] = args.model
     if getattr(args, "em_iterations", None) is not None:
@@ -712,25 +702,18 @@ def _cmd_bayes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_info(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """``mpcgs info``: discoverability for the five registries.
+    """``mpcgs info``: discoverability for the four registries.
 
     ``--json`` emits a machine-readable document (used by CI to assert the
-    registries are populated and importable).  Backends are listed with
-    their availability — an optional backend whose library is missing still
-    appears, flagged ``unavailable``, so the flag explains itself.
+    registries are populated and importable).
     """
     from . import __version__
 
-    backends = {
-        name: desc if backend_available(name) else f"{desc} [unavailable: library not installed]"
-        for name, desc in available_backends().items()
-    }
     registries = {
         "samplers": available_samplers(),
         "engines": available_engines(),
         "models": {name.upper(): desc for name, desc in available_models().items()},
         "demographies": available_demographies(),
-        "backends": backends,
     }
     if args.json:
         print(_json.dumps({"version": __version__, **registries}, indent=2))

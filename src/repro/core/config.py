@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
-from ..backend import BACKENDS as _BACKEND_REGISTRY
 from ..demography import (
     DEMOGRAPHY_ALIASES,
     Demography,
@@ -247,11 +246,8 @@ class MPCGSConfig:
     structured spec form ``demography={"name": ..., "params": {...}}`` is
     accepted everywhere a name string is, including JSON documents.
 
-    ``backend`` names the array backend the likelihood hot paths run on
-    (:func:`repro.core.registry.available_backends`): ``"numpy"`` (the
-    default, bit-exact with the pre-backend code) or ``"torch"`` where
-    installed.  Selecting a backend whose library is missing fails at
-    engine construction with an explicit message, not silently.
+    ``backend`` must be ``"numpy"``, the only array library the likelihood
+    kernels run on; any other value is rejected.
     """
 
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -330,13 +326,10 @@ class MPCGSConfig:
                 f"unknown {self.demography} demography parameter(s) {unknown}; "
                 f"valid parameters are {sorted(valid)}"
             )
-        if not self.backend:
-            raise ValueError("backend must be a non-empty backend name")
         object.__setattr__(self, "backend", str(self.backend).lower())
-        if self.backend not in _BACKEND_REGISTRY.names():
+        if self.backend != "numpy":
             raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {sorted(_BACKEND_REGISTRY.names())}"
+                f"unknown backend {self.backend!r}; the likelihood kernels run on numpy only"
             )
 
     def demography_model(self) -> Demography:
@@ -377,13 +370,13 @@ class MPCGSConfig:
         experiment service's content hash (and with it the result-store
         dedup) rests on.
 
-        ``"backend"`` is emitted only when it is not the numpy default, so
-        every pre-backend spec document — and its content hash — is
-        unchanged by the backend field's existence.  ``"likelihood_engine"``
-        is likewise emitted only when it is not :data:`DEFAULT_ENGINE`: a
-        document written when ``batched`` was the default names it
-        explicitly, so it still loads as ``batched`` and keeps its content
-        hash; a config left at the ``fused`` default hashes without the key.
+        ``"backend"`` is never emitted (it can only be ``"numpy"``), so a
+        document that names it hashes as one that does not.
+        ``"likelihood_engine"`` is emitted only when it is not
+        :data:`DEFAULT_ENGINE`: a document written when ``batched`` was the
+        default names it explicitly, so it still loads as ``batched`` and
+        keeps its content hash; a config left at the ``fused`` default
+        hashes without the key.
         """
         doc = {
             "sampler": self.sampler_name,
@@ -399,8 +392,6 @@ class MPCGSConfig:
         }
         if self.likelihood_engine != DEFAULT_ENGINE:
             doc["likelihood_engine"] = self.likelihood_engine
-        if self.backend != "numpy":
-            doc["backend"] = self.backend
         return doc
 
     @classmethod

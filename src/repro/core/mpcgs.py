@@ -169,10 +169,9 @@ class _EngineBuilder:
     engine_name: str
     alignment: Alignment
     model: object
-    backend: str = "numpy"
 
     def __call__(self) -> LikelihoodEngine:
-        return make_engine(self.engine_name, self.alignment, self.model, backend=self.backend)
+        return make_engine(self.engine_name, self.alignment, self.model)
 
 
 __all__ = [
@@ -284,9 +283,7 @@ class MPCGS:
         """
         # Picklable (unlike a local closure) so the multichain baseline can
         # ship it to worker processes under n_workers > 1.
-        build = _EngineBuilder(
-            self.config.likelihood_engine, self.alignment, self.model, self.config.backend
-        )
+        build = _EngineBuilder(self.config.likelihood_engine, self.alignment, self.model)
 
         if not share_cache:
             return build

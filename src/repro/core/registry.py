@@ -48,7 +48,6 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..backend import BACKENDS, backend_available, get_backend
 from ..baselines.heated import HeatedChainSampler, default_temperatures
 from ..baselines.lamarc import LamarcSampler
 from ..baselines.multichain import MultiChainSampler
@@ -71,7 +70,6 @@ __all__ = [
     "SAMPLERS",
     "ENGINES",
     "MODELS",
-    "BACKENDS",
     "BayesianSamplerAdapter",
     "make_sampler",
     "register_sampler",
@@ -80,10 +78,7 @@ __all__ = [
     "available_samplers",
     "available_engines",
     "available_models",
-    "available_backends",
     "available_demographies",
-    "backend_available",
-    "get_backend",
     "demography_capable_samplers",
     "require_demography_support",
 ]
@@ -347,12 +342,13 @@ def make_engine(
 ) -> LikelihoodEngine:
     """Construct a likelihood engine by registry name (with unknown-name listing).
 
-    ``backend`` selects the array backend the engine's hot path runs on
-    (any name from :func:`available_backends`); the default numpy backend
-    is bit-exact with the pre-backend code.
+    ``backend`` must be ``"numpy"``, the only array library the likelihood
+    kernels run on; any other value raises ``ValueError``.
     """
     ENGINES.get(name)  # uniform error message listing valid names
-    return _make_engine(name, alignment, model, backend=backend)
+    if str(backend).lower() != "numpy":
+        raise ValueError(f"unknown backend {backend!r}; the likelihood kernels run on numpy only")
+    return _make_engine(name, alignment, model)
 
 
 def make_model(name: str, base_frequencies=None, **kwargs) -> MutationModel:
@@ -374,13 +370,3 @@ def available_engines() -> dict[str, str]:
 def available_models() -> dict[str, str]:
     """Registered mutation-model names with one-line descriptions."""
     return MODELS.describe()
-
-
-def available_backends() -> dict[str, str]:
-    """Registered array-backend names with one-line descriptions.
-
-    Listing is unconditional — a backend whose library is not installed
-    still appears here (``mpcgs info`` shows its availability flag);
-    constructing it is what requires the library.
-    """
-    return BACKENDS.describe()

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..genealogy.tree import Genealogy
 from ..sequences.alignment import Alignment
 from ..service.faults import current_injector
@@ -72,8 +71,10 @@ class NumericalFaultError(ArithmeticError):
 #: Engine-degradation order: when a run dies with :class:`NumericalFaultError`
 #: on an engine, the job runner retries it on the named fallback (the next
 #: rung strips one layer of evaluation machinery — the partials arena, then
-#: proposal batching).  ``batched`` is the first rung below ``fused`` because
-#: it is bitwise equal to it, so a degraded run commits the same report.
+#: proposal batching).  ``batched`` is the first rung below ``fused``: it
+#: computes the same likelihoods, though not bitwise (the two differ in the
+#: last bits, up to ~1e-13), so a degraded run commits the clean run's report
+#: unless such a difference flips an accept decision.
 #: Engines absent from the map (``vectorized``, ``serial``, ``constant``)
 #: have nothing simpler to fall back to; the fault is final there.
 DEGRADATION_LADDER: dict[str, str | None] = {
@@ -128,25 +129,10 @@ class LikelihoodEngine:
 
     alignment: Alignment
     model: MutationModel
-    backend: str = "numpy"
     n_evaluations: int = field(default=0, init=False)
     n_nodes_pruned: int = field(default=0, init=False)
     n_tree_site_products: int = field(default=0, init=False)
     _site_data: SiteData | None = field(default=None, init=False, repr=False)
-    _xp: ArrayBackend | None = field(default=None, init=False, repr=False)
-
-    @property
-    def xp(self) -> ArrayBackend:
-        """The array backend handle this engine's device math runs on.
-
-        Resolved lazily from the ``backend`` name (a property rather than
-        ``__post_init__`` work so subclasses that override ``__post_init__``
-        without chaining to super still resolve correctly).  The serial and
-        constant engines never consult it — they are host-only by design.
-        """
-        if self._xp is None:
-            self._xp = get_backend(self.backend)
-        return self._xp
 
     @property
     def site_data(self) -> SiteData:
@@ -241,9 +227,7 @@ class VectorizedEngine(LikelihoodEngine):
     def evaluate(self, tree: Genealogy) -> float:
         self._count(1, nodes_pruned=tree.n_internal)
         return self._healthy(
-            log_likelihood(
-                tree, self.alignment, self.model, site_data=self.site_data, xp=self.xp
-            )
+            log_likelihood(tree, self.alignment, self.model, site_data=self.site_data)
         )
 
     def evaluate_batch(self, trees: list[Genealogy]) -> np.ndarray:
@@ -258,7 +242,7 @@ class BatchedEngine(LikelihoodEngine):
     the engine and reused across calls (regrown geometrically when a larger
     batch arrives), so a chain evaluating one proposal set per step — or a
     stacked multichain run pushing K chains' candidates through per round —
-    stops paying a fresh device allocation per call.
+    stops paying a fresh allocation per call.
     """
 
     _partials_ws = None  # lazily grown; shared by every evaluate_batch call
@@ -272,16 +256,14 @@ class BatchedEngine(LikelihoodEngine):
             or ws.shape[2] != n_cols
         ):
             capacity = max(n_trees, 2 * (ws.shape[0] if ws is not None else 0))
-            ws = self.xp.empty((capacity, n_nodes, n_cols, 4))
+            ws = np.empty((capacity, n_nodes, n_cols, 4))
             self._partials_ws = ws
         return ws
 
     def evaluate(self, tree: Genealogy) -> float:
         self._count(1, nodes_pruned=tree.n_internal)
         return self._healthy(
-            log_likelihood(
-                tree, self.alignment, self.model, site_data=self.site_data, xp=self.xp
-            )
+            log_likelihood(tree, self.alignment, self.model, site_data=self.site_data)
         )
 
     def evaluate_batch(self, trees: list[Genealogy]) -> np.ndarray:
@@ -297,7 +279,6 @@ class BatchedEngine(LikelihoodEngine):
                 self.alignment,
                 self.model,
                 site_data=self.site_data,
-                xp=self.xp,
                 workspace=workspace,
             )
         )
@@ -337,17 +318,13 @@ def make_engine(
     name: str,
     alignment: Alignment,
     model: MutationModel,
-    backend: str = "numpy",
 ) -> LikelihoodEngine:
     """Construct a likelihood engine by case-insensitive name.
 
-    ``backend`` selects the array backend the engine's device math runs on
-    (see :mod:`repro.backend`); the default numpy backend is bit-identical
-    to the historical hard-wired implementation.  Raises the same "unknown
-    name, available choices" error shape as the registries in
-    :mod:`repro.core.registry`.
+    Raises the same "unknown name, available choices" error shape as the
+    registries in :mod:`repro.core.registry`.
     """
     key = name.lower()
     if key not in _ENGINES:
         raise ValueError(f"unknown engine {name!r}; choose from {', '.join(sorted(_ENGINES))}")
-    return _ENGINES[key](alignment=alignment, model=model, backend=backend)
+    return _ENGINES[key](alignment=alignment, model=model)

@@ -32,22 +32,14 @@ agree to numerical precision (and are tested against each other):
 To avoid floating-point underflow on long sequences and tall trees, partial
 likelihoods are renormalized at every interior node and the scaling factors
 are accumulated in log space (Section 5.3).
-
-Backend note: this module is backend-abstracted.  *Planning* — traversal
-orders, child tables, unique-branch dedup, tip one-hots — always runs on
-the numpy host handle ``B`` (trees and alignments are host objects).
-*Device math* — the stacked matmul/einsum pruning itself — goes through the
-``xp`` handle, any :class:`~repro.backend.ArrayBackend`, defaulting to the
-bit-exact numpy backend.  Results are converted back to host arrays at the
-function boundary, so callers never see backend types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backend import ArrayBackend
-from ..backend.numpy_backend import NUMPY as B
+import numpy as np
+
 from ..genealogy.tree import Genealogy
 from ..sequences.alignment import MISSING, Alignment
 from .mutation_models import MutationModel
@@ -63,20 +55,20 @@ __all__ = [
 
 _TINY = 1e-300
 
-Array = B.ndarray
+Array = np.ndarray
 
 
-def _state_peak(xp, vec):
+def _state_peak(vec):
     """Per-site scaling factor: the largest of the four state partials, floored at ``_TINY``.
 
     Spelled as pairwise maxima over the state axis, not a max-reduction
     along it: NumPy reduces a length-4 trailing axis an order of magnitude
     slower, and the maximum is exact either way, so the values are identical.
     """
-    peak = xp.maximum(
-        xp.maximum(vec[..., 0], vec[..., 1]), xp.maximum(vec[..., 2], vec[..., 3])
+    peak = np.maximum(
+        np.maximum(vec[..., 0], vec[..., 1]), np.maximum(vec[..., 2], vec[..., 3])
     )
-    return xp.where(peak > 0.0, peak, _TINY)
+    return np.where(peak > 0.0, peak, _TINY)
 
 
 def tip_partials(codes: Array) -> Array:
@@ -87,9 +79,9 @@ def tip_partials(codes: Array) -> Array:
     and all-ones for missing data (the standard treatment: a missing
     observation is compatible with every nucleotide).
     """
-    codes = B.asarray(codes)
+    codes = np.asarray(codes)
     n_tips, n_sites = codes.shape
-    out = B.zeros((n_tips, n_sites, 4))
+    out = np.zeros((n_tips, n_sites, 4))
     for base in range(4):
         out[..., base] = (codes == base) | (codes == MISSING)
     return out.astype(float)
@@ -122,10 +114,10 @@ class SiteData:
         if use_patterns:
             codes, weights = alignment.site_patterns()
         else:
-            codes, weights = alignment.codes, B.ones(alignment.n_sites)
+            codes, weights = alignment.codes, np.ones(alignment.n_sites)
         return cls(
             codes=codes,
-            weights=B.asarray(weights, dtype=float),
+            weights=np.asarray(weights, dtype=float),
             tips=tip_partials(codes),
             patterned=use_patterns,
         )
@@ -147,18 +139,16 @@ def log_likelihood_reference(
     Loops over every site and, within a site, over the post-order nodes,
     exactly as a non-vectorized CPU implementation would.  Used as the
     ground truth in tests and as the baseline sampler's likelihood engine.
-    Host-only by design: this is the serial-CPU baseline being compared
-    against, so it never runs on a device backend.
     """
     order = tree.postorder()
-    freqs = B.asarray(model.base_frequencies)
+    freqs = np.asarray(model.base_frequencies)
     branch = tree.branch_lengths()
     # Transition matrix per node's parent-branch (root's entry unused).
     pmats = model.transition_matrices(branch)
     codes = alignment.codes
     total = 0.0
     for site in range(alignment.n_sites):
-        partials = B.empty((tree.n_nodes, 4))
+        partials = np.empty((tree.n_nodes, 4))
         log_scale = 0.0
         for node in order:
             if tree.is_tip(node):
@@ -177,9 +167,9 @@ def log_likelihood_reference(
                 if peak <= 0.0:
                     peak = _TINY
                 partials[node] = vec / peak
-                log_scale += float(B.log(peak))
+                log_scale += float(np.log(peak))
         site_like = float(freqs @ partials[tree.root])
-        total += float(B.log(max(site_like, _TINY))) + log_scale
+        total += float(np.log(max(site_like, _TINY))) + log_scale
     return total
 
 
@@ -192,24 +182,23 @@ def site_log_likelihoods(
     model: MutationModel,
     *,
     use_patterns: bool = True,
-    xp: ArrayBackend = B,
 ) -> Array:
     """Per-site log-likelihoods ``log L_i(G)`` for a single genealogy.
 
     Vectorized over sites.  With ``use_patterns`` the computation runs over
     unique alignment columns and the result is expanded back to one value
-    per original site.  Always returns a host array.
+    per original site.
     """
     if use_patterns:
         patterns, weights = alignment.site_patterns()
         del weights
-        per_pattern = xp.to_numpy(_site_vector_pruning(tree, patterns, model, xp=xp))
-        # Expand back to per-site values (host-side planning).
+        per_pattern = _site_vector_pruning(tree, patterns, model)
+        # Expand back to per-site values.
         cols = alignment.codes.T
-        uniq, inverse = B.unique(cols, axis=0, return_inverse=True)
+        uniq, inverse = np.unique(cols, axis=0, return_inverse=True)
         del uniq
         return per_pattern[inverse]
-    return xp.to_numpy(_site_vector_pruning(tree, alignment.codes, model, xp=xp))
+    return _site_vector_pruning(tree, alignment.codes, model)
 
 
 def log_likelihood(
@@ -219,7 +208,6 @@ def log_likelihood(
     *,
     use_patterns: bool = True,
     site_data: SiteData | None = None,
-    xp: ArrayBackend = B,
 ) -> float:
     """log P(D | G) for a single genealogy, vectorized over sites.
 
@@ -230,10 +218,10 @@ def log_likelihood(
     """
     if site_data is None:
         site_data = SiteData.from_alignment(alignment, use_patterns=use_patterns)
-    per_col = _site_vector_pruning(tree, site_data.codes, model, tips=site_data.tips, xp=xp)
+    per_col = _site_vector_pruning(tree, site_data.codes, model, tips=site_data.tips)
     if site_data.patterned:
-        return float(xp.matmul(per_col, xp.asarray(site_data.weights)))
-    return float(xp.sum(per_col))
+        return float(np.matmul(per_col, site_data.weights))
+    return float(np.sum(per_col))
 
 
 def _site_vector_pruning(
@@ -241,35 +229,34 @@ def _site_vector_pruning(
     codes: Array,
     model: MutationModel,
     tips: Array | None = None,
-    xp: ArrayBackend = B,
-):
+) -> Array:
     """Core site-vectorized pruning over an ``(n_tips, n_sites)`` code matrix.
 
-    Returns a backend (``xp``) array of per-column log-likelihoods.
+    Returns an array of per-column log-likelihoods.
     """
     n_sites = codes.shape[1]
     order = tree.postorder()
-    freqs = xp.asarray(model.base_frequencies)
-    pmats = model.transition_matrices(tree.branch_lengths(), xp=xp)
+    freqs = np.asarray(model.base_frequencies)
+    pmats = model.transition_matrices(tree.branch_lengths())
 
-    partials = xp.empty((tree.n_nodes, n_sites, 4))
-    partials[: tree.n_tips] = xp.asarray(tip_partials(codes) if tips is None else tips)
-    log_scale = xp.zeros(n_sites)
+    partials = np.empty((tree.n_nodes, n_sites, 4))
+    partials[: tree.n_tips] = tip_partials(codes) if tips is None else tips
+    log_scale = np.zeros(n_sites)
 
     for node in order:
         if tree.is_tip(node):
             continue
         c0, c1 = (int(c) for c in tree.children[node])
         # (n_sites, 4) = (n_sites, 4) @ (4, 4)^T for each child branch
-        left = xp.matmul(partials[c0], xp.transpose(pmats[c0], (1, 0)))
-        right = xp.matmul(partials[c1], xp.transpose(pmats[c1], (1, 0)))
+        left = np.matmul(partials[c0], np.transpose(pmats[c0], (1, 0)))
+        right = np.matmul(partials[c1], np.transpose(pmats[c1], (1, 0)))
         vec = left * right
-        peak = _state_peak(xp, vec)
+        peak = _state_peak(vec)
         partials[node] = vec / peak[:, None]
-        log_scale = log_scale + xp.log(peak)
+        log_scale = log_scale + np.log(peak)
 
-    site_like = xp.matmul(partials[tree.root], freqs)
-    return xp.log(xp.maximum(site_like, _TINY)) + log_scale
+    site_like = np.matmul(partials[tree.root], freqs)
+    return np.log(np.maximum(site_like, _TINY)) + log_scale
 
 
 # --------------------------------------------------------------------------- #
@@ -282,7 +269,6 @@ def batched_log_likelihood(
     *,
     use_patterns: bool = True,
     site_data: SiteData | None = None,
-    xp: ArrayBackend = B,
     workspace: Array | None = None,
 ) -> Array:
     """log P(D | G) for a batch of genealogies sharing the same tips.
@@ -291,15 +277,15 @@ def batched_log_likelihood(
     of the same alignment, e.g. a GMH proposal set).  The computation is
     vectorized across the tree axis and the site axis simultaneously: at
     post-order step ``s`` the ``s``-th oldest interior node of *every* tree
-    is processed in one fused stacked operation on the ``xp`` backend, using
-    per-tree gathered child indices.  Transition matrices are computed once
+    is processed in one fused stacked operation, using per-tree gathered
+    child indices.  Transition matrices are computed once
     per *unique* branch length in the whole batch — sibling proposals share
     every branch outside their resimulated region, so most of the
     ``n_trees · n_nodes`` matrix exponentials collapse.
 
     ``workspace`` optionally supplies the ``(≥n_trees, n_nodes, n_cols, 4)``
-    partial-likelihood buffer (an ``xp`` array); every slot is fully
-    rewritten per call, so an engine can hand the same buffer to every batch
+    partial-likelihood buffer; every slot is fully rewritten per call, so
+    an engine can hand the same buffer to every batch
     instead of allocating a fresh one — the stacked cross-chain executor
     pushes ``K·(N+1)``-tree batches through here every round, where the
     per-call allocation is pure overhead.  A buffer of the wrong shape is
@@ -307,10 +293,10 @@ def batched_log_likelihood(
 
     Returns
     -------
-    ``(n_trees,)`` host array of log-likelihoods.
+    ``(n_trees,)`` array of log-likelihoods.
     """
     if len(trees) == 0:
-        return B.zeros(0)
+        return np.zeros(0)
     n_tips = trees[0].n_tips
     n_nodes = trees[0].n_nodes
     for t in trees:
@@ -327,55 +313,50 @@ def batched_log_likelihood(
     n_sites = codes.shape[1]
     n_trees = len(trees)
 
-    # Host-side planning: branch tables, unique-length dedup, traversal
-    # orders, child tables.  Trees are host objects, so this stays on B.
-    branch = B.stack([t.branch_lengths() for t in trees])
-    unique_lengths, inverse = B.unique(branch.reshape(-1), return_inverse=True)
+    branch = np.stack([t.branch_lengths() for t in trees])
+    unique_lengths, inverse = np.unique(branch.reshape(-1), return_inverse=True)
 
     # Per-tree post-order of interior nodes (children always precede parents
     # because parents are strictly older).
-    orders = B.stack([t.postorder()[n_tips:] for t in trees])  # (n_trees, n_internal)
-    children = B.stack([t.children for t in trees])  # (n_trees, n_nodes, 2)
-    roots = B.array([t.root for t in trees])
-    host_tree_idx = B.arange(n_trees)
+    orders = np.stack([t.postorder()[n_tips:] for t in trees])  # (n_trees, n_internal)
+    children = np.stack([t.children for t in trees])  # (n_trees, n_nodes, 2)
+    roots = np.array([t.root for t in trees])
+    tree_idx = np.arange(n_trees)
 
-    # Device math from here on: transition matrices (deduplicated through the
-    # unique lengths — identical inputs produce bitwise-identical matrices, so
-    # the dedup is value-preserving), stacked pruning, root readout.
-    pmats = model.transition_matrices(unique_lengths, xp=xp)[
-        xp.asindex(inverse.reshape(n_trees, n_nodes))
-    ]
-    freqs = xp.asarray(model.base_frequencies)
+    # Transition matrices are deduplicated through the unique lengths:
+    # identical inputs produce bitwise-identical matrices, so the dedup is
+    # value-preserving.
+    pmats = model.transition_matrices(unique_lengths)[inverse.reshape(n_trees, n_nodes)]
+    freqs = np.asarray(model.base_frequencies)
 
     if workspace is not None and workspace.shape[0] >= n_trees and tuple(
         workspace.shape[1:]
     ) == (n_nodes, n_sites, 4):
         partials = workspace[:n_trees]
     else:
-        partials = xp.empty((n_trees, n_nodes, n_sites, 4))
-    partials[:, :n_tips] = xp.asarray(site_data.tips)[None, :, :, :]
-    log_scale = xp.zeros((n_trees, n_sites))
+        partials = np.empty((n_trees, n_nodes, n_sites, 4))
+    partials[:, :n_tips] = site_data.tips[None, :, :, :]
+    log_scale = np.zeros((n_trees, n_sites))
 
-    tree_idx = xp.asindex(host_tree_idx)
     for step in range(n_tips - 1):
-        nodes = orders[:, step]  # (n_trees,) host
-        c0 = xp.asindex(children[host_tree_idx, nodes, 0])
-        c1 = xp.asindex(children[host_tree_idx, nodes, 1])
+        nodes = orders[:, step]  # (n_trees,)
+        c0 = children[tree_idx, nodes, 0]
+        c1 = children[tree_idx, nodes, 1]
         # Gather child partials and child-branch transition matrices.
         left_part = partials[tree_idx, c0]  # (n_trees, n_sites, 4)
         right_part = partials[tree_idx, c1]
         left_mat = pmats[tree_idx, c0]  # (n_trees, 4, 4)
         right_mat = pmats[tree_idx, c1]
-        left = xp.einsum("tsj,tij->tsi", left_part, left_mat)
-        right = xp.einsum("tsj,tij->tsi", right_part, right_mat)
+        left = np.einsum("tsj,tij->tsi", left_part, left_mat)
+        right = np.einsum("tsj,tij->tsi", right_part, right_mat)
         vec = left * right
-        peak = _state_peak(xp, vec)
-        partials[tree_idx, xp.asindex(nodes)] = vec / peak[:, :, None]
-        log_scale = log_scale + xp.log(peak)
+        peak = _state_peak(vec)
+        partials[tree_idx, nodes] = vec / peak[:, :, None]
+        log_scale = log_scale + np.log(peak)
 
-    root_partials = partials[tree_idx, xp.asindex(roots)]  # (n_trees, n_sites, 4)
-    site_like = xp.matmul(root_partials, freqs)
-    site_logs = xp.log(xp.maximum(site_like, _TINY)) + log_scale
+    root_partials = partials[tree_idx, roots]  # (n_trees, n_sites, 4)
+    site_like = np.matmul(root_partials, freqs)
+    site_logs = np.log(np.maximum(site_like, _TINY)) + log_scale
     # Pattern-weight reduction per tree via the 1-D dot, never the multi-row
     # gemv: BLAS reduces a row of an (n_trees, n_cols) matrix-vector product
     # in a different order than the equivalent 1-D dot, so one tree's total
@@ -383,5 +364,4 @@ def batched_log_likelihood(
     # makes every tree's value bitwise identical to the single-tree path for
     # any batch composition — the contract the samplers' batched evaluation
     # (and the stacked cross-chain executor in particular) relies on.
-    w = xp.asarray(weights)
-    return xp.to_numpy(xp.stack([xp.matmul(site_logs[t], w) for t in range(n_trees)]))
+    return np.stack([np.matmul(site_logs[t], weights) for t in range(n_trees)])

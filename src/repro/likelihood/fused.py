@@ -51,14 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..backend.numpy_backend import NUMPY as B
+import numpy as np
+
 from ..genealogy.tree import ArenaRows, Genealogy
 from .engines import _ENGINES, LikelihoodEngine
 from .felsenstein import _TINY, _state_peak
 
 __all__ = ["FusedEngine"]
 
-Array = B.ndarray
+Array = np.ndarray
 
 
 @dataclass
@@ -134,22 +135,21 @@ class FusedEngine(LikelihoodEngine):
         if self._ready:
             return
         site_data = self.site_data  # shared hoisted patterns + tip partials
-        xp = self.xp
-        self._pattern_weights = xp.asarray(site_data.weights)
-        self._freqs = xp.asarray(self.model.base_frequencies)
+        self._pattern_weights = site_data.weights
+        self._freqs = np.asarray(self.model.base_frequencies)
         n_tips = site_data.tips.shape[0]
         capacity = 3 * n_tips
-        self._arena = xp.empty((capacity, site_data.n_cols, 4))
-        self._arena_scale = xp.zeros((capacity, site_data.n_cols))
-        self._arena[:n_tips] = xp.asarray(site_data.tips)
+        self._arena = np.empty((capacity, site_data.n_cols, 4))
+        self._arena_scale = np.zeros((capacity, site_data.n_cols))
+        self._arena[:n_tips] = site_data.tips
         # version[r] is bumped whenever interior row r is freed, so a record
         # naming a freed (and maybe reused) row no longer matches; tip rows
         # are permanent and stay at version 0.
-        self._version = B.zeros(capacity, dtype=B.int64)
-        self._free = B.arange(n_tips, capacity)
+        self._version = np.zeros(capacity, dtype=np.int64)
+        self._free = np.arange(n_tips, capacity)
         # The rows of a tree that records none: its tips, nothing else.
-        self._bare_rows = B.concatenate([B.arange(n_tips), B.full(n_tips - 1, -1)])
-        self._bare_versions = B.zeros(2 * n_tips - 1, dtype=B.int64)
+        self._bare_rows = np.concatenate([np.arange(n_tips), np.full(n_tips - 1, -1)])
+        self._bare_versions = np.zeros(2 * n_tips - 1, dtype=np.int64)
         if self.max_entries is None:
             # One row: (n_patterns, 4) partials + (n_patterns,) scales, f64.
             entry_bytes = 8 * 5 * site_data.n_cols
@@ -160,16 +160,15 @@ class FusedEngine(LikelihoodEngine):
         """Pop ``n_rows`` free rows, regrowing the arena geometrically first."""
         short = n_rows - self._free.shape[0]
         if short > 0:
-            xp = self.xp
             old = self._arena.shape[0]
             capacity = max(old + short, 2 * old)
-            arena = xp.empty((capacity,) + tuple(self._arena.shape[1:]))
-            scale = xp.zeros((capacity, self._arena.shape[1]))
+            arena = np.empty((capacity,) + tuple(self._arena.shape[1:]))
+            scale = np.zeros((capacity, self._arena.shape[1]))
             arena[:old] = self._arena
             scale[:old] = self._arena_scale
             self._arena, self._arena_scale = arena, scale
-            self._version = B.concatenate([self._version, B.zeros(capacity - old, dtype=B.int64)])
-            self._free = B.concatenate([self._free, B.arange(old, capacity)])
+            self._version = np.concatenate([self._version, np.zeros(capacity - old, dtype=np.int64)])
+            self._free = np.concatenate([self._free, np.arange(old, capacity)])
         rows, self._free = self._free[:n_rows], self._free[n_rows:]
         return rows
 
@@ -189,7 +188,7 @@ class FusedEngine(LikelihoodEngine):
         if self._ready:
             n_tips = self.alignment.n_sequences
             self._version[n_tips:] += 1
-            self._free = B.arange(n_tips, self._arena.shape[0])
+            self._free = np.arange(n_tips, self._arena.shape[0])
 
     def reset_counters(self) -> None:
         """Zero the work, reuse and stacked-kernel counters; the arena is kept."""
@@ -241,8 +240,8 @@ class FusedEngine(LikelihoodEngine):
         n_trees = len(trees)
         keys = [tree._structure_key() for tree in trees]
         recorded = [self._recorded_rows(tree, key) for tree, key in zip(trees, keys)]
-        rows = B.stack([r for r, _ in recorded])  # (n_trees, n_nodes), written below
-        cached = self._live_mask(rows, B.stack([v for _, v in recorded]))
+        rows = np.stack([r for r, _ in recorded])  # (n_trees, n_nodes), written below
+        cached = self._live_mask(rows, np.stack([v for _, v in recorded]))
         dirty = ~cached[:, n_tips:]  # (n_trees, n_internal)
         n_dirty = dirty.sum(axis=1)
         n_items = int(n_dirty.sum())
@@ -251,17 +250,16 @@ class FusedEngine(LikelihoodEngine):
         # cached roots of fully cached candidates, and (below) the cached
         # interior children of dirty nodes.
         hits = int((n_dirty == 0).sum())
-        xp = self.xp
         if n_items:
             # ---- plan: (depth step, candidate) work items by array gathers ----
             # Each candidate's dirty nodes by node time, which puts children
             # before parents; lane (t, d) is candidate t's d-th dirty node.
-            times = B.array([tree.times for tree in trees])
-            children = B.array([tree.children for tree in trees])
-            order = B.argsort(B.where(dirty, times[:, n_tips:], B.inf), axis=1)
+            times = np.array([tree.times for tree in trees])
+            children = np.array([tree.children for tree in trees])
+            order = np.argsort(np.where(dirty, times[:, n_tips:], np.inf), axis=1)
             max_dirty = int(n_dirty.max())
-            lanes = B.arange(max_dirty) < n_dirty[:, None]
-            step_of, tree_of = B.nonzero(lanes.T)  # item k, in (step, candidate) order
+            lanes = np.arange(max_dirty) < n_dirty[:, None]
+            step_of, tree_of = np.nonzero(lanes.T)  # item k, in (step, candidate) order
             node_of = order[tree_of, step_of] + n_tips
             item_children = children[tree_of, node_of]  # (n_items, 2)
             cached_children = cached[tree_of[:, None], item_children]
@@ -270,11 +268,11 @@ class FusedEngine(LikelihoodEngine):
             # One transition matrix per *unique* branch length, stored
             # pre-transposed so each step is a contiguous batched matmul.
             lengths = times[tree_of, node_of][:, None] - times[tree_of[:, None], item_children]
-            unique_lengths, inverse = B.unique(lengths.reshape(-1), return_inverse=True)
+            unique_lengths, inverse = np.unique(lengths.reshape(-1), return_inverse=True)
             self.n_pmat_requests += 2 * n_items
             self.n_pmat_builds += int(unique_lengths.shape[0])
-            pmats_t = xp.ascontiguousarray(
-                xp.transpose(self.model.transition_matrices(unique_lengths, xp=xp), (0, 2, 1))
+            pmats_t = np.ascontiguousarray(
+                np.transpose(self.model.transition_matrices(unique_lengths), (0, 2, 1))
             )
             pm_idx = inverse.reshape(n_items, 2)
 
@@ -284,20 +282,20 @@ class FusedEngine(LikelihoodEngine):
             rows[tree_of, node_of] = fresh
             child_rows = rows[tree_of[:, None], item_children]
             arena, arena_scale = self._arena, self._arena_scale
-            bounds = [0] + B.cumsum(lanes.sum(axis=0)).tolist()
+            bounds = [0] + np.cumsum(lanes.sum(axis=0)).tolist()
             try:
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
                     # The step's left children, then its right children: one
                     # gather and one stacked matmul cover both branches.
                     k = hi - lo
-                    src = xp.asindex(child_rows[lo:hi].T.reshape(-1))
-                    both = xp.matmul(arena[src], pmats_t[xp.asindex(pm_idx[lo:hi].T.reshape(-1))])
+                    src = child_rows[lo:hi].T.reshape(-1)
+                    both = np.matmul(arena[src], pmats_t[pm_idx[lo:hi].T.reshape(-1)])
                     vec = both[:k] * both[k:]
-                    peak = _state_peak(xp, vec)
-                    out = xp.asindex(fresh[lo:hi])
+                    peak = _state_peak(vec)
+                    out = fresh[lo:hi]
                     arena[out] = vec / peak[:, :, None]
                     scale = arena_scale[src]
-                    arena_scale[out] = scale[:k] + scale[k:] + xp.log(peak)
+                    arena_scale[out] = scale[:k] + scale[k:] + np.log(peak)
             except BaseException:
                 self.clear_cache()  # the batch's rows are live but not all written
                 raise
@@ -306,8 +304,8 @@ class FusedEngine(LikelihoodEngine):
             self.n_workspace_items += n_items
 
         self._record(trees, keys, rows)
-        roots = xp.asindex(rows[B.arange(n_trees), [tree.root for tree in trees]])
-        values = xp.to_numpy(self._readout(self._arena[roots], self._arena_scale[roots]))
+        roots = rows[np.arange(n_trees), [tree.root for tree in trees]]
+        values = self._readout(self._arena[roots], self._arena_scale[roots])
 
         self.n_cache_hits += hits
         self.n_cache_misses += n_items
@@ -336,12 +334,11 @@ class FusedEngine(LikelihoodEngine):
         differ from the dot's — so a tree's value never depends on how many
         trees share its readout.
         """
-        xp = self.xp
-        site_like = xp.matmul(part, self._freqs)
-        per_pattern = xp.log(xp.maximum(site_like, _TINY)) + scale
-        return xp.stack(
+        site_like = np.matmul(part, self._freqs)
+        per_pattern = np.log(np.maximum(site_like, _TINY)) + scale
+        return np.stack(
             [
-                xp.matmul(per_pattern[t], self._pattern_weights)
+                np.matmul(per_pattern[t], self._pattern_weights)
                 for t in range(per_pattern.shape[0])
             ]
         )
@@ -366,7 +363,7 @@ class FusedEngine(LikelihoodEngine):
 
     def evaluate_batch(self, trees: list[Genealogy]) -> Array:
         if not trees:
-            return B.zeros(0)
+            return np.zeros(0)
         return self._evaluate(list(trees))
 
     def prepare(self, tree: Genealogy) -> None:
@@ -397,13 +394,13 @@ class FusedEngine(LikelihoodEngine):
         """
         if not self._ready:
             return
-        keep = B.zeros(self._version.shape[0], dtype=bool)
+        keep = np.zeros(self._version.shape[0], dtype=bool)
         for tree in trees:
             rows, versions = self._recorded_rows(tree, tree._structure_key())
             keep[rows[self._live_mask(rows, versions)]] = True
         n_tips = self.alignment.n_sequences
         keep[:n_tips] = True
-        drop = B.flatnonzero(~keep)
+        drop = np.flatnonzero(~keep)
         self._version[drop] += 1
         self._free = drop
 

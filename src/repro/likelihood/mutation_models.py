@@ -19,13 +19,6 @@ single :class:`MutationModel` interface that produces
 All models are time-reversible and normalized so one unit of branch length
 equals one expected substitution per site, which makes branch lengths
 directly comparable across models.
-
-Backend note: this module is backend-abstracted.  Model *construction*
-(rate-matrix assembly, the reversible eigendecomposition) is host-side
-setup and runs on the numpy host handle ``B`` once per model instance.
-``transition_matrices`` — the per-evaluation hot path — takes an ``xp``
-handle and builds the batched matrices with that backend's math, so the
-pruning kernels receive device-resident matrices without a host round-trip.
 """
 
 from __future__ import annotations
@@ -33,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..backend import ArrayBackend
-from ..backend.numpy_backend import NUMPY as B
+import numpy as np
+
 from ..sequences.alignment import NUCLEOTIDES
 
 __all__ = [
@@ -48,10 +41,10 @@ __all__ = [
     "stationary_check",
 ]
 
-Array = B.ndarray
+Array = np.ndarray
 
-_PURINES = B.array([True, False, True, False])  # A, G
-_UNIFORM = B.full(4, 0.25)
+_PURINES = np.array([True, False, True, False])  # A, G
+_UNIFORM = np.full(4, 0.25)
 
 
 class MutationModel(Protocol):
@@ -63,26 +56,26 @@ class MutationModel(Protocol):
         """Return the ``(4, 4)`` matrix ``P[x, y] = P(X=x -> Y=y | t)``."""
         ...
 
-    def transition_matrices(self, times: Array, xp: ArrayBackend = B):
-        """Return ``(len(times), 4, 4)`` transition matrices on backend ``xp``."""
+    def transition_matrices(self, times: Array) -> Array:
+        """Return ``(len(times), 4, 4)`` transition matrices."""
         ...
 
 
 def _validate_frequencies(freqs: Array | None) -> Array:
     if freqs is None:
         return _UNIFORM.copy()
-    arr = B.asarray(freqs, dtype=float)
+    arr = np.asarray(freqs, dtype=float)
     if arr.shape != (4,):
         raise ValueError("base_frequencies must have shape (4,) ordered A, C, G, T")
-    if B.any(arr <= 0):
+    if np.any(arr <= 0):
         raise ValueError("base frequencies must be strictly positive")
     return arr / arr.sum()
 
 
 def _validated_times(times) -> Array:
-    """Host-side validation of a branch-length vector (shared by all models)."""
-    times = B.asarray(times, dtype=float)
-    if B.any(times < 0):
+    """Validate a branch-length vector (shared by all models)."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
         raise ValueError("branch lengths must be non-negative")
     return times
 
@@ -102,18 +95,18 @@ class Felsenstein81:
     def __post_init__(self) -> None:
         freqs = _validate_frequencies(self.base_frequencies)
         object.__setattr__(self, "base_frequencies", freqs)
-        rate = 1.0 - float(B.sum(freqs**2))
+        rate = 1.0 - float(np.sum(freqs**2))
         object.__setattr__(self, "_event_rate", 1.0 / rate)
 
     def transition_matrix(self, t: float) -> Array:
-        return self.transition_matrices(B.asarray([t]))[0]
+        return self.transition_matrices(np.asarray([t]))[0]
 
-    def transition_matrices(self, times: Array, xp: ArrayBackend = B):
-        times = xp.asarray(_validated_times(times))
-        decay = xp.exp(-self._event_rate * times)[:, None, None]  # type: ignore[attr-defined]
-        eye = xp.eye(4)[None, :, :]
-        pi = xp.broadcast_to(
-            xp.asarray(self.base_frequencies)[None, None, :], (len(times), 4, 4)
+    def transition_matrices(self, times: Array) -> Array:
+        times = _validated_times(times)
+        decay = np.exp(-self._event_rate * times)[:, None, None]  # type: ignore[attr-defined]
+        eye = np.eye(4)[None, :, :]
+        pi = np.broadcast_to(
+            self.base_frequencies[None, None, :], (len(times), 4, 4)
         )
         return decay * eye + (1.0 - decay) * pi
 
@@ -126,16 +119,16 @@ class JukesCantor69:
         object.__setattr__(self, "base_frequencies", _UNIFORM.copy())
 
     def transition_matrix(self, t: float) -> Array:
-        return self.transition_matrices(B.asarray([t]))[0]
+        return self.transition_matrices(np.asarray([t]))[0]
 
-    def transition_matrices(self, times: Array, xp: ArrayBackend = B):
-        times = xp.asarray(_validated_times(times))
+    def transition_matrices(self, times: Array) -> Array:
+        times = _validated_times(times)
         # P(same) = 1/4 + 3/4 exp(-4/3 t); P(diff) = 1/4 - 1/4 exp(-4/3 t)
-        decay = xp.exp(-4.0 / 3.0 * times)[:, None, None]
+        decay = np.exp(-4.0 / 3.0 * times)[:, None, None]
         same = 0.25 + 0.75 * decay
         diff = 0.25 - 0.25 * decay
-        eye = xp.eye(4)[None, :, :]
-        return xp.where(eye > 0, same, diff)
+        eye = np.eye(4)[None, :, :]
+        return np.where(eye > 0, same, diff)
 
 
 @dataclass(frozen=True)
@@ -150,22 +143,22 @@ class Kimura80:
         object.__setattr__(self, "base_frequencies", _UNIFORM.copy())
 
     def transition_matrix(self, t: float) -> Array:
-        return self.transition_matrices(B.asarray([t]))[0]
+        return self.transition_matrices(np.asarray([t]))[0]
 
-    def transition_matrices(self, times: Array, xp: ArrayBackend = B):
-        times = xp.asarray(_validated_times(times))
+    def transition_matrices(self, times: Array) -> Array:
+        times = _validated_times(times)
         kappa = self.kappa
         # Normalize so one unit of time is one expected substitution per
         # site: with transition rate alpha and per-target transversion rate
         # beta, the leaving rate is alpha + 2 beta = 1 and alpha = kappa beta.
         beta = 1.0 / (kappa + 2.0)
         alpha = kappa * beta
-        e_transversion = xp.exp(-4.0 * beta * times)
-        e_transition = xp.exp(-2.0 * (alpha + beta) * times)
+        e_transversion = np.exp(-4.0 * beta * times)
+        e_transition = np.exp(-2.0 * (alpha + beta) * times)
         p_same = 0.25 + 0.25 * e_transversion + 0.5 * e_transition
         p_transition = 0.25 + 0.25 * e_transversion - 0.5 * e_transition
         p_transversion = 0.25 - 0.25 * e_transversion  # per transversion target
-        out = xp.empty((len(times), 4, 4))
+        out = np.empty((len(times), 4, 4))
         for x in range(4):
             for y in range(4):
                 if x == y:
@@ -178,26 +171,22 @@ class Kimura80:
 
 
 class _GeneralReversible:
-    """Shared machinery: eigen-decomposition of a reversible rate matrix.
-
-    The eigendecomposition is host-side setup (runs once per model); the
-    batched matrix exponentials in ``transition_matrices`` run on ``xp``.
-    """
+    """Shared machinery: eigen-decomposition of a reversible rate matrix."""
 
     def __init__(self, rate_matrix: Array, base_frequencies: Array) -> None:
         self.base_frequencies = base_frequencies
-        q = B.array(rate_matrix, dtype=float)
-        B.fill_diagonal(q, 0.0)
-        B.fill_diagonal(q, -q.sum(axis=1))
+        q = np.array(rate_matrix, dtype=float)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
         # Normalize to one expected substitution per unit time.
-        mean_rate = -float(B.sum(base_frequencies * B.diag(q)))
+        mean_rate = -float(np.sum(base_frequencies * np.diag(q)))
         q /= mean_rate
         self._rate_matrix = q
         # Symmetrize: S = diag(sqrt(pi)) Q diag(1/sqrt(pi)) is symmetric for
         # reversible Q, giving a stable eigendecomposition.
-        sqrt_pi = B.sqrt(base_frequencies)
+        sqrt_pi = np.sqrt(base_frequencies)
         s = (sqrt_pi[:, None] * q) / sqrt_pi[None, :]
-        eigval, eigvec = B.eigh((s + s.T) / 2.0)
+        eigval, eigvec = np.linalg.eigh((s + s.T) / 2.0)
         self._eigval = eigval
         self._right = eigvec / sqrt_pi[:, None]
         self._left = eigvec.T * sqrt_pi[None, :]
@@ -208,16 +197,16 @@ class _GeneralReversible:
         return self._rate_matrix.copy()
 
     def transition_matrix(self, t: float) -> Array:
-        return self.transition_matrices(B.asarray([t]))[0]
+        return self.transition_matrices(np.asarray([t]))[0]
 
-    def transition_matrices(self, times: Array, xp: ArrayBackend = B):
-        times = xp.asarray(_validated_times(times))
-        expo = xp.exp(times[:, None] * xp.asarray(self._eigval)[None, :])  # (T, 4)
+    def transition_matrices(self, times: Array) -> Array:
+        times = _validated_times(times)
+        expo = np.exp(times[:, None] * self._eigval[None, :])  # (T, 4)
         # P(t) = right @ diag(exp(lambda t)) @ left
-        out = xp.einsum("ik,tk,kj->tij", xp.asarray(self._right), expo, xp.asarray(self._left))
+        out = np.einsum("ik,tk,kj->tij", self._right, expo, self._left)
         # Numerical cleanup: clamp tiny negatives and renormalize rows.
-        out = xp.clip(out, 0.0, None)
-        out = out / xp.sum(out, axis=2, keepdims=True)
+        out = np.clip(out, 0.0, None)
+        out = out / np.sum(out, axis=2, keepdims=True)
         return out
 
 
@@ -229,7 +218,7 @@ class HKY85(_GeneralReversible):
             raise ValueError("kappa must be positive")
         freqs = _validate_frequencies(base_frequencies)
         self.kappa = kappa
-        q = B.empty((4, 4))
+        q = np.empty((4, 4))
         for x in range(4):
             for y in range(4):
                 if x == y:
@@ -258,7 +247,7 @@ class F84(_GeneralReversible):
         pi_a, pi_c, pi_g, pi_t = freqs
         pi_r = pi_a + pi_g  # purines
         pi_y = pi_c + pi_t  # pyrimidines
-        q = B.empty((4, 4))
+        q = np.empty((4, 4))
         for x in range(4):
             for y in range(4):
                 if x == y:
@@ -289,18 +278,18 @@ class GTR(_GeneralReversible):
     ) -> None:
         freqs = _validate_frequencies(base_frequencies)
         if exchangeabilities is None:
-            rates = B.ones(6)
+            rates = np.ones(6)
         else:
-            rates = B.asarray(exchangeabilities, dtype=float)
+            rates = np.asarray(exchangeabilities, dtype=float)
             if rates.shape != (6,):
                 raise ValueError(
                     "exchangeabilities must have shape (6,) ordered AC, AG, AT, CG, CT, GT"
                 )
-            if B.any(rates <= 0):
+            if np.any(rates <= 0):
                 raise ValueError("exchangeabilities must be strictly positive")
         self.exchangeabilities = rates
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        q = B.zeros((4, 4))
+        q = np.zeros((4, 4))
         for rate, (x, y) in zip(rates, pairs):
             q[x, y] = rate * freqs[y]
             q[y, x] = rate * freqs[x]
@@ -310,8 +299,8 @@ class GTR(_GeneralReversible):
 def stationary_check(model: MutationModel, t: float = 10.0, atol: float = 1e-6) -> bool:
     """Return True if π P(t) == π, i.e. the model's claimed frequencies are stationary."""
     p = model.transition_matrix(t)
-    pi = B.asarray(model.base_frequencies)
-    return bool(B.allclose(pi @ p, pi, atol=atol))
+    pi = np.asarray(model.base_frequencies)
+    return bool(np.allclose(pi @ p, pi, atol=atol))
 
 
 #: Mapping of model names (as accepted by the CLI and the sequence

@@ -42,8 +42,9 @@ crash.
 (:class:`~repro.likelihood.engines.NumericalFaultError`): the worker
 degrades one step down the engine ladder
 (:data:`~repro.likelihood.engines.DEGRADATION_LADDER`, fused → batched →
-vectorized; ``batched`` is bitwise equal to ``fused``, so a run degraded
-there commits the same report) and reruns; if the bottom of the ladder
+vectorized; ``batched`` computes the same likelihoods as ``fused`` up to
+the last bits, so a run degraded there commits the same report unless such
+a difference flips an accept decision) and reruns; if the bottom of the ladder
 still faults, the job fails with the typed error (retrying cannot help —
 the draw sequence is deterministic).
 

@@ -49,7 +49,9 @@ from repro.simulate.datasets import synthesize_dataset
 
 #: Report fields that legitimately differ between engines / executions:
 #: timing, and the engine identity embedded in the config.  Everything else
-#: must be bit-identical across the whole engine ladder and across retries.
+#: must match across retries, and across the engine ladder at the tests'
+#: fixed seeds (the ladder's engines differ in the last bits, so a different
+#: seed could flip an accept decision).
 SCRUB_KEYS = {
     "wall_time_seconds",
     "likelihood_engine",
@@ -376,8 +378,11 @@ class TestDegradation:
         assert degraded[0].payload["from_engine"] == engine
         assert degraded[0].payload["to_engine"] == fallback
         assert any(e.kind == "fault.injected" for e in events)
-        # The degraded run's report is bit-identical to the unfaulted one
-        # once timing and engine identity are scrubbed.
+        # fused and batched are not bitwise equal: their log-likelihoods
+        # differ in the last bits (up to ~1e-13).  So a degraded report
+        # equals the unfaulted one, once timing and engine identity are
+        # scrubbed, unless such a difference flips an accept decision; at
+        # this fixed seed none does.
         assert scrub(service.report_for(record.job_id)) == scrub(baseline)
 
     def test_exhausted_ladder_fails_with_typed_error(self, tmp_path, phylip_file):

@@ -331,7 +331,7 @@ class TestArenaLifecycle:
         oracle = VectorizedEngine(alignment=dataset.alignment, model=model)
         tree = _trees(dataset, 1, seed=70)[0]
 
-        def interrupted(xp, vec):
+        def interrupted(vec):
             raise RuntimeError("interrupted")
 
         monkeypatch.setattr(fused_module, "_state_peak", interrupted)
