@@ -107,9 +107,20 @@ class ProposalSet:
         variate on (0, Σ wᵢ) and walk the cumulative weights until it is
         exceeded — here in normalized probability space.
         """
-        u = rng.random()
-        return int(
-            np.searchsorted(self.cumulative_weights, u, side="right").clip(0, self.size - 1)
+        return self.sample_indices(rng, 1)[0]
+
+    def sample_indices(self, rng: np.random.Generator, size: int) -> list[int]:
+        """``size`` independent draws of I from one block of uniforms.
+
+        ``rng.random(size)`` yields the same doubles as ``size`` scalar
+        ``rng.random()`` calls, so this equals ``size`` calls of
+        :meth:`sample_index` and consumes the stream the same way.
+        """
+        u = rng.random(size)
+        return (
+            np.searchsorted(self.cumulative_weights, u, side="right")
+            .clip(0, self.size - 1)
+            .tolist()
         )
 
 
@@ -219,5 +230,5 @@ class GeneralizedMetropolisHastings:
         if n_draws < 1:
             raise ValueError("n_draws must be at least 1")
         proposal_set = self.build_proposal_set(current, current_log_likelihood, rng)
-        draws = [proposal_set.sample_index(rng) for _ in range(n_draws)]
+        draws = proposal_set.sample_indices(rng, n_draws)
         return proposal_set, draws

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend.rng_registry import named_stream
 from repro.core.gmh import GeneralizedMetropolisHastings, ProposalSet
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import BatchedEngine
@@ -183,3 +184,39 @@ class TestIterate:
         )
         pset, _ = single.iterate(seed_tree, None, 1, rng)
         assert pset.size == 2
+
+
+class TestBlockIndexDraws:
+    """A set's ``n_draws`` indices come from one ``rng.random(n_draws)`` block."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("set_size", [2, 5, 17])
+    @pytest.mark.parametrize("n_draws", [1, 3, 16])
+    @pytest.mark.parametrize("stream", ["pcg64", "philox"])
+    def test_block_draws_equal_the_per_draw_loop(self, seed, set_size, n_draws, stream):
+        def make_rng():
+            if stream == "pcg64":
+                return np.random.default_rng(seed)
+            return named_stream(seed, "gmh", "index")
+
+        logw = np.random.default_rng(seed + 100).normal(scale=3.0, size=set_size)
+        logw -= np.log(np.exp(logw).sum())
+        pset = ProposalSet(
+            trees=(None,) * set_size,  # type: ignore[arg-type]
+            log_data_likelihoods=logw.copy(),
+            log_weights=logw,
+            target=0,
+            generator_index=set_size - 1,
+        )
+        block_rng, loop_rng = make_rng(), make_rng()
+        block = pset.sample_indices(block_rng, n_draws)
+        # The per-draw loop ``iterate`` ran before: one scalar uniform each.
+        cum = pset.cumulative_weights
+        loop = [
+            int(np.searchsorted(cum, loop_rng.random(), side="right").clip(0, set_size - 1))
+            for _ in range(n_draws)
+        ]
+        assert block == loop
+        assert all(type(i) is int for i in block)
+        # Both generators end in the same state.
+        assert block_rng.random() == loop_rng.random()
