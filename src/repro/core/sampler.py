@@ -148,14 +148,18 @@ class MultiProposalSampler:
         while draws_recorded < cfg.n_samples:
             proposal_set, draws = self.gmh.iterate(current, current_loglik, per_set, rng)
             n_sets += 1
+            # A candidate drawn several times from one set is converted once.
+            intervals_of: dict[int, np.ndarray] = {}
             for idx in draws:
                 if idx != proposal_set.generator_index:
                     n_moves += 1
                 draws_seen += 1
                 sampled_tree = proposal_set.trees[idx]
                 if draws_seen > cfg.burn_in and (draws_seen - cfg.burn_in) % cfg.thin == 0:
+                    if idx not in intervals_of:
+                        intervals_of[idx] = sampled_tree.interval_representation()
                     trace.record(
-                        intervals=sampled_tree.interval_representation(),
+                        intervals=intervals_of[idx],
                         log_likelihood=float(proposal_set.log_data_likelihoods[idx]),
                         height=sampled_tree.tree_height(),
                     )
