@@ -28,7 +28,11 @@ pipeline recovers *both* parameters from data simulated at a known truth
    a couple of units of the truth — still carrying the upward bias that
    only dozens of loci fully wash out (verified here by gridding the
    high-sample summed surface: its true maximizer, not an estimation
-   artifact, sits above g*).
+   artifact, sits above g*).  One chain's estimate carries Monte Carlo
+   error as large as that margin: on the smoke-mode loci, single chains
+   land outside the tolerance for 13–18 % of chain seeds.  So the stage
+   runs the same loci under several chain seeds and judges the median
+   estimate, so that one unlucky chain seed no longer decides the check.
 
 Emits ``benchmarks/BENCH_growth.json`` with the recovery errors, the stated
 tolerances, and the pipeline work counters (CI uploads it as an artifact;
@@ -72,6 +76,8 @@ SINGLE_LOCUS_THETA_REL_TOL = 1.5
 SINGLE_LOCUS_GROWTH_RANGE = (0.0, TRUE_GROWTH + 10.0)
 MULTI_LOCUS_THETA_REL_TOL = 0.5
 MULTI_LOCUS_GROWTH_ABS_TOL = 2.5
+#: Independent EM runs of the multi-locus stage; its (θ, g) is their median.
+MULTI_LOCUS_CHAIN_SEEDS = 5
 
 
 def recover_pooled(n_replicates: int, n_tips: int, seed: int) -> dict:
@@ -146,7 +152,12 @@ def recover_pipeline(
 def recover_multilocus(
     n_loci: int, n_tips: int, n_sites: int, n_samples: int, burn_in: int, n_em: int, seed: int
 ) -> dict:
-    """Stage 3: joint (θ, g) estimation across unlinked loci."""
+    """Stage 3: joint (θ, g) estimation across unlinked loci.
+
+    The loci are estimated :data:`MULTI_LOCUS_CHAIN_SEEDS` times, the run
+    ``j`` drawing its chains from ``default_rng([seed + 1, j])``, and the
+    stage reports the median θ and g over the runs.
+    """
     sim_rng = np.random.default_rng(seed)
     loci = [_simulate_locus(n_tips, n_sites, sim_rng) for _ in range(n_loci)]
 
@@ -157,8 +168,13 @@ def recover_multilocus(
         growth0=0.0,
     )
     start = time.perf_counter()
-    result = run_multilocus(loci, config, theta0=0.5, rng=np.random.default_rng(seed + 1))
+    results = [
+        run_multilocus(loci, config, theta0=0.5, rng=np.random.default_rng([seed + 1, j]))
+        for j in range(MULTI_LOCUS_CHAIN_SEEDS)
+    ]
     elapsed = time.perf_counter() - start
+    theta = float(np.median([r.theta for r in results]))
+    growth = float(np.median([r.growth for r in results]))
     return {
         "n_loci": n_loci,
         "n_tips": n_tips,
@@ -166,13 +182,16 @@ def recover_multilocus(
         "n_samples_per_iteration": n_samples,
         "burn_in": burn_in,
         "n_em_iterations": n_em,
-        "theta": result.theta,
-        "growth": result.growth,
-        "theta_rel_error": abs(result.theta - TRUE_THETA) / TRUE_THETA,
-        "growth_abs_error": abs(result.growth - TRUE_GROWTH),
-        "trajectory": [[float(t), float(g)] for t, g in result.trajectory],
-        "total_samples": result.total_samples,
-        "n_likelihood_evaluations": result.total_likelihood_evaluations,
+        "n_chain_seeds": MULTI_LOCUS_CHAIN_SEEDS,
+        "theta": theta,
+        "growth": growth,
+        "theta_per_chain_seed": [float(r.theta) for r in results],
+        "growth_per_chain_seed": [float(r.growth) for r in results],
+        "theta_rel_error": abs(theta - TRUE_THETA) / TRUE_THETA,
+        "growth_abs_error": abs(growth - TRUE_GROWTH),
+        "trajectories": [[[float(t), float(g)] for t, g in r.trajectory] for r in results],
+        "total_samples": sum(r.total_samples for r in results),
+        "n_likelihood_evaluations": sum(r.total_likelihood_evaluations for r in results),
         "wall_seconds": elapsed,
     }
 
