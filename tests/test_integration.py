@@ -41,20 +41,28 @@ def estimate_with_mpcgs(alignment, theta0, rng, n_samples=150, burn_in=50, em_it
 
 @pytest.mark.slow
 class TestAccuracyExperiment:
-    """A scaled-down Table 1: both samplers track the true theta across a sweep."""
+    """A scaled-down Table 1: both samplers track the true theta across a sweep.
+
+    The estimates of the 1.0 and 2.0 cells differ by about 0.45 (means near
+    1.8 and 2.25), while one 150-sample chain gives the 2.0 cell's estimate
+    a Monte Carlo spread of 0.25-0.3, so with 150-sample chains the
+    assertions failed for 8 of 60 independent chain seeds on these
+    datasets.  With 600-sample chains (spread about 0.2) none of 30 failed.
+    """
 
     def test_samplers_agree_and_track_truth(self):
         true_thetas = [0.5, 1.0, 2.0]
         baseline_estimates = []
         mpcgs_estimates = []
+        chain = {"n_samples": 600, "burn_in": 100}
         for i, true_theta in enumerate(true_thetas):
             rng = np.random.default_rng(100 + i)
             data = synthesize_dataset(n_sequences=8, n_sites=250, true_theta=true_theta, rng=rng)
             baseline_estimates.append(
-                estimate_with_baseline(data.alignment, theta0=0.5 * true_theta, rng=rng)
+                estimate_with_baseline(data.alignment, theta0=0.5 * true_theta, rng=rng, **chain)
             )
             mpcgs_estimates.append(
-                estimate_with_mpcgs(data.alignment, theta0=0.5 * true_theta, rng=rng)
+                estimate_with_mpcgs(data.alignment, theta0=0.5 * true_theta, rng=rng, **chain)
             )
         baseline = np.array(baseline_estimates)
         mpcgs = np.array(mpcgs_estimates)
