@@ -197,6 +197,27 @@ class Genealogy:
         state.pop("arena_rows", None)
         return state
 
+    @classmethod
+    def _adopt(
+        cls,
+        times: np.ndarray,
+        parent: np.ndarray,
+        children: np.ndarray,
+        tip_names: tuple[str, ...],
+        root: int,
+    ) -> "Genealogy":
+        """A genealogy over arrays the caller hands over, without copying them.
+
+        The proposal kernel writes every candidate of a set into its own row
+        of one block, so the rows are already private, correctly typed
+        copies; :meth:`__post_init__` would copy each again.
+        """
+        new = cls.__new__(cls)
+        new.times, new.parent, new.children = times, parent, children
+        new.tip_names = tip_names
+        new._root = root
+        return new
+
     def copy(self) -> "Genealogy":
         """Deep copy (the proposal machinery edits copies in place)."""
         new = Genealogy(
@@ -394,12 +415,25 @@ class Genealogy:
         re-prunes only the rewritten nodes.  A no-op when ``base`` holds no
         rows, or holds rows recorded before an in-place edit.
         """
-        record = base.arena_rows
-        if record is None or record.key != base._structure_key():
-            return
+        record = base.rows_for_copies(rewritten)
+        if record is not None:
+            self.arena_rows = record._replace(key=self._structure_key())
+
+    def rows_for_copies(self, rewritten: Sequence[int]) -> ArenaRows | None:
+        """This genealogy's arena rows with ``rewritten`` cleared, or None.
+
+        What :meth:`inherit_rows` gives a copy, before the copy's own key is
+        set; a proposal set computes it once for all its candidates.  None
+        when there are no rows, or they were recorded before an in-place
+        edit.  The returned ``rows`` array is shared, so it is read-only.
+        """
+        record = self.arena_rows
+        if record is None or record.key != self._structure_key():
+            return None
         rows = record.rows.copy()
         rows[list(rewritten)] = -1
-        self.arena_rows = record._replace(key=self._structure_key(), rows=rows)
+        rows.setflags(write=False)
+        return record._replace(rows=rows)
 
     def _structure_key(self) -> tuple[bytes, bytes]:
         """Raw bytes of everything a node's partials depend on (times and topology)."""

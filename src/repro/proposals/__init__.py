@@ -1,12 +1,12 @@
 """LAMARC-style neighbourhood-resimulation proposal mechanism."""
 
-from .intervals import FeasibleInterval, Region, build_intervals, extract_region, inactive_lineage_count
+from .intervals import FeasibleIntervals, Region, build_intervals, extract_region, inactive_lineage_count
 from .kinetics import IntervalKinetics
 from .neighborhood import NeighborhoodResimulator, ResimulationOutcome, eligible_targets
 
 __all__ = [
     "Region",
-    "FeasibleInterval",
+    "FeasibleIntervals",
     "extract_region",
     "build_intervals",
     "inactive_lineage_count",

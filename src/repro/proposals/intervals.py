@@ -28,7 +28,7 @@ from ..genealogy.tree import Genealogy
 
 __all__ = [
     "Region",
-    "FeasibleInterval",
+    "FeasibleIntervals",
     "extract_region",
     "build_intervals",
     "rescaled_interval_spans",
@@ -71,31 +71,36 @@ class Region:
 
 
 @dataclass(frozen=True)
-class FeasibleInterval:
-    """One feasible interval of the resimulation range.
+class FeasibleIntervals:
+    """The feasible intervals of one resimulation range, as arrays.
+
+    Entry ``m`` of each array describes interval ``m``, youngest first.
 
     Attributes
     ----------
-    start, end:
-        Calendar times (backwards from the present) bounding the interval;
-        ``end`` may be ``inf`` for the final interval of an unbounded
-        (parent-was-root) resimulation.
+    starts, ends:
+        Calendar times (backwards from the present) bounding each interval;
+        the last ``end`` is ``inf`` for an unbounded (parent-was-root)
+        resimulation.
     n_inactive:
         Number of inactive (fixed) lineages present throughout the interval.
     activations:
-        Number of active lineages that appear exactly at ``start`` (child
-        subtree roots whose time equals the interval start).
+        Number of active lineages that appear exactly at the interval's
+        start (child subtree roots whose time equals it).
     """
 
-    start: float
-    end: float
-    n_inactive: int
-    activations: int
+    starts: np.ndarray
+    ends: np.ndarray
+    n_inactive: np.ndarray
+    activations: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.starts.shape[0])
 
     @property
-    def length(self) -> float:
-        """Interval length (may be ``inf`` for the last unbounded interval)."""
-        return self.end - self.start
+    def lengths(self) -> np.ndarray:
+        """Interval lengths (the last may be ``inf``)."""
+        return self.ends - self.starts
 
 
 def extract_region(tree: Genealogy, target: int) -> Region:
@@ -154,7 +159,9 @@ def inactive_lineage_count(tree: Genealogy, region: Region, time: float) -> int:
     return int(np.count_nonzero((child_times <= time) & (time < parent_times)))
 
 
-def rescaled_interval_spans(intervals, demography) -> tuple[list[float], list[float]]:
+def rescaled_interval_spans(
+    intervals: FeasibleIntervals, demography
+) -> tuple[np.ndarray, np.ndarray]:
     """Λ-transformed start and span of each feasible interval.
 
     The demography-conditional kernel works in the *rescaled* time
@@ -167,25 +174,24 @@ def rescaled_interval_spans(intervals, demography) -> tuple[list[float], list[fl
     inactive-lineage counts, and the activation bookkeeping of the feasible
     intervals are untouched by the transformation.
 
-    Returns ``(tau_starts, tau_spans)``, one entry per interval.  An
+    Returns the arrays ``(tau_starts, tau_spans)``, one entry per interval.  An
     unbounded final interval transforms to span ``Λ(∞) − Λ(start)`` — which
     is *finite* for demographies whose total integrated intensity converges
     (exponential decline), correctly conditioning the resimulation on the
     lineages ever coalescing.
     """
-    starts = np.asarray([iv.start for iv in intervals], dtype=float)
-    ends = np.asarray([iv.end for iv in intervals], dtype=float)
-    tau_starts = np.asarray(demography.cumulative_intensity(starts), dtype=float)
+    ends = intervals.ends
+    tau_starts = np.asarray(demography.cumulative_intensity(intervals.starts), dtype=float)
     finite = np.isfinite(ends)
     tau_ends = np.full(ends.shape, demography.total_intensity())
     if np.any(finite):
         tau_ends[finite] = np.asarray(
             demography.cumulative_intensity(ends[finite]), dtype=float
         )
-    return [float(t) for t in tau_starts], [float(s) for s in tau_ends - tau_starts]
+    return tau_starts, tau_ends - tau_starts
 
 
-def build_intervals(tree: Genealogy, region: Region) -> list[FeasibleInterval]:
+def build_intervals(tree: Genealogy, region: Region) -> FeasibleIntervals:
     """Split the resimulation range into feasible intervals.
 
     The range starts at the youngest child-root time and ends at the
@@ -217,21 +223,19 @@ def build_intervals(tree: Genealogy, region: Region) -> list[FeasibleInterval]:
         raise ValueError("resimulation region is empty; the tree is degenerate")
 
     lo, hi = points[:-1], points[1:]
-    midpoints = np.where(
-        np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5
-    )[:, None]
+    midpoints = np.where(np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5)
+    # A fixed edge crosses t when child ≤ t < parent; every edge with its
+    # parent at or below t has its child there too, so the count is a
+    # difference of two sorted counts.
     edge_child, edge_parent = _fixed_edges(tree, region)
-    n_inactive = np.count_nonzero((edge_child <= midpoints) & (midpoints < edge_parent), axis=1)
+    n_inactive = np.searchsorted(np.sort(edge_child), midpoints, side="right") - np.searchsorted(
+        np.sort(edge_parent), midpoints, side="right"
+    )
     # Each child root activates in exactly one interval: the one whose
     # start equals its time (child times are themselves breakpoints, so
     # exact floating-point equality is the right test here).
     activations = np.count_nonzero(child_times == lo[:, None], axis=1)
-    return [
-        FeasibleInterval(start=start, end=end, n_inactive=k, activations=a)
-        for start, end, k, a in zip(
-            lo.tolist(), hi.tolist(), n_inactive.tolist(), activations.tolist()
-        )
-    ]
+    return FeasibleIntervals(starts=lo, ends=hi, n_inactive=n_inactive, activations=activations)
 
 
 __all__.append("inactive_lineage_count")

@@ -18,11 +18,14 @@ with no forbidden event) and exact sampling of the merge times within an
 interval conditional on its endpoint states, which the paper performs by
 "treating S_{i,j}(t) as a cumulative distribution function".
 
-Everything here sits on the proposal hot path (one call per feasible
-interval per proposal), so the scalar reference path uses ``math`` functions
-and closed forms rather than NumPy ufuncs; the ``*_batch`` samplers invert
-the same closed forms as NumPy ufuncs over all siblings of a proposal set at
-once (one RNG draw per interval instead of one per sibling).
+The :class:`IntervalKinetics` methods are the scalar forms, one interval
+and one draw at a time, with ``math`` functions and closed forms; the
+per-proposal reference kernel samples through them.  The module functions
+:func:`transition_matrices`, :func:`invert_single_merges` and
+:func:`invert_first_of_doubles` are the same closed forms as NumPy array
+programs over every interval, or every merge, of a proposal set at once:
+the proposal-set kernel calls each once per set, with uniforms it drew in
+one block.
 
 The rates above are those of the *constant-size* coalescent — yet this
 module serves every registered demography unchanged.  A demography
@@ -44,10 +47,32 @@ import numpy as np
 
 from ..brent import brentq
 
-__all__ = ["IntervalKinetics", "kinetics_for"]
+__all__ = [
+    "IntervalKinetics",
+    "invert_first_of_doubles",
+    "invert_single_merges",
+    "kinetics_for",
+    "transition_matrices",
+]
 
 _MAX_ACTIVE = 3  # a neighbourhood resimulation never has more than three active lineages
 _REL_TOL = 1e-12
+
+#: Below this d₃ = (ρ₃ − ρ₁)Δ the 3 → 1 weight uses the power series of ψ;
+#: above it the two-exponential form loses at most ~2/d₃ ulps to cancellation.
+_SERIES_BELOW = 0.1
+
+#: Taylor coefficients 1/(n+2)! of φ₂(x) = (e^{-x} − 1 + x)/x² = Σ (−x)ⁿ/(n+2)!;
+#: 9 terms reach double precision for 0 ≤ x < 0.1 (the first omitted is 0.1⁹/11!).
+_PHI2_TAYLOR = tuple(1.0 / math.factorial(n + 2) for n in range(9))
+
+#: Active-lineage counts a = 1, 2, 3 as a column, for per-interval rate rows.
+_ACTIVE = np.arange(1, 4)[:, None]
+
+#: A cap on the Newton steps of one double-merge solve.  Every element stops
+#: by the convergence tests long before (about four steps on em-deep's sets);
+#: the cap only bounds a solve that rounding keeps from settling.
+_MAX_SOLVE_STEPS = 100
 
 
 def _nearly_equal(a: float, b: float) -> float:
@@ -61,17 +86,25 @@ def _expint(rate: float, upto: float) -> float:
     return -math.expm1(-rate * upto) / rate
 
 
+def _psi(x: float) -> float:
+    """ψ(x) = x·φ₂(x) = (e^{-x} − 1 + x)/x for 0 ≤ x < 0.1, by its Taylor series."""
+    acc = 0.0
+    for coeff in reversed(_PHI2_TAYLOR):
+        acc = acc * -x + coeff
+    return x * acc
+
+
 @lru_cache(maxsize=512)
 def kinetics_for(n_inactive: int, theta: float) -> "IntervalKinetics":
     """Shared :class:`IntervalKinetics` instance for ``(n_inactive, theta)``.
 
     The kinetics of an interval depend only on its inactive-lineage count and
     the driving θ, and ``n_inactive`` ranges over a handful of small integers,
-    so every proposal set — and, under stacked cross-chain execution, every
-    chain in the stack — keeps re-requesting the same few objects.  The
-    instances are frozen (immutable), so sharing one per ``(n_inactive, θ)``
-    across proposal sets, chains, and resimulators is safe and skips the
-    repeated construction/validation on the proposal hot path.
+    so the reference kernel, which samples each interval's merges through
+    one of these, keeps re-requesting the same few objects.  The instances
+    are frozen (immutable), so sharing one per ``(n_inactive, θ)`` across
+    proposals and resimulators is safe and skips the repeated
+    construction/validation.
     """
     return IntervalKinetics(n_inactive=n_inactive, theta=theta)
 
@@ -143,28 +176,48 @@ class IntervalKinetics:
         return 0.0
 
     def _single_merge_weight(self, a: int, span: float) -> float:
-        """∫₀^Δ e^{-ρ_a τ} μ_a e^{-ρ_{a-1}(Δ-τ)} dτ."""
+        """∫₀^Δ e^{-ρ_a τ} μ_a e^{-ρ_{a-1}(Δ-τ)} dτ = μ_a e^{-ρ_{a-1}Δ}(1 − e^{-λΔ})/λ.
+
+        ``expm1`` keeps the difference of the two survival factors exact
+        when λΔ is tiny, where subtracting the exponentials would cancel.
+        """
         rho_hi = self.exit_rate(a)
         rho_lo = self.exit_rate(a - 1)
         mu = self.merge_rate(a)
         if _nearly_equal(rho_hi, rho_lo):
             return mu * span * math.exp(-rho_hi * span)
-        return mu * (math.exp(-rho_lo * span) - math.exp(-rho_hi * span)) / (rho_hi - rho_lo)
+        lam = rho_hi - rho_lo
+        return mu * math.exp(-rho_lo * span) * -math.expm1(-lam * span) / lam
+
+    def _double_merge_factors(self, span: float) -> tuple[float, float, float]:
+        """``(-ρ₁Δ, f, g)`` with S_{3,1}(Δ) = e^{-ρ₁Δ}·f·g, for a span Δ > 0.
+
+        S_{3,1} = μ₃μ₂ ∫₀^Δ e^{-ρ₃τ} S̃₂₁(Δ−τ) dτ is μ₃μ₂ Δ² e^{-ρ₁Δ} times
+        the second divided difference of e^{-x} at 0, d₂ = (ρ₂−ρ₁)Δ and
+        d₃ = (ρ₃−ρ₁)Δ.  Evaluated as the textbook difference of two
+        exponential integrals it cancels catastrophically for small spans,
+        so it is split by d₃: below 0.1 it is d₂d₃(ψ(d₃) − ψ(d₂))/(d₃ − d₂)
+        with ψ from its series (d₂ ≤ d₃/2, so the difference keeps at least
+        half its digits); above, the two exponential terms, which cancel by
+        a factor of about 2/d₃ at most.  Neither factor under- or overflows
+        before the answer itself would, which the log-space weight needs.
+        """
+        rho3, rho2, rho1 = (self.exit_rate(k) for k in (3, 2, 1))
+        mu3, mu2 = self.merge_rate(3), self.merge_rate(2)
+        scale = mu3 * mu2 / ((rho2 - rho1) * (rho3 - rho1))
+        d2, d3, d32 = (rho2 - rho1) * span, (rho3 - rho1) * span, (rho3 - rho2) * span
+        if d3 < _SERIES_BELOW:
+            return -rho1 * span, scale * d2, d3 * ((_psi(d3) - _psi(d2)) / d32)
+        ratio = (rho2 - rho1) / (rho3 - rho2)
+        bracket = -math.expm1(-d2) - math.exp(-d2) * -math.expm1(-d32) * ratio
+        return -rho1 * span, scale, bracket
 
     def _double_merge_weight(self, span: float) -> float:
-        """S_{3,1}(Δ) = μ₃ ∫₀^Δ e^{-ρ₃ τ} S_{2,1}(Δ − τ) dτ (closed form)."""
-        cdf, total = self._double_merge_cdf(span)
-        del cdf
-        return total
-
-    def double_merge_cdf(self, span: float):
-        """Public handle on the 3 → 1 first-merge CDF, for per-set caching.
-
-        Returns ``(cdf, total)`` exactly as the internal closed form; the
-        batched forward pass computes this once per interval per proposal
-        set and shares it across all siblings drawing a double merge there.
-        """
-        return self._double_merge_cdf(span)
+        """S_{3,1}(Δ) = μ₃ ∫₀^Δ e^{-ρ₃ τ} S_{2,1}(Δ − τ) dτ."""
+        if span == 0.0:
+            return 0.0
+        exponent, f, g = self._double_merge_factors(span)
+        return math.exp(exponent) * f * g
 
     def _double_merge_cdf(self, span: float):
         """Unnormalized CDF of the first-merge time for a 3 → 1 interval, and its total mass.
@@ -202,14 +255,6 @@ class IntervalKinetics:
             return coeff1 * (term1 - term2)
 
         return cdf, cdf(span)
-
-    def transition_matrix(self, span: float) -> np.ndarray:
-        """Matrix of S_{a,b}(Δ) for a, b ∈ {1, 2, 3} (zero-based index a-1, b-1)."""
-        out = np.zeros((_MAX_ACTIVE, _MAX_ACTIVE))
-        for a in range(1, _MAX_ACTIVE + 1):
-            for b in range(1, a + 1):
-                out[a - 1, b - 1] = self.transition_weight(a, b, span)
-        return out
 
     # ------------------------------------------------------------------ #
     # Log-space transition weights (demography-rescaled spans)
@@ -266,39 +311,11 @@ class IntervalKinetics:
         return math.log(mu) - rho_lo * span + self._log1mexp(lam * span) - math.log(lam)
 
     def _log_double_merge_weight(self, span: float) -> float:
-        """log S_{3,1}(Δ) via the log-space closed form."""
+        """log S_{3,1}(Δ), from the same factors as the linear weight."""
         if span == 0.0:
             return -math.inf
-        rho3, rho2, rho1 = (self.exit_rate(k) for k in (3, 2, 1))
-        mu3, mu2 = self.merge_rate(3), self.merge_rate(2)
-        if _nearly_equal(rho2, rho1):
-            lam = rho3 - rho2
-            if abs(lam) <= _REL_TOL:
-                inner = 0.5 * span * span
-            else:
-                inner = span * _expint(lam, span) - (
-                    1.0 - (1.0 + lam * span) * math.exp(-lam * span)
-                ) / (lam * lam)
-            if inner <= 0.0:
-                return -math.inf
-            return math.log(mu3 * mu2) - rho2 * span + math.log(inner)
-        # total = coeff1 [ e^{-ρ₁Δ} E(ρ₃−ρ₁, Δ) − e^{-ρ₂Δ} E(ρ₃−ρ₂, Δ) ]
-        # with E(λ, Δ) = (1 − e^{-λΔ})/λ; the first term always dominates
-        # (ρ₁ < ρ₂), so the difference is a stable log1p(-exp) subtraction.
-        coeff = math.log(mu3 * mu2) - math.log(rho2 - rho1)
-        term1 = -rho1 * span + self._log1mexp((rho3 - rho1) * span) - math.log(rho3 - rho1)
-        term2 = -rho2 * span + self._log1mexp((rho3 - rho2) * span) - math.log(rho3 - rho2)
-        if term2 >= term1:
-            return -math.inf
-        return coeff + term1 + self._log1mexp(term1 - term2)
-
-    def log_transition_matrix(self, span: float) -> np.ndarray:
-        """Matrix of log S_{a,b}(Δ) for a, b ∈ {1, 2, 3}."""
-        out = np.full((_MAX_ACTIVE, _MAX_ACTIVE), -math.inf)
-        for a in range(1, _MAX_ACTIVE + 1):
-            for b in range(1, a + 1):
-                out[a - 1, b - 1] = self.log_transition_weight(a, b, span)
-        return out
+        exponent, f, g = self._double_merge_factors(span)
+        return exponent + math.log(f) + math.log(g)
 
     # ------------------------------------------------------------------ #
     # Conditional event-time sampling within an interval
@@ -378,82 +395,296 @@ class IntervalKinetics:
             return span * (1.0 - 1e-12)
         return brentq(lambda t: cdf(t) - u, 0.0, span, xtol=1e-14 * max(span, 1.0))
 
-    # ------------------------------------------------------------------ #
-    # Batched sampling (the propose_set forward pass)
-    # ------------------------------------------------------------------ #
-    def sample_single_merge_batch(
-        self, a: np.ndarray, spans: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Vectorized :meth:`_sample_single_merge` over many siblings.
 
-        ``a`` and ``spans`` are same-length arrays (one entry per sibling
-        drawing a single merge here); one element-wise uniform draw replaces
-        one Python-level draw per sibling, and the truncated-exponential
-        inversion runs as ufuncs.  Each element follows exactly the same
-        conditional law as the scalar reference sampler.
+# ---------------------------------------------------------------------- #
+# Array programs over a whole proposal set
+# ---------------------------------------------------------------------- #
+def exit_rates(n_inactive: np.ndarray, theta: float) -> np.ndarray:
+    """``(3, M)`` exit rates: row ``a − 1`` is ρ_a of each interval.
+
+    The same arithmetic as :meth:`IntervalKinetics.exit_rate`; the array
+    programs below take these rows, so a proposal set computes them once.
+    """
+    return _ACTIVE * (_ACTIVE - 1 + 2 * np.asarray(n_inactive, dtype=np.int64)) / theta
+
+
+def _psi_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_psi` element-wise (callers pass 0 ≤ x < 0.1)."""
+    acc = np.full(x.shape, _PHI2_TAYLOR[-1])
+    neg = -x
+    for coeff in _PHI2_TAYLOR[-2::-1]:
+        acc *= neg
+        acc += coeff
+    return x * acc
+
+
+def _log1mexp_array(x: np.ndarray) -> np.ndarray:
+    """:meth:`IntervalKinetics._log1mexp` element-wise (x > 0)."""
+    return np.where(x < 0.693, np.log(-np.expm1(-x)), np.log1p(-np.exp(-np.maximum(x, 0.693))))
+
+
+def transition_matrices(
+    rates: np.ndarray, spans: np.ndarray, theta: float, *, log: bool = False
+) -> np.ndarray:
+    """S_{a,b}(Δ) of every interval at once: an ``(M, 3, 3)`` array.
+
+    ``rates`` are the intervals' :func:`exit_rates`.  Entry ``[m, a-1, b-1]``
+    equals ``kinetics_for(n_inactive[m], theta).transition_weight(a, b,
+    spans[m])`` (``log_transition_weight`` with ``log=True``) up to
+    rounding: the same closed forms, with masks in place of the scalar
+    branches for Δ = 0, Δ = ∞, near-equal exit rates and the two forms of
+    the 3 → 1 weight.  Entries with b > a are 0 (``-inf`` in log space).
+    """
+    span = np.asarray(spans, dtype=float)
+    if (span < 0).any():
+        raise ValueError("interval span must be non-negative")
+    mu2, mu3 = 2 / theta, 6 / theta
+    mu = np.array([[mu2], [mu3]])
+    bounded = np.isfinite(span)
+    positive = span > 0.0
+    all_bounded, all_positive = bool(bounded.all()), bool(positive.all())
+    # A row whose value a mask fixes (Δ = 0 or ∞) computes on a stand-in
+    # span that keeps its arithmetic finite.
+    fin = span if all_bounded else np.where(bounded, span, 0.0)
+    unit = fin if all_bounded and all_positive else np.where(positive & bounded, span, 1.0)
+
+    # Single merges a → a−1 for a = 2 (ρ₂ over ρ₁) and a = 3 (ρ₃ over ρ₂).
+    hi, lo = rates[1:], rates[:2]
+    gap = hi - lo
+    near = gap <= _REL_TOL * np.maximum(1.0, hi)  # rates are ≥ 0 and hi ≥ lo
+    any_near = bool(near.any())
+    # The near-equal branch of the scalar form; λ → 1 keeps the other finite.
+    lam = np.where(near, 1.0, gap) if any_near else gap
+
+    # 3 → 1: e^{-ρ₁Δ}·f·g (see IntervalKinetics._double_merge_factors).
+    rho31 = rates[2] - rates[0]
+    scale = mu3 * mu2 / (gap[0] * rho31)
+    d2, d32 = gap * unit
+    d3 = rho31 * unit
+    series = d3 < _SERIES_BELOW
+    if series.any():
+        # ψ(d₃) and ψ(d₂) in one pass (d₂ < d₃, and d₃ is capped where unused).
+        x = np.empty((2, span.shape[0]))
+        x[0], x[1] = d3, d2
+        psi3, psi2 = _psi_array(np.minimum(x, _SERIES_BELOW, out=x))
+        small_g = d3 * ((psi3 - psi2) / d32)
+    if series.all():
+        f, g = scale * d2, small_g
+    else:
+        f = scale
+        g = -np.expm1(-d2) - np.exp(-d2) * -np.expm1(-d32) * (gap[0] / gap[1])
+        if series.any():
+            f = np.where(series, scale * d2, scale)
+            g = np.where(series, small_g, g)
+
+    out = np.empty((3, 3, span.shape[0]))
+    if log:
+        out.fill(-np.inf)
+        out[(0, 1, 2), (0, 1, 2)] = -rates * fin
+        single = np.log(mu) - lo * fin + _log1mexp_array(lam * unit) - np.log(lam)
+        if any_near:
+            single = np.where(near, np.log(mu * unit) - hi * fin, single)
+        double = -rates[0] * fin + np.log(f) + np.log(g)
+        if not all_positive:
+            single = np.where(positive, single, -np.inf)
+            double = np.where(positive, double, -np.inf)
+    else:
+        out.fill(0.0)
+        diag = np.exp(-rates * fin)
+        out[(0, 1, 2), (0, 1, 2)] = diag
+        single = mu * diag[:2] * -np.expm1(-lam * fin) / lam
+        if any_near:
+            single = np.where(near, mu * fin * diag[1:], single)
+        double = diag[0] * f * g
+        if not all_positive:
+            double = np.where(positive, double, 0.0)
+    out[(1, 2), (0, 1)] = single
+    out[2, 0] = double
+
+    if not all_bounded:
+        # Δ = ∞: the probability of eventually reaching one lineage,
+        # Π μ_j/ρ_j over the merges still to happen (scalar order kept).
+        rows = ~bounded
+        rho2, rho3 = rates[1, rows], rates[2, rows]
+        out[:, :, rows] = -np.inf if log else 0.0
+        if log:
+            l2 = math.log(mu2) - np.log(rho2)
+            out[0, 0, rows] = 0.0
+            out[1, 0, rows] = 0.0 + l2
+            out[2, 0, rows] = 0.0 + (math.log(mu3) - np.log(rho3)) + l2
+        else:
+            r2 = mu2 / rho2
+            out[0, 0, rows] = 1.0
+            out[1, 0, rows] = r2
+            out[2, 0, rows] = mu3 / rho3 * r2
+    return out.transpose(2, 0, 1)
+
+
+def invert_single_merges(
+    rho_hi: np.ndarray, rho_lo: np.ndarray, spans: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Offsets of single merges a → a−1, one per element, by inverting their CDFs.
+
+    Element ``i`` has exit rates ``rho_hi[i]`` = ρ_a before and
+    ``rho_lo[i]`` = ρ_{a−1} after its merge, a span ``spans[i]`` (``inf``
+    for an unbounded interval) and the uniform ``u[i]``.  The conditional
+    merge time is an exponential with rate λ = ρ_a − ρ_{a−1} truncated to
+    the span (uniform when λ ≈ 0), or Exp(ρ_a) on an unbounded span, the
+    laws of :meth:`IntervalKinetics._sample_single_merge`.
+    """
+    lam = rho_hi - rho_lo
+    degenerate = np.abs(lam) <= _REL_TOL
+    if degenerate.any():
+        lam = np.where(degenerate, 1.0, lam)
+        bounded = np.where(degenerate, u * spans, -np.log1p(-u * -np.expm1(-lam * spans)) / lam)
+    else:
+        bounded = -np.log1p(-u * -np.expm1(-lam * spans)) / lam
+    return np.where(np.isfinite(spans), bounded, -np.log1p(-u) / rho_hi)
+
+
+class _DoubleMergeCdf:
+    """The closed-form 3 → 1 first-merge CDF of many finite spans, with its density.
+
+    Element-wise the function of :meth:`IntervalKinetics._double_merge_cdf`
+    divided by its scale (μ₃μ₂e^{-ρ₁Δ}/(ρ₂−ρ₁), or μ₃μ₂e^{-ρ₂Δ} when
+    ρ₂ ≈ ρ₁), which a root solve does not need and which goes subnormal on
+    long spans.  Away from ρ₂ ≈ ρ₁ (``plain``) it is
+    E(λ₁, τ) − e^{-(ρ₂−ρ₁)Δ}·E(λ₂, τ) with E(λ, τ) = (1 − e^{-λτ})/λ,
+    λ₁ = ρ₃ − ρ₁ and λ₂ = ρ₃ − ρ₂; otherwise the scalar form's second
+    branch and λ ≈ 0 limits are masks.  ``reach`` is the scaled CDF at the
+    span and ``total`` the unscaled one, the 3 → 1 weight as that closed
+    form computes it (zero where the scale underflows).
+    """
+
+    def __init__(self, rates: np.ndarray, spans: np.ndarray, theta: float) -> None:
+        rho1, rho2, rho3 = rates
+        beta = rho2 - rho1
+        self.spans = spans
+        self.l1 = rho3 - rho1
+        self.l2 = rho3 - rho2
+        # As _nearly_equal(ρ₂, ρ₁); away from it λ₂ ≥ ρ₂ − ρ₁ is no λ ≈ 0 limit either.
+        self.near = beta <= _REL_TOL * np.maximum(1.0, rho2)
+        self.plain = not self.near.any()
+        self.cb = np.exp(-beta * spans)
+        self.one_minus_cb = -np.expm1(-beta * spans)
+        self.inv_l1 = 1.0 / self.l1
+        self.cb_l2 = self.cb / self.l2
+        self.reach = self(spans)[0]
+        mu3mu2 = (6 / theta) * (2 / theta)
+        if self.plain:
+            self.total = mu3mu2 / beta * np.exp(-rho1 * spans) * self.reach
+        else:
+            scale = np.where(
+                self.near,
+                mu3mu2 * np.exp(-rho2 * spans),
+                mu3mu2 / np.where(self.near, 1.0, beta) * np.exp(-rho1 * spans),
+            )
+            self.total = scale * self.reach
+
+    def __call__(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled CDF values and densities at ``tau`` (one point per element)."""
+        em1 = np.expm1(-self.l1 * tau)
+        em2 = np.expm1(-self.l2 * tau)
+        slope = self.one_minus_cb + em1 - self.cb * em2
+        if self.plain:
+            return em2 * self.cb_l2 - em1 * self.inv_l1, slope
+        # ∫₀^τ e^{-λs} ds, or τ as λ → 0.
+        tiny1 = np.abs(self.l1) <= _REL_TOL
+        tiny2 = np.abs(self.l2) <= _REL_TOL
+        e1 = np.where(tiny1, tau, -em1 * self.inv_l1)
+        l2 = np.where(tiny2, 1.0, self.l2)
+        e2 = np.where(tiny2, tau, -em2 / l2)
+        # ρ₂ ≈ ρ₁: Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with density e^{-λ₂τ}(Δ − τ).
+        span = self.spans
+        inner = np.where(
+            tiny2,
+            span * tau - 0.5 * tau * tau,
+            span * e2 - (1.0 - (1.0 + l2 * tau) * (1.0 + em2)) / (l2 * l2),
+        )
+        value = np.where(self.near, inner, e1 - self.cb * e2)
+        return value, np.where(self.near, (1.0 + em2) * (span - tau), slope)
+
+    def take(self, rows: np.ndarray) -> "_DoubleMergeCdf":
+        """The same CDF restricted to the listed elements."""
+        part = _DoubleMergeCdf.__new__(_DoubleMergeCdf)
+        for name, value in vars(self).items():
+            setattr(part, name, value[rows] if isinstance(value, np.ndarray) else value)
+        return part
+
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """The root of ``cdf(τ) = u·reach`` on ``[0, Δ]`` per element.
+
+        The CDF is concave (its density decreases in τ), so a Newton step
+        from any point lands at or below the root, and from there Newton
+        climbs to it monotonically: only the first step needs a floor at 0.
+        The start is the smaller of the triangular-limit and the
+        truncated-Exp(λ₁) quantiles, the two regimes of the law.  An element
+        has converged when its step is within the scalar path's ``xtol``
+        of 1e-14·max(Δ, 1), or when its steps stop shrinking (rounding in
+        the CDF, not distance to the root, then sets their size); the solve
+        stops when every element has.
         """
-        a = np.asarray(a, dtype=np.int64)
-        spans = np.asarray(spans, dtype=float)
-        rho_hi = a * (a - 1 + 2 * self.n_inactive) / self.theta
-        rho_lo = (a - 1) * (a - 2 + 2 * self.n_inactive) / self.theta
-        lam = rho_hi - rho_lo
-        u = rng.random(a.shape[0])
-        out = np.empty(a.shape[0])
+        span = self.spans
+        target = u * self.reach
+        tol = 1e-14 * np.maximum(span, 1.0)
+        x = np.minimum(
+            span * (1.0 - np.sqrt(1.0 - u)),
+            -np.log1p(-u * -np.expm1(-self.l1 * span)) * self.inv_l1,
+        )
+        value, slope = self(x)
+        step = (value - target) / slope
+        x = np.maximum(x - step, 0.0)
+        previous = np.abs(step)
+        for _ in range(_MAX_SOLVE_STEPS):
+            value, slope = self(x)
+            step = (value - target) / slope
+            x = x - step
+            size = np.abs(step)
+            if ((size <= tol) | (size >= previous)).all():
+                break
+            previous = size
+        return x
 
-        unbounded = ~np.isfinite(spans)
-        if np.any(unbounded):
-            # Exp(ρ_a) via inversion (the scalar path draws rng.exponential;
-            # same distribution, one stream draw either way).
-            out[unbounded] = -np.log1p(-u[unbounded]) / rho_hi[unbounded]
 
-        bounded = ~unbounded
-        degenerate = bounded & (np.abs(lam) <= _REL_TOL)
-        out[degenerate] = u[degenerate] * spans[degenerate]
-        normal = bounded & ~degenerate
-        if np.any(normal):
-            lam_n = lam[normal]
-            denom = -np.expm1(-lam_n * spans[normal])
-            out[normal] = -np.log1p(-u[normal] * denom) / lam_n
+def invert_first_of_doubles(
+    rates: np.ndarray, spans: np.ndarray, u: np.ndarray, theta: float
+) -> np.ndarray:
+    """First-merge offsets of double merges 3 → 1, one per element.
+
+    ``rates`` is ``(3, K)``: the exit rates ρ₁, ρ₂, ρ₃ of each element's
+    interval.  The laws of :meth:`IntervalKinetics._sample_first_of_double`,
+    with the per-element ``brentq`` replaced by one Newton solve of
+    ``cdf(τ) = u·total`` over every element (:meth:`_DoubleMergeCdf.solve`):
+    an unbounded span is Exp(ρ₃); where the closed-form total underflows to
+    zero the first merge is a truncated Exp(ρ₃ − ρ₁) (large spans) or the
+    triangular λ → 0 limit (tiny spans); a target at or above the ceiling
+    lands just inside the span.
+    """
+    bounded = np.isfinite(spans)
+    if not bounded.all():
+        out = -np.log1p(-u) / rates[2]  # the unbounded law
+        keep = np.flatnonzero(bounded)
+        if keep.size:
+            out[keep] = invert_first_of_doubles(rates[:, keep], spans[keep], u[keep], theta)
         return out
-
-    def sample_first_of_double_batch(
-        self,
-        span: float,
-        size: int,
-        rng: np.random.Generator,
-        cdf_total=None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`_sample_first_of_double` for one shared span.
-
-        All siblings drawing a 3 → 1 double merge in the same interval share
-        the same span, so the closed-form CDF (``cdf_total``, as returned by
-        :meth:`double_merge_cdf`) is built once per proposal set; only the
-        final root-find runs per element, on a per-element uniform batch.
-        """
-        rho3 = self.exit_rate(3)
-        u = rng.random(size)
-        if not math.isfinite(span):
-            return -np.log1p(-u) / rho3
-
-        if cdf_total is None:
-            cdf_total = self._double_merge_cdf(span)
-        cdf, total = cdf_total
-        if total <= 0.0:
-            rho1 = self.exit_rate(1)
-            lam = rho3 - rho1
-            if lam * span > 1.0:
-                return -np.log1p(-u * -math.expm1(-lam * span)) / lam
-            # λ → 0 limit: triangular density ∝ (Δ − τ) (see the scalar path).
-            return span * (1.0 - np.sqrt(1.0 - u))
-
-        targets = u * total
-        out = np.empty(size)
-        ceiling = cdf(span)
-        for i, t_u in enumerate(targets):
-            if ceiling <= t_u:
-                out[i] = span * (1.0 - 1e-12)
-            else:
-                out[i] = brentq(
-                    lambda t: cdf(t) - t_u, 0.0, span, xtol=1e-14 * max(span, 1.0)
-                )
-        return out
+    cdf = _DoubleMergeCdf(rates, spans, theta)
+    result = spans * (1.0 - 1e-12)
+    underflow = cdf.total <= 0.0
+    if underflow.any():
+        lam = rates[2] - rates[0]
+        result = np.where(
+            underflow,
+            np.where(
+                lam * spans > 1.0,
+                -np.log1p(-u * -np.expm1(-lam * spans)) / lam,
+                spans * (1.0 - np.sqrt(1.0 - u)),
+            ),
+            result,
+        )
+    solve = ~underflow & (cdf.reach > u * cdf.reach)
+    if solve.all():
+        return cdf.solve(u)
+    rows = np.flatnonzero(solve)
+    if rows.size:
+        result[rows] = cdf.take(rows).solve(u[rows])
+    return result

@@ -27,35 +27,47 @@ times and tree topology change (Fig. 9).
 
 A generalized-MH proposal *set* shares one neighbourhood φ across all N+1
 candidates (Eq. 31), so everything that depends only on (tree, target) —
-the region, the feasible intervals, the kinetics, the per-interval
-transition matrices, the backward-pass table, and the demography Λ
-rescaling — is identical for every sibling.  :meth:`propose_set` computes
-each of those exactly once per set, along with a table of the conditioned
-end-state weights of every interval and active-lineage count, and runs the
-forward pass from that table and the tree surgery vectorized across all
-siblings; :meth:`propose` remains the per-proposal reference kernel the
-batched path is tested against.  Transition matrices depend only on an
-interval's inactive count and span, so each resimulator memoizes them
-across sets.
+the region, the feasible intervals, the transition matrices, the
+backward-pass table and the demography Λ rescaling — is identical for every
+sibling.  :meth:`NeighborhoodResimulator.propose_set` builds a set as one
+array program (the paper's data-parallel set kernel, Section 5.2.1):
+
+* the *set context* builds every interval's transition matrix in one
+  closed-form array call and runs the backward pass as a doubling scan over
+  the ``(intervals, 3, 3)`` stack;
+* the *forward pass* draws one block of uniforms for the whole set, walks
+  the end states of all siblings at once (one gather per interval), inverts
+  every single merge of the set in one array call, solves every double
+  merge in one Newton solve, and maps τ → t once;
+* the *rebuild* stitches all candidates into one ``(n, n_nodes)`` block and
+  wraps each row as a :class:`~repro.genealogy.tree.Genealogy`.
+
+:meth:`~NeighborhoodResimulator.propose` (``batch_proposals=False``) is the
+per-proposal reference kernel the set kernel is tested against: the same
+distribution, drawn one interval and one event at a time.
 """
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..genealogy.tree import Genealogy
 from .intervals import (
-    FeasibleInterval,
+    FeasibleIntervals,
     Region,
     build_intervals,
     extract_region,
     rescaled_interval_spans,
 )
-from .kinetics import IntervalKinetics, kinetics_for
+from .kinetics import (
+    exit_rates,
+    invert_first_of_doubles,
+    invert_single_merges,
+    kinetics_for,
+    transition_matrices,
+)
 
 __all__ = [
     "NeighborhoodResimulator",
@@ -66,14 +78,22 @@ __all__ = [
 
 _TIME_EPS = 1e-12
 
-#: Interval transition matrices kept per resimulator, keyed by (n_inactive, span).
-_MATRIX_MEMO_SIZE = 256
+#: The forward walk's state is the active count at an interval's start,
+#: 1–3; a state of ``_DEAD`` or more (and 0) is a dead end, and stays one.
+_DEAD = 4
 
-#: Active-lineage counts a, b ∈ {1, 2, 3} of the end-state table.
-_STATES = np.arange(1, 4)
+#: Walk states 0–7 cover a dead state plus the next interval's activations.
+_WALK_STATES = 8
 
-#: The three unordered pairs of a 3-element active list, indexed by ⌊3u⌋.
-_PAIRS_OF_THREE = ((0, 1), (0, 2), (1, 2))
+#: The three unordered pairs (first, second) of the time-sorted child roots,
+#: indexed by ⌊3u⌋, and the root each leaves out.
+_PAIR_FIRST = np.array([0, 0, 1])
+_PAIR_SECOND = np.array([1, 2, 2])
+_PAIR_LEFT = np.array([2, 1, 0])
+
+#: Uniforms per sibling in a set's block besides one per interval: two
+#: merge offsets, then two pair choices.
+_BLOCK_EXTRA = 4
 
 
 class ResimulationError(RuntimeError):
@@ -100,25 +120,26 @@ class ResimulationOutcome:
 class _SetContext:
     """Everything about one proposal set that is identical across siblings.
 
-    Built once per (tree, target) by :meth:`NeighborhoodResimulator._build_set_context`
-    and shared by every candidate of the set: the deleted region, the
-    feasible intervals, the per-interval kinetics and (log-)transition
-    matrices (read-only, shared through the resimulator's memo), the
-    backward-pass goal table, and — on the demography path —
-    the Λ-rescaled interval starts.  ``double_cdfs`` lazily caches the
-    closed-form 3 → 1 first-merge CDF per interval so sibling double merges
-    share one construction.
+    Built once per (tree, target) by
+    :meth:`NeighborhoodResimulator._build_set_context` and shared by every
+    candidate of the set: the deleted region, the feasible intervals, the
+    interval spans in the kinetics' time scale, the ``(3, M)`` exit rates,
+    the ``(M, 3, 3)`` (log-, on the demography path) transition matrices
+    and the same matrices with their columns moved to the carried active
+    count (``shifted``, see :meth:`NeighborhoodResimulator._shift_columns`),
+    the backward-pass goal table and, on the demography path, the
+    Λ-rescaled interval starts.
     """
 
     region: Region
-    intervals: list[FeasibleInterval]
-    kinetics: list[IntervalKinetics]
-    spans: list[float]
-    tau_starts: list[float] | None
-    matrices: list[np.ndarray]
+    intervals: FeasibleIntervals
+    spans: np.ndarray
+    tau_starts: np.ndarray | None
+    rates: np.ndarray
+    matrices: np.ndarray
+    shifted: np.ndarray
     goal: np.ndarray
     log_space: bool
-    double_cdfs: dict = field(default_factory=dict)
 
 
 class NeighborhoodResimulator:
@@ -144,21 +165,17 @@ class NeighborhoodResimulator:
         needed — which is what lets the chain mix at large |g| where the
         constant-kernel-plus-correction approach stalls.
     batch_proposals:
-        When True (the default) :meth:`propose_set` shares the per-set work
-        across all siblings and vectorizes the forward pass and rebuild;
-        when False it falls back to N independent :meth:`propose` calls —
-        the reference kernel, same distribution, different RNG-stream
-        consumption order.
+        When True (the default) :meth:`propose_set` builds the whole set as
+        one array program; when False it falls back to N independent
+        :meth:`propose` calls — the reference kernel, same distribution,
+        different RNG-stream consumption order.
 
     Work counters (``n_proposal_sets``, ``n_interval_builds``,
-    ``n_backward_passes``, ``n_proposals_generated``, ``n_intervals``,
-    ``n_matrix_builds``) accumulate across calls; the batched path performs
-    exactly one interval build and one backward pass per proposal set, the
-    reference path one of each per proposal.  ``n_intervals`` counts the
-    feasible intervals those builds produced and ``n_matrix_builds`` the
-    interval transition matrices actually computed: a matrix depends only on
-    the interval's inactive count and span (θ is fixed for the resimulator's
-    lifetime), so the last ``_MATRIX_MEMO_SIZE`` distinct ones are reused.
+    ``n_backward_passes``, ``n_proposals_generated``, ``n_intervals``)
+    accumulate across calls; the batched path performs exactly one interval
+    build and one backward pass per proposal set, the reference path one of
+    each per proposal.  ``n_intervals`` counts the feasible intervals those
+    builds produced.
     """
 
     def __init__(
@@ -184,8 +201,6 @@ class NeighborhoodResimulator:
         self.n_backward_passes = 0
         self.n_proposals_generated = 0
         self.n_intervals = 0
-        self.n_matrix_builds = 0
-        self._matrices: OrderedDict[tuple[int, float], np.ndarray] = OrderedDict()
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the shared-work counters (diagnostics / tests)."""
@@ -195,7 +210,6 @@ class NeighborhoodResimulator:
             "n_backward_passes": self.n_backward_passes,
             "n_proposals_generated": self.n_proposals_generated,
             "n_intervals": self.n_intervals,
-            "n_matrix_builds": self.n_matrix_builds,
         }
 
     # ------------------------------------------------------------------ #
@@ -234,14 +248,19 @@ class NeighborhoodResimulator:
     ) -> list[ResimulationOutcome]:
         """Generate the ``n`` sibling proposals of one GMH set around ``target``.
 
-        All siblings share the per-set context (region, intervals, kinetics,
-        transition matrices, backward pass, Λ rescaling), computed exactly
-        once; the forward pass then samples all ``n`` conditioned interval
-        walks as stacked array operations — one categorical end-state draw
-        per interval for the whole set, vectorized truncated-exponential
-        inversion for the merge offsets, and (on the demography path) a
-        single batched Λ⁻¹ call over every sampled τ — and the rebuild
-        writes all sibling trees from shared preallocated buffers.
+        The set is one array program over all ``n`` siblings (see the
+        module docstring): one set context, one block of uniforms, one
+        end-state walk, one inversion of all single merges, one solve of
+        all double merges, one τ → t mapping and one stitch of the
+        ``(n, n_nodes)`` candidate block.
+
+        Stream contract: after the target is chosen, a set over ``M``
+        feasible intervals draws exactly ``rng.random((n, M + 4))`` and
+        nothing else.  Row ``i`` belongs to sibling ``i``: columns
+        ``0 … M−1`` are its end-state uniforms, one per interval, columns
+        ``M`` and ``M+1`` its two merge-offset uniforms and ``M+2``,
+        ``M+3`` its two pair uniforms.  The shape depends on ``n`` and the
+        tree and target only, never on the sampled walk.
 
         With ``batch_proposals=False`` this is exactly ``n`` independent
         :meth:`propose` calls (the reference kernel).  The two paths draw
@@ -253,10 +272,7 @@ class NeighborhoodResimulator:
         self.n_proposal_sets += 1
         if not self.batch_proposals:
             return [self.propose(tree, target, rng) for _ in range(n)]
-
-        ctx = self._build_set_context(tree, target)
-        merge_times = self._forward_pass_batch(ctx, n, rng)
-        outcomes = self._rebuild_batch(tree, ctx, merge_times, rng)
+        outcomes = self._propose_block(tree, self._build_set_context(tree, target), n, rng)
         self.n_proposals_generated += n
         return outcomes
 
@@ -268,8 +284,7 @@ class NeighborhoodResimulator:
         if self.batch_proposals:
             self.n_proposal_sets += 1
             ctx = self._build_set_context(tree, target)
-            merge_times = self._forward_pass_batch(ctx, 1, rng)
-            outcome = self._rebuild_batch(tree, ctx, merge_times, rng)[0]
+            outcome = self._propose_block(tree, ctx, 1, rng)[0]
             self.n_proposals_generated += 1
             return outcome
         return self.propose(tree, target, rng)
@@ -284,38 +299,29 @@ class NeighborhoodResimulator:
         ``trees[i]`` is chain ``i``'s current state and ``rngs[i]`` its
         private stream.  The per-set pipeline of :meth:`propose_random` is
         stage-separated across the stack — all target choices, then all set
-        contexts, then all forward passes, then all rebuilds — so each stage
-        runs over the whole stack while every chain still consumes *its own*
-        stream in exactly the order the solo :meth:`propose_random` call
-        would (choose_target, forward pass, rebuild; the context build draws
-        nothing).  Each chain's outcome is therefore bit-identical to its
-        solo run for any stack width, which is the contract the stacked
-        multichain executor's lock-step rounds rely on.
-
-        The stage separation is what the stack shares: the per-interval
-        kinetics objects are memoized across every context in the stack
-        (:func:`repro.proposals.kinetics.kinetics_for`), and the caller gets
-        all sibling trees back in one list ready for a single batched
-        likelihood evaluation.
+        contexts, then one set of one proposal per chain — while every chain
+        still consumes *its own* stream in exactly the order the solo
+        :meth:`propose_random` call would (choose_target, then its block;
+        the context build draws nothing).  Each chain's outcome is therefore
+        bit-identical to its solo run for any stack width, which is the
+        contract the stacked multichain executor's lock-step rounds rely on.
+        The caller gets all trees back in one list, ready for a single
+        batched likelihood evaluation.
         """
         if len(trees) != len(rngs):
             raise ValueError("need exactly one RNG stream per stacked chain")
         targets = [self.choose_target(t, r) for t, r in zip(trees, rngs)]
+        contexts = [self._build_set_context(t, tgt) for t, tgt in zip(trees, targets)]
         if self.batch_proposals:
             self.n_proposal_sets += len(trees)
-            contexts = [self._build_set_context(t, tgt) for t, tgt in zip(trees, targets)]
-            merge_times = [
-                self._forward_pass_batch(ctx, 1, r) for ctx, r in zip(contexts, rngs)
-            ]
             outcomes = [
-                self._rebuild_batch(t, ctx, mt, r)[0]
-                for t, ctx, mt, r in zip(trees, contexts, merge_times, rngs)
+                self._propose_block(t, ctx, 1, r)[0]
+                for t, ctx, r in zip(trees, contexts, rngs)
             ]
             self.n_proposals_generated += len(trees)
             return outcomes
         # Reference kernel, stage-separated the same way (counter semantics
         # follow :meth:`propose`: no set is counted on this path).
-        contexts = [self._build_set_context(t, tgt) for t, tgt in zip(trees, targets)]
         merge_times = [self._forward_pass(ctx, r) for ctx, r in zip(contexts, rngs)]
         outcomes = []
         for t, ctx, mt, r in zip(trees, contexts, merge_times, rngs):
@@ -345,7 +351,6 @@ class NeighborhoodResimulator:
         intervals = build_intervals(tree, region)
         self.n_interval_builds += 1
         self.n_intervals += len(intervals)
-        kinetics = [kinetics_for(iv.n_inactive, self.theta) for iv in intervals]
         # Rescaled spans can be so large that linear-space transition weights
         # underflow while their ratios stay well defined, so the demography
         # path runs the two passes in log space.
@@ -353,117 +358,89 @@ class NeighborhoodResimulator:
         if log_space:
             tau_starts, spans = rescaled_interval_spans(intervals, self.demography)
         else:
-            tau_starts = None
-            spans = [iv.length for iv in intervals]
-        matrices = [self._transition_matrix(k, s) for k, s in zip(kinetics, spans)]
-        if log_space:
-            goal = self._backward_pass_log(intervals, matrices)
-        else:
-            goal = self._backward_pass(intervals, matrices)
+            tau_starts, spans = None, intervals.lengths
+        rates = exit_rates(intervals.n_inactive, self.theta)
+        matrices = transition_matrices(rates, spans, self.theta, log=log_space)
+        shifted = self._shift_columns(intervals.activations, matrices, log_space)
+        goal = self._backward_pass(shifted, log_space)
         self.n_backward_passes += 1
         return _SetContext(
             region=region,
             intervals=intervals,
-            kinetics=kinetics,
             spans=spans,
             tau_starts=tau_starts,
+            rates=rates,
             matrices=matrices,
+            shifted=shifted,
             goal=goal,
             log_space=log_space,
         )
-
-    def _transition_matrix(self, kinetics: IntervalKinetics, span: float) -> np.ndarray:
-        """The interval's (log-, on the demography path) transition matrix, memoized.
-
-        The matrix is a pure function of ``(n_inactive, span)`` for this
-        resimulator's fixed θ, and chains revisit the same intervals often,
-        so a bounded LRU of read-only matrices serves the repeats.
-        """
-        key = (kinetics.n_inactive, span)
-        matrix = self._matrices.get(key)
-        if matrix is not None:
-            self._matrices.move_to_end(key)
-            return matrix
-        if self.demography is not None:
-            matrix = kinetics.log_transition_matrix(span)
-        else:
-            matrix = kinetics.transition_matrix(span)
-        matrix.flags.writeable = False
-        self._matrices[key] = matrix
-        if len(self._matrices) > _MATRIX_MEMO_SIZE:
-            self._matrices.popitem(last=False)
-        self.n_matrix_builds += 1
-        return matrix
 
     # ------------------------------------------------------------------ #
     # Backward pass: P_i(n) of the paper
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _backward_pass(
-        intervals: list[FeasibleInterval],
-        matrices: list[np.ndarray],
+    def _shift_columns(
+        activations: np.ndarray, matrices: np.ndarray, log_space: bool
     ) -> np.ndarray:
+        """Each interval's matrix with column ``b`` moved to the carried count.
+
+        ``shifted[m][a-1, c-1] = matrices[m][a-1, b-1]`` where ``c = b + k``
+        counts the ``k`` lineages activated at the start of interval
+        ``m + 1`` (none after the last interval): the active count the next
+        interval starts with.  Entries with no ``b`` behind them, or a
+        carried count past three, have no weight.
+        """
+        n_intervals = matrices.shape[0]
+        next_activations = np.zeros(n_intervals, dtype=np.int64)
+        next_activations[:-1] = activations[1:]
+        # Column c-1 reads column c-1-k of the matrix padded on the left
+        # with two columns of no weight.
+        padded = np.full((n_intervals, 3, 5), -np.inf if log_space else 0.0)
+        padded[:, :, 2:] = matrices
+        columns = np.arange(3)[None, None, :] + 2 - next_activations[:, None, None]
+        rows = np.arange(3)[None, :, None]
+        return padded[np.arange(n_intervals)[:, None, None], rows, columns]
+
+    @staticmethod
+    def _backward_pass(shifted: np.ndarray, log_space: bool) -> np.ndarray:
         """Probability of a valid finish given ``a`` active lineages at each interval start.
 
         ``goal[m, a-1]`` is the probability that, starting interval ``m``
         with ``a`` active lineages (activations at the start of interval
         ``m`` already counted), the process ends the resimulation range with
         exactly one active lineage and suffers no active–inactive
-        coalescence.  ``matrices[m]`` is the interval's transition matrix
-        S_{a,b} over its span in the kinetics' time scale (calendar time for
-        the constant model, Λ-rescaled time for a demography; a demography
-        with finite total intensity makes the final span finite,
-        conditioning on eventual coalescence).
+        coalescence; in log space on the demography path, where rescaled
+        spans grow like e^{g t} and linear weights underflow long before
+        their ratios stop being defined.  The transition matrices behind
+        ``shifted`` (see :meth:`_shift_columns`) are S_{a,b} over each
+        interval's span in the kinetics' time scale (calendar time for the
+        constant model, Λ-rescaled time for a demography; a demography with
+        finite total intensity makes the final span finite, conditioning on
+        eventual coalescence).
+
+        The recursion is ``goal[m] = shifted[m] · goal[m+1]``, so
+        ``goal[m]`` is the first column of the suffix product
+        ``shifted[m] ⋯ shifted[M−1]``.  All ``M`` of those come from one
+        doubling scan over the ``(M, 3, 3)`` stack: ⌈log₂ M⌉ batched
+        (log-space) matrix products, each over every interval at once.
         """
-        n_intervals = len(intervals)
-        goal = np.zeros((n_intervals + 1, 3))
+        n_intervals = shifted.shape[0]
+        step = shifted
+        shift = 1
+        while shift < n_intervals:
+            head, tail = step[:-shift], step[shift:]
+            if log_space:
+                product = np.logaddexp.reduce(head[:, :, :, None] + tail[:, None, :, :], axis=2)
+            else:
+                product = np.matmul(head, tail)
+            step = np.concatenate((product, step[-shift:]))
+            shift *= 2
+        goal = np.empty((n_intervals + 1, 3))
+        goal[:n_intervals] = step[:, :, 0]
         # Virtual state beyond the final boundary: success iff one active lineage.
-        goal[n_intervals] = np.array([1.0, 0.0, 0.0])
-        for m in range(n_intervals - 1, -1, -1):
-            s_matrix = matrices[m]
-            next_activations = intervals[m + 1].activations if m + 1 < n_intervals else 0
-            for a in range(1, 4):
-                total = 0.0
-                for b in range(1, a + 1):
-                    carried = b + next_activations
-                    if carried > 3:
-                        continue
-                    total += s_matrix[a - 1, b - 1] * goal[m + 1, carried - 1]
-                goal[m, a - 1] = total
+        goal[n_intervals] = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
         return goal
-
-    @staticmethod
-    def _backward_pass_log(
-        intervals: list[FeasibleInterval],
-        matrices: list[np.ndarray],
-    ) -> np.ndarray:
-        """The backward pass on log probabilities (demography-rescaled spans).
-
-        Identical recursion to :meth:`_backward_pass` with products turned
-        into sums: rescaled spans grow like e^{g t}, so the linear-space
-        weights underflow to zero long before their *ratios* — which are
-        all the conditioned forward walk needs — become ill defined.
-        """
-        n_intervals = len(intervals)
-        log_goal = np.full((n_intervals + 1, 3), -np.inf)
-        log_goal[n_intervals, 0] = 0.0
-        for m in range(n_intervals - 1, -1, -1):
-            log_s = matrices[m]
-            next_activations = intervals[m + 1].activations if m + 1 < n_intervals else 0
-            for a in range(1, 4):
-                terms = []
-                for b in range(1, a + 1):
-                    carried = b + next_activations
-                    if carried > 3:
-                        continue
-                    terms.append(log_s[a - 1, b - 1] + log_goal[m + 1, carried - 1])
-                if terms:
-                    peak = max(terms)
-                    if np.isfinite(peak):
-                        log_goal[m, a - 1] = peak + np.log(
-                            sum(np.exp(t - peak) for t in terms)
-                        )
-        return log_goal
 
     # ------------------------------------------------------------------ #
     # Forward pass: conditioned sampling of merge times
@@ -477,16 +454,19 @@ class NeighborhoodResimulator:
         to calendar time through Λ⁻¹; otherwise offsets are calendar offsets
         from the interval start.
         """
-        intervals, kinetics, goal = ctx.intervals, ctx.kinetics, ctx.goal
+        intervals, goal = ctx.intervals, ctx.goal
         n_intervals = len(intervals)
+        activations = intervals.activations.tolist()
+        starts, ends = intervals.starts.tolist(), intervals.ends.tolist()
+        spans = ctx.spans.tolist()
         merge_times: list[float] = []
         active = 0
-        for m, interval in enumerate(intervals):
-            active += interval.activations
+        for m in range(n_intervals):
+            active += activations[m]
             if active < 1 or active > 3:
                 raise RuntimeError("active lineage bookkeeping is inconsistent")
-            span = ctx.spans[m]
-            next_activations = intervals[m + 1].activations if m + 1 < n_intervals else 0
+            span = spans[m]
+            next_activations = activations[m + 1] if m + 1 < n_intervals else 0
             s_matrix = ctx.matrices[m]
 
             weights = np.full(active, -np.inf) if ctx.log_space else np.zeros(active)
@@ -511,13 +491,14 @@ class NeighborhoodResimulator:
             end_state = 1 + int(rng.choice(active, p=weights / total))
 
             if end_state < active:
-                offsets = kinetics[m].sample_merge_times(active, end_state, span, rng)
+                kinetics = kinetics_for(int(intervals.n_inactive[m]), self.theta)
+                offsets = kinetics.sample_merge_times(active, end_state, span, rng)
                 for off in offsets:
                     bounded = np.isfinite(span)
                     upper = span * (1.0 - _TIME_EPS) if bounded else off
                     off = min(max(off, span * _TIME_EPS if bounded else _TIME_EPS), upper)
                     if ctx.tau_starts is None:
-                        merge_times.append(interval.start + off)
+                        merge_times.append(starts[m] + off)
                     else:
                         t = float(
                             self.demography.inverse_cumulative_intensity(
@@ -528,7 +509,7 @@ class NeighborhoodResimulator:
                         # interval (below a child-root activation time),
                         # violating the activation invariant the rebuild
                         # relies on — clamp back into [start, end].
-                        merge_times.append(min(max(t, interval.start), interval.end))
+                        merge_times.append(min(max(t, starts[m]), ends[m]))
             active = end_state
 
         if active != 1 or len(merge_times) != 2:
@@ -540,158 +521,149 @@ class NeighborhoodResimulator:
 
     @staticmethod
     def _end_state_table(ctx: _SetContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Conditioned end-state weights of every interval and active count.
+        """Conditioned weights of the next start state, for every interval and active count.
 
-        Row ``[m, a-1]`` holds what the forward pass needs to draw the
-        active count ``b`` at the end of interval ``m`` from ``a`` at its
-        start: ``cum[m, a-1]`` the cumulative weights over ``b = 1, 2, 3``
-        (zero, or ``-inf`` before the log-space shift, where ``b > a`` or
-        the carried count would exceed three), ``total[m, a-1]`` their sum,
-        and ``dead[m, a-1]`` whether no valid finish exists from that state.
-        The weights depend on the interval and ``a`` only, so every sibling
-        of a set reads the same table; each row is computed with the same
-        element-wise arithmetic as the reference :meth:`_forward_pass`
-        (product with the goal tail, or in log space the sum, max-shift and
-        ``exp``).  Every weight is non-negative, so each ``cum`` row is
-        sorted.
+        Row ``[m, a-1]`` holds what the forward pass needs to draw, from
+        ``a`` active lineages at the start of interval ``m``, the active
+        count ``c`` the next interval starts with (the lineages left at the
+        end of ``m`` plus those activated at the start of ``m + 1``):
+        ``cum[m, a-1]`` the cumulative weights over ``c = 1, 2, 3``,
+        ``total[m, a-1]`` their sum, and ``dead[m, a-1]`` whether no valid
+        finish exists from that state.  A weight is the transition weight
+        times the goal of ``c`` at the next interval (``shifted + goal`` in
+        log space, then shifted by the row's peak and exponentiated), so
+        impossible counts weigh nothing and every ``cum`` row is sorted.
         """
-        n_intervals = len(ctx.intervals)
-        next_activations = np.zeros(n_intervals, dtype=np.int64)
-        next_activations[:-1] = [iv.activations for iv in ctx.intervals[1:]]
-        carried = _STATES[None, :] + next_activations[:, None]
-        allowed = (_STATES[None, :] <= _STATES[:, None])[None, :, :] & (carried <= 3)[:, None, :]
-        tail = ctx.goal[np.arange(1, n_intervals + 1)[:, None], np.minimum(carried, 3) - 1]
-        matrices = np.stack(ctx.matrices)
+        tail = ctx.goal[1:, None, :]
         if ctx.log_space:
-            weights = np.where(allowed, matrices + tail[:, None, :], -np.inf)
+            weights = ctx.shifted + tail
             peak = weights.max(axis=2)
             reachable = np.isfinite(peak)
             weights = np.exp(weights - np.where(reachable, peak, 0.0)[:, :, None])
         else:
-            weights = np.where(allowed, matrices * tail[:, None, :], 0.0)
+            weights = ctx.shifted * tail
         cum = np.cumsum(weights, axis=2)
-        total = cum[:, :, -1]
+        total = cum[:, :, 2]
         dead = total <= 0.0
         if ctx.log_space:
             dead |= ~reachable
         return cum, total, dead
 
-    def _forward_pass_batch(
-        self, ctx: _SetContext, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The forward pass for all ``n`` siblings at once.
+    def _propose_block(
+        self, tree: Genealogy, ctx: _SetContext, n: int, rng: np.random.Generator
+    ) -> list[ResimulationOutcome]:
+        """The ``n`` candidates of one set from one block of uniforms (the stream contract)."""
+        n_intervals = len(ctx.intervals)
+        uniforms = rng.random((n, n_intervals + _BLOCK_EXTRA))
+        offsets, owner = self._forward_block(ctx, uniforms)
+        merge_times = self._offsets_to_calendar(ctx, offsets, owner)
+        return self._stitch_block(tree, ctx.region, merge_times, uniforms[:, n_intervals + 2 :])
 
-        Walks the intervals once, reading each sibling's conditioned
-        end-state weights from the per-set :meth:`_end_state_table`; one
-        uniform per sibling and interval resolves the draw (cumulative-sum
-        inversion), and the merge offsets of all siblings drawing the same
-        move are sampled by the vectorized kinetics.  Returns an ``(n, 2)``
-        array of sorted calendar merge times; the demography path maps every
-        sampled τ back through one batched Λ⁻¹ call at the end.
+    def _forward_block(
+        self, ctx: _SetContext, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward pass of every sibling of a set, from its block of uniforms.
+
+        Returns ``(offsets, owner)``, each ``(n, 2)``: sibling ``i``'s two
+        merges as offsets in the kinetics' time scale from the start of the
+        interval ``owner[i, j]`` that holds them, the earlier merge first.
+
+        Every draw the walk could make — each interval, start state and
+        sibling — is read off the end-state table with the sibling's
+        uniform for that interval, all at once, into a table of next start
+        states; a start state with no valid finish (or an impossible
+        lineage count) leads to a dead state, which the table keeps dead.
+        The walk itself is one gather per interval over all siblings, and
+        since every dead state has a row of its own the walked state is a
+        valid index at every step; a walk that ends anywhere but one active
+        lineage stops the set with the dead-end ``RuntimeError``.  The
+        merges are then placed with the sibling's two offset uniforms (the
+        earlier merge takes the first): the first merges of all double
+        merges in one solve, and every single merge, second merges of
+        doubles included, in one inversion.
         """
-        cum, total, dead = self._end_state_table(ctx)
-        any_dead = dead.any(axis=1).tolist()
         intervals, spans = ctx.intervals, ctx.spans
-        active = np.zeros(n, dtype=np.int64)
-        offsets = np.zeros((n, 2))
-        owner = np.zeros((n, 2), dtype=np.int64)
-        n_found = np.zeros(n, dtype=np.int64)
+        n = uniforms.shape[0]
+        n_intervals = len(intervals)
+        cum, total, dead = self._end_state_table(ctx)
 
-        for m, interval in enumerate(intervals):
-            active = active + interval.activations
-            lowest, highest = int(active.min()), int(active.max())
-            if lowest < 1 or highest > 3:
-                raise RuntimeError("active lineage bookkeeping is inconsistent")
-            if lowest == highest:
-                row = lowest - 1
-                if dead[m, row]:
-                    raise RuntimeError("conditioned resimulation reached a dead end")
-                u = rng.random(n) * total[m, row]
-                end_state = 1 + np.minimum(np.searchsorted(cum[m, row], u, side="right"), 2)
-                if lowest == 1:
-                    # A lone lineage cannot merge: nothing to place here.
-                    active = end_state
-                    continue
-            else:
-                rows = active - 1
-                if any_dead[m] and np.any(dead[m, rows]):
-                    raise RuntimeError("conditioned resimulation reached a dead end")
-                u = rng.random(n) * total[m, rows]
-                end_state = 1 + np.minimum((cum[m, rows] <= u[:, None]).sum(axis=1), 2)
-            n_events = active - end_state
-            span = spans[m]
+        # Next start state of every (interval, start state 1-3, sibling).
+        # The draw stops at the last positive weight, so rounding at the top
+        # of a row cannot select a state of no weight.
+        draw = total[:, :, None] * uniforms[:, :n_intervals].T[:, None, :]
+        count = (cum[:, :, 0, None] <= draw).view(np.int8) + (cum[:, :, 1, None] <= draw)
+        last = np.where(cum[:, :, 2] > cum[:, :, 1], 2, (cum[:, :, 1] > cum[:, :, 0]).view(np.int8))
+        drawn = 1 + np.minimum(count, last[:, :, None])
+        following = np.full((n_intervals, _WALK_STATES, n), _DEAD, dtype=np.int64)
+        following[:, 1:4] = np.where(dead[:, :, None], _DEAD, drawn)
 
-            kin = ctx.kinetics[m]
-            singles = np.flatnonzero(n_events == 1)
-            if singles.size:
-                offs = kin.sample_single_merge_batch(
-                    active[singles], np.full(singles.size, span), rng
-                )
-                self._record_merges(
-                    offsets, owner, n_found, singles, m, self._clip_offsets(offs, span)
-                )
-            doubles = np.flatnonzero(n_events == 2)
-            if doubles.size:
-                cdf_total = ctx.double_cdfs.get(m)
-                if cdf_total is None and math.isfinite(span):
-                    cdf_total = kin.double_merge_cdf(span)
-                    ctx.double_cdfs[m] = cdf_total
-                tau1 = kin.sample_first_of_double_batch(
-                    span, doubles.size, rng, cdf_total=cdf_total
-                )
-                if math.isfinite(span):
-                    remaining = span - tau1
-                else:
-                    remaining = np.full(doubles.size, math.inf)
-                tau2 = tau1 + kin.sample_single_merge_batch(
-                    np.full(doubles.size, 2), remaining, rng
-                )
-                self._record_merges(
-                    offsets, owner, n_found, doubles, m, self._clip_offsets(tau1, span)
-                )
-                self._record_merges(
-                    offsets, owner, n_found, doubles, m, self._clip_offsets(tau2, span)
-                )
-            active = end_state
+        # The walk over (state, sibling) codes, state·n + sibling: one
+        # gather per interval through that interval's next-state codes.
+        siblings = np.arange(n)
+        codes = (following * n + siblings).reshape(n_intervals, -1)
+        walk = np.empty((n_intervals + 1, n), dtype=np.int64)
+        code = walk[0] = intervals.activations[0] * n + siblings
+        for m in range(n_intervals):
+            code = walk[m + 1] = codes[m].take(code)
+        starts = walk // n  # active count at the start of each interval, then the finish
+        if (starts[-1] != 1).any():
+            raise RuntimeError("conditioned resimulation reached a dead end")
 
-        if np.any(active != 1) or np.any(n_found != 2):
-            raise RuntimeError(
-                "batched resimulation finished with inconsistent active-lineage "
-                f"or merge counts (active={active.tolist()}, found={n_found.tolist()})"
+        # Merges: ``events[m, i]`` lineages sibling i loses in interval m.
+        next_activations = np.zeros((n_intervals, 1), dtype=np.int64)
+        next_activations[:-1, 0] = intervals.activations[1:]
+        events = starts[:-1] - starts[1:] + next_activations
+        ms, ids = np.nonzero(events)
+        double = events[ms, ids] == 2
+        # The earlier merge takes offset slot 0; a single merge after another takes 1.
+        later = np.where(double, 1, (np.cumsum(events, axis=0) - events)[ms, ids])
+        u_offsets = uniforms[:, n_intervals : n_intervals + 2]
+        span = spans[ms]
+        rates = ctx.rates[:, ms]
+        first = np.zeros(ms.shape)
+        if double.any():
+            first[double] = invert_first_of_doubles(
+                rates[:, double], span[double], u_offsets[ids[double], 0], self.theta
             )
-        return self._offsets_to_calendar(ctx, offsets, owner)
+        # Single merges a → a−1, and the 2 → 1 after the first of a double.
+        active = np.where(double, 2, starts[ms, ids])
+        columns = np.arange(ms.shape[0])
+        merged = first + invert_single_merges(
+            rates[active - 1, columns],
+            rates[active - 2, columns],
+            span - first,
+            u_offsets[ids, later],
+        )
+        offsets = np.empty((n, 2))
+        owner = np.empty((n, 2), dtype=np.int64)
+        offsets[ids, later] = merged
+        owner[ids, later] = ms
+        offsets[ids[double], 0] = first[double]
+        owner[ids[double], 0] = ms[double]
 
-    @staticmethod
-    def _clip_offsets(offsets: np.ndarray, span: float) -> np.ndarray:
-        """Keep sampled offsets strictly inside the interval (matches the scalar clamp)."""
-        if math.isfinite(span):
-            return np.clip(offsets, span * _TIME_EPS, span * (1.0 - _TIME_EPS))
-        return np.maximum(offsets, _TIME_EPS)
-
-    @staticmethod
-    def _record_merges(offsets, owner, n_found, rows, m, values) -> None:
-        """File one sampled merge per listed sibling into its next free slot."""
-        slots = n_found[rows]
-        offsets[rows, slots] = values
-        owner[rows, slots] = m
-        n_found[rows] += 1
+        # Keep every offset strictly inside its interval (the reference clamp).
+        bounded = np.isfinite(spans)
+        lower = np.where(bounded, spans * _TIME_EPS, _TIME_EPS)
+        upper = np.where(bounded, spans * (1.0 - _TIME_EPS), np.inf)
+        offsets = np.minimum(np.maximum(offsets, lower[owner]), upper[owner])
+        return offsets, owner
 
     def _offsets_to_calendar(
         self, ctx: _SetContext, offsets: np.ndarray, owner: np.ndarray
     ) -> np.ndarray:
         """Map all (interval, offset) samples to sorted calendar merge times."""
-        starts = np.asarray([iv.start for iv in ctx.intervals])
+        starts = ctx.intervals.starts
         if ctx.tau_starts is None:
             times = starts[owner] + offsets
         else:
-            tau = np.asarray(ctx.tau_starts)[owner] + offsets
+            tau = ctx.tau_starts[owner] + offsets
             mapped = np.asarray(
                 self.demography.inverse_cumulative_intensity(tau.ravel()), dtype=float
             )
             times = mapped.reshape(tau.shape)
             # Same clamp as the scalar path: the Λ → Λ⁻¹ roundtrip must not
             # push a merge outside its owning interval.
-            ends = np.asarray([iv.end for iv in ctx.intervals])
+            ends = ctx.intervals.ends
             times = np.minimum(np.maximum(times, starts[owner]), ends[owner])
         return np.sort(times, axis=1)
 
@@ -838,63 +810,89 @@ class NeighborhoodResimulator:
         new.inherit_rows(tree, cls._rewritten_nodes(tree, region))
         return new, new_nodes, first_pair
 
-    def _rebuild_batch(
+    def _stitch_block(
         self,
         tree: Genealogy,
-        ctx: _SetContext,
+        region: Region,
         merge_times: np.ndarray,
-        rng: np.random.Generator,
+        pair_u: np.ndarray,
     ) -> list[ResimulationOutcome]:
-        """Stitch all siblings from shared preallocated buffers.
+        """Stitch every candidate of a set into one ``(n, n_nodes)`` block.
 
-        One ``(n, …)`` copy of the base arrays replaces n ``tree.copy()``
-        calls; per-sibling surgery touches only the handful of resimulated
-        entries.  Pair choices come from one prefetched ``(n, 2)`` uniform
-        block: with two active lineages the pair is forced, with three the
-        uniform picks one of the three unordered pairs — the same marginal
-        law as the reference ``rng.choice(3, size=2, replace=False)``.
+        The same surgery as :meth:`_stitch` with its pair choice read from
+        the sibling's first pair uniform, for all siblings at once.  Every
+        sibling shares the region, so the candidates differ only in the
+        pairing of the first merge and the two new times: with the child
+        roots sorted by time, the first merge joins the first two, unless
+        all three are present by then, when ⌊3u⌋ picks one of the three
+        pairs; the second merge joins the first merge's node to the root
+        left out.  Each block row becomes one :class:`Genealogy` without a
+        further copy, carrying the generator's arena rows (computed once
+        for the set) outside the rewritten nodes.
         """
-        region = ctx.region
         n = merge_times.shape[0]
-        times_buf = np.repeat(tree.times[None, :], n, axis=0)
-        parent_buf = np.repeat(tree.parent[None, :], n, axis=0)
-        children_buf = np.repeat(tree.children[None, :, :], n, axis=0)
-        pair_u = rng.random((n, 2))
-        original_pair = {int(c) for c in tree.children[region.target]}
-        rewritten = self._rewritten_nodes(tree, region)
+        target, parent = region.target, region.parent
+        order = sorted(range(3), key=lambda j: region.child_times[j])
+        roots = np.asarray(region.child_roots)[order]
+        child_times = np.asarray(region.child_times)[order]
+        t1, t2 = merge_times[:, 0], merge_times[:, 1]
 
+        three = child_times[2] <= t1
+        pick = np.where(three, np.minimum((pair_u[:, 0] * 3.0).astype(np.int64), 2), 0)
+        i, j, k = _PAIR_FIRST[pick], _PAIR_SECOND[pick], _PAIR_LEFT[pick]
+        first, second, left = roots[i], roots[j], roots[k]
+        # Each merge strictly older than both of its children.
+        time_a = np.maximum(t1, np.maximum(child_times[i], child_times[j]) + _TIME_EPS)
+        child_max = np.maximum(time_a, child_times[k])
+        time_b = np.maximum(t2, child_max + _TIME_EPS)
+        if region.bounded:
+            # The second merge must stay strictly below the ancestor *and*
+            # strictly above its own children.
+            upper = region.ancestor_time
+            over = time_b >= upper
+            if over.any():
+                squeezed = upper - _TIME_EPS * max(1.0, upper)
+                squeezed = np.where(squeezed <= child_max, 0.5 * (child_max + upper), squeezed)
+                empty = over & ~((child_max < squeezed) & (squeezed < upper))
+                if empty.any():
+                    raise ResimulationError(
+                        f"no valid time for the top merge of target {region.target}: "
+                        f"ancestor at {upper!r}, children at "
+                        f"{float(child_max[empty][0])!r} leave an empty window"
+                    )
+                time_b = np.where(over, squeezed, time_b)
+
+        siblings = np.arange(n)
+        times = np.repeat(tree.times[None, :], n, axis=0)
+        times[:, target] = time_a
+        times[:, parent] = time_b
+        parents = np.repeat(tree.parent[None, :], n, axis=0)
+        parents[siblings, first] = target
+        parents[siblings, second] = target
+        parents[siblings, left] = parent
+        children = np.repeat(tree.children[None, :, :], n, axis=0)
+        children[:, target, 0] = first
+        children[:, target, 1] = second
+        # The second merge lists the root left out first when it was already
+        # active at the first merge, as the reference stitch does.
+        children[:, parent, 0] = np.where(three, left, target)
+        children[:, parent, 1] = np.where(three, target, left)
+
+        inherited = tree.rows_for_copies(self._rewritten_nodes(tree, region))
+        changed = (left != region.child_roots[2]).tolist()
+        new_times = zip(time_a.tolist(), time_b.tolist())
         outcomes = []
-        for i in range(n):
-            u_row = pair_u[i]
-
-            def choose_pair(event_index: int, n_active: int) -> tuple[int, int]:
-                if n_active == 2:
-                    return 0, 1
-                return _PAIRS_OF_THREE[min(int(u_row[event_index] * 3.0), 2)]
-
-            new_nodes, first_pair = self._stitch(
-                times_buf[i], parent_buf[i], children_buf[i], region,
-                merge_times[i], choose_pair,
+        for row, pair, topology_changed in zip(range(n), new_times, changed):
+            new = Genealogy._adopt(
+                times[row], parents[row], children[row], tree.tip_names, tree.root
             )
-            new = Genealogy(
-                times=times_buf[i],
-                parent=parent_buf[i],
-                children=children_buf[i],
-                tip_names=tree.tip_names,
-            )
-            new._root = tree.root  # the stitch keeps the root's index
-            new.inherit_rows(tree, rewritten)
+            if inherited is not None:
+                new.arena_rows = inherited._replace(key=new._structure_key())
             if self.validate:
                 new.validate()
             outcomes.append(
                 ResimulationOutcome(
-                    tree=new,
-                    region=region,
-                    new_times=(
-                        float(new.times[new_nodes[0]]),
-                        float(new.times[new_nodes[1]]),
-                    ),
-                    topology_changed=set(first_pair) != original_pair,
+                    tree=new, region=region, new_times=pair, topology_changed=topology_changed
                 )
             )
         return outcomes

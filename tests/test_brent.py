@@ -40,7 +40,7 @@ def assert_same(f, a, b, **kwargs):
 
 def assert_same_cdf_inversion(kinetics: IntervalKinetics, span: float, u: float):
     """The inversion ``cdf(τ) = u·total`` exactly as the kinetics samplers call it."""
-    cdf, total = kinetics.double_merge_cdf(span)
+    cdf, total = kinetics._double_merge_cdf(span)
     assume(total > 0.0)
     target = u * total
     assume(cdf(span) > target)  # at or above the ceiling the samplers skip the root-find
@@ -87,7 +87,7 @@ class TestDoubleMergeCdf:
     def test_flat_cdf_extrapolation_step(self, n_inactive, theta, span, u):
         # Near the root cdf(t) − target repeats exactly, so an extrapolation
         # step divides 0.0 by -0.0: C bisects where Python would raise.
-        cdf, total = IntervalKinetics(n_inactive=n_inactive, theta=theta).double_merge_cdf(span)
+        cdf, total = IntervalKinetics(n_inactive=n_inactive, theta=theta)._double_merge_cdf(span)
         target = u * total
         assert_same(lambda t: cdf(t) - target, 0.0, span, xtol=1e-14 * max(span, 1.0))
 

@@ -474,9 +474,9 @@ class TestProfileMStep:
 # The parameter-free constant model's rows are θ alone, from the θ-only
 # M-step (Algorithm 2); its pin guards that path of the shared EM loop.
 _EM_GOLDEN = {
-    "constant": "6c14032f2276636607f2ec894771e75c2ecd447b528175bcb3f7cad5523ccb78",
-    "exponential": "eb9cdd5894fa515dfeb96379d7522a1c55215d17a887fb46d198eab905e7b7ba",
-    "bottleneck": "d84304cf10b2ce37757a8aaf029b348b6298ec03536fc946ef14c156de3835a2",
+    "constant": "a27bcbd68d540bcb3d864d7b2d9652ed877e4b2b36e6d6ff11ebfe9a1dacb9a8",
+    "exponential": "4eca406b6fca72e1230ebb3dfe7cad93ec0ae919474bea7e4fd8499a6c9393f7",
+    "bottleneck": "1c03da226c18e991a89d42c714ab9aa59bc284893df9d4f17275436915b2c955",
 }
 
 

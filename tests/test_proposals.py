@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.lamarc import LamarcSampler
+from repro.brent import brentq
 from repro.core.config import SamplerConfig
 from repro.core.sampler import MultiProposalSampler
 from repro.demography.models import ExponentialDemography
@@ -13,7 +14,13 @@ from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import BatchedEngine
 from repro.parallel.stacked import StackedMultiChain
 from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
-from repro.proposals.kinetics import IntervalKinetics
+from repro.proposals.kinetics import (
+    IntervalKinetics,
+    exit_rates,
+    invert_first_of_doubles,
+    invert_single_merges,
+    transition_matrices,
+)
 from repro.proposals.neighborhood import (
     NeighborhoodResimulator,
     ResimulationError,
@@ -65,22 +72,20 @@ class TestIntervals:
         for target in eligible_targets(tree):
             region = extract_region(tree, int(target))
             intervals = build_intervals(tree, region)
-            assert intervals[0].start == pytest.approx(min(region.child_times))
+            assert intervals.starts[0] == pytest.approx(min(region.child_times))
             if region.bounded:
-                assert intervals[-1].end == pytest.approx(region.ancestor_time)
+                assert intervals.ends[-1] == pytest.approx(region.ancestor_time)
             else:
-                assert np.isinf(intervals[-1].end)
+                assert np.isinf(intervals.ends[-1])
             # Contiguity and total activations.
-            for a, b in zip(intervals, intervals[1:]):
-                assert a.end == pytest.approx(b.start)
-            assert sum(iv.activations for iv in intervals) == 3
+            assert np.allclose(intervals.ends[:-1], intervals.starts[1:])
+            assert intervals.activations.sum() == 3
 
     def test_inactive_counts_bounded_by_total_lineages(self, rng):
         tree = simulate_genealogy(9, 1.0, rng)
         region = extract_region(tree, int(eligible_targets(tree)[0]))
         intervals = build_intervals(tree, region)
-        for iv in intervals:
-            assert 0 <= iv.n_inactive <= tree.n_tips
+        assert np.all((0 <= intervals.n_inactive) & (intervals.n_inactive <= tree.n_tips))
 
     def test_inactive_count_excludes_removed_edges(self, tiny_tree):
         region = extract_region(tiny_tree, 4)
@@ -94,15 +99,13 @@ class TestIntervals:
 
 class TestKinetics:
     def test_weights_are_probabilities(self):
-        kin = IntervalKinetics(n_inactive=2, theta=1.0)
-        for span in (0.05, 0.5, 3.0):
-            mat = kin.transition_matrix(span)
+        rates = exit_rates(np.full(3, 2), 1.0)
+        for mat in transition_matrices(rates, np.array([0.05, 0.5, 3.0]), 1.0):
             assert np.all(mat >= 0)
             assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)  # killing removes mass
 
     def test_no_killing_conserves_probability(self):
-        kin = IntervalKinetics(n_inactive=0, theta=1.0)
-        mat = kin.transition_matrix(2.0)
+        mat = transition_matrices(exit_rates(np.array([0]), 1.0), np.array([2.0]), 1.0)[0]
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_infinite_span_reaches_one_lineage(self):
@@ -239,13 +242,10 @@ class TestResimulation:
 
     def test_propose_set_counter_accounting(self, rng):
         """The batched path shares one interval build + one backward pass per
-        set; the reference path pays one of each per proposal.  Transition
-        matrices are memoized by (n_inactive, span), so repeated builds of
-        the same intervals compute each distinct matrix once."""
+        set; the reference path pays one of each per proposal."""
         tree = simulate_genealogy(8, 1.0, rng)
         target = int(eligible_targets(tree)[0])
-        intervals = build_intervals(tree, extract_region(tree, target))
-        distinct = len({(iv.n_inactive, iv.length) for iv in intervals})
+        n_intervals = len(build_intervals(tree, extract_region(tree, target)))
 
         batched = NeighborhoodResimulator(1.0, batch_proposals=True)
         batched.propose_set(tree, target, 8, rng)
@@ -254,8 +254,7 @@ class TestResimulation:
             "n_interval_builds": 1,
             "n_backward_passes": 1,
             "n_proposals_generated": 8,
-            "n_intervals": len(intervals),
-            "n_matrix_builds": distinct,
+            "n_intervals": n_intervals,
         }
 
         reference = NeighborhoodResimulator(1.0, batch_proposals=False)
@@ -265,24 +264,13 @@ class TestResimulation:
             "n_interval_builds": 8,
             "n_backward_passes": 8,
             "n_proposals_generated": 8,
-            "n_intervals": 8 * len(intervals),
-            "n_matrix_builds": distinct,
+            "n_intervals": 8 * n_intervals,
         }
 
-    def test_memoized_matrices_are_read_only(self, rng):
-        tree = simulate_genealogy(6, 1.0, rng)
-        resim = NeighborhoodResimulator(1.0)
-        ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
-        with pytest.raises(ValueError):
-            ctx.matrices[0][0, 0] = 1.0
-
     @pytest.mark.parametrize("runner", ["gmh", "lamarc", "stacked"])
-    def test_run_extras_count_intervals_and_matrix_builds(
-        self, small_dataset, uniform_model, runner
-    ):
-        """The interval and matrix-build counters reach every chain's
-        ``proposal_counters``, and a chain revisits enough intervals that
-        the matrix memo computes fewer matrices than it serves."""
+    def test_run_extras_count_intervals(self, small_dataset, uniform_model, runner):
+        """The interval counters reach every chain's ``proposal_counters``:
+        one interval build and one backward pass per proposal set."""
         engine = BatchedEngine(alignment=small_dataset.alignment, model=uniform_model)
         cfg = SamplerConfig(n_samples=40, burn_in=10, n_proposals=4)
         tree = upgma_tree(small_dataset.alignment, driving_theta=1.0)
@@ -294,12 +282,15 @@ class TestResimulation:
         else:
             result = StackedMultiChain(lambda: engine, 1.0, 2, cfg).run(tree, rng)
         counters = result.extras["proposal_counters"]
-        assert 0 < counters["n_matrix_builds"] < counters["n_intervals"]
+        assert counters["n_proposal_sets"] > 0
+        assert counters["n_interval_builds"] == counters["n_proposal_sets"]
+        assert counters["n_backward_passes"] == counters["n_proposal_sets"]
+        assert counters["n_intervals"] >= counters["n_interval_builds"]
 
     @pytest.mark.parametrize(
         "demography",
-        [None, ExponentialDemography(growth=50.0)],
-        ids=["constant", "growth50"],
+        [None, ExponentialDemography(growth=50.0), ExponentialDemography(growth=-5.0)],
+        ids=["constant", "growth50", "decline5"],
     )
     def test_batched_matches_reference_distribution(self, rng, demography):
         """Batched and reference kernels draw from the same distribution.
@@ -406,28 +397,25 @@ class TestResimulation:
     def test_degenerate_double_merge_uses_triangular_limit(self):
         """Bugfix: when the closed-form CDF underflows on a tiny span, the
         first-of-double fallback must follow the triangular lambda -> 0
-        limit g(tau) proportional to (span - tau), not a uniform draw."""
+        limit g(tau) proportional to (span - tau), not a uniform draw.  At
+        span 1e-20 the closed form cancels to exactly zero, in the scalar
+        sampler and in the set kernel's solve alike."""
         kin = IntervalKinetics(n_inactive=0, theta=1.0)
-        span = 1e-9
-
-        class _ZeroCdf(IntervalKinetics):
-            def _double_merge_cdf(self, s):
-                return (lambda t: 0.0), 0.0
-
-        forced = _ZeroCdf(n_inactive=0, theta=1.0)
+        span = 1e-20
+        assert kin._double_merge_cdf(span)[1] == 0.0
         rng = np.random.default_rng(12)
-        scalar = np.array(
-            [forced._sample_first_of_double(span, rng) for _ in range(20000)]
-        )
-        batch = forced.sample_first_of_double_batch(
-            span, 20000, np.random.default_rng(13), cdf_total=((lambda t: 0.0), 0.0)
+        scalar = np.array([kin._sample_first_of_double(span, rng) for _ in range(20000)])
+        batch = invert_first_of_doubles(
+            exit_rates(np.zeros(20000, dtype=np.int64), 1.0),
+            np.full(20000, span),
+            np.random.default_rng(13).random(20000),
+            1.0,
         )
         for samples in (scalar, batch):
             # Triangular on [0, span]: mean span/3, P(tau < span/2) = 3/4.
             assert np.all((samples >= 0) & (samples <= span))
             assert np.mean(samples) == pytest.approx(span / 3.0, rel=0.03)
             assert np.mean(samples < span / 2.0) == pytest.approx(0.75, abs=0.02)
-        del kin
 
     def test_batched_gmh_recovers_coalescent_prior(self):
         """Uniform-weight GMH with batched proposal sets samples the prior.
@@ -470,3 +458,139 @@ class TestResimulation:
             if outcome.tree.tree_height() > tree.tree_height():
                 taller += 1
         assert taller > 0
+
+
+class TestSetKernel:
+    """The proposal-set array program against its scalar forms."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "demography", [None, ExponentialDemography(growth=5.0)], ids=["constant", "growth5"]
+    )
+    def test_set_draws_exactly_one_block(self, n, demography):
+        """A set of n siblings over M intervals advances the stream by n(M + 4) doubles."""
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        for seed in range(6):
+            tree = simulate_genealogy(9, 1.0, np.random.default_rng(seed))
+            for target in (int(t) for t in eligible_targets(tree)):
+                n_intervals = len(build_intervals(tree, extract_region(tree, target)))
+                used = np.random.default_rng(seed + 100)
+                resim.propose_set(tree, target, n, used)
+                fresh = np.random.default_rng(seed + 100)
+                fresh.random(n * (n_intervals + 4))
+                assert used.random() == fresh.random()
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_matrices_match_scalar_weights(self, theta, log):
+        """Every entry within 1e-12 relative of ``(log_)transition_weight``;
+        zeros and -inf exactly."""
+        spans = np.array([0.0, 1e-14, 0.37, 2.5, 1e6, np.inf])
+        for n_inactive in range(11):
+            kin = IntervalKinetics(n_inactive=n_inactive, theta=theta)
+            scalar = kin.log_transition_weight if log else kin.transition_weight
+            rates = exit_rates(np.full(spans.size, n_inactive), theta)
+            got = transition_matrices(rates, spans, theta, log=log)
+            for m, span in enumerate(spans.tolist()):
+                for a in (1, 2, 3):
+                    for b in (1, 2, 3):
+                        want = scalar(a, b, span)
+                        value = got[m, a - 1, b - 1]
+                        if want == 0.0 or not np.isfinite(want):
+                            assert value == want, (n_inactive, span, a, b)
+                        else:
+                            assert abs(value - want) <= 1e-12 * abs(want), (n_inactive, span, a, b)
+
+    def test_single_inversion_matches_scalar_law(self):
+        """Bounded spans: the truncated-exponential inversion of
+        ``_sample_single_merge`` for the same uniform."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            a, k = int(rng.integers(2, 4)), int(rng.integers(0, 11))
+            theta, span, u = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-6, 1), rng.random()
+            kin = IntervalKinetics(n_inactive=k, theta=theta)
+            # The scalar sampler draws its uniform first on a bounded span.
+            want = kin._sample_single_merge(a, span, _FixedUniform(u))
+            got = invert_single_merges(
+                np.array([kin.exit_rate(a)]),
+                np.array([kin.exit_rate(a - 1)]),
+                np.array([span]),
+                np.array([u]),
+            )[0]
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_double_solve_matches_brentq(self):
+        """The Newton solve against ``brentq`` on the scalar CDF, within its
+        xtol, plus the scalar fallbacks where the closed form underflows:
+        a subnormal scale on long spans (truncated exponential) and
+        cancellation to zero on tiny spans (triangular limit)."""
+        grid = [
+            (k, theta, span, u)
+            for k in (0, 1, 4, 10)
+            for theta in (0.3, 1.0, 4.0)
+            for span in (1e-6, 1e-3, 0.05, 0.4, 2.0, 12.0)
+            for u in (0.01, 0.3, 0.6, 0.9)
+        ]
+        grid += [(k, 0.3, 200.0, u) for k in (2, 10) for u in (0.2, 0.7)]  # underflow
+        grid += [(0, 1.0, 1e-20, u) for u in (0.2, 0.7)]  # triangular limit
+        k, theta, span, u = (np.array(col) for col in zip(*grid))
+        for th in np.unique(theta):
+            rows = theta == th
+            rates = exit_rates(k[rows], float(th))
+            got = invert_first_of_doubles(rates, span[rows], u[rows], float(th))
+            for kk, sp, uu, value in zip(k[rows], span[rows], u[rows], got):
+                kin = IntervalKinetics(n_inactive=int(kk), theta=float(th))
+                cdf, total = kin._double_merge_cdf(float(sp))
+                if total <= 0.0:
+                    # The scalar fallback, fed the same uniform.
+                    want = kin._sample_first_of_double(float(sp), _FixedUniform(uu))
+                    assert value == pytest.approx(want, rel=1e-12)
+                    continue
+                xtol = 1e-14 * max(sp, 1.0)
+                want = brentq(lambda t: cdf(t) - uu * total, 0.0, float(sp), xtol=xtol)
+                assert abs(value - want) <= xtol + 4 * np.finfo(float).eps * want, (kk, th, sp, uu)
+        # The grid reaches the underflow branch.
+        assert IntervalKinetics(n_inactive=10, theta=0.3)._double_merge_cdf(200.0)[1] == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_stitch_matches_reference_stitch(self, seed):
+        """Each row of the stitched block is the tree ``_stitch`` builds from
+        the same merge times and pair uniform."""
+        rng = np.random.default_rng(seed)
+        tree = simulate_genealogy(8, 1.0, rng)
+        resim = NeighborhoodResimulator(1.0, validate=True)
+        for target in (int(t) for t in eligible_targets(tree)):
+            ctx = resim._build_set_context(tree, target)
+            uniforms = rng.random((12, len(ctx.intervals) + 4))
+            offsets, owner = resim._forward_block(ctx, uniforms)
+            merge_times = resim._offsets_to_calendar(ctx, offsets, owner)
+            pair_u = uniforms[:, -2:]
+            outcomes = resim._stitch_block(tree, ctx.region, merge_times, pair_u)
+            for i, outcome in enumerate(outcomes):
+                ref = tree.copy()
+
+                def choose_pair(event_index, n_active, u=pair_u[i]):
+                    if n_active == 2:
+                        return 0, 1
+                    return ((0, 1), (0, 2), (1, 2))[min(int(u[event_index] * 3.0), 2)]
+
+                new_nodes, first_pair = NeighborhoodResimulator._stitch(
+                    ref.times, ref.parent, ref.children, ctx.region, merge_times[i], choose_pair
+                )
+                assert outcome.tree.times.tobytes() == ref.times.tobytes()
+                assert np.array_equal(outcome.tree.parent, ref.parent)
+                assert np.array_equal(outcome.tree.children, ref.children)
+                assert outcome.new_times == (ref.times[new_nodes[0]], ref.times[new_nodes[1]])
+                assert outcome.topology_changed == NeighborhoodResimulator._topology_changed(
+                    tree, ctx.region, first_pair
+                )
+
+
+class _FixedUniform:
+    """A stand-in generator whose ``random()`` returns one fixed uniform."""
+
+    def __init__(self, u: float) -> None:
+        self.u = float(u)
+
+    def random(self) -> float:
+        return self.u

@@ -12,6 +12,9 @@ roundtrip can land epsilon outside its interval.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,8 +144,7 @@ class TestProposalInvariants:
         tree = simulate_genealogy(7, 1.0, rng)
         target = int(eligible_targets(tree)[0])
         region = extract_region(tree, target)
-        intervals = build_intervals(tree, region)
-        starts = [iv.start for iv in intervals]
+        starts = build_intervals(tree, region).starts
         resim = NeighborhoodResimulator(1.0, batch_proposals=batch)
         for outcome in resim.propose_set(tree, target, 4, rng):
             for t in outcome.new_times:
@@ -195,11 +197,12 @@ def _reference_intervals(tree: Genealogy, region) -> list[tuple[float, float, in
 
 def _reference_row(ctx, m: int, a: int) -> np.ndarray | None:
     """The per-row end-state weights the forward pass used to compute for a
-    sibling with ``a`` active lineages in interval ``m``: cumulative weights,
-    or None where the conditioned walk reaches a dead end."""
+    sibling with ``a`` active lineages in interval ``m``: cumulative weights
+    over the end count b = 1, 2, 3, or None where the conditioned walk
+    reaches a dead end."""
     n_intervals = len(ctx.intervals)
     b_range = np.arange(1, 4)
-    next_activations = ctx.intervals[m + 1].activations if m + 1 < n_intervals else 0
+    next_activations = ctx.intervals.activations[m + 1] if m + 1 < n_intervals else 0
     carried = b_range + next_activations
     active = np.array([a])
     allowed = (b_range[None, :] <= active[:, None]) & (carried[None, :] <= 3)
@@ -237,10 +240,15 @@ class TestTableDrivenKernel:
             tree = _tied_tree(tie_gap)
         for target in eligible_targets(tree):
             region = extract_region(tree, int(target))
-            got = [
-                (iv.start, iv.end, iv.n_inactive, iv.activations)
-                for iv in build_intervals(tree, region)
-            ]
+            intervals = build_intervals(tree, region)
+            got = list(
+                zip(
+                    intervals.starts.tolist(),
+                    intervals.ends.tolist(),
+                    intervals.n_inactive.tolist(),
+                    intervals.activations.tolist(),
+                )
+            )
             want = _reference_intervals(tree, region)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -256,20 +264,26 @@ class TestTableDrivenKernel:
     )
     def test_end_state_table_matches_per_row_weights(self, seed, n_tips, demography):
         """Linear and log space, every interval and active count — the
-        unreachable ``-inf`` rows included — bitwise."""
+        unreachable ``-inf`` rows included — bitwise.  The table is indexed
+        by the next interval's start count c = b + k (k lineages activated
+        there), so the reference row over b moves right by k, with no
+        weight in front."""
         tree = simulate_genealogy(n_tips, 1.0, np.random.default_rng(seed))
         resim = NeighborhoodResimulator(1.0, demography=demography)
         for target in eligible_targets(tree):
             ctx = resim._build_set_context(tree, int(target))
             assert ctx.log_space == (demography is not None)
             cum, total, dead = resim._end_state_table(ctx)
-            for m in range(len(ctx.intervals)):
+            n_intervals = len(ctx.intervals)
+            for m in range(n_intervals):
+                k = int(ctx.intervals.activations[m + 1]) if m + 1 < n_intervals else 0
                 for a in (1, 2, 3):
                     want = _reference_row(ctx, m, a)
                     if want is None:
                         assert dead[m, a - 1]
                         continue
                     assert not dead[m, a - 1]
+                    want = np.concatenate((np.zeros(k), want[: 3 - k]))
                     assert cum[m, a - 1].tobytes() == want.tobytes()
                     assert total[m, a - 1] == want[-1]
 
@@ -280,7 +294,43 @@ class TestTableDrivenKernel:
         resim = NeighborhoodResimulator(1.0, demography=demography)
         ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
         ctx.goal = np.full_like(ctx.goal, -np.inf if ctx.log_space else 0.0)
+        uniforms = np.random.default_rng(0).random((4, len(ctx.intervals) + 4))
         with pytest.raises(RuntimeError, match="dead end"):
-            resim._forward_pass_batch(ctx, 4, np.random.default_rng(0))
+            resim._forward_block(ctx, uniforms)
         with pytest.raises(RuntimeError, match="dead end"):
             resim._forward_pass(ctx, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("demography", [None, ExponentialDemography(growth=50.0)])
+    @pytest.mark.parametrize("alive", [1, 2])
+    def test_dead_end_mid_walk_raises(self, demography, alive):
+        """A dead end after the first intervals is the typed dead-end error
+        too: the walk never indexes with the state past it."""
+        tree = simulate_genealogy(9, 1.0, np.random.default_rng(4))
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        ctx = max(
+            (resim._build_set_context(tree, int(t)) for t in eligible_targets(tree)),
+            key=lambda c: len(c.intervals),
+        )
+        assert len(ctx.intervals) > alive + 1
+        ctx.goal[alive + 1 :] = -np.inf if ctx.log_space else 0.0
+        uniforms = np.random.default_rng(0).random((4, len(ctx.intervals) + 4))
+        with pytest.raises(RuntimeError, match="dead end"):
+            resim._forward_block(ctx, uniforms)
+
+
+def _load_census():
+    """``tools/proposal_census.py`` as a module (it is a script, not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "proposal_census.py"
+    spec = importlib.util.spec_from_file_location("proposal_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("growth", [None, -20.0, -5.0, 5.0, 50.0])
+def test_proposal_failure_census(growth):
+    """500 seeded (tree, target) draws through ``propose_set``, validated:
+    no failure at all away from the g = -50 tail (CI runs the 2,000-draw
+    census, g = -50 and the reference kernel included)."""
+    failures = _load_census().census(growth, 500, batch=True)
+    assert sum(failures.values()) == 0, dict(failures)
