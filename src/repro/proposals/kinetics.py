@@ -585,15 +585,17 @@ class _DoubleMergeCdf:
         """Scaled CDF values and densities at ``tau`` (one point per element)."""
         em1 = np.expm1(-self.l1 * tau)
         em2 = np.expm1(-self.l2 * tau)
-        slope = self.one_minus_cb + em1 - self.cb * em2
         if self.plain:
-            return em2 * self.cb_l2 - em1 * self.inv_l1, slope
-        # ∫₀^τ e^{-λs} ds, or τ as λ → 0.
+            return em2 * self.cb_l2 - em1 * self.inv_l1, self.one_minus_cb + em1 - self.cb * em2
+        # E(λ, τ) = ∫₀^τ e^{-λs} ds with density e^{-λτ}, or τ and 1 as λ → 0:
+        # the scalar form takes that limit whenever |λ| ≤ 1e-12, whatever λτ.
         tiny1 = np.abs(self.l1) <= _REL_TOL
         tiny2 = np.abs(self.l2) <= _REL_TOL
         e1 = np.where(tiny1, tau, -em1 * self.inv_l1)
         l2 = np.where(tiny2, 1.0, self.l2)
         e2 = np.where(tiny2, tau, -em2 / l2)
+        d1 = np.where(tiny1, 1.0, 1.0 + em1)
+        d2 = np.where(tiny2, 1.0, 1.0 + em2)
         # ρ₂ ≈ ρ₁: Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with density e^{-λ₂τ}(Δ − τ).
         span = self.spans
         inner = np.where(
@@ -602,7 +604,7 @@ class _DoubleMergeCdf:
             span * e2 - (1.0 - (1.0 + l2 * tau) * (1.0 + em2)) / (l2 * l2),
         )
         value = np.where(self.near, inner, e1 - self.cb * e2)
-        return value, np.where(self.near, (1.0 + em2) * (span - tau), slope)
+        return value, np.where(self.near, d2 * (span - tau), d1 - self.cb * d2)
 
     def take(self, rows: np.ndarray) -> "_DoubleMergeCdf":
         """The same CDF restricted to the listed elements."""

@@ -523,7 +523,11 @@ class TestSetKernel:
         """The Newton solve against ``brentq`` on the scalar CDF, within its
         xtol, plus the scalar fallbacks where the closed form underflows:
         a subnormal scale on long spans (truncated exponential) and
-        cancellation to zero on tiny spans (triangular limit)."""
+        cancellation to zero on tiny spans (triangular limit).  The grid
+        keeps to where the closed form itself is accurate to well inside
+        xtol; near a root close to the span end on spans below ~1e-7, or
+        at θ ~ 1e12, its rounding moves roots by more than that, for
+        ``brentq`` and the solve alike."""
         grid = [
             (k, theta, span, u)
             for k in (0, 1, 4, 10)
@@ -533,6 +537,8 @@ class TestSetKernel:
         ]
         grid += [(k, 0.3, 200.0, u) for k in (2, 10) for u in (0.2, 0.7)]  # underflow
         grid += [(0, 1.0, 1e-20, u) for u in (0.2, 0.7)]  # triangular limit
+        # θ so large that ρ₂ ≈ ρ₁ and λ ≈ 0: the closed form's second branch.
+        grid += [(k, 1e14, span, u) for k in (0, 3) for span in (10.0, 1e5, 1e9) for u in (0.3, 0.9)]
         k, theta, span, u = (np.array(col) for col in zip(*grid))
         for th in np.unique(theta):
             rows = theta == th
