@@ -79,11 +79,9 @@ __all__ = [
 _TIME_EPS = 1e-12
 
 #: The forward walk's state is the active count at an interval's start,
-#: 1–3; a state of ``_DEAD`` or more (and 0) is a dead end, and stays one.
+#: 1–3, or ``_DEAD`` once the walk has reached a dead end; it stays there.
+#: State 0 never occurs and has a dead row too.
 _DEAD = 4
-
-#: Walk states 0–7 cover a dead state plus the next interval's activations.
-_WALK_STATES = 8
 
 #: The three unordered pairs (first, second) of the time-sorted child roots,
 #: indexed by ⌊3u⌋, and the root each leaves out.
@@ -571,12 +569,12 @@ class NeighborhoodResimulator:
         Every draw the walk could make — each interval, start state and
         sibling — is read off the end-state table with the sibling's
         uniform for that interval, all at once, into a table of next start
-        states; a start state with no valid finish (or an impossible
-        lineage count) leads to a dead state, which the table keeps dead.
-        The walk itself is one gather per interval over all siblings, and
-        since every dead state has a row of its own the walked state is a
-        valid index at every step; a walk that ends anywhere but one active
-        lineage stops the set with the dead-end ``RuntimeError``.  The
+        states; a start state with no valid finish leads to the dead state,
+        which the table keeps dead.  The walk itself is one gather per
+        interval over all siblings, and since the dead state has a row of
+        its own the walked state is a valid index at every step; a walk
+        that ends anywhere but one active lineage stops the set with the
+        dead-end ``RuntimeError``.  The
         merges are then placed with the sibling's two offset uniforms (the
         earlier merge takes the first): the first merges of all double
         merges in one solve, and every single merge, second merges of
@@ -594,7 +592,7 @@ class NeighborhoodResimulator:
         count = (cum[:, :, 0, None] <= draw).view(np.int8) + (cum[:, :, 1, None] <= draw)
         last = np.where(cum[:, :, 2] > cum[:, :, 1], 2, (cum[:, :, 1] > cum[:, :, 0]).view(np.int8))
         drawn = 1 + np.minimum(count, last[:, :, None])
-        following = np.full((n_intervals, _WALK_STATES, n), _DEAD, dtype=np.int64)
+        following = np.full((n_intervals, _DEAD + 1, n), _DEAD, dtype=np.int64)
         following[:, 1:4] = np.where(dead[:, :, None], _DEAD, drawn)
 
         # The walk over (state, sibling) codes, state·n + sibling: one
