@@ -480,6 +480,25 @@ class TestSetKernel:
                 fresh.random(n * (n_intervals + 4))
                 assert used.random() == fresh.random()
 
+    @pytest.mark.parametrize(
+        "demography", [None, ExponentialDemography(growth=5.0)], ids=["constant", "growth5"]
+    )
+    def test_stacked_chains_consume_their_streams_as_solo_runs(self, demography):
+        """``propose_random_stack`` (n = 1 per chain) equals each chain's solo
+        ``propose_random``, and leaves every stream where the solo run does."""
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        trees = [simulate_genealogy(7 + i, 1.0, np.random.default_rng(i)) for i in range(4)]
+        stack_rngs = [np.random.default_rng([9, i]) for i in range(4)]
+        solo_rngs = [np.random.default_rng([9, i]) for i in range(4)]
+        for _ in range(5):
+            stacked = resim.propose_random_stack(trees, stack_rngs)
+            solo = [resim.propose_random(t, r) for t, r in zip(trees, solo_rngs)]
+            for a, b in zip(stacked, solo):
+                assert a.tree.times.tobytes() == b.tree.times.tobytes()
+                assert np.array_equal(a.tree.children, b.tree.children)
+            trees = [outcome.tree for outcome in stacked]
+        assert [r.random() for r in stack_rngs] == [r.random() for r in solo_rngs]
+
     @pytest.mark.parametrize("theta", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
     def test_matrices_match_scalar_weights(self, theta, log):
