@@ -442,19 +442,17 @@ def transition_matrices(
     mu = np.array([[mu2], [mu3]])
     bounded = np.isfinite(span)
     positive = span > 0.0
-    all_bounded, all_positive = bool(bounded.all()), bool(positive.all())
     # A row whose value a mask fixes (Δ = 0 or ∞) computes on a stand-in
     # span that keeps its arithmetic finite.
-    fin = span if all_bounded else np.where(bounded, span, 0.0)
-    unit = fin if all_bounded and all_positive else np.where(positive & bounded, span, 1.0)
+    fin = np.where(bounded, span, 0.0)
+    unit = np.where(positive & bounded, span, 1.0)
 
     # Single merges a → a−1 for a = 2 (ρ₂ over ρ₁) and a = 3 (ρ₃ over ρ₂).
     hi, lo = rates[1:], rates[:2]
     gap = hi - lo
     near = gap <= _REL_TOL * np.maximum(1.0, hi)  # rates are ≥ 0 and hi ≥ lo
-    any_near = bool(near.any())
     # The near-equal branch of the scalar form; λ → 1 keeps the other finite.
-    lam = np.where(near, 1.0, gap) if any_near else gap
+    lam = np.where(near, 1.0, gap)
 
     # 3 → 1: e^{-ρ₁Δ}·f·g (see IntervalKinetics._double_merge_factors).
     rho31 = rates[2] - rates[0]
@@ -462,61 +460,53 @@ def transition_matrices(
     d2, d32 = gap * unit
     d3 = rho31 * unit
     series = d3 < _SERIES_BELOW
-    if series.any():
-        # ψ(d₃) and ψ(d₂) in one pass (d₂ < d₃, and d₃ is capped where unused).
-        x = np.empty((2, span.shape[0]))
-        x[0], x[1] = d3, d2
-        psi3, psi2 = _psi_array(np.minimum(x, _SERIES_BELOW, out=x))
-        small_g = d3 * ((psi3 - psi2) / d32)
-    if series.all():
-        f, g = scale * d2, small_g
-    else:
-        f = scale
-        g = -np.expm1(-d2) - np.exp(-d2) * -np.expm1(-d32) * (gap[0] / gap[1])
-        if series.any():
-            f = np.where(series, scale * d2, scale)
-            g = np.where(series, small_g, g)
+    # ψ(d₃) and ψ(d₂) in one pass (d₂ < d₃, and d₃ is capped where unused).
+    x = np.empty((2, span.shape[0]))
+    x[0], x[1] = d3, d2
+    psi3, psi2 = _psi_array(np.minimum(x, _SERIES_BELOW, out=x))
+    f = np.where(series, scale * d2, scale)
+    g = np.where(
+        series,
+        d3 * ((psi3 - psi2) / d32),
+        -np.expm1(-d2) - np.exp(-d2) * -np.expm1(-d32) * (gap[0] / gap[1]),
+    )
 
     out = np.empty((3, 3, span.shape[0]))
     if log:
         out.fill(-np.inf)
         out[(0, 1, 2), (0, 1, 2)] = -rates * fin
-        single = np.log(mu) - lo * fin + _log1mexp_array(lam * unit) - np.log(lam)
-        if any_near:
-            single = np.where(near, np.log(mu * unit) - hi * fin, single)
+        single = np.where(
+            near,
+            np.log(mu * unit) - hi * fin,
+            np.log(mu) - lo * fin + _log1mexp_array(lam * unit) - np.log(lam),
+        )
         double = -rates[0] * fin + np.log(f) + np.log(g)
-        if not all_positive:
-            single = np.where(positive, single, -np.inf)
-            double = np.where(positive, double, -np.inf)
+        single = np.where(positive, single, -np.inf)
+        double = np.where(positive, double, -np.inf)
     else:
         out.fill(0.0)
         diag = np.exp(-rates * fin)
         out[(0, 1, 2), (0, 1, 2)] = diag
-        single = mu * diag[:2] * -np.expm1(-lam * fin) / lam
-        if any_near:
-            single = np.where(near, mu * fin * diag[1:], single)
-        double = diag[0] * f * g
-        if not all_positive:
-            double = np.where(positive, double, 0.0)
+        single = np.where(near, mu * fin * diag[1:], mu * diag[:2] * -np.expm1(-lam * fin) / lam)
+        double = np.where(positive, diag[0] * f * g, 0.0)
     out[(1, 2), (0, 1)] = single
     out[2, 0] = double
 
-    if not all_bounded:
-        # Δ = ∞: the probability of eventually reaching one lineage,
-        # Π μ_j/ρ_j over the merges still to happen (scalar order kept).
-        rows = ~bounded
-        rho2, rho3 = rates[1, rows], rates[2, rows]
-        out[:, :, rows] = -np.inf if log else 0.0
-        if log:
-            l2 = math.log(mu2) - np.log(rho2)
-            out[0, 0, rows] = 0.0
-            out[1, 0, rows] = 0.0 + l2
-            out[2, 0, rows] = 0.0 + (math.log(mu3) - np.log(rho3)) + l2
-        else:
-            r2 = mu2 / rho2
-            out[0, 0, rows] = 1.0
-            out[1, 0, rows] = r2
-            out[2, 0, rows] = mu3 / rho3 * r2
+    # Δ = ∞: the probability of eventually reaching one lineage,
+    # Π μ_j/ρ_j over the merges still to happen (scalar order kept).
+    rows = ~bounded
+    rho2, rho3 = rates[1, rows], rates[2, rows]
+    out[:, :, rows] = -np.inf if log else 0.0
+    if log:
+        l2 = math.log(mu2) - np.log(rho2)
+        out[0, 0, rows] = 0.0
+        out[1, 0, rows] = 0.0 + l2
+        out[2, 0, rows] = 0.0 + (math.log(mu3) - np.log(rho3)) + l2
+    else:
+        r2 = mu2 / rho2
+        out[0, 0, rows] = 1.0
+        out[1, 0, rows] = r2
+        out[2, 0, rows] = mu3 / rho3 * r2
     return out.transpose(2, 0, 1)
 
 
@@ -534,11 +524,8 @@ def invert_single_merges(
     """
     lam = rho_hi - rho_lo
     degenerate = np.abs(lam) <= _REL_TOL
-    if degenerate.any():
-        lam = np.where(degenerate, 1.0, lam)
-        bounded = np.where(degenerate, u * spans, -np.log1p(-u * -np.expm1(-lam * spans)) / lam)
-    else:
-        bounded = -np.log1p(-u * -np.expm1(-lam * spans)) / lam
+    lam = np.where(degenerate, 1.0, lam)
+    bounded = np.where(degenerate, u * spans, -np.log1p(-u * -np.expm1(-lam * spans)) / lam)
     return np.where(np.isfinite(spans), bounded, -np.log1p(-u) / rho_hi)
 
 
@@ -548,12 +535,18 @@ class _DoubleMergeCdf:
     Element-wise the function of :meth:`IntervalKinetics._double_merge_cdf`
     divided by its scale (μ₃μ₂e^{-ρ₁Δ}/(ρ₂−ρ₁), or μ₃μ₂e^{-ρ₂Δ} when
     ρ₂ ≈ ρ₁), which a root solve does not need and which goes subnormal on
-    long spans.  Away from ρ₂ ≈ ρ₁ (``plain``) it is
-    E(λ₁, τ) − e^{-(ρ₂−ρ₁)Δ}·E(λ₂, τ) with E(λ, τ) = (1 − e^{-λτ})/λ,
-    λ₁ = ρ₃ − ρ₁ and λ₂ = ρ₃ − ρ₂; otherwise the scalar form's second
-    branch and λ ≈ 0 limits are masks.  ``reach`` is the scaled CDF at the
-    span and ``total`` the unscaled one, the 3 → 1 weight as that closed
-    form computes it (zero where the scale underflows).
+    long spans.  Away from ρ₂ ≈ ρ₁ it is E(λ₁, τ) − e^{-(ρ₂−ρ₁)Δ}·E(λ₂, τ)
+    with E(λ, τ) = (1 − e^{-λτ})/λ, λ₁ = ρ₃ − ρ₁ and λ₂ = ρ₃ − ρ₂ (both
+    then above the scalar form's λ ≈ 0 threshold, since λ₁ > λ₂ > ρ₂ − ρ₁);
+    where ρ₂ ≈ ρ₁ (``near``) it is the scalar form's second branch, with its
+    λ₂ ≈ 0 limit as a mask.  ``reach`` is the scaled CDF at the span and
+    ``total`` the unscaled one, the 3 → 1 weight as that closed form
+    computes it (zero where the scale underflows).
+
+    ρ₂ ≈ ρ₁ needs θ of about 10¹² or more, so nearly every solve has no
+    ``near`` element (``plain``); it then skips that branch, whose masked
+    evaluation more than doubles the cost of the double-merge solves of an
+    em-deep proposal set.  Both paths give the same bits.
     """
 
     def __init__(self, rates: np.ndarray, spans: np.ndarray, theta: float) -> None:
@@ -562,49 +555,44 @@ class _DoubleMergeCdf:
         self.spans = spans
         self.l1 = rho3 - rho1
         self.l2 = rho3 - rho2
-        # As _nearly_equal(ρ₂, ρ₁); away from it λ₂ ≥ ρ₂ − ρ₁ is no λ ≈ 0 limit either.
+        # As _nearly_equal(ρ₂, ρ₁).
         self.near = beta <= _REL_TOL * np.maximum(1.0, rho2)
         self.plain = not self.near.any()
+        self.tiny2 = np.abs(self.l2) <= _REL_TOL
         self.cb = np.exp(-beta * spans)
         self.one_minus_cb = -np.expm1(-beta * spans)
         self.inv_l1 = 1.0 / self.l1
         self.cb_l2 = self.cb / self.l2
         self.reach = self(spans)[0]
         mu3mu2 = (6 / theta) * (2 / theta)
-        if self.plain:
-            self.total = mu3mu2 / beta * np.exp(-rho1 * spans) * self.reach
-        else:
-            scale = np.where(
-                self.near,
-                mu3mu2 * np.exp(-rho2 * spans),
-                mu3mu2 / np.where(self.near, 1.0, beta) * np.exp(-rho1 * spans),
-            )
-            self.total = scale * self.reach
+        scale = np.where(
+            self.near,
+            mu3mu2 * np.exp(-rho2 * spans),
+            mu3mu2 / np.where(self.near, 1.0, beta) * np.exp(-rho1 * spans),
+        )
+        self.total = scale * self.reach
 
     def __call__(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scaled CDF values and densities at ``tau`` (one point per element)."""
         em1 = np.expm1(-self.l1 * tau)
         em2 = np.expm1(-self.l2 * tau)
+        value = em2 * self.cb_l2 - em1 * self.inv_l1
+        slope = self.one_minus_cb + em1 - self.cb * em2
         if self.plain:
-            return em2 * self.cb_l2 - em1 * self.inv_l1, self.one_minus_cb + em1 - self.cb * em2
-        # E(λ, τ) = ∫₀^τ e^{-λs} ds with density e^{-λτ}, or τ and 1 as λ → 0:
-        # the scalar form takes that limit whenever |λ| ≤ 1e-12, whatever λτ.
-        tiny1 = np.abs(self.l1) <= _REL_TOL
-        tiny2 = np.abs(self.l2) <= _REL_TOL
-        e1 = np.where(tiny1, tau, -em1 * self.inv_l1)
-        l2 = np.where(tiny2, 1.0, self.l2)
-        e2 = np.where(tiny2, tau, -em2 / l2)
-        d1 = np.where(tiny1, 1.0, 1.0 + em1)
-        d2 = np.where(tiny2, 1.0, 1.0 + em2)
-        # ρ₂ ≈ ρ₁: Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with density e^{-λ₂τ}(Δ − τ).
+            return value, slope
+        # ρ₂ ≈ ρ₁: Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with density
+        # e^{-λ₂τ}(Δ − τ); as λ₂ → 0 (the scalar form takes that limit
+        # whenever |λ₂| ≤ 1e-12, whatever λ₂τ) E is τ and the density Δ − τ.
+        tiny2 = self.tiny2
         span = self.spans
+        l2 = np.where(tiny2, 1.0, self.l2)
         inner = np.where(
             tiny2,
             span * tau - 0.5 * tau * tau,
-            span * e2 - (1.0 - (1.0 + l2 * tau) * (1.0 + em2)) / (l2 * l2),
+            span * (-em2 / l2) - (1.0 - (1.0 + l2 * tau) * (1.0 + em2)) / (l2 * l2),
         )
-        value = np.where(self.near, inner, e1 - self.cb * e2)
-        return value, np.where(self.near, d2 * (span - tau), d1 - self.cb * d2)
+        near_slope = np.where(tiny2, 1.0, 1.0 + em2) * (span - tau)
+        return np.where(self.near, inner, value), np.where(self.near, near_slope, slope)
 
     def take(self, rows: np.ndarray) -> "_DoubleMergeCdf":
         """The same CDF restricted to the listed elements."""
@@ -663,30 +651,19 @@ def invert_first_of_doubles(
     lands just inside the span.
     """
     bounded = np.isfinite(spans)
-    if not bounded.all():
-        out = -np.log1p(-u) / rates[2]  # the unbounded law
-        keep = np.flatnonzero(bounded)
-        if keep.size:
-            out[keep] = invert_first_of_doubles(rates[:, keep], spans[keep], u[keep], theta)
-        return out
-    cdf = _DoubleMergeCdf(rates, spans, theta)
-    result = spans * (1.0 - 1e-12)
-    underflow = cdf.total <= 0.0
-    if underflow.any():
-        lam = rates[2] - rates[0]
-        result = np.where(
-            underflow,
-            np.where(
-                lam * spans > 1.0,
-                -np.log1p(-u * -np.expm1(-lam * spans)) / lam,
-                spans * (1.0 - np.sqrt(1.0 - u)),
-            ),
-            result,
-        )
-    solve = ~underflow & (cdf.reach > u * cdf.reach)
-    if solve.all():
-        return cdf.solve(u)
-    rows = np.flatnonzero(solve)
-    if rows.size:
-        result[rows] = cdf.take(rows).solve(u[rows])
+    finite = np.where(bounded, spans, 1.0)  # a stand-in where the law is Exp(ρ₃)
+    cdf = _DoubleMergeCdf(rates, finite, theta)
+    lam = rates[2] - rates[0]
+    underflow = bounded & (cdf.total <= 0.0)
+    result = np.where(
+        underflow,
+        np.where(
+            lam * finite > 1.0,
+            -np.log1p(-u * -np.expm1(-lam * finite)) / lam,
+            finite * (1.0 - np.sqrt(1.0 - u)),
+        ),
+        np.where(bounded, finite * (1.0 - 1e-12), -np.log1p(-u) / rates[2]),
+    )
+    rows = np.flatnonzero(bounded & ~underflow & (cdf.reach > u * cdf.reach))
+    result[rows] = cdf.take(rows).solve(u[rows])
     return result

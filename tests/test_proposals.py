@@ -16,6 +16,7 @@ from repro.parallel.stacked import StackedMultiChain
 from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
 from repro.proposals.kinetics import (
     IntervalKinetics,
+    _DoubleMergeCdf,
     exit_rates,
     invert_first_of_doubles,
     invert_single_merges,
@@ -97,6 +98,31 @@ class TestIntervals:
         assert inactive_lineage_count(tiny_tree, region, 0.2) == 2
 
 
+#: (n_inactive, θ, Δ, (S₂₁, S₃₂, S₃₁), (log S₂₁, log S₃₂, log S₃₁)), evaluated
+#: at 120 significant digits with mpmath from the textbook forms:
+#: S_{a,a−1} = μ_a e^{-ρ_{a−1}Δ}(1 − e^{-(ρ_a−ρ_{a−1})Δ})/(ρ_a − ρ_{a−1}) and
+#: S₃₁ = μ₃μ₂ Σ_i e^{-ρ_iΔ}/Π_{j≠i}(ρ_j − ρ_i) over i, j ∈ {1, 2, 3}
+#: (checked against adaptive quadrature of μ₃e^{-ρ₃τ}S₂₁(Δ − τ) at Δ = 0.37),
+#: then rounded to the nearest double.  Linear entries of 0.0 underflow.
+_REFERENCE_WEIGHTS = [
+    (0, 0.05, 1e-14, (3.9999999999992e-13, 1.1999999999990399e-12, 2.39999999999872e-25),
+     (-28.547311847802902, -27.448699559135395, -56.68915858749777)),
+    (0, 0.05, 0.37, (0.999999626370062, 5.604449069827118e-07, 0.9999994395550931),
+     (-3.7363000778820933e-07, -14.394534891891974, -5.604450640320695e-07)),
+    (0, 0.05, 1e6, (1.0, 0.0, 1.0), (0.0, -39999999.59453489, 0.0)),
+    (3, 1.0, 1e-14, (1.9999999999998e-14, 5.99999999999886e-14, 5.99999999999912e-28),
+     (-31.543044121356793, -30.444431832688775, -62.68062313460537)),
+    (3, 1.0, 0.37, (0.02574527560263848, 0.0032933173493053833, 0.008215834384290006),
+     (-3.659504140447586, -5.715859909352031, -4.801691964264744)),
+    (3, 1.0, 1e6, (0.0, 0.0, 0.0), (-6000001.386294361, -14000000.510825625, -6000002.48490665)),
+    (10, 7.0, 1e-14, (2.8571428571427304e-15, 8.571428571427911e-15, 1.2244897959182927e-29),
+     (-33.48895427041205, -32.39034198174397, -66.57244343271591)),
+    (10, 7.0, 0.37, (0.021712544609270676, 0.019516158210261324, 0.0019835424181543783),
+     (-3.829865092873758, -3.936512530366318, -6.222870932730929)),
+    (10, 7.0, 1e6, (0.0, 0.0, 0.0), (-2857145.25503813, -6000001.386294361, -2857147.291920057)),
+]
+
+
 class TestKinetics:
     def test_weights_are_probabilities(self):
         rates = exit_rates(np.full(3, 2), 1.0)
@@ -138,6 +164,27 @@ class TestKinetics:
         integrand = np.exp(-kin.exit_rate(3) * taus) * kin.merge_rate(3) * inner
         numeric = np.trapezoid(integrand, taus)
         assert kin.transition_weight(3, 1, span) == pytest.approx(numeric, rel=1e-4)
+
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_weights_match_high_precision_references(self, log):
+        """S₂₁, S₃₂ and S₃₁ of the scalar forms and of the array program
+        within 1e-12 relative of 120-digit references (log weights within
+        1e-12 of max(1, |ref|)); underflowed linear weights are exactly 0."""
+        for n_inactive, theta, span, linear, logs in _REFERENCE_WEIGHTS:
+            kin = IntervalKinetics(n_inactive=n_inactive, theta=theta)
+            scalar = kin.log_transition_weight if log else kin.transition_weight
+            matrix = transition_matrices(
+                exit_rates(np.array([n_inactive]), theta), np.array([span]), theta, log=log
+            )[0]
+            for (a, b), want in zip(((2, 1), (3, 2), (3, 1)), logs if log else linear):
+                for got in (scalar(a, b, span), matrix[a - 1, b - 1]):
+                    cell = (n_inactive, theta, span, a, b, float(got), want)
+                    if log:
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), cell
+                    elif want == 0.0:
+                        assert got == 0.0, cell
+                    else:
+                        assert abs(got - want) <= 1e-12 * want, cell
 
     def test_merge_time_samples_within_bounds(self, rng):
         kin = IntervalKinetics(n_inactive=2, theta=1.0)
@@ -537,6 +584,21 @@ class TestSetKernel:
                 np.array([u]),
             )[0]
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_double_cdf_bits_do_not_depend_on_near_neighbours(self):
+        """Elements away from ρ₂ ≈ ρ₁ get the same CDF and density bits on the
+        plain path (no ρ₂ ≈ ρ₁ element in the call) as on the masked path."""
+        theta = 5e12  # ρ₂ ≈ ρ₁ for n_inactive 0 and 1, not for 2 and up
+        k = np.array([0, 2, 1, 10, 2, 5])
+        spans = np.array([1e12, 3e11, 2e13, 4e12, 8e12, 1e13])
+        tau = spans * np.array([0.3, 0.9, 0.5, 0.01, 0.6, 0.99])
+        far = k >= 2
+        mixed = _DoubleMergeCdf(exit_rates(k, theta), spans, theta)
+        alone = _DoubleMergeCdf(exit_rates(k[far], theta), spans[far], theta)
+        assert not mixed.plain and alone.plain
+        for got, want in zip(mixed(tau), alone(tau[far])):
+            assert got[far].tobytes() == want.tobytes()
+        assert mixed.total[far].tobytes() == alone.total.tobytes()
 
     def test_double_solve_matches_brentq(self):
         """The Newton solve against ``brentq`` on the scalar CDF, within its
