@@ -92,10 +92,12 @@ def upgma_from_distances(
         active[node] = active.pop(a) + active.pop(b)
         cluster_dist[[a, b], :] = np.inf
         cluster_dist[:, [a, b]] = np.inf
-        members = active[node]
+        # One gather of the new cluster's columns per merge; each older
+        # cluster's rows of it are the cross-cluster block, contiguous.
+        cols = dist[:, active[node]]
         for c, members_c in active.items():
             if c != node:
-                cluster_dist[c, node] = float(dist[np.ix_(members_c, members)].mean())
+                cluster_dist[c, node] = float(cols[members_c].mean())
 
     tree = Genealogy(times=times, parent=parent, children=children, tip_names=names)
     tree.validate()

@@ -64,6 +64,9 @@ def _state_peak(vec):
     Spelled as pairwise maxima over the state axis, not a max-reduction
     along it: NumPy reduces a length-4 trailing axis an order of magnitude
     slower, and the maximum is exact either way, so the values are identical.
+    That holds for the engines here, whose partials keep the state axis
+    trailing; the fused engine's state-major arena reduces its middle axis
+    with ``max`` instead (:func:`repro.likelihood.fused._state_peak`).
     """
     peak = np.maximum(
         np.maximum(vec[..., 0], vec[..., 1]), np.maximum(vec[..., 2], vec[..., 3])

@@ -6,13 +6,15 @@ set* as one data-parallel unit over partials that stay resident in device
 memory.  :class:`FusedEngine` does that with two ingredients.
 
 **Rows that travel with the tree.**  Cached partials live in rows of one
-growable ``(rows, n_patterns, 4)`` array plus a ``(rows, n_patterns)``
-log-scale array; rows ``0 .. n_tips - 1`` hold the tip partials.  After it
-evaluates a tree the engine records that tree's per-node rows on it
-(:class:`repro.genealogy.tree.ArenaRows`), together with each row's version
-and the tree's structure key.  Sibling proposals share everything outside
-their resimulated neighbourhood, and the proposal kernel knows which nodes
-it rewrote, so a proposal copies its generator's rows and clears only those
+growable state-major ``(rows, 4, n_patterns)`` array plus a
+``(rows, n_patterns)`` log-scale array; rows ``0 .. n_tips - 1`` hold the
+tip partials (the shared :class:`~repro.likelihood.felsenstein.SiteData`
+tips, transposed once).  After it evaluates a tree the engine records that
+tree's per-node rows on it (:class:`repro.genealogy.tree.ArenaRows`),
+together with each row's version and the tree's structure key.  Sibling
+proposals share everything outside their resimulated neighbourhood, and the
+proposal kernel knows which nodes it rewrote, so a proposal copies its
+generator's rows and clears only those
 (:meth:`repro.genealogy.tree.Genealogy.inherit_rows`): each candidate's
 *dirty path* — the resimulated region plus its ancestors — is all that is
 re-pruned.  A row's version is bumped whenever the row is freed, so the
@@ -26,11 +28,14 @@ gathers: each candidate's dirty nodes are ordered by node time (children
 before parents), and the work items are laid out in (depth step, candidate)
 order.  Fresh rows are allocated before the sweep; the d-th dirty node of
 every candidate is then computed in one stacked
-``(k, n_patterns, 4) @ (k, 4, 4)`` matmul whose operands are gathered
-straight from arena rows, and whose results are written straight into the
-items' rows — nothing is copied into a scratch pool and nothing is copied
-back out.  Transition matrices are deduplicated by a host-side ``unique``
-of the batch's branch lengths, since siblings share most branches bitwise.
+``(k, 4, 4) @ (k, 4, n_patterns)`` matmul of the model's transition
+matrices and child rows gathered straight from the arena.  The two
+children's products are multiplied and rescaled by their per-pattern peak
+over the state axis in place in the matmul's output, their log-scales are
+summed in place in the gathered scales, and each result is scattered once
+into the items' rows.  Transition matrices are deduplicated by a host-side
+``unique`` of the batch's branch lengths, since siblings share most
+branches bitwise.
 
 The mask equals a top-down walk that stops at cached nodes because valid
 rows are closed under descendants: a row is computed from the rows its tree
@@ -39,11 +44,21 @@ it rewrites, and :meth:`FusedEngine.retain` keeps whole trees.  A subtree
 that two candidates of one batch both lack is computed twice, bitwise
 equal.
 
+**A warm-up that usually does nothing.**  ``prepare`` makes a GMH
+generator's rows the working set before its proposal set is built.  The
+generator is nearly always a candidate of the previous set, kept by that
+set's :meth:`~FusedEngine.retain`, so all its rows are live: then nothing
+is planned, swept or read out, and only the cached root a batch of one
+would stop at is counted.
+
 The arithmetic per recomputed node is identical to the other engines'
 pruning step (pattern compression and per-node log-scaling included), so
 results agree to floating-point accumulation order and fixed-seed chains
 visit identical states — pinned down by the cross-engine equivalence suite.
-A tree's value never depends on which other trees share its batch.
+Each stacked slice is one 4×4 product per pattern, every other step of the
+sweep is elementwise or an exact maximum, and the readout sums the states
+pattern-major as the trailing-axis engines do.  A tree's value never
+depends on which other trees share its batch.
 """
 
 from __future__ import annotations
@@ -55,11 +70,21 @@ import numpy as np
 
 from ..genealogy.tree import ArenaRows, Genealogy
 from .engines import _ENGINES, LikelihoodEngine
-from .felsenstein import _TINY, _state_peak
+from .felsenstein import _TINY
 
 __all__ = ["FusedEngine"]
 
 Array = np.ndarray
+
+
+def _state_peak(vec: Array) -> Array:
+    """Per-pattern scaling factor of ``(k, 4, n_patterns)`` partials, floored at ``_TINY``.
+
+    The largest of the four state partials, reduced over the middle axis;
+    the maximum is exact, so it equals the trailing-axis engines' peak.
+    """
+    peak = vec.max(axis=1)
+    return np.where(peak > 0.0, peak, _TINY)
 
 
 @dataclass
@@ -76,7 +101,7 @@ class FusedEngine(LikelihoodEngine):
     ----------
     max_entries:
         Cap on live interior-node rows; a batch that starts above it clears
-        the arena first.  Each row holds one ``(n_patterns, 4)`` partial
+        the arena first.  Each row holds one ``(4, n_patterns)`` partial
         array plus an ``(n_patterns,)`` log-scale vector, so the default
         (``None``) derives the cap from a ~64 MiB byte budget once the
         alignment's pattern count is known.  Only callers that never call
@@ -139,9 +164,9 @@ class FusedEngine(LikelihoodEngine):
         self._freqs = np.asarray(self.model.base_frequencies)
         n_tips = site_data.tips.shape[0]
         capacity = 3 * n_tips
-        self._arena = np.empty((capacity, site_data.n_cols, 4))
+        self._arena = np.empty((capacity, 4, site_data.n_cols))
         self._arena_scale = np.zeros((capacity, site_data.n_cols))
-        self._arena[:n_tips] = site_data.tips
+        self._arena[:n_tips] = site_data.tips.transpose(0, 2, 1)
         # version[r] is bumped whenever interior row r is freed, so a record
         # naming a freed (and maybe reused) row no longer matches; tip rows
         # are permanent and stay at version 0.
@@ -151,7 +176,7 @@ class FusedEngine(LikelihoodEngine):
         self._bare_rows = np.concatenate([np.arange(n_tips), np.full(n_tips - 1, -1)])
         self._bare_versions = np.zeros(2 * n_tips - 1, dtype=np.int64)
         if self.max_entries is None:
-            # One row: (n_patterns, 4) partials + (n_patterns,) scales, f64.
+            # One row: (4, n_patterns) partials + (n_patterns,) scales, f64.
             entry_bytes = 8 * 5 * site_data.n_cols
             self.max_entries = max(1024, self.DEFAULT_CACHE_BYTES // entry_bytes)
         self._ready = True
@@ -163,7 +188,7 @@ class FusedEngine(LikelihoodEngine):
             old = self._arena.shape[0]
             capacity = max(old + short, 2 * old)
             arena = np.empty((capacity,) + tuple(self._arena.shape[1:]))
-            scale = np.zeros((capacity, self._arena.shape[1]))
+            scale = np.zeros((capacity, self._arena_scale.shape[1]))
             arena[:old] = self._arena
             scale[:old] = self._arena_scale
             self._arena, self._arena_scale = arena, scale
@@ -265,15 +290,13 @@ class FusedEngine(LikelihoodEngine):
             cached_children = cached[tree_of[:, None], item_children]
             hits += int(((item_children >= n_tips) & cached_children).sum())
 
-            # One transition matrix per *unique* branch length, stored
-            # pre-transposed so each step is a contiguous batched matmul.
+            # One transition matrix per *unique* branch length: siblings
+            # share most branches bitwise.
             lengths = times[tree_of, node_of][:, None] - times[tree_of[:, None], item_children]
             unique_lengths, inverse = np.unique(lengths.reshape(-1), return_inverse=True)
             self.n_pmat_requests += 2 * n_items
             self.n_pmat_builds += int(unique_lengths.shape[0])
-            pmats_t = np.ascontiguousarray(
-                np.transpose(self.model.transition_matrices(unique_lengths), (0, 2, 1))
-            )
+            pmats = self.model.transition_matrices(unique_lengths)
             pm_idx = inverse.reshape(n_items, 2)
 
             # Fresh items get their rows before the sweep, so child rows are
@@ -286,16 +309,21 @@ class FusedEngine(LikelihoodEngine):
             try:
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
                     # The step's left children, then its right children: one
-                    # gather and one stacked matmul cover both branches.
+                    # gather and one stacked (4, 4) @ (4, n_patterns) matmul
+                    # cover both branches.
                     k = hi - lo
                     src = child_rows[lo:hi].T.reshape(-1)
-                    both = np.matmul(arena[src], pmats_t[pm_idx[lo:hi].T.reshape(-1)])
-                    vec = both[:k] * both[k:]
+                    both = np.matmul(pmats[pm_idx[lo:hi].T.reshape(-1)], arena[src])
+                    vec = both[:k]
+                    vec *= both[k:]
                     peak = _state_peak(vec)
+                    vec /= peak[:, None, :]
                     out = fresh[lo:hi]
-                    arena[out] = vec / peak[:, :, None]
+                    arena[out] = vec
                     scale = arena_scale[src]
-                    arena_scale[out] = scale[:k] + scale[k:] + np.log(peak)
+                    scale[:k] += scale[k:]
+                    scale[:k] += np.log(peak)
+                    arena_scale[out] = scale[:k]
             except BaseException:
                 self.clear_cache()  # the batch's rows are live but not all written
                 raise
@@ -327,14 +355,17 @@ class FusedEngine(LikelihoodEngine):
             tree.arena_rows = ArenaRows(self._owner, keys[t], rows[t], versions[t])
 
     def _readout(self, part: Array, scale: Array):
-        """log P(D | G) per tree from stacked root partials and their log-scales.
+        """log P(D | G) per tree from stacked ``(n, 4, n_patterns)`` root partials.
 
+        The states are summed pattern-major, ``(n_patterns, 4) @ (4,)`` as in
+        the trailing-axis engines: the state-major ``(4,) @ (4, n_patterns)``
+        product adds the four terms in another order, which moves last bits.
         Each tree's pattern weights are reduced through its own 1-D dot — not
         one multi-row matrix-vector product, whose BLAS reduction order can
         differ from the dot's — so a tree's value never depends on how many
         trees share its readout.
         """
-        site_like = np.matmul(part, self._freqs)
+        site_like = np.matmul(np.ascontiguousarray(part.transpose(0, 2, 1)), self._freqs)
         per_pattern = np.log(np.maximum(site_like, _TINY)) + scale
         return np.stack(
             [
@@ -376,8 +407,20 @@ class FusedEngine(LikelihoodEngine):
         arena is then cut to ``tree``'s rows (:meth:`retain`): the new set's
         candidates share everything outside their dirty paths with ``tree``,
         and the next generator is one of them or ``tree`` itself.
+
+        A generator whose recorded rows are all live — the usual case, since
+        it was evaluated in the previous set and kept by its ``retain`` — has
+        nothing to sweep, so it is not re-planned or read out again; only the
+        cached root that a batch of one would stop at is counted.  Above
+        ``max_entries`` the batch runs anyway, and clears the arena.
         """
-        self._evaluate([tree], counted=False)
+        self._ensure_ready()
+        rows, versions = self._recorded_rows(tree, tree._structure_key())
+        n_tips = self.alignment.n_sequences
+        if self.cache_size <= self.max_entries and self._live_mask(rows, versions)[n_tips:].all():
+            self.n_cache_hits += 1
+        else:
+            self._evaluate([tree], counted=False)
         self.retain([tree])
 
     def retain(self, trees: Iterable[Genealogy]) -> None:

@@ -50,19 +50,28 @@ CODE_TO_BASE: Mapping[int, str] = {i: b for b, i in BASE_TO_CODE.items()} | {4: 
 #: Code used for gaps/ambiguity characters.
 MISSING: int = 4
 
-_AMBIGUOUS = set("NRYKMSWBDHV?-.XU")
+_AMBIGUOUS = "NRYKMSWBDHV?-.XU"
+
+#: Code of each of the first 256 code points: bases and ambiguity codes in
+#: either case; -1 marks an unrecognized character, every non-ASCII one included.
+_CHAR_CODES = np.full(256, -1, dtype=np.int8)
+for _chars, _code in [*BASE_TO_CODE.items(), (_AMBIGUOUS, MISSING)]:
+    for _ch in _chars:
+        _CHAR_CODES[ord(_ch)] = _CHAR_CODES[ord(_ch.lower())] = _code
 
 
 def _encode_sequence(seq: str) -> np.ndarray:
-    """Encode a nucleotide string into an int8 code array."""
-    out = np.empty(len(seq), dtype=np.int8)
-    for i, ch in enumerate(seq.upper()):
-        if ch in BASE_TO_CODE:
-            out[i] = BASE_TO_CODE[ch]
-        elif ch in _AMBIGUOUS:
-            out[i] = MISSING
-        else:
-            raise ValueError(f"unrecognized nucleotide character {ch!r} at position {i}")
+    """Encode a nucleotide string into an int8 code array.
+
+    One table lookup per character; a non-ASCII character is unrecognized.
+    """
+    points = np.frombuffer(seq.encode("utf-32-le"), dtype="<u4")
+    out = _CHAR_CODES[np.minimum(points, 255)]
+    bad = np.flatnonzero(out < 0)
+    if bad.size:
+        i = int(bad[0])
+        ch = seq[i].upper() if seq[i].isascii() else seq[i]
+        raise ValueError(f"unrecognized nucleotide character {ch!r} at position {i}")
     return out
 
 

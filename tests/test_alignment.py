@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sequences.alignment import MISSING, Alignment
+from repro.sequences.alignment import (
+    BASE_TO_CODE,
+    MISSING,
+    Alignment,
+    _encode_sequence,
+)
 
 sequences_strategy = st.lists(
     st.text(alphabet="ACGT", min_size=12, max_size=12), min_size=2, max_size=8
@@ -30,6 +35,50 @@ def reference_segregating_sites(aln: Alignment) -> int:
         if col.size and np.unique(col).size > 1:
             seg += 1
     return seg
+
+
+def reference_encode(seq: str) -> np.ndarray:
+    """Per-character loop over the upper-cased string (the table's oracle)."""
+    out = np.empty(len(seq), dtype=np.int8)
+    for i, ch in enumerate(seq.upper()):
+        if ch in BASE_TO_CODE:
+            out[i] = BASE_TO_CODE[ch]
+        elif ch in "NRYKMSWBDHV?-.XU":
+            out[i] = MISSING
+        else:
+            raise ValueError(f"unrecognized nucleotide character {ch!r} at position {i}")
+    return out
+
+
+class TestEncodeSequence:
+    def test_matches_the_per_character_loop(self, rng):
+        alphabet = np.array(list("ACGTacgtNRYKMSWBDHV?-.XUnrykmswbdhvxu"))
+        for _ in range(200):
+            seq = "".join(rng.choice(alphabet, size=int(rng.integers(0, 300))))
+            got = _encode_sequence(seq)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, reference_encode(seq))
+
+    @pytest.mark.parametrize("seq", ["ACGZ", "acgz", "AC1T", "A CG", "ACGT\n", "AC\x00G", "N*"])
+    def test_unrecognized_ascii_matches_the_loop(self, seq):
+        with pytest.raises(ValueError) as expected:
+            reference_encode(seq)
+        with pytest.raises(ValueError) as got:
+            _encode_sequence(seq)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "seq, position",
+        [("ACGß", 3), ("ßACG", 0), ("AéGT", 1), ("ACGT\u0100", 4), ("AC\U0001F600", 2)],
+    )
+    def test_non_ascii_is_unrecognized_at_its_position(self, seq, position):
+        # "ß".upper() is "SS", so upper-casing the whole string first would
+        # shift every later position.
+        with pytest.raises(ValueError) as got:
+            _encode_sequence(seq)
+        assert str(got.value) == (
+            f"unrecognized nucleotide character {seq[position]!r} at position {position}"
+        )
 
 
 class TestConstruction:

@@ -243,6 +243,21 @@ class WalkCheckedEngine(RowRecordingEngine):
         self.n_checked += 1
         return values
 
+    def prepare(self, tree):
+        """A prepare that skips its sweep must find nothing dirty by the walk.
+
+        A sweeping prepare goes through :meth:`_evaluate` and is checked
+        there; a skip counts exactly the one cached root and no miss.
+        """
+        reference = _reference_dirty(tree, self.held)
+        checked, hits, misses = self.n_checked, self.n_cache_hits, self.n_cache_misses
+        super().prepare(tree)
+        if self.n_checked == checked:
+            assert len(reference) == 0
+            assert self.n_cache_hits - hits == 1
+            assert self.n_cache_misses == misses
+            self.n_checked += 1
+
     def retain(self, trees):
         trees = list(trees)
         super().retain(trees)
@@ -516,3 +531,50 @@ class TestSamplerIntegration:
         # node prunings than full batched pruning would have paid.
         full = engine.n_evaluations * (dataset.alignment.n_sequences - 1)
         assert engine.n_nodes_pruned < full
+
+    def test_prepare_skip_keeps_values_and_counters(self, instance):
+        """A prepare that skips its sweep leaves the chain and every counter as a sweep would."""
+        from repro.core.sampler import MultiProposalSampler
+
+        class SweepCounting(FusedEngine):
+            n_sweeps = 0
+
+            def _evaluate(self, trees, counted=True):
+                self.n_sweeps += 1
+                return super()._evaluate(trees, counted)
+
+        class AlwaysSweeping(SweepCounting):
+            def prepare(self, tree):
+                self._evaluate([tree], counted=False)
+                self.retain([tree])
+
+        dataset, model = instance
+        cfg = SamplerConfig(n_proposals=4, n_samples=60, burn_in=10)
+        runs = []
+        for engine_cls in (SweepCounting, AlwaysSweeping):
+            engine = engine_cls(alignment=dataset.alignment, model=model)
+            tree = upgma_tree(dataset.alignment, 1.0)
+            result = MultiProposalSampler(engine, 1.0, cfg).run(tree, np.random.default_rng(5))
+            runs.append((engine, np.asarray(result.trace.log_likelihoods)))
+        (skipping, values), (sweeping, reference) = runs
+        assert np.array_equal(values, reference)
+        for counter in (
+            "n_evaluations",
+            "n_cache_hits",
+            "n_cache_misses",
+            "n_nodes_pruned",
+            "n_tree_site_products",
+            "n_stacked_steps",
+            "n_workspace_items",
+            "n_padded_items",
+            "n_pmat_requests",
+            "n_pmat_builds",
+        ):
+            assert getattr(skipping, counter) == getattr(sweeping, counter), counter
+        # Both chains sweep the start tree once, then the sweeping one twice
+        # per set.  Every generator's rows are live when its set begins (the
+        # start tree's from that sweep, later ones kept by the previous
+        # set's retain), so every prepare skips.
+        n_sets = sweeping.n_sweeps // 2
+        assert n_sets > 10
+        assert skipping.n_sweeps == n_sets + 1

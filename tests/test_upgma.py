@@ -39,6 +39,39 @@ def _all_pairs_upgma(dist: np.ndarray, min_separation: float = 1e-9) -> Genealog
     return Genealogy(times=times, parent=parent, children=children)
 
 
+def _block_gather_upgma(dist: np.ndarray, min_separation: float = 1e-9):
+    """Reference UPGMA with one ``np.ix_`` block gather per cluster pair.
+
+    The merge loop the column gather replaced: each new cluster's mean
+    distance to every older one is the mean of ``dist[np.ix_(older, new)]``.
+    Returns ``(times, children)``.
+    """
+    n = dist.shape[0]
+    n_nodes = 2 * n - 1
+    times = np.zeros(n_nodes)
+    children = np.full((n_nodes, 2), -1, dtype=np.int64)
+    active = {i: [i] for i in range(n)}
+    cluster_dist = np.full((n_nodes, n_nodes), np.inf)
+    upper = np.triu_indices(n, k=1)
+    cluster_dist[upper] = dist[upper]
+    last_height = 0.0
+    for node in range(n, n_nodes):
+        a, b = divmod(int(np.argmin(cluster_dist)), n_nodes)
+        height = float(cluster_dist[a, b]) / 2.0
+        if height <= last_height:
+            height = last_height + min_separation
+        last_height = height
+        times[node] = height
+        children[node] = (a, b)
+        active[node] = active.pop(a) + active.pop(b)
+        cluster_dist[[a, b], :] = np.inf
+        cluster_dist[:, [a, b]] = np.inf
+        for c, members_c in active.items():
+            if c != node:
+                cluster_dist[c, node] = float(dist[np.ix_(members_c, active[node])].mean())
+    return times, children
+
+
 class TestFromDistances:
     def test_three_taxa_known_result(self):
         # a and b are closest (distance 2); c joins them at mean distance 6.
@@ -89,6 +122,42 @@ class TestFromDistances:
             want = _all_pairs_upgma(dist)
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.children, want.children)
+
+    def test_column_gather_matches_the_block_gather(self, rng):
+        """Rows of one column gather per merge are each pair's cross-cluster
+        block, reduced as the per-pair ``np.ix_`` gather reduced it: heights
+        and topology are bitwise those of the block-gather loop, on random
+        matrices (half of them rounded, to force ties) and on alignments of
+        the benchmark workloads' shapes."""
+        from repro.demography import make_demography
+        from repro.likelihood.mutation_models import F84
+        from repro.sequences.evolve import evolve_sequences
+        from repro.simulate.datasets import synthesize_dataset
+        from repro.simulate.demography_sim import simulate_demography_genealogy
+
+        matrices = []
+        for i in range(200):
+            n = int(rng.integers(2, 30))
+            pts = rng.random((n, 3))
+            dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            matrices.append(np.round(dist, 1) if i % 2 else dist)
+        growth = make_demography("exponential", {"growth": 2.0})
+        for seed in range(2):
+            alignments = [
+                synthesize_dataset(16, 2000, 0.3, np.random.default_rng(seed)).alignment,
+                evolve_sequences(
+                    simulate_demography_genealogy(48, 1.0, growth, np.random.default_rng(seed)),
+                    150,
+                    F84(),
+                    np.random.default_rng(seed),
+                ),
+            ]
+            matrices += [a.pairwise_differences() / a.n_sites for a in alignments]
+        for dist in matrices:
+            got = upgma_from_distances(dist)
+            times, children = _block_gather_upgma(dist)
+            assert np.array_equal(got.times, times)
+            assert np.array_equal(got.children, children)
 
     def test_larger_random_matrix_valid(self, rng):
         n = 12
