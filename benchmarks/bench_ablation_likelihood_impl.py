@@ -31,7 +31,7 @@ def _proposal_set(dataset, seed: int):
     tree = upgma_tree(dataset.alignment, 1.0)
     resim = NeighborhoodResimulator(1.0)
     target = resim.choose_target(tree, rng)
-    return [resim.propose(tree, target, rng).tree for _ in range(N_PROPOSALS)] + [tree]
+    return [outcome.tree for outcome in resim.propose_set(tree, target, N_PROPOSALS, rng)] + [tree]
 
 
 def _time_engine(engine_cls, dataset, trees) -> tuple[float, np.ndarray]:

@@ -117,18 +117,13 @@ class HeatedChainSampler:
         self.demography = demography
         self.importance_correction = bool(importance_correction)
         effective = demography if demography is not None and not demography.is_constant else None
+        self.resimulator = NeighborhoodResimulator(
+            self.theta, demography=None if self.importance_correction else effective
+        )
         self._adjust = None
-        batch = self.config.batch_proposals
         if effective is not None and self.importance_correction:
-            self.resimulator = NeighborhoodResimulator(self.theta, batch_proposals=batch)
             batched = prior_ratio_adjustment(effective, self.theta)
             self._adjust = lambda tree: float(batched([tree])[0])
-        elif effective is not None:
-            self.resimulator = NeighborhoodResimulator(
-                self.theta, demography=effective, batch_proposals=batch
-            )
-        else:
-            self.resimulator = NeighborhoodResimulator(self.theta, batch_proposals=batch)
 
     @property
     def n_chains(self) -> int:
@@ -239,7 +234,6 @@ class HeatedChainSampler:
                     c.accepted / c.steps if c.steps else 0.0 for c in chains
                 ],
                 "burn_in": cfg.burn_in,
-                "batch_proposals": cfg.batch_proposals,
                 **(
                     {
                         "demography": self.demography.to_dict(),

@@ -72,25 +72,15 @@ class LamarcSampler:
         self.demography = demography
         self.importance_correction = bool(importance_correction)
         effective = demography if demography is not None and not demography.is_constant else None
+        self.resimulator = NeighborhoodResimulator(
+            theta,
+            validate=validate_proposals,
+            demography=None if self.importance_correction else effective,
+        )
         self._adjust = None
-        batch = self.config.batch_proposals
         if effective is not None and self.importance_correction:
-            self.resimulator = NeighborhoodResimulator(
-                theta, validate=validate_proposals, batch_proposals=batch
-            )
             batched = prior_ratio_adjustment(effective, self.theta)
             self._adjust = lambda tree: float(batched([tree])[0])
-        elif effective is not None:
-            self.resimulator = NeighborhoodResimulator(
-                theta,
-                validate=validate_proposals,
-                demography=effective,
-                batch_proposals=batch,
-            )
-        else:
-            self.resimulator = NeighborhoodResimulator(
-                theta, validate=validate_proposals, batch_proposals=batch
-            )
 
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
         """Run burn-in plus sampling; every chain step is one proposal/accept decision."""
@@ -148,7 +138,6 @@ class LamarcSampler:
         elapsed = time.perf_counter() - start
         extras = {
             "burn_in": cfg.burn_in,
-            "batch_proposals": cfg.batch_proposals,
             "proposal_counters": {
                 key: value - counters_before[key]
                 for key, value in self.resimulator.counters().items()

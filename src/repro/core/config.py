@@ -119,14 +119,6 @@ class SamplerConfig:
         Number of genealogy samples to discard as burn-in before recording.
     thin:
         Keep one recorded sample every ``thin`` draws (1 = keep all).
-    batch_proposals:
-        When True (the default) each proposal set is generated by the
-        batched neighbourhood kernel
-        (:meth:`~repro.proposals.neighborhood.NeighborhoodResimulator.propose_set`),
-        which shares the per-set interval/backward-pass work across all N+1
-        siblings; False selects the per-proposal reference kernel — same
-        distribution, different RNG-stream consumption order, so fixed-seed
-        trajectories differ between the two.
     """
 
     n_proposals: int = 32
@@ -134,7 +126,6 @@ class SamplerConfig:
     n_samples: int = 400
     burn_in: int = 100
     thin: int = 1
-    batch_proposals: bool = True
 
     def __post_init__(self) -> None:
         if self.n_proposals < 1:
@@ -147,7 +138,6 @@ class SamplerConfig:
             raise ValueError("burn_in cannot be negative")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        object.__setattr__(self, "batch_proposals", bool(self.batch_proposals))
 
     @property
     def effective_samples_per_set(self) -> int:
@@ -159,12 +149,29 @@ class SamplerConfig:
         return replace(self, **changes)
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-safe)."""
-        return asdict(self)
+        """Plain-dict form (JSON-safe).
+
+        The document carries the constant ``"batch_proposals": True``, the
+        key that once selected the proposal-set kernel, so spec documents
+        (and the experiment service's content hashes) stay as they were.
+        """
+        return {**asdict(self), "batch_proposals": True}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SamplerConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
+
+        ``"batch_proposals"`` may be omitted or true.  False selected the
+        per-proposal reference kernel, which is now a test oracle and no
+        longer runs chains, so a document asking for it is rejected.
+        """
+        data = dict(data)
+        if not data.pop("batch_proposals", True):
+            raise ValueError(
+                "batch_proposals=false selected the per-proposal reference kernel, "
+                "which is now a test oracle (tests/reference_kernel.py); "
+                "chains run on the proposal-set kernel only"
+            )
         _check_known_keys(cls, data)
         return cls(**data)
 

@@ -91,24 +91,14 @@ class MultiProposalSampler:
         # ratio is identically zero) needs neither rescaling nor correction:
         # skip both and run the paper's chain bit-for-bit.
         effective = demography if demography is not None and not demography.is_constant else None
+        self.resimulator = NeighborhoodResimulator(
+            theta,
+            validate=validate_proposals,
+            demography=None if self.importance_correction else effective,
+        )
         adjustment = None
-        batch = self.config.batch_proposals
         if effective is not None and self.importance_correction:
-            self.resimulator = NeighborhoodResimulator(
-                theta, validate=validate_proposals, batch_proposals=batch
-            )
             adjustment = prior_ratio_adjustment(effective, self.theta)
-        elif effective is not None:
-            self.resimulator = NeighborhoodResimulator(
-                theta,
-                validate=validate_proposals,
-                demography=effective,
-                batch_proposals=batch,
-            )
-        else:
-            self.resimulator = NeighborhoodResimulator(
-                theta, validate=validate_proposals, batch_proposals=batch
-            )
 
         self.gmh = GeneralizedMetropolisHastings(
             engine=engine,
@@ -176,11 +166,9 @@ class MultiProposalSampler:
             "n_proposals": cfg.n_proposals,
             "samples_per_set": per_set,
             "burn_in": cfg.burn_in,
-            "batch_proposals": cfg.batch_proposals,
-            # Per-run deltas of the kernel's shared-work counters: under the
-            # batched kernel n_interval_builds == n_backward_passes ==
-            # n_proposal_sets (one pass shared by the whole set); the
-            # reference kernel pays one of each per proposal.
+            # Per-run deltas of the kernel's shared-work counters:
+            # n_interval_builds == n_backward_passes == n_proposal_sets (one
+            # pass shared by the whole set).
             "proposal_counters": {
                 key: value - counters_before[key]
                 for key, value in self.resimulator.counters().items()

@@ -12,8 +12,8 @@ process and advance in lock-step rounds:
 
 1. every running chain proposes one candidate through the *stage-separated*
    stack kernel (:meth:`~repro.proposals.neighborhood.NeighborhoodResimulator.
-   propose_random_stack`), which shares the per-interval kinetics memo
-   across chains;
+   propose_random_stack`): all target choices, then all set contexts, then
+   one proposal set of one per chain;
 2. all K candidates go through **one** ``evaluate_stacked`` call on a
    single shared engine — one stacked sweep over the whole stack,
    transition matrices deduplicated across chains, one partials arena warm
@@ -111,9 +111,7 @@ class StackedMultiChain:
         quotas = self.chain_quotas()
 
         engine = self.engine_factory()
-        resimulator = NeighborhoodResimulator(
-            self.theta, batch_proposals=cfg.batch_proposals
-        )
+        resimulator = NeighborhoodResimulator(self.theta)
         evals_before = engine.n_evaluations
         counters_before = resimulator.counters()
 

@@ -18,14 +18,13 @@ with no forbidden event) and exact sampling of the merge times within an
 interval conditional on its endpoint states, which the paper performs by
 "treating S_{i,j}(t) as a cumulative distribution function".
 
-The :class:`IntervalKinetics` methods are the scalar forms, one interval
-and one draw at a time, with ``math`` functions and closed forms; the
-per-proposal reference kernel samples through them.  The module functions
+Each is a closed form written as a NumPy array program over every
+interval, or every merge, of a proposal set at once:
 :func:`transition_matrices`, :func:`invert_single_merges` and
-:func:`invert_first_of_doubles` are the same closed forms as NumPy array
-programs over every interval, or every merge, of a proposal set at once:
-the proposal-set kernel calls each once per set, with uniforms it drew in
-one block.
+:func:`invert_first_of_doubles`.  The proposal-set kernel calls each once
+per set, with uniforms it drew in one block.  The scalar forms of the same
+closed forms, one interval and one draw at a time, are the test oracle's
+``IntervalKinetics`` (``tests/reference_kernel.py``).
 
 The rates above are those of the *constant-size* coalescent — yet this
 module serves every registered demography unchanged.  A demography
@@ -40,22 +39,15 @@ through Λ⁻¹ (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ..brent import brentq
-
 __all__ = [
-    "IntervalKinetics",
     "invert_first_of_doubles",
     "invert_single_merges",
-    "kinetics_for",
     "transition_matrices",
 ]
 
-_MAX_ACTIVE = 3  # a neighbourhood resimulation never has more than three active lineages
 _REL_TOL = 1e-12
 
 #: Below this d₃ = (ρ₃ − ρ₁)Δ the 3 → 1 weight uses the power series of ψ;
@@ -75,341 +67,17 @@ _ACTIVE = np.arange(1, 4)[:, None]
 _MAX_SOLVE_STEPS = 100
 
 
-def _nearly_equal(a: float, b: float) -> float:
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
-
-
-def _expint(rate: float, upto: float) -> float:
-    """∫₀^u e^{-rate·s} ds with the rate-zero limit handled."""
-    if abs(rate) <= _REL_TOL:
-        return upto
-    return -math.expm1(-rate * upto) / rate
-
-
-def _psi(x: float) -> float:
-    """ψ(x) = x·φ₂(x) = (e^{-x} − 1 + x)/x for 0 ≤ x < 0.1, by its Taylor series."""
-    acc = 0.0
-    for coeff in reversed(_PHI2_TAYLOR):
-        acc = acc * -x + coeff
-    return x * acc
-
-
-@lru_cache(maxsize=512)
-def kinetics_for(n_inactive: int, theta: float) -> "IntervalKinetics":
-    """Shared :class:`IntervalKinetics` instance for ``(n_inactive, theta)``.
-
-    The kinetics of an interval depend only on its inactive-lineage count and
-    the driving θ, and ``n_inactive`` ranges over a handful of small integers,
-    so the reference kernel, which samples each interval's merges through
-    one of these, keeps re-requesting the same few objects.  The instances
-    are frozen (immutable), so sharing one per ``(n_inactive, θ)`` across
-    proposals and resimulators is safe and skips the repeated
-    construction/validation.
-    """
-    return IntervalKinetics(n_inactive=n_inactive, theta=theta)
-
-
-@dataclass(frozen=True)
-class IntervalKinetics:
-    """Kinetics of the killed death process in one feasible interval.
-
-    Parameters
-    ----------
-    n_inactive:
-        Number of inactive lineages throughout the interval.
-    theta:
-        The driving θ of the coalescent prior.
-    """
-
-    n_inactive: int
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.n_inactive < 0:
-            raise ValueError("n_inactive must be non-negative")
-
-    # ------------------------------------------------------------------ #
-    # Rates
-    # ------------------------------------------------------------------ #
-    def merge_rate(self, a: int) -> float:
-        """Rate μ_a of an active–active coalescence with ``a`` active lineages."""
-        return a * (a - 1) / self.theta
-
-    def kill_rate(self, a: int) -> float:
-        """Rate κ_a of a (forbidden) active–inactive coalescence."""
-        return 2.0 * a * self.n_inactive / self.theta
-
-    def exit_rate(self, a: int) -> float:
-        """Total hazard ρ_a = μ_a + κ_a leaving the surviving state ``a``."""
-        return a * (a - 1 + 2 * self.n_inactive) / self.theta
-
-    # ------------------------------------------------------------------ #
-    # Transition weights S_{a,b}(Δ)
-    # ------------------------------------------------------------------ #
-    def transition_weight(self, a: int, b: int, span: float) -> float:
-        """S_{a,b}(Δ): probability of a → b active lineages with no killing.
-
-        ``span`` may be ``inf``; in that case the weight is the probability
-        of eventually reaching ``b = 1`` (every merge happens, no killing),
-        which is 1 when there are no inactive lineages and the product of
-        merge/exit rate ratios otherwise.
-        """
-        if not 1 <= b <= a <= _MAX_ACTIVE:
-            return 0.0
-        if not math.isfinite(span):
-            if b != 1:
-                return 0.0
-            prob = 1.0
-            for k in range(a, 1, -1):
-                prob *= self.merge_rate(k) / self.exit_rate(k)
-            return prob
-        if span < 0:
-            raise ValueError("interval span must be non-negative")
-        if a == b:
-            return math.exp(-self.exit_rate(a) * span)
-        if b == a - 1:
-            return self._single_merge_weight(a, span)
-        if a == 3 and b == 1:
-            return self._double_merge_weight(span)
-        return 0.0
-
-    def _single_merge_weight(self, a: int, span: float) -> float:
-        """∫₀^Δ e^{-ρ_a τ} μ_a e^{-ρ_{a-1}(Δ-τ)} dτ = μ_a e^{-ρ_{a-1}Δ}(1 − e^{-λΔ})/λ.
-
-        ``expm1`` keeps the difference of the two survival factors exact
-        when λΔ is tiny, where subtracting the exponentials would cancel.
-        """
-        rho_hi = self.exit_rate(a)
-        rho_lo = self.exit_rate(a - 1)
-        mu = self.merge_rate(a)
-        if _nearly_equal(rho_hi, rho_lo):
-            return mu * span * math.exp(-rho_hi * span)
-        lam = rho_hi - rho_lo
-        return mu * math.exp(-rho_lo * span) * -math.expm1(-lam * span) / lam
-
-    def _double_merge_factors(self, span: float) -> tuple[float, float, float]:
-        """``(-ρ₁Δ, f, g)`` with S_{3,1}(Δ) = e^{-ρ₁Δ}·f·g, for a span Δ > 0.
-
-        S_{3,1} = μ₃μ₂ ∫₀^Δ e^{-ρ₃τ} S̃₂₁(Δ−τ) dτ is μ₃μ₂ Δ² e^{-ρ₁Δ} times
-        the second divided difference of e^{-x} at 0, d₂ = (ρ₂−ρ₁)Δ and
-        d₃ = (ρ₃−ρ₁)Δ.  Evaluated as the textbook difference of two
-        exponential integrals it cancels catastrophically for small spans,
-        so it is split by d₃: below 0.1 it is d₂d₃(ψ(d₃) − ψ(d₂))/(d₃ − d₂)
-        with ψ from its series (d₂ ≤ d₃/2, so the difference keeps at least
-        half its digits); above, the two exponential terms, which cancel by
-        a factor of about 2/d₃ at most.  Neither factor under- or overflows
-        before the answer itself would, which the log-space weight needs.
-        """
-        rho3, rho2, rho1 = (self.exit_rate(k) for k in (3, 2, 1))
-        mu3, mu2 = self.merge_rate(3), self.merge_rate(2)
-        scale = mu3 * mu2 / ((rho2 - rho1) * (rho3 - rho1))
-        d2, d3, d32 = (rho2 - rho1) * span, (rho3 - rho1) * span, (rho3 - rho2) * span
-        if d3 < _SERIES_BELOW:
-            return -rho1 * span, scale * d2, d3 * ((_psi(d3) - _psi(d2)) / d32)
-        ratio = (rho2 - rho1) / (rho3 - rho2)
-        bracket = -math.expm1(-d2) - math.exp(-d2) * -math.expm1(-d32) * ratio
-        return -rho1 * span, scale, bracket
-
-    def _double_merge_weight(self, span: float) -> float:
-        """S_{3,1}(Δ) = μ₃ ∫₀^Δ e^{-ρ₃ τ} S_{2,1}(Δ − τ) dτ."""
-        if span == 0.0:
-            return 0.0
-        exponent, f, g = self._double_merge_factors(span)
-        return math.exp(exponent) * f * g
-
-    def _double_merge_cdf(self, span: float):
-        """Unnormalized CDF of the first-merge time for a 3 → 1 interval, and its total mass.
-
-        The density of the first merge time τ is
-        ``g(τ) = μ₃ e^{-ρ₃ τ} · S_{2,1}(Δ − τ)``; expanding ``S_{2,1}``
-        gives a difference of two exponentials in τ, whose integral is the
-        closed-form CDF returned here.
-        """
-        rho3, rho2, rho1 = (self.exit_rate(k) for k in (3, 2, 1))
-        mu3, mu2 = self.merge_rate(3), self.merge_rate(2)
-
-        if _nearly_equal(rho2, rho1):
-            # S21(L) = μ₂ L e^{-ρ₂ L}; g(τ) = μ₃ μ₂ e^{-ρ₃ τ}(Δ-τ)e^{-ρ₂(Δ-τ)}.
-            def cdf(tau: float) -> float:
-                # g(s) = μ₃ μ₂ e^{-ρ₂Δ} e^{-λs}(Δ − s) with λ = ρ₃ − ρ₂;
-                # ∫₀^τ e^{-λs}(Δ−s) ds = Δ·E(λ,τ) − [1 − (1+λτ)e^{-λτ}]/λ².
-                lam = rho3 - rho2
-                if abs(lam) <= _REL_TOL:
-                    inner = span * tau - 0.5 * tau * tau
-                else:
-                    inner = span * _expint(lam, tau) - (
-                        1.0 - (1.0 + lam * tau) * math.exp(-lam * tau)
-                    ) / (lam * lam)
-                return mu3 * mu2 * math.exp(-rho2 * span) * inner
-
-            return cdf, cdf(span)
-
-        coeff1 = mu3 * mu2 / (rho2 - rho1)
-
-        def cdf(tau: float) -> float:
-            # g(s) = coeff1 [ e^{-ρ₁Δ} e^{-(ρ₃-ρ₁)s} − e^{-ρ₂Δ} e^{-(ρ₃-ρ₂)s} ]
-            term1 = math.exp(-rho1 * span) * _expint(rho3 - rho1, tau)
-            term2 = math.exp(-rho2 * span) * _expint(rho3 - rho2, tau)
-            return coeff1 * (term1 - term2)
-
-        return cdf, cdf(span)
-
-    # ------------------------------------------------------------------ #
-    # Log-space transition weights (demography-rescaled spans)
-    # ------------------------------------------------------------------ #
-    def log_transition_weight(self, a: int, b: int, span: float) -> float:
-        """log S_{a,b}(Δ), exact deep into the underflow regime.
-
-        Demography-rescaled spans can be astronomically large (Λ grows like
-        e^{g t} under strong growth), where every linear-space weight
-        underflows to zero even though their *ratios* — all the conditioned
-        resimulation needs — remain perfectly well defined.  The
-        demography-conditional backward/forward passes therefore run on
-        these log weights; the constant-size path keeps the linear
-        :meth:`transition_weight` bit-for-bit.
-        """
-        if not 1 <= b <= a <= _MAX_ACTIVE:
-            return -math.inf
-        if not math.isfinite(span):
-            if b != 1:
-                return -math.inf
-            total = 0.0
-            for k in range(a, 1, -1):
-                total += math.log(self.merge_rate(k)) - math.log(self.exit_rate(k))
-            return total
-        if span < 0:
-            raise ValueError("interval span must be non-negative")
-        if a == b:
-            return -self.exit_rate(a) * span
-        if b == a - 1:
-            return self._log_single_merge_weight(a, span)
-        if a == 3 and b == 1:
-            return self._log_double_merge_weight(span)
-        return -math.inf
-
-    @staticmethod
-    def _log1mexp(x: float) -> float:
-        """log(1 − e^{−x}) for x ≥ 0 (−inf at x = 0)."""
-        if x <= 0.0:
-            return -math.inf
-        if x < 0.693:
-            return math.log(-math.expm1(-x))
-        return math.log1p(-math.exp(-x))
-
-    def _log_single_merge_weight(self, a: int, span: float) -> float:
-        """log of ∫₀^Δ e^{-ρ_a τ} μ_a e^{-ρ_{a-1}(Δ-τ)} dτ."""
-        if span == 0.0:
-            return -math.inf
-        rho_hi = self.exit_rate(a)
-        rho_lo = self.exit_rate(a - 1)
-        mu = self.merge_rate(a)
-        if _nearly_equal(rho_hi, rho_lo):
-            return math.log(mu * span) - rho_hi * span
-        lam = rho_hi - rho_lo  # exit rates increase with a, so lam > 0
-        return math.log(mu) - rho_lo * span + self._log1mexp(lam * span) - math.log(lam)
-
-    def _log_double_merge_weight(self, span: float) -> float:
-        """log S_{3,1}(Δ), from the same factors as the linear weight."""
-        if span == 0.0:
-            return -math.inf
-        exponent, f, g = self._double_merge_factors(span)
-        return exponent + math.log(f) + math.log(g)
-
-    # ------------------------------------------------------------------ #
-    # Conditional event-time sampling within an interval
-    # ------------------------------------------------------------------ #
-    def sample_merge_times(
-        self, a: int, b: int, span: float, rng: np.random.Generator
-    ) -> list[float]:
-        """Sample merge times (offsets from the interval start) given a → b.
-
-        Exactly ``a - b`` times are returned, sorted increasing.  The joint
-        density is the killed-death-process bridge conditioned on no killing,
-        i.e. each sequence of times ``τ₁ < … < τ_{a-b}`` has density
-        proportional to ``Π exp(-ρ·)`` survival segments times the merge
-        rates, normalized by S_{a,b}(Δ).
-        """
-        if not 1 <= b <= a <= _MAX_ACTIVE:
-            raise ValueError("invalid active-lineage counts")
-        n_events = a - b
-        if n_events == 0:
-            return []
-        if span <= 0 and math.isfinite(span):
-            raise ValueError("cannot place merge events in a zero-length interval")
-        if n_events == 1:
-            return [self._sample_single_merge(a, span, rng)]
-        # a == 3, b == 1: sample the first merge from its marginal, then the
-        # second conditionally on the remaining span.
-        tau1 = self._sample_first_of_double(span, rng)
-        remaining = span - tau1 if math.isfinite(span) else math.inf
-        tau2 = self._sample_single_merge(2, remaining, rng)
-        return [tau1, tau1 + tau2]
-
-    def _sample_single_merge(self, a: int, span: float, rng: np.random.Generator) -> float:
-        """Time of the single merge a → a−1 within a span, given it happens."""
-        rho_hi = self.exit_rate(a)
-        rho_lo = self.exit_rate(a - 1)
-        lam = rho_hi - rho_lo
-        u = float(rng.random())
-        if not math.isfinite(span):
-            # Unbounded intervals only occur past every fixed lineage
-            # (no killing), so the merge time is simply Exp(ρ_a).
-            return float(rng.exponential(1.0 / rho_hi))
-        if abs(lam) <= _REL_TOL:
-            return u * span
-        # Truncated exponential with rate lam on [0, span] (lam may be negative).
-        denom = -math.expm1(-lam * span)
-        return -math.log1p(-u * denom) / lam
-
-    def _sample_first_of_double(self, span: float, rng: np.random.Generator) -> float:
-        """Time of the first merge when two merges (3 → 1) occur within the span."""
-        rho3 = self.exit_rate(3)
-        if not math.isfinite(span):
-            # No upper bound: the trailing factor (eventually finishing from
-            # 2 active lineages with no inactive ones left) is constant, so
-            # the first merge time is simply Exp(ρ₃).
-            return float(rng.exponential(1.0 / rho3))
-
-        cdf, total = self._double_merge_cdf(span)
-        if total <= 0.0:
-            rho1 = self.exit_rate(1)
-            lam = rho3 - rho1
-            if lam * span > 1.0:
-                # The linear-space CDF underflowed on a *large* span (the
-                # demography-rescaled regime): asymptotically the first-merge
-                # density is ∝ e^{-ρ₃τ}·e^{-ρ₁(Δ-τ)}, i.e. a truncated
-                # exponential with rate ρ₃ − ρ₁ on [0, Δ].
-                u = float(rng.random())
-                return -math.log1p(-u * -math.expm1(-lam * span)) / lam
-            # Numerically degenerate (span extremely small): as every
-            # rate·Δ → 0 the conditioned density g(τ) ∝ e^{-ρ₃τ}S₂₁(Δ−τ)
-            # tends to μ₃μ₂(Δ − τ), a triangular density on [0, Δ] — NOT
-            # uniform.  Its CDF is 1 − ((Δ−τ)/Δ)², inverted in closed form.
-            u = float(rng.random())
-            return span * (1.0 - math.sqrt(1.0 - u))
-
-        u = float(rng.random()) * total
-        if cdf(span) <= u:
-            return span * (1.0 - 1e-12)
-        return brentq(lambda t: cdf(t) - u, 0.0, span, xtol=1e-14 * max(span, 1.0))
-
-
-# ---------------------------------------------------------------------- #
-# Array programs over a whole proposal set
-# ---------------------------------------------------------------------- #
 def exit_rates(n_inactive: np.ndarray, theta: float) -> np.ndarray:
-    """``(3, M)`` exit rates: row ``a − 1`` is ρ_a of each interval.
+    """``(3, M)`` exit rates: row ``a − 1`` is ρ_a = a(a − 1 + 2k)/θ of each interval.
 
-    The same arithmetic as :meth:`IntervalKinetics.exit_rate`; the array
-    programs below take these rows, so a proposal set computes them once.
+    ``k`` is the interval's inactive-lineage count.  The array programs
+    below take these rows, so a proposal set computes them once.
     """
     return _ACTIVE * (_ACTIVE - 1 + 2 * np.asarray(n_inactive, dtype=np.int64)) / theta
 
 
 def _psi_array(x: np.ndarray) -> np.ndarray:
-    """:func:`_psi` element-wise (callers pass 0 ≤ x < 0.1)."""
+    """ψ(x) = x·φ₂(x) = (e^{-x} − 1 + x)/x element-wise, by its Taylor series (0 ≤ x < 0.1)."""
     acc = np.full(x.shape, _PHI2_TAYLOR[-1])
     neg = -x
     for coeff in _PHI2_TAYLOR[-2::-1]:
@@ -419,7 +87,7 @@ def _psi_array(x: np.ndarray) -> np.ndarray:
 
 
 def _log1mexp_array(x: np.ndarray) -> np.ndarray:
-    """:meth:`IntervalKinetics._log1mexp` element-wise (x > 0)."""
+    """log(1 − e^{−x}) element-wise (x > 0), by ``expm1`` below x = 0.693 and ``log1p`` above."""
     return np.where(x < 0.693, np.log(-np.expm1(-x)), np.log1p(-np.exp(-np.maximum(x, 0.693))))
 
 
@@ -429,11 +97,16 @@ def transition_matrices(
     """S_{a,b}(Δ) of every interval at once: an ``(M, 3, 3)`` array.
 
     ``rates`` are the intervals' :func:`exit_rates`.  Entry ``[m, a-1, b-1]``
-    equals ``kinetics_for(n_inactive[m], theta).transition_weight(a, b,
-    spans[m])`` (``log_transition_weight`` with ``log=True``) up to
-    rounding: the same closed forms, with masks in place of the scalar
-    branches for Δ = 0, Δ = ∞, near-equal exit rates and the two forms of
-    the 3 → 1 weight.  Entries with b > a are 0 (``-inf`` in log space).
+    is the probability of going from ``a`` to ``b`` active lineages over
+    ``spans[m]`` with no killing (its log with ``log=True``):
+    e^{-ρ_aΔ} for b = a; μ_a e^{-ρ_{a−1}Δ}(1 − e^{-λΔ})/λ with
+    λ = ρ_a − ρ_{a−1} for one merge (μ_aΔe^{-ρ_aΔ} when λ ≈ 0); for 3 → 1
+    e^{-ρ₁Δ}·f·g as below; and on an unbounded span the probability of
+    eventually reaching one lineage.  Masks select the branches for Δ = 0,
+    Δ = ∞, near-equal exit rates and the two forms of the 3 → 1 weight.
+    Entries with b > a are 0 (``-inf`` in log space).  The test oracle's
+    scalar ``IntervalKinetics`` (``tests/reference_kernel.py``) computes
+    every entry one at a time, and pinned 120-digit literals check both.
     """
     span = np.asarray(spans, dtype=float)
     if (span < 0).any():
@@ -451,10 +124,16 @@ def transition_matrices(
     hi, lo = rates[1:], rates[:2]
     gap = hi - lo
     near = gap <= _REL_TOL * np.maximum(1.0, hi)  # rates are ≥ 0 and hi ≥ lo
-    # The near-equal branch of the scalar form; λ → 1 keeps the other finite.
+    # The near-equal branch; λ → 1 keeps the other finite.
     lam = np.where(near, 1.0, gap)
 
-    # 3 → 1: e^{-ρ₁Δ}·f·g (see IntervalKinetics._double_merge_factors).
+    # 3 → 1: e^{-ρ₁Δ}·f·g, μ₃μ₂Δ²e^{-ρ₁Δ} times the second divided
+    # difference of e^{-x} at 0, d₂ = (ρ₂−ρ₁)Δ and d₃ = (ρ₃−ρ₁)Δ.  The
+    # textbook difference of two exponential integrals cancels on small
+    # spans, so below d₃ = 0.1 it is d₂d₃(ψ(d₃) − ψ(d₂))/(d₃ − d₂) (d₂ ≤ d₃/2
+    # keeps half the digits); above, the two exponential terms, which
+    # cancel by a factor of about 2/d₃ at most.  Neither factor under- or
+    # overflows before the weight itself would, which the log weight needs.
     rho31 = rates[2] - rates[0]
     scale = mu3 * mu2 / (gap[0] * rho31)
     d2, d32 = gap * unit
@@ -493,7 +172,7 @@ def transition_matrices(
     out[2, 0] = double
 
     # Δ = ∞: the probability of eventually reaching one lineage,
-    # Π μ_j/ρ_j over the merges still to happen (scalar order kept).
+    # Π μ_j/ρ_j over the merges still to happen, multiplied from a = 3 down.
     rows = ~bounded
     rho2, rho3 = rates[1, rows], rates[2, rows]
     out[:, :, rows] = -np.inf if log else 0.0
@@ -519,8 +198,8 @@ def invert_single_merges(
     ``rho_lo[i]`` = ρ_{a−1} after its merge, a span ``spans[i]`` (``inf``
     for an unbounded interval) and the uniform ``u[i]``.  The conditional
     merge time is an exponential with rate λ = ρ_a − ρ_{a−1} truncated to
-    the span (uniform when λ ≈ 0), or Exp(ρ_a) on an unbounded span, the
-    laws of :meth:`IntervalKinetics._sample_single_merge`.
+    the span (uniform when λ ≈ 0), or Exp(ρ_a) on an unbounded span
+    (unbounded intervals come after every fixed lineage, so nothing kills).
     """
     lam = rho_hi - rho_lo
     degenerate = np.abs(lam) <= _REL_TOL
@@ -532,14 +211,15 @@ def invert_single_merges(
 class _DoubleMergeCdf:
     """The closed-form 3 → 1 first-merge CDF of many finite spans, with its density.
 
-    Element-wise the function of :meth:`IntervalKinetics._double_merge_cdf`
-    divided by its scale (μ₃μ₂e^{-ρ₁Δ}/(ρ₂−ρ₁), or μ₃μ₂e^{-ρ₂Δ} when
+    The first merge time τ of a 3 → 1 interval has density
+    μ₃e^{-ρ₃τ}·S₂₁(Δ − τ), a difference of two exponentials in τ; its CDF is
+    kept divided by its scale (μ₃μ₂e^{-ρ₁Δ}/(ρ₂−ρ₁), or μ₃μ₂e^{-ρ₂Δ} when
     ρ₂ ≈ ρ₁), which a root solve does not need and which goes subnormal on
     long spans.  Away from ρ₂ ≈ ρ₁ it is E(λ₁, τ) − e^{-(ρ₂−ρ₁)Δ}·E(λ₂, τ)
     with E(λ, τ) = (1 − e^{-λτ})/λ, λ₁ = ρ₃ − ρ₁ and λ₂ = ρ₃ − ρ₂ (both
-    then above the scalar form's λ ≈ 0 threshold, since λ₁ > λ₂ > ρ₂ − ρ₁);
-    where ρ₂ ≈ ρ₁ (``near``) it is the scalar form's second branch, with its
-    λ₂ ≈ 0 limit as a mask.  ``reach`` is the scaled CDF at the span and
+    then above the λ ≈ 0 threshold, since λ₁ > λ₂ > ρ₂ − ρ₁); where
+    ρ₂ ≈ ρ₁ (``near``) it is Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with
+    its λ₂ ≈ 0 limit as a mask.  ``reach`` is the scaled CDF at the span and
     ``total`` the unscaled one, the 3 → 1 weight as that closed form
     computes it (zero where the scale underflows).
 
@@ -555,7 +235,7 @@ class _DoubleMergeCdf:
         self.spans = spans
         self.l1 = rho3 - rho1
         self.l2 = rho3 - rho2
-        # As _nearly_equal(ρ₂, ρ₁).
+        # ρ₂ ≈ ρ₁ within a relative 1e-12.
         self.near = beta <= _REL_TOL * np.maximum(1.0, rho2)
         self.plain = not self.near.any()
         self.tiny2 = np.abs(self.l2) <= _REL_TOL
@@ -581,8 +261,8 @@ class _DoubleMergeCdf:
         if self.plain:
             return value, slope
         # ρ₂ ≈ ρ₁: Δ·E(λ₂, τ) − (1 − (1+λ₂τ)e^{-λ₂τ})/λ₂², with density
-        # e^{-λ₂τ}(Δ − τ); as λ₂ → 0 (the scalar form takes that limit
-        # whenever |λ₂| ≤ 1e-12, whatever λ₂τ) E is τ and the density Δ − τ.
+        # e^{-λ₂τ}(Δ − τ); as λ₂ → 0 (the limit is taken whenever
+        # |λ₂| ≤ 1e-12, whatever λ₂τ) E is τ and the density Δ − τ.
         tiny2 = self.tiny2
         span = self.spans
         l2 = np.where(tiny2, 1.0, self.l2)
@@ -609,10 +289,10 @@ class _DoubleMergeCdf:
         climbs to it monotonically: only the first step needs a floor at 0.
         The start is the smaller of the triangular-limit and the
         truncated-Exp(λ₁) quantiles, the two regimes of the law.  An element
-        has converged when its step is within the scalar path's ``xtol``
-        of 1e-14·max(Δ, 1), or when its steps stop shrinking (rounding in
-        the CDF, not distance to the root, then sets their size); the solve
-        stops when every element has.
+        has converged when its step is within 1e-14·max(Δ, 1) (the
+        ``xtol`` of the oracle's ``brentq`` inversion), or when its steps
+        stop shrinking (rounding in the CDF, not distance to the root, then
+        sets their size); the solve stops when every element has.
         """
         span = self.spans
         target = u * self.reach
@@ -642,10 +322,10 @@ def invert_first_of_doubles(
     """First-merge offsets of double merges 3 → 1, one per element.
 
     ``rates`` is ``(3, K)``: the exit rates ρ₁, ρ₂, ρ₃ of each element's
-    interval.  The laws of :meth:`IntervalKinetics._sample_first_of_double`,
-    with the per-element ``brentq`` replaced by one Newton solve of
-    ``cdf(τ) = u·total`` over every element (:meth:`_DoubleMergeCdf.solve`):
-    an unbounded span is Exp(ρ₃); where the closed-form total underflows to
+    interval.  One Newton solve of ``cdf(τ) = u·total`` over every element
+    (:meth:`_DoubleMergeCdf.solve`), where the test oracle runs ``brentq``
+    per element, except where the law has another form: an unbounded span
+    is Exp(ρ₃); where the closed-form total underflows to
     zero the first merge is a truncated Exp(ρ₃ − ρ₁) (large spans) or the
     triangular λ → 0 limit (tiny spans); a target at or above the ceiling
     lands just inside the span.

@@ -42,9 +42,10 @@ array program (the paper's data-parallel set kernel, Section 5.2.1):
 * the *rebuild* stitches all candidates into one ``(n, n_nodes)`` block and
   wraps each row as a :class:`~repro.genealogy.tree.Genealogy`.
 
-:meth:`~NeighborhoodResimulator.propose` (``batch_proposals=False``) is the
-per-proposal reference kernel the set kernel is tested against: the same
-distribution, drawn one interval and one event at a time.
+This is the only proposal kernel.  The per-proposal reference kernel it is
+tested against (the same distribution, drawn one interval and one event at
+a time) is a test oracle, ``tests/reference_kernel.py``: a subclass that
+reuses the set context and the τ → t mapping defined here.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .kinetics import (
     exit_rates,
     invert_first_of_doubles,
     invert_single_merges,
-    kinetics_for,
     transition_matrices,
 )
 
@@ -162,18 +162,12 @@ class NeighborhoodResimulator:
         Eq. 31 exact under the demography prior — no importance correction
         needed — which is what lets the chain mix at large |g| where the
         constant-kernel-plus-correction approach stalls.
-    batch_proposals:
-        When True (the default) :meth:`propose_set` builds the whole set as
-        one array program; when False it falls back to N independent
-        :meth:`propose` calls — the reference kernel, same distribution,
-        different RNG-stream consumption order.
 
     Work counters (``n_proposal_sets``, ``n_interval_builds``,
     ``n_backward_passes``, ``n_proposals_generated``, ``n_intervals``)
-    accumulate across calls; the batched path performs exactly one interval
-    build and one backward pass per proposal set, the reference path one of
-    each per proposal.  ``n_intervals`` counts the feasible intervals those
-    builds produced.
+    accumulate across calls; every proposal set performs exactly one
+    interval build and one backward pass.  ``n_intervals`` counts the
+    feasible intervals those builds produced.
     """
 
     def __init__(
@@ -182,13 +176,11 @@ class NeighborhoodResimulator:
         *,
         validate: bool = False,
         demography=None,
-        batch_proposals: bool = True,
     ) -> None:
         if theta <= 0:
             raise ValueError("theta must be positive")
         self.theta = float(theta)
         self.validate = bool(validate)
-        self.batch_proposals = bool(batch_proposals)
         # The constant model (including exponential growth at g = 0) takes
         # the untransformed fast path, bit-identical to the paper's kernel.
         self.demography = (
@@ -222,25 +214,6 @@ class NeighborhoodResimulator:
             )
         return int(targets[rng.integers(targets.size)])
 
-    def propose(
-        self, tree: Genealogy, target: int, rng: np.random.Generator
-    ) -> ResimulationOutcome:
-        """Resimulate the neighbourhood around ``target`` and return the new genealogy."""
-        ctx = self._build_set_context(tree, target)
-        merge_times = self._forward_pass(ctx, rng)
-        new_tree, new_nodes, first_pair = self._rebuild(tree, ctx.region, merge_times, rng)
-
-        if self.validate:
-            new_tree.validate()
-
-        self.n_proposals_generated += 1
-        return ResimulationOutcome(
-            tree=new_tree,
-            region=ctx.region,
-            new_times=(float(new_tree.times[new_nodes[0]]), float(new_tree.times[new_nodes[1]])),
-            topology_changed=self._topology_changed(tree, ctx.region, first_pair),
-        )
-
     def propose_set(
         self, tree: Genealogy, target: int, n: int, rng: np.random.Generator
     ) -> list[ResimulationOutcome]:
@@ -259,17 +232,10 @@ class NeighborhoodResimulator:
         ``M`` and ``M+1`` its two merge-offset uniforms and ``M+2``,
         ``M+3`` its two pair uniforms.  The shape depends on ``n`` and the
         tree and target only, never on the sampled walk.
-
-        With ``batch_proposals=False`` this is exactly ``n`` independent
-        :meth:`propose` calls (the reference kernel).  The two paths draw
-        from the same distribution but consume the RNG stream in different
-        orders, so fixed-seed trajectories differ between them.
         """
         if n < 1:
             raise ValueError("a proposal set needs at least one proposal")
         self.n_proposal_sets += 1
-        if not self.batch_proposals:
-            return [self.propose(tree, target, rng) for _ in range(n)]
         outcomes = self._propose_block(tree, self._build_set_context(tree, target), n, rng)
         self.n_proposals_generated += n
         return outcomes
@@ -277,15 +243,8 @@ class NeighborhoodResimulator:
     def propose_random(
         self, tree: Genealogy, rng: np.random.Generator
     ) -> ResimulationOutcome:
-        """Choose a target uniformly at random and resimulate it."""
-        target = self.choose_target(tree, rng)
-        if self.batch_proposals:
-            self.n_proposal_sets += 1
-            ctx = self._build_set_context(tree, target)
-            outcome = self._propose_block(tree, ctx, 1, rng)[0]
-            self.n_proposals_generated += 1
-            return outcome
-        return self.propose(tree, target, rng)
+        """Choose a target uniformly at random and resimulate it: a set of one."""
+        return self.propose_set(tree, self.choose_target(tree, rng), 1, rng)[0]
 
     def propose_random_stack(
         self,
@@ -310,34 +269,11 @@ class NeighborhoodResimulator:
             raise ValueError("need exactly one RNG stream per stacked chain")
         targets = [self.choose_target(t, r) for t, r in zip(trees, rngs)]
         contexts = [self._build_set_context(t, tgt) for t, tgt in zip(trees, targets)]
-        if self.batch_proposals:
-            self.n_proposal_sets += len(trees)
-            outcomes = [
-                self._propose_block(t, ctx, 1, r)[0]
-                for t, ctx, r in zip(trees, contexts, rngs)
-            ]
-            self.n_proposals_generated += len(trees)
-            return outcomes
-        # Reference kernel, stage-separated the same way (counter semantics
-        # follow :meth:`propose`: no set is counted on this path).
-        merge_times = [self._forward_pass(ctx, r) for ctx, r in zip(contexts, rngs)]
-        outcomes = []
-        for t, ctx, mt, r in zip(trees, contexts, merge_times, rngs):
-            new_tree, new_nodes, first_pair = self._rebuild(t, ctx.region, mt, r)
-            if self.validate:
-                new_tree.validate()
-            self.n_proposals_generated += 1
-            outcomes.append(
-                ResimulationOutcome(
-                    tree=new_tree,
-                    region=ctx.region,
-                    new_times=(
-                        float(new_tree.times[new_nodes[0]]),
-                        float(new_tree.times[new_nodes[1]]),
-                    ),
-                    topology_changed=self._topology_changed(t, ctx.region, first_pair),
-                )
-            )
+        self.n_proposal_sets += len(trees)
+        outcomes = [
+            self._propose_block(t, ctx, 1, r)[0] for t, ctx, r in zip(trees, contexts, rngs)
+        ]
+        self.n_proposals_generated += len(trees)
         return outcomes
 
     # ------------------------------------------------------------------ #
@@ -439,83 +375,6 @@ class NeighborhoodResimulator:
         # Virtual state beyond the final boundary: success iff one active lineage.
         goal[n_intervals] = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
         return goal
-
-    # ------------------------------------------------------------------ #
-    # Forward pass: conditioned sampling of merge times
-    # ------------------------------------------------------------------ #
-    def _forward_pass(self, ctx: _SetContext, rng: np.random.Generator) -> list[float]:
-        """Sample the two merge times, conditioned on a valid finish.
-
-        With a demography, ``ctx.goal`` holds *log* probabilities
-        (``log_space=True``), the per-interval kinetics run in rescaled time
-        (spans and offsets are τ-valued), and each sampled offset maps back
-        to calendar time through Λ⁻¹; otherwise offsets are calendar offsets
-        from the interval start.
-        """
-        intervals, goal = ctx.intervals, ctx.goal
-        n_intervals = len(intervals)
-        activations = intervals.activations.tolist()
-        starts, ends = intervals.starts.tolist(), intervals.ends.tolist()
-        spans = ctx.spans.tolist()
-        merge_times: list[float] = []
-        active = 0
-        for m in range(n_intervals):
-            active += activations[m]
-            if active < 1 or active > 3:
-                raise RuntimeError("active lineage bookkeeping is inconsistent")
-            span = spans[m]
-            next_activations = activations[m + 1] if m + 1 < n_intervals else 0
-            s_matrix = ctx.matrices[m]
-
-            weights = np.full(active, -np.inf) if ctx.log_space else np.zeros(active)
-            for b in range(1, active + 1):
-                carried = b + next_activations
-                if carried > 3:
-                    continue
-                if ctx.log_space:
-                    weights[b - 1] = s_matrix[active - 1, b - 1] + goal[m + 1, carried - 1]
-                else:
-                    weights[b - 1] = s_matrix[active - 1, b - 1] * goal[m + 1, carried - 1]
-            if ctx.log_space:
-                peak = weights.max()
-                if not np.isfinite(peak):
-                    raise RuntimeError("conditioned resimulation reached a dead end")
-                weights = np.exp(weights - peak)
-            total = weights.sum()
-            if total <= 0.0:
-                # Should not happen: the backward pass guarantees a positive
-                # path exists from any reachable state.
-                raise RuntimeError("conditioned resimulation reached a dead end")
-            end_state = 1 + int(rng.choice(active, p=weights / total))
-
-            if end_state < active:
-                kinetics = kinetics_for(int(intervals.n_inactive[m]), self.theta)
-                offsets = kinetics.sample_merge_times(active, end_state, span, rng)
-                for off in offsets:
-                    bounded = np.isfinite(span)
-                    upper = span * (1.0 - _TIME_EPS) if bounded else off
-                    off = min(max(off, span * _TIME_EPS if bounded else _TIME_EPS), upper)
-                    if ctx.tau_starts is None:
-                        merge_times.append(starts[m] + off)
-                    else:
-                        t = float(
-                            self.demography.inverse_cumulative_intensity(
-                                ctx.tau_starts[m] + off
-                            )
-                        )
-                        # The Λ → Λ⁻¹ roundtrip can land epsilon outside the
-                        # interval (below a child-root activation time),
-                        # violating the activation invariant the rebuild
-                        # relies on — clamp back into [start, end].
-                        merge_times.append(min(max(t, starts[m]), ends[m]))
-            active = end_state
-
-        if active != 1 or len(merge_times) != 2:
-            raise RuntimeError(
-                f"resimulation finished with {active} active lineages and "
-                f"{len(merge_times)} merges; expected 1 and 2"
-            )
-        return sorted(merge_times)
 
     @staticmethod
     def _end_state_table(ctx: _SetContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -639,7 +498,8 @@ class NeighborhoodResimulator:
         offsets[ids[double], 0] = first[double]
         owner[ids[double], 0] = ms[double]
 
-        # Keep every offset strictly inside its interval (the reference clamp).
+        # Keep every offset strictly inside its interval, so that no merge
+        # lands on an interval boundary (a child root's activation time).
         bounded = np.isfinite(spans)
         lower = np.where(bounded, spans * _TIME_EPS, _TIME_EPS)
         upper = np.where(bounded, spans * (1.0 - _TIME_EPS), np.inf)
@@ -659,8 +519,9 @@ class NeighborhoodResimulator:
                 self.demography.inverse_cumulative_intensity(tau.ravel()), dtype=float
             )
             times = mapped.reshape(tau.shape)
-            # Same clamp as the scalar path: the Λ → Λ⁻¹ roundtrip must not
-            # push a merge outside its owning interval.
+            # The Λ → Λ⁻¹ roundtrip can land epsilon outside the owning
+            # interval (below a child root's activation time), violating the
+            # activation invariant the stitch relies on: clamp it back.
             ends = ctx.intervals.ends
             times = np.minimum(np.maximum(times, starts[owner]), ends[owner])
         return np.sort(times, axis=1)
@@ -668,105 +529,6 @@ class NeighborhoodResimulator:
     # ------------------------------------------------------------------ #
     # Tree surgery
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _topology_changed(tree: Genealogy, region: Region, first_pair) -> bool:
-        """Whether the resimulated pairing differs from the original topology.
-
-        The rebuild only re-pairs the three child subtree roots, so the
-        topology is unchanged exactly when the *first* merge re-joins the
-        target's original two children (the second merge then necessarily
-        re-creates the original parent pairing).  This is equivalent to
-        comparing full ``topology_key()`` strings but costs O(1) per
-        proposal instead of two tree traversals.
-        """
-        original = {int(c) for c in tree.children[region.target]}
-        return set(first_pair) != original
-
-    @staticmethod
-    def _stitch(times, parent, children, region: Region, merge_times, choose_pair):
-        """Write the resimulated neighbourhood into raw tree arrays, in place.
-
-        ``choose_pair(event_index, n_active)`` returns the two (sorted,
-        distinct) positions of the active list to merge — the reference path
-        draws them from the RNG, the batched path from prefetched uniforms.
-        Returns ``(new_nodes, first_pair)`` where ``first_pair`` is the pair
-        of subtree roots joined by the first merge (for the cheap topology
-        comparison).
-        """
-        # Indices reused for the new events.  The top merge takes the
-        # parent's index, so a tree's root index never changes.
-        node_a, node_b = region.target, region.parent
-
-        # Active handles: the three dangling subtree roots, ordered by time so
-        # that whoever is active at each merge is well defined.
-        child_times = dict(zip(region.child_roots, region.child_times))
-
-        new_nodes = (node_a, node_b)
-        active: list[int] = []
-        pending = sorted(region.child_roots, key=lambda c: child_times[c])
-        first_pair: tuple[int, int] | None = None
-        for event_index, t_merge in enumerate(merge_times):
-            # Activate every child whose time is at or below the merge time.
-            while pending and child_times[pending[0]] <= t_merge:
-                active.append(pending.pop(0))
-            while len(active) < 2:
-                # Guard against floating-point ordering issues: activate the
-                # next pending child (its time can only be epsilon above).
-                if not pending:
-                    raise ResimulationError(
-                        f"cannot place merge {event_index} at t={t_merge!r} for "
-                        f"target {region.target}: fewer than two lineages can be "
-                        f"active (child times {region.child_times}, merge times "
-                        f"{[float(t) for t in merge_times]})"
-                    )
-                active.append(pending.pop(0))
-            i, j = choose_pair(event_index, len(active))
-            first, second = active[i], active[j]
-            if first_pair is None:
-                first_pair = (first, second)
-            new_node = new_nodes[event_index]
-            # Ensure the merge is strictly older than both children.
-            t_min = max(float(times[first]), float(times[second]))
-            t_node = max(float(t_merge), t_min + _TIME_EPS)
-            times[new_node] = t_node
-            children[new_node] = (first, second)
-            parent[first] = new_node
-            parent[second] = new_node
-            active = [x for x in active if x not in (first, second)]
-            active.append(new_node)
-
-        assert not pending and len(active) == 1
-        top = active[0]
-
-        if region.bounded:
-            ancestor = region.ancestor
-            parent[top] = ancestor
-            for k in range(2):
-                if children[ancestor, k] == region.parent:
-                    children[ancestor, k] = top
-            # The second merge must stay strictly below the ancestor *and*
-            # strictly above its own children: squeezing it under the
-            # ancestor without rechecking the lower bound can emit an
-            # invalid genealogy that validate=False chains silently accept.
-            upper = float(times[ancestor])
-            if times[top] >= upper:
-                c0, c1 = (int(c) for c in children[top])
-                child_max = max(float(times[c0]), float(times[c1]))
-                squeezed = upper - _TIME_EPS * max(1.0, upper)
-                if squeezed <= child_max:
-                    squeezed = 0.5 * (child_max + upper)
-                if not child_max < squeezed < upper:
-                    raise ResimulationError(
-                        f"no valid time for the top merge of target {region.target}: "
-                        f"ancestor at {upper!r}, children at {child_max!r} leave an "
-                        f"empty window"
-                    )
-                times[top] = squeezed
-        else:
-            parent[top] = -1
-
-        return new_nodes, first_pair
-
     @staticmethod
     def _rewritten_nodes(tree: Genealogy, region: Region) -> tuple[int, ...]:
         """Nodes whose subtree a resimulation of ``region`` rewrites, children first.
@@ -786,28 +548,6 @@ class NeighborhoodResimulator:
                 node = int(parent[node])
         return tuple(nodes)
 
-    @classmethod
-    def _rebuild(
-        cls,
-        tree: Genealogy,
-        region: Region,
-        merge_times,
-        rng: np.random.Generator,
-    ) -> tuple[Genealogy, tuple[int, int], tuple[int, int]]:
-        """Stitch the resimulated neighbourhood back into a copy of the tree."""
-        new = tree.copy()
-
-        def choose_pair(event_index: int, n_active: int) -> tuple[int, int]:
-            pair_idx = rng.choice(n_active, size=2, replace=False)
-            i, j = sorted(int(x) for x in pair_idx)
-            return i, j
-
-        new_nodes, first_pair = cls._stitch(
-            new.times, new.parent, new.children, region, merge_times, choose_pair
-        )
-        new.inherit_rows(tree, cls._rewritten_nodes(tree, region))
-        return new, new_nodes, first_pair
-
     def _stitch_block(
         self,
         tree: Genealogy,
@@ -817,9 +557,12 @@ class NeighborhoodResimulator:
     ) -> list[ResimulationOutcome]:
         """Stitch every candidate of a set into one ``(n, n_nodes)`` block.
 
-        The same surgery as :meth:`_stitch` with its pair choice read from
-        the sibling's first pair uniform, for all siblings at once.  Every
-        sibling shares the region, so the candidates differ only in the
+        The target's index becomes the first merge's node and the parent's
+        index the second's, so a tree's root index never changes; each
+        merge is strictly older than both of its children, and on a bounded
+        region the second merge is squeezed strictly below the ancestor.
+        The pair choice is read from the sibling's first pair uniform, for
+        all siblings at once.  Every sibling shares the region, so the candidates differ only in the
         pairing of the first merge and the two new times: with the child
         roots sorted by time, the first merge joins the first two, unless
         all three are present by then, when ⌊3u⌋ picks one of the three
@@ -872,7 +615,8 @@ class NeighborhoodResimulator:
         children[:, target, 0] = first
         children[:, target, 1] = second
         # The second merge lists the root left out first when it was already
-        # active at the first merge, as the reference stitch does.
+        # active at the first merge (activation order, as the oracle's stitch
+        # in tests/reference_kernel.py does, so the two compare row for row).
         children[:, parent, 0] = np.where(three, left, target)
         children[:, parent, 1] = np.where(three, target, left)
 

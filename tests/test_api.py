@@ -30,6 +30,23 @@ class TestConfigSerialization:
         cfg = SamplerConfig(n_proposals=8, samples_per_set=3, n_samples=77, burn_in=9, thin=2)
         assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_batch_proposals_is_a_serialized_constant(self):
+        """The key that once chose the kernel is always written as true, read
+        as true or absent, and rejected as false, naming the test oracle."""
+        cfg = SamplerConfig(n_proposals=8, n_samples=77)
+        doc = cfg.to_dict()
+        assert doc["batch_proposals"] is True
+        assert SamplerConfig.from_dict(doc) == cfg
+        doc.pop("batch_proposals")
+        assert SamplerConfig.from_dict(doc) == cfg
+        with pytest.raises(ValueError, match="test oracle"):
+            SamplerConfig.from_dict({**doc, "batch_proposals": False})
+        spec = MPCGSConfig(sampler=cfg).to_dict()
+        assert MPCGSConfig.from_dict(spec).sampler == cfg
+        spec["chain"]["batch_proposals"] = False
+        with pytest.raises(ValueError, match="reference_kernel"):
+            MPCGSConfig.from_dict(spec)
+
     def test_estimator_config_round_trip(self):
         cfg = EstimatorConfig(gradient_delta=1e-3, max_iterations=10)
         assert EstimatorConfig.from_dict(cfg.to_dict()) == cfg

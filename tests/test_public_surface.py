@@ -18,6 +18,9 @@ PUBLIC_MODULES = [
     "repro.likelihood",
     "repro.likelihood.growth_prior",
     "repro.baselines",
+    "repro.proposals",
+    "repro.proposals.kinetics",
+    "repro.proposals.neighborhood",
 ]
 
 #: Subpackages deleted from ``repro``: importing one must fail, so no

@@ -22,7 +22,10 @@ from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import BatchedEngine
 from repro.likelihood.fused import FusedEngine
 from repro.likelihood.mutation_models import Felsenstein81
+from repro.proposals.neighborhood import NeighborhoodResimulator
 from repro.simulate.datasets import synthesize_dataset
+
+from reference_kernel import ReferenceResimulator
 
 SEED = 99
 
@@ -121,16 +124,14 @@ class TestStationarity:
     prior-recovery check of the batched GMH composition.
     """
 
-    def _run(self, tiny_instance, *, batch_proposals: bool, seed: int):
+    def _run(self, tiny_instance, *, kernel: type[NeighborhoodResimulator], seed: int):
         dataset, model = tiny_instance
         engine = FusedEngine(alignment=dataset.alignment, model=model)
-        cfg = SamplerConfig(
-            n_proposals=6, n_samples=200, burn_in=100, batch_proposals=batch_proposals
-        )
+        cfg = SamplerConfig(n_proposals=6, n_samples=200, burn_in=100)
         tree = upgma_tree(dataset.alignment, 1.0)
-        result = MultiProposalSampler(engine, 1.0, cfg).run(
-            tree, np.random.default_rng(seed)
-        )
+        sampler = MultiProposalSampler(engine, 1.0, cfg)
+        sampler.resimulator = sampler.gmh.resimulator = kernel(1.0)
+        result = sampler.run(tree, np.random.default_rng(seed))
         logliks = np.asarray(result.trace.log_likelihoods)
         assert logliks.size == 200
 
@@ -141,9 +142,10 @@ class TestStationarity:
         assert geweke.converged
 
     def test_cached_chain_passes_stationarity_diagnostics(self, tiny_instance):
-        # The reference kernel reproduces the pre-batching RNG stream, so
-        # this is bit-for-bit the chain the test has always pinned.
-        self._run(tiny_instance, batch_proposals=False, seed=2024)
+        # The reference kernel (the test oracle) reproduces the pre-batching
+        # RNG stream, so this is bit-for-bit the chain the test has always
+        # pinned.
+        self._run(tiny_instance, kernel=ReferenceResimulator, seed=2024)
 
     def test_batched_cached_chain_passes_stationarity_diagnostics(self, tiny_instance):
-        self._run(tiny_instance, batch_proposals=True, seed=1)
+        self._run(tiny_instance, kernel=NeighborhoodResimulator, seed=1)

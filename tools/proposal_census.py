@@ -8,19 +8,23 @@ targets its eligible node ``s mod #targets`` and resimulates it as one
 proposal set of 3 (``NeighborhoodResimulator.propose_set``, with
 ``validate=True``) drawn from the same generator.  The draws run under the
 constant model and exponential growth g ∈ {−50, −20, −5, 5, 50}, on the set
-kernel and the per-proposal reference kernel.  The script prints the failure
-counts of every cell and exits 1 on any failure outside the g = −50 cells,
-or on a failure there that is not one of the two kinds the g < 0 tail is
-known to produce (ROADMAP item 1): the dead-end ``RuntimeError`` of the
-conditioned walk, or the ``ValueError`` of a cumulative intensity past the
-declining demography's total.
+kernel and the per-proposal reference kernel (the test oracle
+``ReferenceResimulator``, loaded from ``tests/reference_kernel.py`` by
+path).  The script prints the failure counts of every cell and exits 1 on
+any failure outside the g = −50 cells, or on a failure there that is not
+one of the two kinds the g < 0 tail is known to produce (ROADMAP item 1):
+the dead-end ``RuntimeError`` of the conditioned walk, or the
+``ValueError`` of a cumulative intensity past the declining demography's
+total.
 """
 
 from __future__ import annotations
 
 import argparse
+import runpy
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -44,12 +48,17 @@ def failure_kind(exc: Exception) -> str:
     return type(exc).__name__
 
 
+def reference_kernel() -> type[NeighborhoodResimulator]:
+    """The test oracle's ``ReferenceResimulator``, run from its file (``tests/`` is no package)."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "reference_kernel.py"
+    return runpy.run_path(str(path))["ReferenceResimulator"]
+
+
 def census(growth: float | None, n_draws: int, batch: bool) -> Counter:
-    """Failure kinds over draws ``0 … n_draws−1`` of one (demography, kernel) cell."""
+    """Failure kinds over draws ``0 … n_draws−1`` of one cell (``batch=False``: the oracle)."""
     demography = None if growth is None else ExponentialDemography(growth=growth)
-    resim = NeighborhoodResimulator(
-        1.0, validate=True, demography=demography, batch_proposals=batch
-    )
+    kernel = NeighborhoodResimulator if batch else reference_kernel()
+    resim = kernel(1.0, validate=True, demography=demography)
     failures: Counter = Counter()
     for seed in range(n_draws):
         rng = np.random.default_rng(seed)
