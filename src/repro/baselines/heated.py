@@ -17,16 +17,16 @@ baseline to compare against rather than as part of the core sampler.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.config import SamplerConfig
-from ..demography.base import Demography, prior_ratio_adjustment
-from ..diagnostics.traces import ChainResult, ChainTrace
+from ..core.sampler import driving_kernel
+from ..demography.base import Demography
+from ..diagnostics.traces import ChainResult
 from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
-from ..proposals.neighborhood import NeighborhoodResimulator
+from .lamarc import ChainState, metropolis_step, propose_and_evaluate
 
 __all__ = ["HeatedChainSampler", "default_temperatures"]
 
@@ -41,20 +41,6 @@ def default_temperatures(n_chains: int, *, increment: float = 0.3) -> tuple[floa
     if increment <= 0:
         raise ValueError("increment must be positive")
     return tuple(1.0 / (1.0 + i * increment) for i in range(n_chains))
-
-
-@dataclass
-class _ChainState:
-    """Per-temperature chain state."""
-
-    beta: float
-    tree: Genealogy
-    log_likelihood: float
-    accepted: int = 0
-    steps: int = 0
-    #: log π_dem(G|θ) − log π_const(G|θ) of the current state (importance-
-    #: corrected demography runs only; 0 otherwise).
-    log_prior_adjust: float = 0.0
 
 
 class HeatedChainSampler:
@@ -116,114 +102,75 @@ class HeatedChainSampler:
         self.swap_interval = int(swap_interval)
         self.demography = demography
         self.importance_correction = bool(importance_correction)
-        effective = demography if demography is not None and not demography.is_constant else None
-        self.resimulator = NeighborhoodResimulator(
-            self.theta, demography=None if self.importance_correction else effective
+        self.resimulator, self._adjust, self._kernel_extras = driving_kernel(
+            self.theta, demography, self.importance_correction
         )
-        self._adjust = None
-        if effective is not None and self.importance_correction:
-            batched = prior_ratio_adjustment(effective, self.theta)
-            self._adjust = lambda tree: float(batched([tree])[0])
 
     @property
     def n_chains(self) -> int:
         """Number of temperature rungs (including the cold chain)."""
         return len(self.temperatures)
 
-    def _update_chain(self, state: _ChainState, rng: np.random.Generator) -> None:
-        """One tempered Metropolis-Hastings step for one chain."""
-        outcome = self.resimulator.propose_random(state.tree, rng)
-        proposal_loglik = self.engine.evaluate(outcome.tree)
-        log_ratio = state.beta * (proposal_loglik - state.log_likelihood)
-        proposal_adjust = 0.0
-        if self._adjust is not None:
-            # Constant-kernel proposal under a demography prior: the prior
-            # no longer cancels, and it is not tempered (only the data
-            # likelihood is), so the correction enters at full strength.
-            proposal_adjust = self._adjust(outcome.tree)
-            log_ratio += proposal_adjust - state.log_prior_adjust
-        state.steps += 1
-        if log_ratio >= 0.0 or rng.random() < np.exp(log_ratio):
-            state.tree = outcome.tree
-            state.log_likelihood = proposal_loglik
-            state.log_prior_adjust = proposal_adjust
-            state.accepted += 1
-
-    def _propose_swap(
-        self, chains: list[_ChainState], rng: np.random.Generator
-    ) -> tuple[bool, int]:
+    def _propose_swap(self, rungs: list[ChainState], rng: np.random.Generator) -> bool:
         """Propose swapping the states of a random adjacent temperature pair."""
-        if len(chains) < 2:
-            return False, -1
-        i = int(rng.integers(0, len(chains) - 1))
-        a, b = chains[i], chains[i + 1]
-        log_ratio = (a.beta - b.beta) * (b.log_likelihood - a.log_likelihood)
+        i = int(rng.integers(0, len(rungs) - 1))
+        a, b = rungs[i], rungs[i + 1]
+        beta_a, beta_b = self.temperatures[i], self.temperatures[i + 1]
+        log_ratio = (beta_a - beta_b) * (b.current_loglik - a.current_loglik)
         accepted = log_ratio >= 0.0 or rng.random() < np.exp(log_ratio)
         if accepted:
             # The untempered prior terms cancel out of the swap ratio (both
             # rungs share one prior), but the cached per-state adjustment
             # must travel with the state it describes.
-            a.tree, b.tree = b.tree, a.tree
-            a.log_likelihood, b.log_likelihood = b.log_likelihood, a.log_likelihood
-            a.log_prior_adjust, b.log_prior_adjust = b.log_prior_adjust, a.log_prior_adjust
-        return accepted, i
+            a.current, b.current = b.current, a.current
+            a.current_loglik, b.current_loglik = b.current_loglik, a.current_loglik
+            a.current_adjust, b.current_adjust = b.current_adjust, a.current_adjust
+        return accepted
 
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
-        """Run all temperature chains and return the cold chain's samples."""
+        """Run all temperature chains and return the cold chain's samples.
+
+        Each sweep steps the rungs one after another through the
+        single-proposal core (:func:`~repro.baselines.lamarc.metropolis_step`),
+        all of them on the one shared stream ``rng``.
+        """
         cfg = self.config
         if initial_tree.n_tips < 3:
             raise ValueError("the sampler requires at least three sequences")
-        trace = ChainTrace(n_intervals=initial_tree.n_tips - 1)
 
         # Engines may be shared across runs; report per-run deltas.
         evals_before = self.engine.n_evaluations
         initial_loglik = self.engine.evaluate(initial_tree)
-        initial_adjust = self._adjust(initial_tree) if self._adjust is not None else 0.0
-        chains = [
-            _ChainState(
-                beta=beta,
-                tree=initial_tree,
-                log_likelihood=initial_loglik,
-                log_prior_adjust=initial_adjust,
-            )
-            for beta in self.temperatures
+        rungs = [
+            ChainState.start(rng, initial_tree, initial_loglik, cfg, cfg.n_samples, self._adjust)
+            for _ in self.temperatures
         ]
+        cold = rungs[0]
 
         swap_attempts = 0
         swap_accepts = 0
-        sweeps = 0
-        recorded = 0
         start = time.perf_counter()
         # An incremental engine keeps only the rungs' current partials (its
         # working set); full-pruning engines have no ``retain``.
         retain = getattr(self.engine, "retain", None)
-        while recorded < cfg.n_samples:
+        while cold.n_steps < cold.target_steps:
             if retain is not None:
-                retain([state.tree for state in chains])
-            for state in chains:
-                self._update_chain(state, rng)
-            sweeps += 1
-            if sweeps % self.swap_interval == 0 and self.n_chains > 1:
-                accepted, _ = self._propose_swap(chains, rng)
+                retain([rung.current for rung in rungs])
+            for beta, rung in zip(self.temperatures, rungs):
+                [(proposal, loglik)] = propose_and_evaluate(self.engine, self.resimulator, [rung])
+                metropolis_step(rung, proposal, loglik, beta, self._adjust)
+            if cold.n_steps % self.swap_interval == 0 and self.n_chains > 1:
+                swap_accepts += int(self._propose_swap(rungs, rng))
                 swap_attempts += 1
-                swap_accepts += int(accepted)
-            if sweeps > cfg.burn_in and (sweeps - cfg.burn_in) % cfg.thin == 0:
-                cold = chains[0]
-                trace.record(
-                    intervals=cold.tree.interval_representation(),
-                    log_likelihood=cold.log_likelihood,
-                    height=cold.tree.tree_height(),
-                )
-                recorded += 1
+            cold.record_if_due(cfg)
         elapsed = time.perf_counter() - start
 
-        cold = chains[0]
         return ChainResult(
-            trace=trace,
+            trace=cold.trace,
             driving_theta=self.theta,
-            n_proposal_sets=sweeps * self.n_chains,
-            n_accepted=cold.accepted,
-            n_decisions=cold.steps,
+            n_proposal_sets=cold.n_steps * self.n_chains,
+            n_accepted=cold.n_accepted,
+            n_decisions=cold.n_steps,
             n_likelihood_evaluations=self.engine.n_evaluations - evals_before,
             wall_time_seconds=elapsed,
             extras={
@@ -231,20 +178,9 @@ class HeatedChainSampler:
                 "swap_attempts": swap_attempts,
                 "swap_accepts": swap_accepts,
                 "per_chain_acceptance": [
-                    c.accepted / c.steps if c.steps else 0.0 for c in chains
+                    rung.n_accepted / rung.n_steps if rung.n_steps else 0.0 for rung in rungs
                 ],
                 "burn_in": cfg.burn_in,
-                **(
-                    {
-                        "demography": self.demography.to_dict(),
-                        "proposal_kernel": (
-                            "constant+correction"
-                            if self.importance_correction
-                            else "conditional"
-                        ),
-                    }
-                    if self.demography is not None
-                    else {}
-                ),
+                **self._kernel_extras,
             },
         )

@@ -1,4 +1,4 @@
-"""Single-proposal Metropolis-Hastings sampler (the LAMARC-style baseline).
+"""Single-proposal Metropolis-Hastings: the LAMARC baseline and its lock-step core.
 
 This is the classic coalescent genealogy sampler of Kuhner, Yamato &
 Felsenstein (1995) that the paper modifies: at every step one neighbourhood
@@ -6,27 +6,161 @@ is resimulated into a *single* candidate genealogy, which is accepted with
 probability ``min(1, P(D|G') / P(D|G))`` (Eq. 28 — the coalescent-prior
 terms cancel because the proposal is drawn from the conditional prior).
 
-The implementation shares the proposal machinery and the statistical model
-with the multi-proposal sampler; what differs is the transition rule and,
-crucially for the performance comparison, the evaluation pattern: one
-likelihood evaluation per step, strictly sequentially, with the serial
-(per-site scalar) engine by default.
+Every single-proposal chain runs through one core: each round of
+:func:`run_lockstep` proposes one candidate per chain through the stack
+kernel (each chain on its own stream), scores them all in one
+``evaluate_batch`` call and applies each chain's :func:`metropolis_step`.
+:class:`LamarcSampler` is one :class:`ChainState` on the caller's stream,
+:class:`~repro.parallel.stacked.StackedMultiChain` K states on the
+``("chain", i)`` streams, and :class:`~repro.baselines.heated.HeatedChainSampler`
+steps its rungs one after another with :func:`metropolis_step`.  A chain
+consumes its stream in the same order at any stack width and engine values
+do not depend on batch composition, so its trajectory is the same bits alone
+or stacked, on every engine.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..core.config import SamplerConfig
-from ..demography.base import Demography, prior_ratio_adjustment
+from ..core.sampler import driving_kernel
+from ..demography.base import Demography
 from ..diagnostics.traces import ChainResult, ChainTrace
 from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
 from ..proposals.neighborhood import NeighborhoodResimulator
 
-__all__ = ["LamarcSampler"]
+__all__ = ["ChainState", "LamarcSampler", "metropolis_step", "run_lockstep"]
+
+#: The batched hook of :func:`~repro.demography.base.prior_ratio_adjustment`.
+Adjust = Callable[[list[Genealogy]], np.ndarray]
+
+
+@dataclass
+class ChainState:
+    """One single-proposal chain's state between steps."""
+
+    rng: np.random.Generator
+    current: Genealogy
+    current_loglik: float
+    #: Steps after which the chain has recorded its quota:
+    #: ``burn_in + n_samples * thin``.
+    target_steps: int
+    trace: ChainTrace
+    #: Prior-ratio correction of ``current`` (importance-corrected
+    #: demography runs only; 0 otherwise).
+    current_adjust: float = 0.0
+    n_steps: int = 0
+    n_accepted: int = 0
+
+    @classmethod
+    def start(
+        cls,
+        rng: np.random.Generator,
+        tree: Genealogy,
+        loglik: float,
+        config: SamplerConfig,
+        n_samples: int,
+        adjust: Adjust | None = None,
+    ) -> "ChainState":
+        """A chain at ``tree`` that will record ``n_samples`` samples."""
+        return cls(
+            rng=rng,
+            current=tree,
+            current_loglik=loglik,
+            target_steps=config.burn_in + n_samples * config.thin,
+            trace=ChainTrace(n_intervals=tree.n_tips - 1),
+            current_adjust=0.0 if adjust is None else float(adjust([tree])[0]),
+        )
+
+    def record_if_due(self, config: SamplerConfig) -> None:
+        """Record the current state when the burn-in/thin schedule says so."""
+        past = self.n_steps - config.burn_in
+        if past > 0 and past % config.thin == 0:
+            self.trace.record(
+                intervals=self.current.interval_representation(),
+                log_likelihood=self.current_loglik,
+                height=self.current.tree_height(),
+            )
+
+
+def metropolis_step(
+    state: ChainState,
+    proposal: Genealogy,
+    loglik: float,
+    beta: float = 1.0,
+    adjust: Adjust | None = None,
+) -> None:
+    """One Metropolis-Hastings decision on ``state``'s own stream.
+
+    The data likelihood is tempered by ``beta`` (1 for an untempered
+    chain).  With ``adjust`` the constant kernel proposed under a
+    demography prior, so the prior no longer cancels out of Eq. 28: the
+    untempered prior-ratio correction enters the ratio at full strength.
+    """
+    log_ratio = beta * (loglik - state.current_loglik)
+    proposal_adjust = 0.0
+    if adjust is not None:
+        proposal_adjust = float(adjust([proposal])[0])
+        log_ratio += proposal_adjust - state.current_adjust
+    state.n_steps += 1
+    if log_ratio >= 0.0 or state.rng.random() < np.exp(log_ratio):
+        state.current = proposal
+        state.current_loglik = loglik
+        state.current_adjust = proposal_adjust
+        state.n_accepted += 1
+
+
+def propose_and_evaluate(
+    engine: LikelihoodEngine,
+    resimulator: NeighborhoodResimulator,
+    states: list[ChainState],
+) -> list[tuple[Genealogy, float]]:
+    """One candidate per chain, all scored by one ``evaluate_batch`` call.
+
+    Engine values do not depend on batch composition, so every chain gets
+    the bits it would get in a batch of its own.
+    """
+    outcomes = resimulator.propose_random_stack(
+        [st.current for st in states], [st.rng for st in states]
+    )
+    values = engine.evaluate_batch([o.tree for o in outcomes])
+    return [(o.tree, float(v)) for o, v in zip(outcomes, values)]
+
+
+def run_lockstep(
+    engine: LikelihoodEngine,
+    resimulator: NeighborhoodResimulator,
+    states: list[ChainState],
+    config: SamplerConfig,
+    adjust: Adjust | None = None,
+) -> int:
+    """Advance every chain to its ``target_steps`` in lock-step rounds.
+
+    A chain drops out once it reaches its target, so the stack narrows as
+    chains with smaller quotas finish.  Returns the number of rounds.
+    """
+    # An incremental engine keeps only the running chains' current partials
+    # (its working set); full-pruning engines have no ``retain``.
+    retain = getattr(engine, "retain", None)
+    running = [st for st in states if st.n_steps < st.target_steps]
+    rounds = 0
+    while running:
+        rounds += 1
+        if retain is not None:
+            retain([st.current for st in running])
+        for st, (proposal, loglik) in zip(
+            running, propose_and_evaluate(engine, resimulator, running)
+        ):
+            metropolis_step(st, proposal, loglik, adjust=adjust)
+            st.record_if_due(config)
+        running = [st for st in running if st.n_steps < st.target_steps]
+    return rounds
 
 
 class LamarcSampler:
@@ -60,7 +194,6 @@ class LamarcSampler:
         theta: float,
         config: SamplerConfig | None = None,
         *,
-        validate_proposals: bool = False,
         demography: Demography | None = None,
         importance_correction: bool = False,
     ) -> None:
@@ -71,90 +204,41 @@ class LamarcSampler:
         self.config = config or SamplerConfig()
         self.demography = demography
         self.importance_correction = bool(importance_correction)
-        effective = demography if demography is not None and not demography.is_constant else None
-        self.resimulator = NeighborhoodResimulator(
-            theta,
-            validate=validate_proposals,
-            demography=None if self.importance_correction else effective,
+        self.resimulator, self._adjust, self._kernel_extras = driving_kernel(
+            self.theta, demography, self.importance_correction
         )
-        self._adjust = None
-        if effective is not None and self.importance_correction:
-            batched = prior_ratio_adjustment(effective, self.theta)
-            self._adjust = lambda tree: float(batched([tree])[0])
 
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
         """Run burn-in plus sampling; every chain step is one proposal/accept decision."""
         cfg = self.config
         if initial_tree.n_tips < 3:
             raise ValueError("the sampler requires at least three sequences")
-        trace = ChainTrace(n_intervals=initial_tree.n_tips - 1)
 
         # Engines may be shared across runs; report per-run deltas.
         evals_before = self.engine.n_evaluations
         counters_before = self.resimulator.counters()
 
-        current = initial_tree
-        current_loglik = self.engine.evaluate(current)
-        current_adjust = self._adjust(current) if self._adjust is not None else 0.0
-
-        n_steps = 0
-        n_accepted = 0
-        recorded = 0
+        state = ChainState.start(
+            rng, initial_tree, self.engine.evaluate(initial_tree), cfg, cfg.n_samples, self._adjust
+        )
         start = time.perf_counter()
-
-        # An incremental engine keeps only the current state's partials
-        # (its working set); full-pruning engines have no ``retain``.
-        retain = getattr(self.engine, "retain", None)
-        while recorded < cfg.n_samples:
-            if retain is not None:
-                retain([current])
-            outcome = self.resimulator.propose_random(current, rng)
-            proposal = outcome.tree
-            proposal_loglik = self.engine.evaluate(proposal)
-            n_steps += 1
-
-            log_ratio = proposal_loglik - current_loglik
-            if self._adjust is not None:
-                # Constant-kernel proposal targeting the demography prior:
-                # the prior factors no longer cancel out of Eq. 28, so the
-                # acceptance ratio carries the prior-ratio correction.
-                proposal_adjust = self._adjust(proposal)
-                log_ratio += proposal_adjust - current_adjust
-            if log_ratio >= 0.0 or rng.random() < np.exp(log_ratio):
-                current = proposal
-                current_loglik = proposal_loglik
-                if self._adjust is not None:
-                    current_adjust = proposal_adjust
-                n_accepted += 1
-
-            if n_steps > cfg.burn_in and (n_steps - cfg.burn_in) % cfg.thin == 0:
-                trace.record(
-                    intervals=current.interval_representation(),
-                    log_likelihood=current_loglik,
-                    height=current.tree_height(),
-                )
-                recorded += 1
-
+        run_lockstep(self.engine, self.resimulator, [state], cfg, self._adjust)
         elapsed = time.perf_counter() - start
-        extras = {
-            "burn_in": cfg.burn_in,
-            "proposal_counters": {
-                key: value - counters_before[key]
-                for key, value in self.resimulator.counters().items()
-            },
-        }
-        if self.demography is not None:
-            extras["demography"] = self.demography.to_dict()
-            extras["proposal_kernel"] = (
-                "constant+correction" if self.importance_correction else "conditional"
-            )
+
         return ChainResult(
-            trace=trace,
+            trace=state.trace,
             driving_theta=self.theta,
-            n_proposal_sets=n_steps,
-            n_accepted=n_accepted,
-            n_decisions=n_steps,
+            n_proposal_sets=state.n_steps,
+            n_accepted=state.n_accepted,
+            n_decisions=state.n_steps,
             n_likelihood_evaluations=self.engine.n_evaluations - evals_before,
             wall_time_seconds=elapsed,
-            extras=extras,
+            extras={
+                "burn_in": cfg.burn_in,
+                "proposal_counters": {
+                    key: value - counters_before[key]
+                    for key, value in self.resimulator.counters().items()
+                },
+                **self._kernel_extras,
+            },
         )

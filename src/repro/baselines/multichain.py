@@ -74,19 +74,14 @@ def _run_single_chain(
     same stream names the inline path derives, so a chain draws identical
     faults whether it runs in-process or on a pool worker.
     """
-    engine = engine_factory()
-    if fault_context is not None:
-        from ..service.faults import FaultPlan, fault_scope
+    sampler = LamarcSampler(engine=engine_factory(), theta=theta, config=config)
+    if fault_context is None:
+        return sampler.run(initial_tree, rng)
+    from ..service.faults import FaultPlan, fault_scope
 
-        plan_doc, parent_scope = fault_context
-        injector = FaultPlan.from_dict(plan_doc).injector(
-            *parent_scope, "chain", chain_index
-        )
-        with fault_scope(injector):
-            return LamarcSampler(engine=engine, theta=theta, config=config).run(
-                initial_tree, rng
-            )
-    return LamarcSampler(engine=engine, theta=theta, config=config).run(initial_tree, rng)
+    plan_doc, parent_scope = fault_context
+    with fault_scope(FaultPlan.from_dict(plan_doc).injector(*parent_scope, "chain", chain_index)):
+        return sampler.run(initial_tree, rng)
 
 
 # Worker pools shared across runs, keyed by worker count.  An EM driver
@@ -206,25 +201,25 @@ class MultiChainSampler:
         across chains; ``burn_in`` is per chain (that is the point).
     n_workers:
         Number of OS processes running chains concurrently (default 1 —
-        sequential, the historical behaviour, bit-identical output).  With
-        more workers the chains execute on a :class:`ProcessPoolExecutor`;
-        because every chain owns the named RNG stream ``("chain", i)`` — a
-        pure function of the master seed and the chain index — and the pool
-        is drained in chain-index order, the pooled trace is bit-identical
-        to the sequential run for *any* worker count and any execution
-        order — only the wall clock changes
-        (reported as ``extras["parallel_wall_seconds"]``).  Requires a
+        sequential).  With more workers the chains execute on a
+        :class:`ProcessPoolExecutor`; every chain owns the named stream
+        ``("chain", i)`` and the pool is drained in chain-index order, so the
+        pooled trace is bit-identical for *any* worker count — only the wall
+        clock (``extras["parallel_wall_seconds"]``) changes.  Requires a
         picklable ``engine_factory`` (a module-level function or class
         instance, not a lambda/closure).
     mode:
-        ``"process"`` (default) runs each chain to completion independently,
-        in-process or on worker processes per ``n_workers``.  ``"stacked"``
-        delegates to :class:`~repro.parallel.stacked.StackedMultiChain`:
-        all chains advance lock-step in one process, one shared engine
-        evaluating every chain's candidate per round as a single fused
-        batch.  Both modes pool bit-identical traces (chains own named
-        streams either way); stacked ignores ``n_workers`` and does not
-        require a picklable factory.
+        ``"process"`` (default) runs each chain to completion independently
+        as a :class:`~repro.baselines.lamarc.LamarcSampler` — one state of
+        the single-proposal lock-step core — in-process or on worker
+        processes per ``n_workers``.  ``"stacked"`` delegates to
+        :class:`~repro.parallel.stacked.StackedMultiChain`: all chains are
+        states of that same core, advancing lock-step in one process with
+        one shared engine scoring every chain's candidate per round in a
+        single batch.  Both modes run the same per-chain steps on the same
+        named streams and pool through one builder, so they pool
+        bit-identical traces on every engine; stacked ignores ``n_workers``
+        and does not require a picklable factory.
     """
 
     engine_factory: Callable[[], LikelihoodEngine]
@@ -259,6 +254,77 @@ class MultiChainSampler:
         base, remainder = divmod(self.config.n_samples, self.n_chains)
         return [base + (1 if i < remainder else 0) for i in range(self.n_chains)]
 
+    def _chain_streams(
+        self, rng: np.random.Generator
+    ) -> tuple[list[tuple[int, int]], list[np.random.Generator]]:
+        """``(index, quota)`` of every chain with samples to contribute, and
+        every chain's stream.
+
+        Chain i's stream is named ``("chain", i)`` under one master seed — a
+        pure function of (master, i) — so the pooled result is bit-identical
+        for any worker count, execution mode and chain execution order.
+        """
+        master = derive_master_seed(rng)
+        active = [(i, quota) for i, quota in enumerate(self.chain_quotas()) if quota > 0]
+        return active, [named_stream(master, "chain", i) for i in range(self.n_chains)]
+
+    def _pool(
+        self,
+        chains: dict[int, tuple[ChainTrace, int, int]],
+        *,
+        parallel_wall: float,
+        n_likelihood_evaluations: int,
+        wall_time_seconds: float,
+        **extras,
+    ) -> ChainResult:
+        """Pool the chains' samples, in chain-index order, into one result.
+
+        ``chains`` maps a chain index to its ``(trace, n_steps, n_accepted)``;
+        chains without a quota are absent but keep their slots in the
+        per-chain extras.  ``extras`` follow the pooled layout.
+        """
+        cfg = self.config
+        pooled = ChainTrace(n_intervals=next(iter(chains.values()))[0].n_intervals)
+        per_chain_steps: list[int] = []
+        boundaries: list[tuple[int, int]] = []
+        for index in range(self.n_chains):
+            trace, n_steps, _ = chains.get(index, (None, 0, 0))
+            begin = len(pooled)
+            if trace is not None:
+                for row, loglik, height in zip(
+                    trace.interval_matrix, trace.log_likelihoods, trace.heights
+                ):
+                    pooled.record(row, loglik, height)
+            per_chain_steps.append(n_steps)
+            boundaries.append((begin, len(pooled)))
+        total_steps = sum(per_chain_steps)
+        return ChainResult(
+            trace=pooled,
+            driving_theta=self.theta,
+            n_proposal_sets=total_steps,
+            n_accepted=sum(n_accepted for _, _, n_accepted in chains.values()),
+            n_decisions=total_steps,
+            n_likelihood_evaluations=n_likelihood_evaluations,
+            wall_time_seconds=wall_time_seconds,
+            extras={
+                "n_chains": self.n_chains,
+                "n_workers": self.n_workers,
+                "per_chain_steps": per_chain_steps,
+                "per_chain_samples": self.chain_quotas(),
+                # Half-open [start, end) row ranges of each chain's samples
+                # in the pooled trace, so convergence diagnostics can tell
+                # the chains apart after pooling.
+                "chain_boundaries": boundaries,
+                "ideal_parallel_steps": float(
+                    AmdahlModel(cfg.burn_in, cfg.n_samples).multichain_steps(self.n_chains)
+                ),
+                "serial_steps_equivalent": cfg.burn_in + cfg.n_samples,
+                # Measured wall time of the (possibly parallel) chain phase.
+                "parallel_wall_seconds": parallel_wall,
+                **extras,
+            },
+        )
+
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
         """Run all chains and pool their post-burn-in samples.
 
@@ -269,8 +335,8 @@ class MultiChainSampler:
         chain-index order, so the result is identical either way.
         """
         if self.mode == "stacked":
-            # Imported lazily: repro.parallel.stacked imports helpers from
-            # this module, so a top-level import here would be circular.
+            # Imported lazily: repro.parallel.stacked subclasses this class,
+            # so a top-level import here would be circular.
             from ..parallel.stacked import StackedMultiChain
 
             return StackedMultiChain(
@@ -279,77 +345,17 @@ class MultiChainSampler:
                 n_chains=self.n_chains,
                 config=self.config,
             ).run(initial_tree, rng)
-        quotas = self.chain_quotas()
-
-        # Independent per-chain streams named ("chain", i) under one master
-        # seed: chain i's stream is a pure function of (master, i), so the
-        # pooled result is bit-identical for any worker count and any chain
-        # execution order — unlike the old rng.spawn tree, which handed out
-        # streams in request order and tied reproducibility to topology.
-        master = derive_master_seed(rng)
-        child_rngs = [named_stream(master, "chain", i) for i in range(self.n_chains)]
-        active = [(i, quota) for i, quota in enumerate(quotas) if quota > 0]
         parallel_start = time.perf_counter()
-        results = self._execute(active, initial_tree, child_rngs)
+        active, streams = self._chain_streams(rng)
+        results = self._execute(active, initial_tree, streams)
         parallel_wall = time.perf_counter() - parallel_start
-
-        pooled = ChainTrace(n_intervals=initial_tree.n_tips - 1)
-        total_steps = 0
-        total_accepted = 0
-        total_evals = 0
-        total_time = 0.0
-        per_chain_steps: list[int] = []
-        boundaries: list[tuple[int, int]] = []
-
-        for chain_index in range(self.n_chains):
-            result = results.get(chain_index)
-            if result is None:
-                # Keep the per-chain extras index-aligned with the quotas.
-                per_chain_steps.append(0)
-                boundaries.append((len(pooled), len(pooled)))
-                continue
-            per_chain_steps.append(result.n_proposal_sets)
-
-            start = len(pooled)
-            mat = result.interval_matrix
-            for row, loglik, height in zip(
-                mat, result.trace.log_likelihoods, result.trace.heights
-            ):
-                pooled.record(row, loglik, height)
-            boundaries.append((start, len(pooled)))
-            total_steps += result.n_proposal_sets
-            total_accepted += result.n_accepted
-            total_evals += result.n_likelihood_evaluations
-            total_time += result.wall_time_seconds
-
-        n_proc = self.n_chains
-        ideal_parallel = float(
-            AmdahlModel(self.config.burn_in, self.config.n_samples).multichain_steps(n_proc)
-        )
-        return ChainResult(
-            trace=pooled,
-            driving_theta=self.theta,
-            n_proposal_sets=total_steps,
-            n_accepted=total_accepted,
-            n_decisions=total_steps,
-            n_likelihood_evaluations=total_evals,
-            wall_time_seconds=total_time,
-            extras={
-                "n_chains": self.n_chains,
-                "n_workers": self.n_workers,
-                "per_chain_steps": per_chain_steps,
-                "per_chain_samples": quotas,
-                # Half-open [start, end) row ranges of each chain's samples in
-                # the pooled trace, so convergence diagnostics can tell the
-                # chains apart after pooling.
-                "chain_boundaries": boundaries,
-                "ideal_parallel_steps": ideal_parallel,
-                "serial_steps_equivalent": self.config.burn_in + self.config.n_samples,
-                # Measured wall time of the (possibly process-parallel) chain
-                # phase; wall_time_seconds stays the summed per-chain work so
-                # the serial-equivalent accounting is unchanged.
-                "parallel_wall_seconds": parallel_wall,
-            },
+        # wall_time_seconds stays the summed per-chain work, so the
+        # serial-equivalent accounting is unchanged by the worker count.
+        return self._pool(
+            {i: (r.trace, r.n_proposal_sets, r.n_accepted) for i, r in results.items()},
+            parallel_wall=parallel_wall,
+            n_likelihood_evaluations=sum(r.n_likelihood_evaluations for r in results.values()),
+            wall_time_seconds=sum(r.wall_time_seconds for r in results.values()),
         )
 
     def _execute(

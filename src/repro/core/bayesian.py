@@ -123,8 +123,9 @@ class BayesianSampler:
     Parameters
     ----------
     engine:
-        Likelihood engine used to evaluate proposal sets (the batched engine
-        preserves the paper's parallel evaluation pattern).
+        Likelihood engine used to evaluate proposal sets (the fused engine
+        evaluates each set as one stacked batch, the paper's parallel
+        evaluation pattern).
     prior:
         Inverse-gamma prior on θ.
     config:

@@ -237,10 +237,10 @@ class MPCGSConfig:
     :func:`repro.core.registry.available_engines`; ``"fused"`` (the
     default) is the fastest GMH hot path (sparse dirty-path work, stacked
     across the whole proposal set), and ``"batched"`` is the paper's literal
-    full-pruning kernel layout.  The batched and fused engines drive
-    bit-identical fixed-seed chains (regression-pinned), so switching
-    between them only affects speed; serial/vectorized agree to
-    floating-point accumulation order.
+    full-pruning kernel layout.  All engines compute the same likelihoods
+    up to floating-point accumulation order: batched and fused differ in the
+    last bits (up to ~1e-13), so a fixed-seed chain keeps its trajectory on
+    either unless such a difference flips an accept decision.
 
     ``demography`` selects the coalescent prior the EM loop estimates under,
     by registry name (:func:`repro.demography.available_demographies`):

@@ -189,6 +189,11 @@ def _build_heated(
         temperatures = default_temperatures(n_chains)
     elif temperatures is not None:
         temperatures = tuple(temperatures)
+        if n_chains is not None and len(temperatures) != n_chains:
+            raise ValueError(
+                f"heated sampler got n_chains={n_chains} but {len(temperatures)} "
+                "temperatures; pass one of them, or a matching pair"
+            )
     return HeatedChainSampler(
         engine=engine_factory(), theta=theta, temperatures=temperatures, config=config, **options
     )

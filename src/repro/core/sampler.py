@@ -12,11 +12,11 @@ of the paper (Section 4.1).
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
 from ..demography.base import Demography, prior_ratio_adjustment
-from ..demography.models import ExponentialDemography
 from ..diagnostics.traces import ChainResult, ChainTrace
 from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
@@ -24,7 +24,34 @@ from ..proposals.neighborhood import NeighborhoodResimulator
 from .config import SamplerConfig
 from .gmh import GeneralizedMetropolisHastings
 
-__all__ = ["MultiProposalSampler"]
+__all__ = ["MultiProposalSampler", "driving_kernel"]
+
+
+def driving_kernel(
+    theta: float, demography: Demography | None, importance_correction: bool
+) -> tuple[NeighborhoodResimulator, Callable | None, dict]:
+    """The resimulator, prior-ratio ``adjust`` hook and result extras of a chain.
+
+    A constant model (exponential g = 0 included) gets the paper's kernel and
+    no correction.  Otherwise the demography-conditional kernel proposes, or
+    with ``importance_correction`` the constant kernel does and ``adjust`` is
+    the batched log π_dem(G | θ) − log π_const(G | θ) every acceptance ratio
+    or index weight then needs.
+    """
+    effective = demography if demography is not None and not demography.is_constant else None
+    resimulator = NeighborhoodResimulator(
+        theta, demography=None if importance_correction else effective
+    )
+    adjust = None
+    if effective is not None and importance_correction:
+        adjust = prior_ratio_adjustment(effective, theta)
+    extras = {}
+    if demography is not None:
+        extras["demography"] = demography.to_dict()
+        extras["proposal_kernel"] = (
+            "constant+correction" if importance_correction else "conditional"
+        )
+    return resimulator, adjust, extras
 
 
 class MultiProposalSampler:
@@ -33,9 +60,10 @@ class MultiProposalSampler:
     Parameters
     ----------
     engine:
-        Likelihood engine used to evaluate proposal sets.  The batched
-        engine is the "parallel device" path; the serial engine reproduces a
-        classic sampler's evaluation cost.
+        Likelihood engine used to evaluate proposal sets.  Any engine works;
+        the fused engine (the default of :class:`~repro.core.config.MPCGSConfig`)
+        is the fast path, the serial engine reproduces a classic sampler's
+        evaluation cost.
     theta:
         Driving θ₀ for the conditional-coalescent proposal kernel and the
         recorded trace.
@@ -53,13 +81,9 @@ class MultiProposalSampler:
     importance_correction:
         When true, propose from the *constant-size* conditional kernel
         instead and correct each candidate's index weight by the prior
-        ratio P_dem(G | θ, params) / P_const(G | θ) (the PR-3 growth
-        mechanism, kept for comparison benchmarks and reproducibility of
-        old runs; it mixes slowly at large |g|).
-    growth:
-        Back-compat sugar for the exponential demography:
-        ``growth=g`` ≡ ``demography=ExponentialDemography(growth=g),
-        importance_correction=True`` — exactly the PR-3 chain.
+        ratio P_dem(G | θ, params) / P_const(G | θ) (kept for comparison
+        benchmarks and reproducibility of old runs; it mixes slowly at
+        large |g|).
     """
 
     def __init__(
@@ -68,38 +92,19 @@ class MultiProposalSampler:
         theta: float,
         config: SamplerConfig | None = None,
         *,
-        validate_proposals: bool = False,
-        growth: float | None = None,
         demography: Demography | None = None,
-        importance_correction: bool | None = None,
+        importance_correction: bool = False,
     ) -> None:
         if theta <= 0:
             raise ValueError("theta must be positive")
-        if growth is not None and demography is not None:
-            raise ValueError("pass either growth= (legacy) or demography=, not both")
-        if growth is not None:
-            demography = ExponentialDemography(growth=float(growth))
-            if importance_correction is None:
-                importance_correction = True
         self.engine = engine
         self.theta = float(theta)
-        self.growth = None if growth is None else float(growth)
         self.demography = demography
         self.importance_correction = bool(importance_correction)
         self.config = config or SamplerConfig()
-        # The constant model (including exponential g = 0, where the prior
-        # ratio is identically zero) needs neither rescaling nor correction:
-        # skip both and run the paper's chain bit-for-bit.
-        effective = demography if demography is not None and not demography.is_constant else None
-        self.resimulator = NeighborhoodResimulator(
-            theta,
-            validate=validate_proposals,
-            demography=None if self.importance_correction else effective,
+        self.resimulator, adjustment, self._kernel_extras = driving_kernel(
+            self.theta, demography, self.importance_correction
         )
-        adjustment = None
-        if effective is not None and self.importance_correction:
-            adjustment = prior_ratio_adjustment(effective, self.theta)
-
         self.gmh = GeneralizedMetropolisHastings(
             engine=engine,
             resimulator=self.resimulator,
@@ -174,13 +179,7 @@ class MultiProposalSampler:
                 for key, value in self.resimulator.counters().items()
             },
         }
-        if self.growth is not None:
-            extras["driving_growth"] = self.growth
-        if self.demography is not None:
-            extras["demography"] = self.demography.to_dict()
-            extras["proposal_kernel"] = (
-                "constant+correction" if self.importance_correction else "conditional"
-            )
+        extras.update(self._kernel_extras)
         return ChainResult(
             trace=trace,
             driving_theta=self.theta,

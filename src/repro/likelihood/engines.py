@@ -181,28 +181,6 @@ class LikelihoodEngine:
         """log P(D | G) for each genealogy in ``trees``."""
         raise NotImplementedError
 
-    def evaluate_stacked(self, groups: list[list[Genealogy]]) -> list[np.ndarray]:
-        """Evaluate several independent tree groups through one batched call.
-
-        ``groups`` holds one list of candidate genealogies per logical unit
-        of work — e.g. one group per chain of a stacked multichain round.
-        The groups are flattened into a *single* ``evaluate_batch`` call (so
-        a batching engine sees the full cross-group batch: one stacked
-        sweep, transition matrices deduplicated across groups) and the
-        values are split back per group.  Because every engine's batch values
-        are independent of batch composition, each group's values are
-        identical to evaluating it alone — only the execution shape changes.
-        """
-        flat = [tree for group in groups for tree in group]
-        values = np.asarray(self.evaluate_batch(flat))
-        out: list[np.ndarray] = []
-        lo = 0
-        for group in groups:
-            hi = lo + len(group)
-            out.append(values[lo:hi])
-            lo = hi
-        return out
-
 
 class SerialEngine(LikelihoodEngine):
     """Scalar per-site evaluation, one proposal at a time (the serial baseline).

@@ -204,6 +204,11 @@ class TestExperimentFacade:
         with pytest.raises(ValueError, match="unknown sampler"):
             Experiment(dataset, MPCGSConfig(sampler_name="nope"))
 
+    def test_heated_spec_with_conflicting_chain_count_fails(self, dataset):
+        config = FAST.with_sampler("heated", n_chains=2, temperatures=[1.0, 0.8, 0.6, 0.4])
+        with pytest.raises(ValueError, match="n_chains=2 but 4 temperatures"):
+            Experiment(dataset, config, theta0=0.5, seed=0).run()
+
     def test_from_spec_and_spec_round_trip(self, dataset, tmp_path):
         path = tmp_path / "seqs.phy"
         write_phylip(dataset.alignment, path)

@@ -5,12 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend.rng_registry import derive_master_seed, named_stream
 from repro.baselines.lamarc import LamarcSampler
 from repro.baselines.multichain import AmdahlModel, MultiChainSampler
 from repro.core.config import SamplerConfig
+from repro.core.mpcgs import _EngineBuilder
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import VectorizedEngine
+from repro.likelihood.mutation_models import F84
+from repro.parallel.stacked import StackedMultiChain
 from repro.simulate.coalescent_sim import expected_tmrca, simulate_genealogy
+from repro.simulate.datasets import synthesize_dataset
 
 
 @pytest.fixture
@@ -352,6 +357,49 @@ class TestStackedMultiChain:
         assert result.extras["per_chain_samples"] == [1, 1, 0, 0]
         assert result.extras["chain_boundaries"] == [(0, 1), (1, 2), (2, 2), (2, 2)]
         assert result.extras["per_chain_steps"][2:] == [0, 0]
+
+    @pytest.mark.parametrize("engine_name", ["serial", "vectorized", "batched", "fused"])
+    def test_solo_lamarc_is_a_stack_of_one(
+        self, small_dataset, uniform_model, seed_tree, engine_name
+    ):
+        """LAMARC on stream ("chain", 0) is the stacked run with K = 1, bit for bit."""
+        cfg = SamplerConfig(n_samples=60, burn_in=20)
+        factory = self._factory(small_dataset, uniform_model, engine_name)
+        stacked = StackedMultiChain(
+            engine_factory=factory, theta=1.0, n_chains=1, config=cfg
+        ).run(seed_tree, np.random.default_rng(31))
+        stream = named_stream(derive_master_seed(np.random.default_rng(31)), "chain", 0)
+        solo = LamarcSampler(factory(), 1.0, cfg).run(seed_tree, stream)
+        assert np.array_equal(solo.interval_matrix, stacked.interval_matrix)
+        assert np.array_equal(solo.trace.log_likelihoods, stacked.trace.log_likelihoods)
+        assert np.array_equal(solo.trace.heights, stacked.trace.heights)
+        assert solo.n_accepted == stacked.n_accepted
+        assert solo.n_likelihood_evaluations == stacked.n_likelihood_evaluations == 81
+        assert solo.extras["proposal_counters"] == stacked.extras["proposal_counters"]
+
+    def test_process_and_stacked_pool_the_same_batched_values(self):
+        """Process-mode chains score proposals with the same batch kernel as
+        stacked ones, so the two modes pool the same log-likelihood bits on
+        the batched engine too (whose single-tree and batch kernels round
+        differently)."""
+        cfg = SamplerConfig(n_samples=80, burn_in=20)
+        for seed in range(8):
+            data = synthesize_dataset(8, 120, 1.0, np.random.default_rng(seed))
+            model = F84(base_frequencies=data.alignment.base_frequencies(pseudocount=1.0))
+            factory = _EngineBuilder("batched", data.alignment, model)
+            tree = upgma_tree(data.alignment, driving_theta=1.0)
+            runs = [
+                MultiChainSampler(
+                    engine_factory=factory, theta=1.0, n_chains=4, config=cfg, mode=mode
+                ).run(tree, np.random.default_rng(seed))
+                for mode in ("process", "stacked")
+            ]
+            process, stacked = runs
+            assert np.array_equal(process.interval_matrix, stacked.interval_matrix), seed
+            assert np.array_equal(
+                process.trace.log_likelihoods, stacked.trace.log_likelihoods
+            ), seed
+            assert process.n_accepted == stacked.n_accepted, seed
 
     def test_unknown_mode_is_rejected(self, small_dataset, uniform_model):
         with pytest.raises(ValueError, match="mode"):

@@ -423,19 +423,17 @@ class TestConditionalKernel:
         assert est.theta == pytest.approx(1.0, rel=0.4)
         assert est.growth == pytest.approx(50.0, rel=0.25)
 
-    def test_gmh_growth_kwarg_still_uses_corrected_constant_kernel(self):
+    def test_gmh_corrected_growth_uses_constant_kernel(self):
         sampler = MultiProposalSampler(
-            _FlatEngine(), 1.0, SamplerConfig(n_proposals=2), growth=1.5
+            _FlatEngine(),
+            1.0,
+            SamplerConfig(n_proposals=2),
+            demography=ExponentialDemography(growth=1.5),
+            importance_correction=True,
         )
         assert sampler.importance_correction
         assert sampler.resimulator.demography is None
         assert sampler.gmh.log_prior_adjustment is not None
-
-    def test_gmh_rejects_growth_and_demography_together(self):
-        with pytest.raises(ValueError, match="not both"):
-            MultiProposalSampler(
-                _FlatEngine(), 1.0, growth=1.0, demography=ConstantDemography()
-            )
 
     def test_bottleneck_conditional_chain_samples_the_prior(self):
         dem = BottleneckDemography(start=0.1, duration=0.2, strength=0.1)

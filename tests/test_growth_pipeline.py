@@ -216,9 +216,16 @@ class TestGrowthTargetedChain:
         the pooled MLE over its samples recovers the driving pair."""
         seed_tree = simulate_genealogy(10, 1.0, np.random.default_rng(0))
         cfg = SamplerConfig(n_proposals=8, n_samples=2500, burn_in=300, thin=2)
-        sampler = MultiProposalSampler(_FlatEngine(), 1.0, cfg, growth=TRUE_GROWTH)
+        sampler = MultiProposalSampler(
+            _FlatEngine(),
+            1.0,
+            cfg,
+            demography=ExponentialDemography(growth=TRUE_GROWTH),
+            importance_correction=True,
+        )
         chain = sampler.run(seed_tree, np.random.default_rng(42))
-        assert chain.extras["driving_growth"] == TRUE_GROWTH
+        assert chain.extras["demography"]["params"]["growth"] == TRUE_GROWTH
+        assert chain.extras["proposal_kernel"] == "constant+correction"
         est = maximize_demography(
             DemographyPooledLikelihood(chain.interval_matrix, ExponentialDemography()),
             1.0,
@@ -240,6 +247,7 @@ class TestGrowthTargetedChain:
             upgma_tree(small_dataset.alignment, 1.0), rng
         )
         assert "driving_growth" not in chain.extras
+        assert "demography" not in chain.extras
 
 
 class TestGrowthEMDriver:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.heated import HeatedChainSampler, default_temperatures
+from repro.baselines.lamarc import LamarcSampler
 from repro.core.config import SamplerConfig
+from repro.demography.models import ExponentialDemography
 from repro.genealogy.upgma import upgma_tree
 from repro.likelihood.engines import ConstantEngine, VectorizedEngine
 from repro.simulate.coalescent_sim import expected_tmrca, simulate_genealogy
@@ -74,14 +76,36 @@ class TestRun:
         assert result.extras["swap_attempts"] >= 1
         assert 0 <= result.extras["swap_accepts"] <= result.extras["swap_attempts"]
 
-    def test_single_temperature_behaves_like_plain_mh(self, small_dataset, uniform_model, rng):
-        engine = make_engine(small_dataset, uniform_model)
+    def test_single_temperature_behaves_like_plain_mh(self, small_dataset, uniform_model):
+        """A one-rung heated chain is the LAMARC chain, bit for bit, on the
+        same stream: constant, conditional and corrected demographies."""
         tree = upgma_tree(small_dataset.alignment, 1.0)
         cfg = SamplerConfig(n_samples=25, burn_in=5)
-        result = HeatedChainSampler(engine, 1.0, temperatures=(1.0,), config=cfg).run(tree, rng)
-        assert result.n_samples == 25
-        assert result.extras["swap_attempts"] == 0
-        assert 0.0 < result.acceptance_rate <= 1.0
+        cases = {
+            "constant": {},
+            "conditional": {"demography": ExponentialDemography(growth=2.0)},
+            "corrected": {
+                "demography": ExponentialDemography(growth=2.0),
+                "importance_correction": True,
+            },
+        }
+        for name, options in cases.items():
+            result = HeatedChainSampler(
+                make_engine(small_dataset, uniform_model),
+                1.0,
+                temperatures=(1.0,),
+                config=cfg,
+                **options,
+            ).run(tree, np.random.default_rng(8))
+            plain = LamarcSampler(
+                make_engine(small_dataset, uniform_model), 1.0, cfg, **options
+            ).run(tree, np.random.default_rng(8))
+            assert result.n_samples == 25, name
+            assert result.extras["swap_attempts"] == 0, name
+            assert 0.0 < result.acceptance_rate <= 1.0, name
+            assert np.array_equal(result.interval_matrix, plain.interval_matrix), name
+            assert np.array_equal(result.trace.log_likelihoods, plain.trace.log_likelihoods), name
+            assert result.n_accepted == plain.n_accepted, name
 
     def test_requires_three_tips(self, small_dataset, uniform_model, rng):
         from repro.genealogy.tree import Genealogy

@@ -125,6 +125,21 @@ class TestMakeSampler:
         )
         assert sampler.temperatures == (1.0, 0.5)
 
+    def test_heated_rejects_conflicting_chain_count(self, engine):
+        with pytest.raises(ValueError, match="n_chains=2 but 4 temperatures"):
+            make_sampler(
+                "heated",
+                engine=engine,
+                theta=1.0,
+                config=SMALL,
+                n_chains=2,
+                temperatures=[1.0, 0.8, 0.6, 0.4],
+            )
+        matching = make_sampler(
+            "heated", engine=engine, theta=1.0, config=SMALL, n_chains=2, temperatures=[1.0, 0.5]
+        )
+        assert matching.temperatures == (1.0, 0.5)
+
     def test_register_sampler_extends_the_surface(self, engine, seed_tree, rng):
         class EchoSampler:
             def __init__(self, engine, theta):
