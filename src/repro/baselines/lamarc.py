@@ -35,7 +35,7 @@ from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
 from ..proposals.neighborhood import NeighborhoodResimulator
 
-__all__ = ["ChainState", "LamarcSampler", "metropolis_step", "run_lockstep"]
+__all__ = ["ChainState", "LamarcSampler", "metropolis_step", "propose_and_evaluate", "run_lockstep"]
 
 #: The batched hook of :func:`~repro.demography.base.prior_ratio_adjustment`.
 Adjust = Callable[[list[Genealogy]], np.ndarray]

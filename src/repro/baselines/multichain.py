@@ -339,12 +339,8 @@ class MultiChainSampler:
             # so a top-level import here would be circular.
             from ..parallel.stacked import StackedMultiChain
 
-            return StackedMultiChain(
-                engine_factory=self.engine_factory,
-                theta=self.theta,
-                n_chains=self.n_chains,
-                config=self.config,
-            ).run(initial_tree, rng)
+            stacked = StackedMultiChain(self.engine_factory, self.theta, self.n_chains, self.config)
+            return stacked.run(initial_tree, rng)
         parallel_start = time.perf_counter()
         active, streams = self._chain_streams(rng)
         results = self._execute(active, initial_tree, streams)

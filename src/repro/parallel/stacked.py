@@ -52,7 +52,9 @@ class StackedMultiChain(MultiChainSampler):
     """
 
     config: SamplerConfig = field(default_factory=SamplerConfig)
-    mode: str = "stacked"
+    # One process, stacked: fixed, not constructor options.
+    n_workers: int = field(default=1, init=False)
+    mode: str = field(default="stacked", init=False)
 
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
         """Run all chains to their quotas and pool the post-burn-in samples.

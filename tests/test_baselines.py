@@ -411,6 +411,25 @@ class TestStackedMultiChain:
                 mode="threads",
             )
 
+    def test_stacked_has_no_worker_or_mode_options(
+        self, small_dataset, uniform_model, seed_tree
+    ):
+        """Stacked runs in one process: it takes neither option and reports 1 worker."""
+        factory = self._factory(small_dataset, uniform_model)
+        for option in ({"n_workers": 4}, {"mode": "process"}):
+            with pytest.raises(TypeError):
+                StackedMultiChain(factory, 1.0, 2, SamplerConfig(), **option)
+        result = MultiChainSampler(
+            engine_factory=factory,
+            theta=1.0,
+            n_chains=2,
+            config=SamplerConfig(n_samples=4, burn_in=1),
+            n_workers=4,
+            mode="stacked",
+        ).run(seed_tree, np.random.default_rng(5))
+        assert result.extras["n_workers"] == 1
+        assert result.extras["execution_mode"] == "stacked"
+
 
 class TestStepCountHelpers:
     """Per-processor step counts of one (B, N) = (100, 1000) model."""
