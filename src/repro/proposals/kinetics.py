@@ -281,7 +281,7 @@ class _DoubleMergeCdf:
             setattr(part, name, value[rows] if isinstance(value, np.ndarray) else value)
         return part
 
-    def solve(self, u: np.ndarray) -> np.ndarray:
+    def solve(self, u: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
         """The root of ``cdf(τ) = u·reach`` on ``[0, Δ]`` per element.
 
         The CDF is concave (its density decreases in τ), so a Newton step
@@ -292,7 +292,12 @@ class _DoubleMergeCdf:
         has converged when its step is within 1e-14·max(Δ, 1) (the
         ``xtol`` of the oracle's ``brentq`` inversion), or when its steps
         stop shrinking (rounding in the CDF, not distance to the root, then
-        sets their size); the solve stops when every element has.
+        sets their size).
+
+        ``groups`` labels each element with a small non-negative integer
+        (all one group when omitted).  A group stops updating once every
+        element of it has converged, so each group gets the bits it would
+        get solved alone, whatever else shares the call.
         """
         span = self.spans
         target = u * self.reach
@@ -305,19 +310,30 @@ class _DoubleMergeCdf:
         step = (value - target) / slope
         x = np.maximum(x - step, 0.0)
         previous = np.abs(step)
+        if groups is None:
+            groups = np.zeros(x.shape, dtype=np.int64)
+        n_groups = int(groups.max()) + 1 if groups.size else 0
+        live = np.ones(x.shape, dtype=bool)
         for _ in range(_MAX_SOLVE_STEPS):
             value, slope = self(x)
             step = (value - target) / slope
-            x = x - step
+            x = np.where(live, x - step, x)
             size = np.abs(step)
-            if ((size <= tol) | (size >= previous)).all():
+            # A group goes on while any element of it has not converged.
+            unsettled = ~((size <= tol) | (size >= previous))
+            live &= (np.bincount(groups[unsettled], minlength=n_groups) > 0)[groups]
+            if not live.any():
                 break
             previous = size
         return x
 
 
 def invert_first_of_doubles(
-    rates: np.ndarray, spans: np.ndarray, u: np.ndarray, theta: float
+    rates: np.ndarray,
+    spans: np.ndarray,
+    u: np.ndarray,
+    theta: float,
+    groups: np.ndarray | None = None,
 ) -> np.ndarray:
     """First-merge offsets of double merges 3 → 1, one per element.
 
@@ -328,7 +344,8 @@ def invert_first_of_doubles(
     is Exp(ρ₃); where the closed-form total underflows to
     zero the first merge is a truncated Exp(ρ₃ − ρ₁) (large spans) or the
     triangular λ → 0 limit (tiny spans); a target at or above the ceiling
-    lands just inside the span.
+    lands just inside the span.  ``groups`` labels the elements for the
+    solve's group-wise stop (all one group when omitted).
     """
     bounded = np.isfinite(spans)
     finite = np.where(bounded, spans, 1.0)  # a stand-in where the law is Exp(ρ₃)
@@ -345,5 +362,5 @@ def invert_first_of_doubles(
         np.where(bounded, finite * (1.0 - 1e-12), -np.log1p(-u) / rates[2]),
     )
     rows = np.flatnonzero(bounded & ~underflow & (cdf.reach > u * cdf.reach))
-    result[rows] = cdf.take(rows).solve(u[rows])
+    result[rows] = cdf.take(rows).solve(u[rows], None if groups is None else groups[rows])
     return result

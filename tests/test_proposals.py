@@ -638,6 +638,69 @@ class TestSetKernel:
         # The grid reaches the underflow branch.
         assert IntervalKinetics(n_inactive=10, theta=0.3)._double_merge_cdf(200.0)[1] == 0.0
 
+    def test_one_group_solve_keeps_pinned_bits(self):
+        """Two double-merge solves captured from a 48-tip growth (g = 2)
+        proposal stream, the em-deep regime, give the bits pinned before the
+        solve took group labels, with and without an explicit single group."""
+        captured = [
+            (
+                [
+                    ["0x1.2p+4", "0x1.2p+4", "0x1.2p+4", "0x1.0p+4"],
+                    ["0x1.3p+5", "0x1.3p+5", "0x1.3p+5", "0x1.1p+5"],
+                    ["0x1.ep+5", "0x1.ep+5", "0x1.ep+5", "0x1.bp+5"],
+                ],
+                ["0x1.5d89fde4051dcp-5"] * 3 + ["0x1.6226a90011b40p-7"],
+                ["0x1.1d1c33f1ba0bep-2", "0x1.1cf8a1f426096p-2",
+                 "0x1.e9e95525a56f3p-1", "0x1.099611ef35210p-3"],
+                ["0x1.22078e3f6b86dp-8", "0x1.21de42a382e90p-8",
+                 "0x1.ecd1585eb70d6p-6", "0x1.594ce2769a6c3p-11"],
+            ),
+            (
+                [
+                    ["0x1.0p+6"] + ["0x1.dp+5"] * 5,
+                    ["0x1.04p+7"] + ["0x1.d8p+6"] * 5,
+                    ["0x1.8cp+7"] + ["0x1.68p+7"] * 5,
+                ],
+                ["0x1.83ba7c66d2770p-11"] + ["0x1.35546fd7caabcp-8"] * 5,
+                ["0x1.f8af3bebaec40p-3", "0x1.19fc7250cfed5p-1", "0x1.e124cb944edc2p-1",
+                 "0x1.90f8f732286a8p-2", "0x1.22577f765c177p-1", "0x1.8b9e4e2c493e2p-1"],
+                ["0x1.9070f887c1fe7p-14", "0x1.71cf9f053a98bp-10", "0x1.c167d5e24ed6ap-9",
+                 "0x1.e6435343b252bp-11", "0x1.803a7c37a2854p-10", "0x1.2d5999955c82dp-9"],
+            ),
+        ]
+
+        def floats(values):
+            return np.array([float.fromhex(v) for v in values])
+
+        for rates, spans, u, want in captured:
+            rates = np.array([floats(row) for row in rates])
+            spans, u, want = floats(spans), floats(u), floats(want)
+            one = np.zeros(spans.size, dtype=np.int64)
+            assert invert_first_of_doubles(rates, spans, u, 1.0).tobytes() == want.tobytes()
+            assert invert_first_of_doubles(rates, spans, u, 1.0, one).tobytes() == want.tobytes()
+
+    def test_grouped_solve_matches_each_group_alone(self):
+        """Two groups solved in one call, their elements interleaved, get
+        bitwise what each group gets solved alone; solved as one group, some
+        draws do not (a settled element keeps stepping while the rest of its
+        group converges)."""
+        shared = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            k = rng.integers(0, 12, 12)
+            spans = 10 ** rng.uniform(-4, 0.5, 12)
+            u = rng.random(12)
+            groups = rng.permutation(np.repeat([0, 1], 6))
+            rates = exit_rates(k, 1.0)
+            together = invert_first_of_doubles(rates, spans, u, 1.0, groups)
+            alone = np.empty(12)
+            for g in (0, 1):
+                rows = groups == g
+                alone[rows] = invert_first_of_doubles(rates[:, rows], spans[rows], u[rows], 1.0)
+            assert together.tobytes() == alone.tobytes(), seed
+            shared += invert_first_of_doubles(rates, spans, u, 1.0).tobytes() != alone.tobytes()
+        assert shared > 0
+
     @pytest.mark.parametrize("seed", range(8))
     def test_block_stitch_matches_reference_stitch(self, seed):
         """Each row of the stitched block is the tree ``_stitch`` builds from
