@@ -20,6 +20,7 @@ strings everything into the full proposal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,13 @@ from ..genealogy.tree import Genealogy
 
 __all__ = [
     "Region",
+    "Regions",
     "FeasibleIntervals",
+    "IntervalStack",
     "extract_region",
+    "extract_regions",
     "build_intervals",
+    "build_interval_stack",
     "rescaled_interval_spans",
 ]
 
@@ -71,6 +76,63 @@ class Region:
 
 
 @dataclass(frozen=True)
+class Regions:
+    """The neighbourhoods of a stack of K equal-sized trees, one target each, as arrays.
+
+    Row ``k`` holds the fields of tree ``k``'s :class:`Region`: ``target``,
+    ``parent``, ``ancestor`` and ``ancestor_time`` are ``(K,)``,
+    ``child_roots`` and ``child_times`` ``(K, 3)`` (the target's two
+    children, then its sibling).
+    """
+
+    target: np.ndarray
+    parent: np.ndarray
+    ancestor: np.ndarray
+    ancestor_time: np.ndarray
+    child_roots: np.ndarray
+    child_times: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.target.shape[0])
+
+    def __getitem__(self, k: int) -> Region:
+        return self.rows()[k]
+
+    def rows(self) -> list[Region]:
+        """Every row as a :class:`Region`, in order."""
+        return [
+            Region(
+                target=target,
+                parent=parent,
+                ancestor=ancestor,
+                ancestor_time=ancestor_time,
+                child_roots=tuple(roots),
+                child_times=tuple(times),
+            )
+            for target, parent, ancestor, ancestor_time, roots, times in zip(
+                self.target.tolist(),
+                self.parent.tolist(),
+                self.ancestor.tolist(),
+                self.ancestor_time.tolist(),
+                self.child_roots.tolist(),
+                self.child_times.tolist(),
+            )
+        ]
+
+    @classmethod
+    def of(cls, regions: Sequence[Region]) -> "Regions":
+        """The rows of ``regions``, in order."""
+        return cls(
+            target=np.array([r.target for r in regions], dtype=np.int64),
+            parent=np.array([r.parent for r in regions], dtype=np.int64),
+            ancestor=np.array([r.ancestor for r in regions], dtype=np.int64),
+            ancestor_time=np.array([r.ancestor_time for r in regions], dtype=float),
+            child_roots=np.array([r.child_roots for r in regions], dtype=np.int64),
+            child_times=np.array([r.child_times for r in regions], dtype=float),
+        )
+
+
+@dataclass(frozen=True)
 class FeasibleIntervals:
     """The feasible intervals of one resimulation range, as arrays.
 
@@ -103,30 +165,79 @@ class FeasibleIntervals:
         return self.ends - self.starts
 
 
+@dataclass(frozen=True)
+class IntervalStack:
+    """The feasible intervals of K resimulation ranges, padded to a common count.
+
+    ``counts[k]`` is range ``k``'s interval count ``M_k``; the other arrays
+    are ``(K, P)`` with ``P = max M_k``, row ``k`` holding range ``k``'s
+    :class:`FeasibleIntervals` in its first ``M_k`` entries.  The entries
+    past ``M_k`` are zero: empty intervals at time 0 with nothing inactive
+    and nothing activated.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    n_inactive: np.ndarray
+    activations: np.ndarray
+    counts: np.ndarray
+
+    def __getitem__(self, k: int) -> FeasibleIntervals:
+        m = int(self.counts[k])
+        return FeasibleIntervals(
+            starts=self.starts[k, :m],
+            ends=self.ends[k, :m],
+            n_inactive=self.n_inactive[k, :m],
+            activations=self.activations[k, :m],
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Interval lengths (a range's last may be ``inf``; padding is 0)."""
+        return self.ends - self.starts
+
+
 def extract_region(tree: Genealogy, target: int) -> Region:
     """Identify the neighbourhood of resimulation around ``target``.
 
     ``target`` must be an interior node other than the root.
     """
-    if tree.is_tip(target):
-        raise ValueError(f"target {target} is a tip; only interior nodes can be resimulated")
-    root = tree.root
-    if target == root:
+    return extract_regions(
+        tree.times[None], tree.parent[None], tree.children[None], np.array([target])
+    )[0]
+
+
+def extract_regions(
+    times: np.ndarray, parent: np.ndarray, children: np.ndarray, targets: np.ndarray
+) -> Regions:
+    """The neighbourhood around ``targets[k]`` in tree ``k`` of a stack, for every ``k``.
+
+    ``times``, ``parent`` and ``children`` are the ``(K, n_nodes)`` (and
+    ``(K, n_nodes, 2)``) arrays of K equal-sized trees.  Every target must
+    be an interior node other than its tree's root.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.min() < (times.shape[1] + 1) // 2:
+        tip = int(targets.min())
+        raise ValueError(f"target {tip} is a tip; only interior nodes can be resimulated")
+    rows = np.arange(targets.shape[0])
+    parents = parent[rows, targets]
+    if parents.min() < 0:
         raise ValueError("the root cannot be targeted for resimulation")
-    parent = int(tree.parent[target])
-    ancestor = int(tree.parent[parent])
-    c0, c1 = (int(c) for c in tree.children[target])
-    sibling = tree.sibling(target)
-    child_roots = (c0, c1, sibling)
-    child_times = tuple(float(tree.times[c]) for c in child_roots)
-    ancestor_time = float(tree.times[ancestor]) if ancestor >= 0 else float("inf")
-    return Region(
-        target=target,
-        parent=parent,
-        ancestor=ancestor,
+    ancestors = parent[rows, parents]
+    child_roots = np.empty((targets.shape[0], 3), dtype=np.int64)
+    child_roots[:, :2] = children[rows, targets]
+    # The parent's two children are the target and its sibling.
+    child_roots[:, 2] = children[rows, parents].sum(axis=1) - targets
+    ancestor_time = times[rows, ancestors]
+    ancestor_time[ancestors < 0] = np.inf
+    return Regions(
+        target=targets,
+        parent=parents,
+        ancestor=ancestors,
         ancestor_time=ancestor_time,
         child_roots=child_roots,
-        child_times=child_times,
+        child_times=times[rows[:, None], child_roots],
     )
 
 
@@ -192,50 +303,69 @@ def rescaled_interval_spans(
 
 
 def build_intervals(tree: Genealogy, region: Region) -> FeasibleIntervals:
-    """Split the resimulation range into feasible intervals.
+    """Split the resimulation range of ``region`` into feasible intervals.
 
-    The range starts at the youngest child-root time and ends at the
-    ancestor time (or extends to infinity when the parent was the root).
-    Breakpoints are inserted at every child-root time (an active lineage
-    appears) and at every fixed-node time strictly inside the range (the
-    inactive count changes there).  Every interval's inactive count is read
-    at its midpoint, all intervals at once.
+    One range of :func:`build_interval_stack`.
     """
-    start_time = min(region.child_times)
-    end_time = region.ancestor_time
-    child_times = np.asarray(region.child_times)
+    return build_interval_stack(tree.times[None], tree.parent[None], Regions.of([region]))[0]
 
-    times = tree.times
-    kept = np.ones(tree.n_nodes, dtype=bool)
-    kept[[region.target, region.parent]] = False
-    inside = kept & (start_time < times) & (times < end_time)
-    # Sort and drop equal neighbours instead of np.unique: its masked-array
-    # check imports numpy.ma, which costs every process about 1 MiB of
-    # resident memory on the first proposal.
-    points = np.sort(np.concatenate((child_times, times[inside])))
-    points = points[np.concatenate(([True], points[1:] != points[:-1]))]
-    if region.bounded:
-        if points[-1] < end_time:
-            points = np.append(points, end_time)
-    else:
-        points = np.append(points, np.inf)
-    if points.size < 2:
+
+def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions) -> IntervalStack:
+    """Split the resimulation range of every region of a stack into feasible intervals.
+
+    ``times`` and ``parent`` are the ``(K, n_nodes)`` arrays of K
+    equal-sized trees and ``regions`` one region in each.  A range starts
+    at the youngest child-root time and ends at the ancestor time (or
+    extends to infinity when the parent was the root).  Breakpoints are
+    inserted at every child-root time (an active lineage appears) and at
+    every fixed-node time strictly inside the range (the inactive count
+    changes there).  Every interval's inactive count is read at its
+    midpoint.  All ranges are built at once: one sort of every tree's
+    candidate breakpoints, one comparison of every midpoint with every
+    fixed edge.
+    """
+    n_ranges, n_nodes = times.shape
+    child_times = regions.child_times
+    end_time = regions.ancestor_time[:, None]
+    target, region_parent = regions.target[:, None], regions.parent[:, None]
+    nodes = np.arange(n_nodes)
+    kept = (nodes != target) & (nodes != region_parent)
+    inside = kept & (times > child_times.min(axis=1, keepdims=True)) & (times < end_time)
+    # Candidate breakpoints: the child times, the fixed nodes inside the
+    # range and its end (inf when unbounded; never below the other
+    # candidates); NaN marks no candidate and sorts last.  Equal
+    # neighbours are dropped by masking them to NaN and sorting again.
+    points = np.concatenate((child_times, np.where(inside, times, np.nan), end_time), axis=1)
+    points.sort(axis=1)
+    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
+    points.sort(axis=1)
+    counts = (points == points).sum(axis=1) - 1
+    if counts.min() < 1:
         raise ValueError("resimulation region is empty; the tree is degenerate")
+    width = int(counts.max())
+    lo, hi = points[:, :width], points[:, 1 : width + 1]
+    real = np.arange(width) < counts[:, None] if counts.min() < width else None
+    if real is not None:
+        lo, hi = np.where(real, lo, 0.0), np.where(real, hi, 0.0)
 
-    lo, hi = points[:-1], points[1:]
     midpoints = np.where(np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5)
-    # A fixed edge crosses t when child ≤ t < parent; every edge with its
-    # parent at or below t has its child there too, so the count is a
-    # difference of two sorted counts.
-    edge_child, edge_parent = _fixed_edges(tree, region)
-    n_inactive = np.searchsorted(np.sort(edge_child), midpoints, side="right") - np.searchsorted(
-        np.sort(edge_parent), midpoints, side="right"
-    )
+    # Fixed edges do not involve the deleted nodes (the target and its
+    # parent); one crosses t when child ≤ t < parent.  Other nodes get an
+    # edge that crosses nothing.
+    fixed = kept & (parent >= 0) & (parent != target) & (parent != region_parent)
+    child_side = np.where(fixed, times, np.inf)[:, None, :]
+    parent_side = times[np.arange(n_ranges)[:, None], parent][:, None, :]
+    mid = midpoints[:, :, None]
+    n_inactive = ((child_side <= mid) & (mid < parent_side)).sum(axis=2)
     # Each child root activates in exactly one interval: the one whose
     # start equals its time (child times are themselves breakpoints, so
     # exact floating-point equality is the right test here).
-    activations = np.count_nonzero(child_times == lo[:, None], axis=1)
-    return FeasibleIntervals(starts=lo, ends=hi, n_inactive=n_inactive, activations=activations)
+    activations = (child_times[:, None, :] == lo[:, :, None]).sum(axis=2)
+    if real is not None:
+        n_inactive, activations = np.where(real, n_inactive, 0), np.where(real, activations, 0)
+    return IntervalStack(
+        starts=lo, ends=hi, n_inactive=n_inactive, activations=activations, counts=counts
+    )
 
 
 __all__.append("inactive_lineage_count")

@@ -124,8 +124,10 @@ def transition_matrices(
     hi, lo = rates[1:], rates[:2]
     gap = hi - lo
     near = gap <= _REL_TOL * np.maximum(1.0, hi)  # rates are ≥ 0 and hi ≥ lo
-    # The near-equal branch; λ → 1 keeps the other finite.
-    lam = np.where(near, 1.0, gap)
+    # The near-equal branch, needed only at θ of about 10¹² or more; λ → 1
+    # keeps the other finite.
+    any_near = near.any()
+    lam = np.where(near, 1.0, gap) if any_near else gap
 
     # 3 → 1: e^{-ρ₁Δ}·f·g, μ₃μ₂Δ²e^{-ρ₁Δ} times the second divided
     # difference of e^{-x} at 0, d₂ = (ρ₂−ρ₁)Δ and d₃ = (ρ₃−ρ₁)Δ.  The
@@ -139,26 +141,21 @@ def transition_matrices(
     d2, d32 = gap * unit
     d3 = rho31 * unit
     series = d3 < _SERIES_BELOW
-    # ψ(d₃) and ψ(d₂) in one pass (d₂ < d₃, and d₃ is capped where unused).
-    x = np.empty((2, span.shape[0]))
-    x[0], x[1] = d3, d2
-    psi3, psi2 = _psi_array(np.minimum(x, _SERIES_BELOW, out=x))
     f = np.where(series, scale * d2, scale)
-    g = np.where(
-        series,
-        d3 * ((psi3 - psi2) / d32),
-        -np.expm1(-d2) - np.exp(-d2) * -np.expm1(-d32) * (gap[0] / gap[1]),
-    )
+    g = -np.expm1(-d2) - np.exp(-d2) * -np.expm1(-d32) * (gap[0] / gap[1])
+    if series.any():
+        # ψ(d₃) and ψ(d₂) in one pass over the series elements (d₂ ≤ d₃ there).
+        d3s = d3[series]
+        psi3, psi2 = _psi_array(np.stack((d3s, d2[series])))
+        g[series] = d3s * ((psi3 - psi2) / d32[series])
 
     out = np.empty((3, 3, span.shape[0]))
     if log:
         out.fill(-np.inf)
         out[(0, 1, 2), (0, 1, 2)] = -rates * fin
-        single = np.where(
-            near,
-            np.log(mu * unit) - hi * fin,
-            np.log(mu) - lo * fin + _log1mexp_array(lam * unit) - np.log(lam),
-        )
+        single = np.log(mu) - lo * fin + _log1mexp_array(lam * unit) - np.log(lam)
+        if any_near:
+            single = np.where(near, np.log(mu * unit) - hi * fin, single)
         double = -rates[0] * fin + np.log(f) + np.log(g)
         single = np.where(positive, single, -np.inf)
         double = np.where(positive, double, -np.inf)
@@ -166,11 +163,15 @@ def transition_matrices(
         out.fill(0.0)
         diag = np.exp(-rates * fin)
         out[(0, 1, 2), (0, 1, 2)] = diag
-        single = np.where(near, mu * fin * diag[1:], mu * diag[:2] * -np.expm1(-lam * fin) / lam)
+        single = mu * diag[:2] * -np.expm1(-lam * fin) / lam
+        if any_near:
+            single = np.where(near, mu * fin * diag[1:], single)
         double = np.where(positive, diag[0] * f * g, 0.0)
     out[(1, 2), (0, 1)] = single
     out[2, 0] = double
 
+    if bounded.all():
+        return out.transpose(2, 0, 1)
     # Δ = ∞: the probability of eventually reaching one lineage,
     # Π μ_j/ρ_j over the merges still to happen, multiplied from a = 3 down.
     rows = ~bounded
@@ -310,20 +311,21 @@ class _DoubleMergeCdf:
         step = (value - target) / slope
         x = np.maximum(x - step, 0.0)
         previous = np.abs(step)
-        if groups is None:
-            groups = np.zeros(x.shape, dtype=np.int64)
-        n_groups = int(groups.max()) + 1 if groups.size else 0
-        live = np.ones(x.shape, dtype=bool)
+        live = None  # every element updates until a group stops
         for _ in range(_MAX_SOLVE_STEPS):
             value, slope = self(x)
             step = (value - target) / slope
-            x = np.where(live, x - step, x)
+            x = x - step if live is None else np.where(live, x - step, x)
             size = np.abs(step)
-            # A group goes on while any element of it has not converged.
-            unsettled = ~((size <= tol) | (size >= previous))
-            live &= (np.bincount(groups[unsettled], minlength=n_groups) > 0)[groups]
-            if not live.any():
+            settled = (size <= tol) | (size >= previous)
+            if settled.all():
                 break
+            if groups is not None:
+                # A group goes on while any element of it has not converged.
+                going = np.bincount(groups[~settled], minlength=groups.max() + 1)[groups] > 0
+                live = going if live is None else live & going
+                if not live.any():
+                    break
             previous = size
         return x
 
@@ -350,8 +352,11 @@ def invert_first_of_doubles(
     bounded = np.isfinite(spans)
     finite = np.where(bounded, spans, 1.0)  # a stand-in where the law is Exp(ρ₃)
     cdf = _DoubleMergeCdf(rates, finite, theta)
-    lam = rates[2] - rates[0]
     underflow = bounded & (cdf.total <= 0.0)
+    solved = bounded & ~underflow & (cdf.reach > u * cdf.reach)
+    if solved.all():
+        return cdf.solve(u, groups)
+    lam = rates[2] - rates[0]
     result = np.where(
         underflow,
         np.where(
@@ -361,6 +366,6 @@ def invert_first_of_doubles(
         ),
         np.where(bounded, finite * (1.0 - 1e-12), -np.log1p(-u) / rates[2]),
     )
-    rows = np.flatnonzero(bounded & ~underflow & (cdf.reach > u * cdf.reach))
+    rows = np.flatnonzero(solved)
     result[rows] = cdf.take(rows).solve(u[rows], None if groups is None else groups[rows])
     return result

@@ -42,6 +42,15 @@ array program (the paper's data-parallel set kernel, Section 5.2.1):
 * the *rebuild* stitches all candidates into one ``(n, n_nodes)`` block and
   wraps each row as a :class:`~repro.genealogy.tree.Genealogy`.
 
+The same program runs over a *stack* of sets — one target in each of K
+equal-sized trees, ``n`` siblings each — with every array gaining a set
+axis: a GMH set is a stack of one, and
+:meth:`NeighborhoodResimulator.propose_random_stack` proposes the lock-step
+rounds of K chains as a stack of K sets of one.  Set ``k``'s intervals are
+padded to the stack's largest count; the backward scan multiplies a row
+only by rows of its own set and the double-merge solve stops set by set,
+so every set gets the bits it gets alone.
+
 This is the only proposal kernel.  The per-proposal reference kernel it is
 tested against (the same distribution, drawn one interval and one event at
 a time) is a test oracle, ``tests/reference_kernel.py``: a subclass that
@@ -51,15 +60,17 @@ reuses the set context and the τ → t mapping defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from ..genealogy.tree import Genealogy
 from .intervals import (
-    FeasibleIntervals,
+    IntervalStack,
     Region,
-    build_intervals,
-    extract_region,
+    Regions,
+    build_interval_stack,
+    extract_regions,
     rescaled_interval_spans,
 )
 from .kinetics import (
@@ -94,6 +105,11 @@ _PAIR_LEFT = np.array([2, 1, 0])
 _BLOCK_EXTRA = 4
 
 
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The equal-shaped ``arrays`` as one array; a view of the array when there is one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 class ResimulationError(RuntimeError):
     """A resimulated neighbourhood could not be stitched into a valid tree."""
 
@@ -116,21 +132,29 @@ class ResimulationOutcome:
 
 @dataclass
 class _SetContext:
-    """Everything about one proposal set that is identical across siblings.
+    """Everything about a stack of proposal sets that is identical across siblings.
 
-    Built once per (tree, target) by
+    Built once per stack of K sets (one target in each of K equal-sized
+    trees; a GMH set is a stack of one) by
     :meth:`NeighborhoodResimulator._build_set_context` and shared by every
-    candidate of the set: the deleted region, the feasible intervals, the
-    interval spans in the kinetics' time scale, the ``(3, M)`` exit rates,
-    the ``(M, 3, 3)`` (log-, on the demography path) transition matrices
-    and the same matrices with their columns moved to the carried active
-    count (``shifted``, see :meth:`NeighborhoodResimulator._shift_columns`),
-    the backward-pass goal table and, on the demography path, the
-    Λ-rescaled interval starts.
+    candidate: the trees' arrays stacked ``(K, n_nodes)``, the deleted
+    regions, the feasible intervals padded to the stack's largest count
+    ``P``, the ``(K, P)`` interval spans in the kinetics' time scale, the
+    ``(3, K, P)`` exit rates, the ``(K, P, 3, 3)`` (log-, on the demography
+    path) transition matrices and the same matrices with their columns
+    moved to the carried active count (``shifted``, see
+    :meth:`NeighborhoodResimulator._shift_columns`), the ``(K, P + 1, 3)``
+    backward-pass goal table and, on the demography path, the Λ-rescaled
+    interval starts.  Set ``k``'s entries past its own interval count are
+    padding that no sibling of it reads.
     """
 
-    region: Region
-    intervals: FeasibleIntervals
+    trees: list[Genealogy]
+    times: np.ndarray
+    parent: np.ndarray
+    children: np.ndarray
+    regions: Regions
+    intervals: IntervalStack
     spans: np.ndarray
     tau_starts: np.ndarray | None
     rates: np.ndarray
@@ -235,10 +259,7 @@ class NeighborhoodResimulator:
         """
         if n < 1:
             raise ValueError("a proposal set needs at least one proposal")
-        self.n_proposal_sets += 1
-        outcomes = self._propose_block(tree, self._build_set_context(tree, target), n, rng)
-        self.n_proposals_generated += n
-        return outcomes
+        return self._propose_stack([tree], [target], n, [rng])[0]
 
     def propose_random(
         self, tree: Genealogy, rng: np.random.Generator
@@ -254,37 +275,76 @@ class NeighborhoodResimulator:
         """One lock-step proposal for each of a *stack* of chains.
 
         ``trees[i]`` is chain ``i``'s current state and ``rngs[i]`` its
-        private stream.  The per-set pipeline of :meth:`propose_random` is
-        stage-separated across the stack — all target choices, then all set
-        contexts, then one set of one proposal per chain — while every chain
-        still consumes *its own* stream in exactly the order the solo
-        :meth:`propose_random` call would (choose_target, then its block;
-        the context build draws nothing).  Each chain's outcome is therefore
-        bit-identical to its solo run for any stack width, which is the
-        contract the stacked multichain executor's lock-step rounds rely on.
-        The caller gets all trees back in one list, ready for a single
-        batched likelihood evaluation.
+        private stream.  Every chain chooses its target, then the chains'
+        sets of one are proposed as one array program — the program of
+        :meth:`propose_set` with one set per chain — per group of trees
+        with the same tip count.  Each chain consumes *its own* stream
+        exactly as the solo :meth:`propose_random` call would
+        (``choose_target``, then ``rng.random((1, M + 4))``), and every
+        stage of the program computes a chain's values as its solo call
+        does, so each outcome is bit-identical to the solo run for any
+        stack width: the contract the stacked multichain executor's
+        lock-step rounds rely on.  The caller gets all trees back in one
+        list, ready for a single batched likelihood evaluation.
         """
         if len(trees) != len(rngs):
             raise ValueError("need exactly one RNG stream per stacked chain")
         targets = [self.choose_target(t, r) for t, r in zip(trees, rngs)]
-        contexts = [self._build_set_context(t, tgt) for t, tgt in zip(trees, targets)]
-        self.n_proposal_sets += len(trees)
-        outcomes = [
-            self._propose_block(t, ctx, 1, r)[0] for t, ctx, r in zip(trees, contexts, rngs)
-        ]
-        self.n_proposals_generated += len(trees)
+        groups: dict[int, list[int]] = {}
+        for i, tree in enumerate(trees):
+            groups.setdefault(tree.n_nodes, []).append(i)
+        outcomes: list[ResimulationOutcome | None] = [None] * len(trees)
+        for members in groups.values():
+            sets = self._propose_stack(
+                [trees[i] for i in members], [targets[i] for i in members], 1, [rngs[i] for i in members]
+            )
+            for i, (outcome,) in zip(members, sets):
+                outcomes[i] = outcome
+        return outcomes
+
+    def _propose_stack(
+        self,
+        trees: list[Genealogy],
+        targets: list[int],
+        n: int,
+        rngs: list[np.random.Generator],
+    ) -> list[list[ResimulationOutcome]]:
+        """The ``n`` siblings of a set around ``targets[k]`` in ``trees[k]``, for every ``k``.
+
+        The trees share a node count.  Set ``k`` draws its block
+        ``rngs[k].random((n, M_k + 4))`` (the stream contract of
+        :meth:`propose_set`); the blocks are padded to the stack's largest
+        interval count and the whole stack runs as one program: one
+        context, one forward block, one τ → t mapping, one stitch.
+        """
+        ctx = self._build_set_context(trees, targets)
+        counts = ctx.intervals.counts
+        n_sets, width = ctx.spans.shape
+        uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
+        for k, (rng, m) in enumerate(zip(rngs, counts.tolist())):
+            block = rng.random((n, m + _BLOCK_EXTRA))
+            uniforms[k, :, :m] = block[:, :m]
+            uniforms[k, :, width:] = block[:, m:]
+        self.n_proposal_sets += n_sets
+        offsets, owner = self._forward_block(ctx, uniforms)
+        merge_times = self._offsets_to_calendar(ctx, offsets, owner)
+        outcomes = self._stitch_block(ctx, merge_times, uniforms[:, :, width + 2 :])
+        self.n_proposals_generated += n_sets * n
         return outcomes
 
     # ------------------------------------------------------------------ #
     # Shared per-set context
     # ------------------------------------------------------------------ #
-    def _build_set_context(self, tree: Genealogy, target: int) -> _SetContext:
-        """All the sibling-invariant work: done once per proposal set."""
-        region = extract_region(tree, target)
-        intervals = build_intervals(tree, region)
-        self.n_interval_builds += 1
-        self.n_intervals += len(intervals)
+    def _build_set_context(self, trees: list[Genealogy], targets: list[int]) -> _SetContext:
+        """All the sibling-invariant work of a stack of sets: done once per stack."""
+        times, parent, children = (
+            _stacked([getattr(t, name) for t in trees]) for name in ("times", "parent", "children")
+        )
+        regions = extract_regions(times, parent, children, np.array(targets))
+        intervals = build_interval_stack(times, parent, regions)
+        n_sets, width = intervals.starts.shape
+        self.n_interval_builds += n_sets
+        self.n_intervals += int(intervals.counts.sum())
         # Rescaled spans can be so large that linear-space transition weights
         # underflow while their ratios stay well defined, so the demography
         # path runs the two passes in log space.
@@ -293,17 +353,22 @@ class NeighborhoodResimulator:
             tau_starts, spans = rescaled_interval_spans(intervals, self.demography)
         else:
             tau_starts, spans = None, intervals.lengths
-        rates = exit_rates(intervals.n_inactive, self.theta)
-        matrices = transition_matrices(rates, spans, self.theta, log=log_space)
+        rates = exit_rates(intervals.n_inactive.ravel(), self.theta)
+        matrices = transition_matrices(rates, spans.ravel(), self.theta, log=log_space)
+        matrices = matrices.reshape(n_sets, width, 3, 3)
         shifted = self._shift_columns(intervals.activations, matrices, log_space)
-        goal = self._backward_pass(shifted, log_space)
-        self.n_backward_passes += 1
+        goal = self._backward_pass(shifted, intervals.counts, log_space)
+        self.n_backward_passes += n_sets
         return _SetContext(
-            region=region,
+            trees=trees,
+            times=times,
+            parent=parent,
+            children=children,
+            regions=regions,
             intervals=intervals,
             spans=spans,
             tau_starts=tau_starts,
-            rates=rates,
+            rates=rates.reshape(3, n_sets, width),
             matrices=matrices,
             shifted=shifted,
             goal=goal,
@@ -319,168 +384,190 @@ class NeighborhoodResimulator:
     ) -> np.ndarray:
         """Each interval's matrix with column ``b`` moved to the carried count.
 
-        ``shifted[m][a-1, c-1] = matrices[m][a-1, b-1]`` where ``c = b + k``
-        counts the ``k`` lineages activated at the start of interval
-        ``m + 1`` (none after the last interval): the active count the next
-        interval starts with.  Entries with no ``b`` behind them, or a
-        carried count past three, have no weight.
+        ``shifted[k, m][a-1, c-1] = matrices[k, m][a-1, b-1]`` where
+        ``c = b + j`` counts the ``j`` lineages activated at the start of
+        interval ``m + 1`` of set ``k`` (none after the last interval): the
+        active count the next interval starts with.  Entries with no ``b``
+        behind them, or a carried count past three, have no weight.
         """
-        n_intervals = matrices.shape[0]
-        next_activations = np.zeros(n_intervals, dtype=np.int64)
-        next_activations[:-1] = activations[1:]
-        # Column c-1 reads column c-1-k of the matrix padded on the left
+        next_activations = np.zeros_like(activations)
+        next_activations[:, :-1] = activations[:, 1:]
+        # Column c-1 reads column c-1-j of the matrix padded on the left
         # with two columns of no weight.
-        padded = np.full((n_intervals, 3, 5), -np.inf if log_space else 0.0)
-        padded[:, :, 2:] = matrices
-        columns = np.arange(3)[None, None, :] + 2 - next_activations[:, None, None]
+        flat = matrices.reshape(-1, 3, 3)
+        padded = np.full((flat.shape[0], 3, 5), -np.inf if log_space else 0.0)
+        padded[:, :, 2:] = flat
+        columns = np.arange(3)[None, None, :] + 2 - next_activations.reshape(-1, 1, 1)
         rows = np.arange(3)[None, :, None]
-        return padded[np.arange(n_intervals)[:, None, None], rows, columns]
+        shifted = padded[np.arange(flat.shape[0])[:, None, None], rows, columns]
+        return shifted.reshape(matrices.shape)
 
     @staticmethod
-    def _backward_pass(shifted: np.ndarray, log_space: bool) -> np.ndarray:
+    def _backward_pass(shifted: np.ndarray, counts: np.ndarray, log_space: bool) -> np.ndarray:
         """Probability of a valid finish given ``a`` active lineages at each interval start.
 
-        ``goal[m, a-1]`` is the probability that, starting interval ``m``
-        with ``a`` active lineages (activations at the start of interval
-        ``m`` already counted), the process ends the resimulation range with
-        exactly one active lineage and suffers no active–inactive
-        coalescence; in log space on the demography path, where rescaled
-        spans grow like e^{g t} and linear weights underflow long before
-        their ratios stop being defined.  The transition matrices behind
-        ``shifted`` (see :meth:`_shift_columns`) are S_{a,b} over each
-        interval's span in the kinetics' time scale (calendar time for the
-        constant model, Λ-rescaled time for a demography; a demography with
-        finite total intensity makes the final span finite, conditioning on
-        eventual coalescence).
+        ``goal[k, m, a-1]`` is the probability that, starting interval
+        ``m`` of set ``k`` with ``a`` active lineages (activations at the
+        start of interval ``m`` already counted), the process ends the
+        resimulation range with exactly one active lineage and suffers no
+        active–inactive coalescence; in log space on the demography path,
+        where rescaled spans grow like e^{g t} and linear weights underflow
+        long before their ratios stop being defined.  The transition
+        matrices behind ``shifted`` (see :meth:`_shift_columns`) are
+        S_{a,b} over each interval's span in the kinetics' time scale
+        (calendar time for the constant model, Λ-rescaled time for a
+        demography; a demography with finite total intensity makes the
+        final span finite, conditioning on eventual coalescence).
 
         The recursion is ``goal[m] = shifted[m] · goal[m+1]``, so
         ``goal[m]`` is the first column of the suffix product
-        ``shifted[m] ⋯ shifted[M−1]``.  All ``M`` of those come from one
-        doubling scan over the ``(M, 3, 3)`` stack: ⌈log₂ M⌉ batched
-        (log-space) matrix products, each over every interval at once.
+        ``shifted[m] ⋯ shifted[M−1]``.  All of those come from one
+        doubling scan over the ``(K, P, 3, 3)`` stack: ⌈log₂ P⌉ batched
+        (log-space) matrix products, each over every interval of every set
+        at once.  A row takes a product only while its partner lies within
+        its own set's ``counts[k]`` intervals, so set ``k`` gets exactly
+        the products of a scan over its own ``M_k`` intervals.  From
+        ``counts[k]`` on, the goal is the virtual state beyond the final
+        boundary: success iff one active lineage.
         """
-        n_intervals = shifted.shape[0]
-        step = shifted
+        width = shifted.shape[1]
+        step = shifted.copy()
         shift = 1
-        while shift < n_intervals:
-            head, tail = step[:-shift], step[shift:]
+        ragged = counts.min() < width
+        while shift < width:
+            head, tail = step[:, :-shift], step[:, shift:]
             if log_space:
-                product = np.logaddexp.reduce(head[:, :, :, None] + tail[:, None, :, :], axis=2)
+                # logaddexp over the inner index k in order, as its reduce
+                # would accumulate it, but in two binary calls.
+                terms = head[..., None] + tail[..., None, :, :]
+                product = np.logaddexp(
+                    np.logaddexp(terms[..., 0, :], terms[..., 1, :]), terms[..., 2, :]
+                )
             else:
                 product = np.matmul(head, tail)
-            step = np.concatenate((product, step[-shift:]))
+            if ragged:
+                inside = np.arange(shift, width) < counts[:, None]
+                np.copyto(head, product, where=inside[:, :, None, None])
+            else:
+                head[...] = product
             shift *= 2
-        goal = np.empty((n_intervals + 1, 3))
-        goal[:n_intervals] = step[:, :, 0]
-        # Virtual state beyond the final boundary: success iff one active lineage.
-        goal[n_intervals] = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
+        goal = np.empty((shifted.shape[0], width + 1, 3))
+        goal[:, :width] = step[..., 0]
+        goal[np.arange(width + 1) >= counts[:, None]] = (
+            (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
+        )
         return goal
 
     @staticmethod
     def _end_state_table(ctx: _SetContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Conditioned weights of the next start state, for every interval and active count.
 
-        Row ``[m, a-1]`` holds what the forward pass needs to draw, from
-        ``a`` active lineages at the start of interval ``m``, the active
-        count ``c`` the next interval starts with (the lineages left at the
-        end of ``m`` plus those activated at the start of ``m + 1``):
-        ``cum[m, a-1]`` the cumulative weights over ``c = 1, 2, 3``,
-        ``total[m, a-1]`` their sum, and ``dead[m, a-1]`` whether no valid
-        finish exists from that state.  A weight is the transition weight
-        times the goal of ``c`` at the next interval (``shifted + goal`` in
-        log space, then shifted by the row's peak and exponentiated), so
-        impossible counts weigh nothing and every ``cum`` row is sorted.
+        Row ``[k, m, a-1]`` holds what the forward pass needs to draw, from
+        ``a`` active lineages at the start of interval ``m`` of set ``k``,
+        the active count ``c`` the next interval starts with (the lineages
+        left at the end of ``m`` plus those activated at the start of
+        ``m + 1``): ``cum[k, m, a-1]`` the cumulative weights over
+        ``c = 1, 2, 3``, ``total[k, m, a-1]`` their sum, and
+        ``dead[k, m, a-1]`` whether no valid finish exists from that state.
+        A weight is the transition weight times the goal of ``c`` at the
+        next interval (``shifted + goal`` in log space, then shifted by the
+        row's peak and exponentiated), so impossible counts weigh nothing
+        and every ``cum`` row is sorted.
         """
-        tail = ctx.goal[1:, None, :]
+        tail = ctx.goal[:, 1:, None, :]
         if ctx.log_space:
             weights = ctx.shifted + tail
-            peak = weights.max(axis=2)
+            peak = weights.max(axis=3)
             reachable = np.isfinite(peak)
-            weights = np.exp(weights - np.where(reachable, peak, 0.0)[:, :, None])
+            weights = np.exp(weights - np.where(reachable, peak, 0.0)[..., None])
         else:
             weights = ctx.shifted * tail
-        cum = np.cumsum(weights, axis=2)
-        total = cum[:, :, 2]
+        cum = np.cumsum(weights, axis=3)
+        total = cum[..., 2]
         dead = total <= 0.0
         if ctx.log_space:
             dead |= ~reachable
         return cum, total, dead
 
-    def _propose_block(
-        self, tree: Genealogy, ctx: _SetContext, n: int, rng: np.random.Generator
-    ) -> list[ResimulationOutcome]:
-        """The ``n`` candidates of one set from one block of uniforms (the stream contract)."""
-        n_intervals = len(ctx.intervals)
-        uniforms = rng.random((n, n_intervals + _BLOCK_EXTRA))
-        offsets, owner = self._forward_block(ctx, uniforms)
-        merge_times = self._offsets_to_calendar(ctx, offsets, owner)
-        return self._stitch_block(tree, ctx.region, merge_times, uniforms[:, n_intervals + 2 :])
-
     def _forward_block(
         self, ctx: _SetContext, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The forward pass of every sibling of a set, from its block of uniforms.
+        """The forward pass of every sibling of every set, from the stack's block of uniforms.
 
-        Returns ``(offsets, owner)``, each ``(n, 2)``: sibling ``i``'s two
-        merges as offsets in the kinetics' time scale from the start of the
-        interval ``owner[i, j]`` that holds them, the earlier merge first.
+        ``uniforms`` is ``(K, n, P + 4)``: row ``[k, i]`` is sibling ``i``
+        of set ``k``, its end-state uniforms in the first ``M_k`` columns
+        and its four others in the last four.  Returns ``(offsets,
+        owner)``, each ``(K, n, 2)``: the sibling's two merges as offsets in
+        the kinetics' time scale from the start of the interval
+        ``owner[k, i, j]`` that holds them, the earlier merge first.
 
-        Every draw the walk could make — each interval, start state and
-        sibling — is read off the end-state table with the sibling's
+        Every draw the walk could make — each interval, start state, set
+        and sibling — is read off the end-state table with the sibling's
         uniform for that interval, all at once, into a table of next start
         states; a start state with no valid finish leads to the dead state,
-        which the table keeps dead.  The walk itself is one gather per
-        interval over all siblings, and since the dead state has a row of
-        its own the walked state is a valid index at every step; a walk
-        that ends anywhere but one active lineage stops the set with the
-        dead-end ``RuntimeError``.  The
-        merges are then placed with the sibling's two offset uniforms (the
-        earlier merge takes the first): the first merges of all double
-        merges in one solve, and every single merge, second merges of
-        doubles included, in one inversion.
+        which the table keeps dead, and past its set's last interval a walk
+        stays where it is.  The walk itself is one gather per interval over
+        all siblings of all sets, and since the dead state has a row of its
+        own the walked state is a valid index at every step; a walk that
+        ends anywhere but one active lineage stops the stack with the
+        dead-end ``RuntimeError``.  The merges are then placed with the
+        sibling's two offset uniforms (the earlier merge takes the first):
+        the first merges of all double merges in one solve, grouped by set,
+        and every single merge, second merges of doubles included, in one
+        inversion.
         """
+        n_sets, n, _ = uniforms.shape
         intervals, spans = ctx.intervals, ctx.spans
-        n = uniforms.shape[0]
-        n_intervals = len(intervals)
+        width = spans.shape[1]
         cum, total, dead = self._end_state_table(ctx)
 
-        # Next start state of every (interval, start state 1-3, sibling).
-        # The draw stops at the last positive weight, so rounding at the top
-        # of a row cannot select a state of no weight.
-        draw = total[:, :, None] * uniforms[:, :n_intervals].T[:, None, :]
-        count = (cum[:, :, 0, None] <= draw).view(np.int8) + (cum[:, :, 1, None] <= draw)
-        last = np.where(cum[:, :, 2] > cum[:, :, 1], 2, (cum[:, :, 1] > cum[:, :, 0]).view(np.int8))
-        drawn = 1 + np.minimum(count, last[:, :, None])
-        following = np.full((n_intervals, _DEAD + 1, n), _DEAD, dtype=np.int64)
-        following[:, 1:4] = np.where(dead[:, :, None], _DEAD, drawn)
+        # Next start state of every (interval, start state 1-3, set,
+        # sibling).  The draw stops at the last positive weight, so rounding
+        # at the top of a row cannot select a state of no weight.
+        cum = cum.transpose(1, 2, 0, 3)
+        draw = total.transpose(1, 2, 0)[..., None] * uniforms[:, :, :width].transpose(2, 0, 1)[:, None]
+        count = (cum[..., 0, None] <= draw).view(np.int8) + (cum[..., 1, None] <= draw)
+        last = np.where(cum[..., 2] > cum[..., 1], 2, (cum[..., 1] > cum[..., 0]).view(np.int8))
+        drawn = 1 + np.minimum(count, last[..., None])
+        following = np.full((width, _DEAD + 1, n_sets, n), _DEAD, dtype=np.int64)
+        following[:, 1:4] = np.where(dead.transpose(1, 2, 0)[..., None], _DEAD, drawn)
+        past = np.arange(width)[:, None] >= intervals.counts
+        following.transpose(0, 2, 1, 3)[past] = np.arange(_DEAD + 1)[:, None]
 
-        # The walk over (state, sibling) codes, state·n + sibling: one
-        # gather per interval through that interval's next-state codes.
-        siblings = np.arange(n)
-        codes = (following * n + siblings).reshape(n_intervals, -1)
-        walk = np.empty((n_intervals + 1, n), dtype=np.int64)
-        code = walk[0] = intervals.activations[0] * n + siblings
-        for m in range(n_intervals):
+        # The walk over (state, lane) codes, state·L + lane, where lane
+        # k·n + i is sibling i of set k: one gather per interval through
+        # that interval's next-state codes.
+        n_lanes = n_sets * n
+        lanes = np.arange(n_lanes)
+        codes = (following.reshape(width, -1, n_lanes) * n_lanes + lanes).reshape(width, -1)
+        walk = np.empty((width + 1, n_lanes), dtype=np.int64)
+        code = walk[0] = np.repeat(intervals.activations[:, 0], n) * n_lanes + lanes
+        for m in range(width):
             code = walk[m + 1] = codes[m].take(code)
-        starts = walk // n  # active count at the start of each interval, then the finish
+        starts = walk // n_lanes  # active count at the start of each interval, then the finish
         if (starts[-1] != 1).any():
             raise RuntimeError("conditioned resimulation reached a dead end")
 
-        # Merges: ``events[m, i]`` lineages sibling i loses in interval m.
-        next_activations = np.zeros((n_intervals, 1), dtype=np.int64)
-        next_activations[:-1, 0] = intervals.activations[1:]
-        events = starts[:-1] - starts[1:] + next_activations
+        # Merges: ``events[m, lane]`` lineages the lane loses in interval m.
+        next_activations = np.zeros((width, n_sets), dtype=np.int64)
+        next_activations[:-1] = intervals.activations[:, 1:].T
+        events = starts[:-1] - starts[1:] + np.repeat(next_activations, n, axis=1)
         ms, ids = np.nonzero(events)
+        sets = ids // n
         double = events[ms, ids] == 2
         # The earlier merge takes offset slot 0; a single merge after another takes 1.
         later = np.where(double, 1, (np.cumsum(events, axis=0) - events)[ms, ids])
-        u_offsets = uniforms[:, n_intervals : n_intervals + 2]
-        span = spans[ms]
-        rates = ctx.rates[:, ms]
+        u_offsets = uniforms[:, :, width : width + 2].reshape(n_lanes, 2)
+        span = spans[sets, ms]
+        rates = ctx.rates[:, sets, ms]
         first = np.zeros(ms.shape)
         if double.any():
             first[double] = invert_first_of_doubles(
-                rates[:, double], span[double], u_offsets[ids[double], 0], self.theta
+                rates[:, double],
+                span[double],
+                u_offsets[ids[double], 0],
+                self.theta,
+                sets[double] if n_sets > 1 else None,
             )
         # Single merges a → a−1, and the 2 → 1 after the first of a double.
         active = np.where(double, 2, starts[ms, ids])
@@ -491,8 +578,8 @@ class NeighborhoodResimulator:
             span - first,
             u_offsets[ids, later],
         )
-        offsets = np.empty((n, 2))
-        owner = np.empty((n, 2), dtype=np.int64)
+        offsets = np.empty((n_lanes, 2))
+        owner = np.empty((n_lanes, 2), dtype=np.int64)
         offsets[ids, later] = merged
         owner[ids, later] = ms
         offsets[ids[double], 0] = first[double]
@@ -503,18 +590,21 @@ class NeighborhoodResimulator:
         bounded = np.isfinite(spans)
         lower = np.where(bounded, spans * _TIME_EPS, _TIME_EPS)
         upper = np.where(bounded, spans * (1.0 - _TIME_EPS), np.inf)
-        offsets = np.minimum(np.maximum(offsets, lower[owner]), upper[owner])
+        offsets, owner = offsets.reshape(n_sets, n, 2), owner.reshape(n_sets, n, 2)
+        sets = np.arange(n_sets)[:, None, None]
+        offsets = np.minimum(np.maximum(offsets, lower[sets, owner]), upper[sets, owner])
         return offsets, owner
 
     def _offsets_to_calendar(
         self, ctx: _SetContext, offsets: np.ndarray, owner: np.ndarray
     ) -> np.ndarray:
-        """Map all (interval, offset) samples to sorted calendar merge times."""
-        starts = ctx.intervals.starts
+        """Map all ``(K, n, ·)`` (interval, offset) samples to sorted calendar merge times."""
+        sets = np.arange(offsets.shape[0])[:, None, None]
+        starts = ctx.intervals.starts[sets, owner]
         if ctx.tau_starts is None:
-            times = starts[owner] + offsets
+            times = starts + offsets
         else:
-            tau = ctx.tau_starts[owner] + offsets
+            tau = ctx.tau_starts[sets, owner] + offsets
             mapped = np.asarray(
                 self.demography.inverse_cumulative_intensity(tau.ravel()), dtype=float
             )
@@ -522,9 +612,8 @@ class NeighborhoodResimulator:
             # The Λ → Λ⁻¹ roundtrip can land epsilon outside the owning
             # interval (below a child root's activation time), violating the
             # activation invariant the stitch relies on: clamp it back.
-            ends = ctx.intervals.ends
-            times = np.minimum(np.maximum(times, starts[owner]), ends[owner])
-        return np.sort(times, axis=1)
+            times = np.minimum(np.maximum(times, starts), ctx.intervals.ends[sets, owner])
+        return np.sort(times, axis=-1)
 
     # ------------------------------------------------------------------ #
     # Tree surgery
@@ -549,92 +638,106 @@ class NeighborhoodResimulator:
         return tuple(nodes)
 
     def _stitch_block(
-        self,
-        tree: Genealogy,
-        region: Region,
-        merge_times: np.ndarray,
-        pair_u: np.ndarray,
-    ) -> list[ResimulationOutcome]:
-        """Stitch every candidate of a set into one ``(n, n_nodes)`` block.
+        self, ctx: _SetContext, merge_times: np.ndarray, pair_u: np.ndarray
+    ) -> list[list[ResimulationOutcome]]:
+        """Stitch every candidate of every set into one ``(K, n, n_nodes)`` block.
 
-        The target's index becomes the first merge's node and the parent's
+        ``merge_times`` and ``pair_u`` are ``(K, n, 2)``: the sorted merge
+        times and the two pair uniforms of sibling ``i`` of set ``k``.  The
+        target's index becomes the first merge's node and the parent's
         index the second's, so a tree's root index never changes; each
         merge is strictly older than both of its children, and on a bounded
         region the second merge is squeezed strictly below the ancestor.
-        The pair choice is read from the sibling's first pair uniform, for
-        all siblings at once.  Every sibling shares the region, so the candidates differ only in the
+        The siblings of a set share its region, so they differ only in the
         pairing of the first merge and the two new times: with the child
         roots sorted by time, the first merge joins the first two, unless
-        all three are present by then, when ⌊3u⌋ picks one of the three
-        pairs; the second merge joins the first merge's node to the root
-        left out.  Each block row becomes one :class:`Genealogy` without a
-        further copy, carrying the generator's arena rows (computed once
-        for the set) outside the rewritten nodes.
+        all three are present by then, when ⌊3u⌋ of the sibling's first
+        pair uniform picks one of the three pairs; the second merge joins
+        the first merge's node to the root left out.  All siblings of all
+        sets are stitched at once.  Each block row becomes one
+        :class:`Genealogy` without a further copy, carrying its tree's
+        arena rows (computed once per set) outside the rewritten nodes.
         """
-        n = merge_times.shape[0]
-        target, parent = region.target, region.parent
-        order = sorted(range(3), key=lambda j: region.child_times[j])
-        roots = np.asarray(region.child_roots)[order]
-        child_times = np.asarray(region.child_times)[order]
-        t1, t2 = merge_times[:, 0], merge_times[:, 1]
+        n_sets, n = merge_times.shape[:2]
+        regions = ctx.regions
+        sets = np.arange(n_sets)[:, None]
+        order = np.argsort(regions.child_times, axis=1, kind="stable")
+        roots = regions.child_roots[sets, order]
+        child_times = regions.child_times[sets, order]
+        t1, t2 = merge_times[..., 0], merge_times[..., 1]
 
-        three = child_times[2] <= t1
-        pick = np.where(three, np.minimum((pair_u[:, 0] * 3.0).astype(np.int64), 2), 0)
+        three = child_times[:, 2:] <= t1
+        pick = np.where(three, np.minimum((pair_u[..., 0] * 3.0).astype(np.int64), 2), 0)
         i, j, k = _PAIR_FIRST[pick], _PAIR_SECOND[pick], _PAIR_LEFT[pick]
-        first, second, left = roots[i], roots[j], roots[k]
+        first, second, left = roots[sets, i], roots[sets, j], roots[sets, k]
         # Each merge strictly older than both of its children.
-        time_a = np.maximum(t1, np.maximum(child_times[i], child_times[j]) + _TIME_EPS)
-        child_max = np.maximum(time_a, child_times[k])
+        time_a = np.maximum(t1, np.maximum(child_times[sets, i], child_times[sets, j]) + _TIME_EPS)
+        child_max = np.maximum(time_a, child_times[sets, k])
         time_b = np.maximum(t2, child_max + _TIME_EPS)
-        if region.bounded:
-            # The second merge must stay strictly below the ancestor *and*
-            # strictly above its own children.
-            upper = region.ancestor_time
-            over = time_b >= upper
-            if over.any():
-                squeezed = upper - _TIME_EPS * max(1.0, upper)
-                squeezed = np.where(squeezed <= child_max, 0.5 * (child_max + upper), squeezed)
-                empty = over & ~((child_max < squeezed) & (squeezed < upper))
-                if empty.any():
-                    raise ResimulationError(
-                        f"no valid time for the top merge of target {region.target}: "
-                        f"ancestor at {upper!r}, children at "
-                        f"{float(child_max[empty][0])!r} leave an empty window"
-                    )
-                time_b = np.where(over, squeezed, time_b)
+        # On a bounded region the second merge must stay strictly below the
+        # ancestor *and* strictly above its own children.
+        over = time_b >= regions.ancestor_time[:, None]
+        if over.any():
+            ceiling, floor = np.repeat(regions.ancestor_time, n)[over.ravel()], child_max[over]
+            squeezed = ceiling - _TIME_EPS * np.maximum(1.0, ceiling)
+            squeezed = np.where(squeezed <= floor, 0.5 * (floor + ceiling), squeezed)
+            empty = ~((floor < squeezed) & (squeezed < ceiling))
+            if empty.any():
+                at = np.argwhere(over)[np.argmax(empty), 0]
+                raise ResimulationError(
+                    f"no valid time for the top merge of target {int(regions.target[at])}: "
+                    f"ancestor at {float(ceiling[empty][0])!r}, children at "
+                    f"{float(floor[empty][0])!r} leave an empty window"
+                )
+            time_b[over] = squeezed
 
-        siblings = np.arange(n)
-        times = np.repeat(tree.times[None, :], n, axis=0)
-        times[:, target] = time_a
-        times[:, parent] = time_b
-        parents = np.repeat(tree.parent[None, :], n, axis=0)
-        parents[siblings, first] = target
-        parents[siblings, second] = target
-        parents[siblings, left] = parent
-        children = np.repeat(tree.children[None, :, :], n, axis=0)
-        children[:, target, 0] = first
-        children[:, target, 1] = second
+        # Every write below goes through a flat index into the block: row
+        # (set, sibling) of the block starts at ``base``.
+        n_nodes = ctx.times.shape[1]
+        base = np.arange(n_sets * n).reshape(n_sets, n) * n_nodes
+        target, parent = base + regions.target[:, None], base + regions.parent[:, None]
+        times = np.repeat(ctx.times[:, None], n, axis=1)
+        flat = times.reshape(-1)
+        flat[target] = time_a
+        flat[parent] = time_b
+        parents = np.repeat(ctx.parent[:, None], n, axis=1)
+        flat = parents.reshape(-1)
+        flat[base + first] = regions.target[:, None]
+        flat[base + second] = regions.target[:, None]
+        flat[base + left] = regions.parent[:, None]
+        children = np.repeat(ctx.children[:, None], n, axis=1)
+        flat = children.reshape(-1)
+        flat[2 * target] = first
+        flat[2 * target + 1] = second
         # The second merge lists the root left out first when it was already
         # active at the first merge (activation order, as the oracle's stitch
         # in tests/reference_kernel.py does, so the two compare row for row).
-        children[:, parent, 0] = np.where(three, left, target)
-        children[:, parent, 1] = np.where(three, target, left)
+        flat[2 * parent] = np.where(three, left, regions.target[:, None])
+        flat[2 * parent + 1] = np.where(three, regions.target[:, None], left)
 
-        inherited = tree.rows_for_copies(self._rewritten_nodes(tree, region))
-        changed = (left != region.child_roots[2]).tolist()
-        new_times = zip(time_a.tolist(), time_b.tolist())
+        lanes = zip(
+            times.reshape(n_sets * n, n_nodes),
+            parents.reshape(n_sets * n, n_nodes),
+            children.reshape(n_sets * n, n_nodes, 2),
+            zip(time_a.ravel().tolist(), time_b.ravel().tolist()),
+            (left != regions.child_roots[:, 2:]).ravel().tolist(),
+        )
         outcomes = []
-        for row, pair, topology_changed in zip(range(n), new_times, changed):
-            new = Genealogy._adopt(
-                times[row], parents[row], children[row], tree.tip_names, tree.root
-            )
-            if inherited is not None:
-                new.arena_rows = inherited._replace(key=new._structure_key())
-            if self.validate:
-                new.validate()
-            outcomes.append(
-                ResimulationOutcome(
-                    tree=new, region=region, new_times=pair, topology_changed=topology_changed
+        for tree, region in zip(ctx.trees, regions.rows()):
+            inherited = tree.rows_for_copies(self._rewritten_nodes(tree, region))
+            row = []
+            for lane_times, lane_parents, lane_children, pair, topology_changed in islice(lanes, n):
+                new = Genealogy._adopt(
+                    lane_times, lane_parents, lane_children, tree.tip_names, tree.root
                 )
-            )
+                if inherited is not None:
+                    new.arena_rows = inherited._replace(key=new._structure_key())
+                if self.validate:
+                    new.validate()
+                row.append(
+                    ResimulationOutcome(
+                        tree=new, region=region, new_times=pair, topology_changed=topology_changed
+                    )
+                )
+            outcomes.append(row)
         return outcomes

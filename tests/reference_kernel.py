@@ -345,17 +345,19 @@ class ReferenceResimulator(NeighborhoodResimulator):
 
     ``propose_set`` is ``n`` independent :meth:`propose` calls, each with a
     set context of its own, so the counters record one interval build and
-    one backward pass per proposal.  :meth:`_propose_block` replaces the set
-    kernel's block with one forward pass and one rebuild per proposal, so
-    the inherited ``propose_random`` and ``propose_random_stack`` run this
-    kernel too.
+    one backward pass per proposal.  :meth:`_propose_block` draws the
+    proposals of one set context with one forward pass and one rebuild per
+    proposal.  The inherited ``propose_random`` reaches it through
+    ``propose_set``, and ``propose_random_stack`` runs each chain's
+    ``propose_random`` in turn, so every entry point runs this kernel.
     """
 
     def propose(
         self, tree: Genealogy, target: int, rng: np.random.Generator
     ) -> ResimulationOutcome:
         """Resimulate the neighbourhood around ``target`` and return the new genealogy."""
-        outcome = self._propose_block(tree, self._build_set_context(tree, target), 1, rng)[0]
+        ctx = self._build_set_context([tree], [target])
+        outcome = self._propose_block(tree, ctx, 1, rng)[0]
         self.n_proposals_generated += 1
         return outcome
 
@@ -367,16 +369,24 @@ class ReferenceResimulator(NeighborhoodResimulator):
         self.n_proposal_sets += 1
         return [self.propose(tree, target, rng) for _ in range(n)]
 
+    def propose_random_stack(
+        self, trees: list[Genealogy], rngs: list[np.random.Generator]
+    ) -> list[ResimulationOutcome]:
+        """Each chain's solo :meth:`propose_random`, one chain after another."""
+        if len(trees) != len(rngs):
+            raise ValueError("need exactly one RNG stream per stacked chain")
+        return [self.propose_random(tree, rng) for tree, rng in zip(trees, rngs)]
+
     def _propose_block(
         self, tree: Genealogy, ctx, n: int, rng: np.random.Generator
     ) -> list[ResimulationOutcome]:
-        """``n`` proposals from one set context, each drawn whole (walk, merges, pairs) in turn."""
+        """``n`` proposals from a set context of one set, each drawn whole (walk, merges, pairs) in turn."""
 
         def choose_pair(event_index: int, n_active: int) -> tuple[int, int]:
             i, j = sorted(int(x) for x in rng.choice(n_active, size=2, replace=False))
             return i, j
 
-        region = ctx.region
+        region = ctx.regions[0]
         outcomes = []
         for _ in range(n):
             merge_times = self._forward_pass(ctx, rng)
@@ -406,10 +416,10 @@ class ReferenceResimulator(NeighborhoodResimulator):
         to calendar time as soon as they are drawn, through the set
         kernel's :meth:`~NeighborhoodResimulator._offsets_to_calendar`.
         """
-        intervals, goal = ctx.intervals, ctx.goal
+        intervals, goal, matrices = ctx.intervals[0], ctx.goal[0], ctx.matrices[0]
         n_intervals = len(intervals)
         activations = intervals.activations.tolist()
-        spans = ctx.spans.tolist()
+        spans = ctx.spans[0, :n_intervals].tolist()
         merge_times: list[float] = []
         active = 0
         for m in range(n_intervals):
@@ -418,7 +428,7 @@ class ReferenceResimulator(NeighborhoodResimulator):
                 raise RuntimeError("active lineage bookkeeping is inconsistent")
             span = spans[m]
             next_activations = activations[m + 1] if m + 1 < n_intervals else 0
-            s_matrix = ctx.matrices[m]
+            s_matrix = matrices[m]
 
             weights = np.full(active, -np.inf) if ctx.log_space else np.zeros(active)
             for b in range(1, active + 1):
@@ -448,9 +458,9 @@ class ReferenceResimulator(NeighborhoodResimulator):
                     bounded = np.isfinite(span)
                     upper = span * (1.0 - _TIME_EPS) if bounded else off
                     offsets.append(min(max(off, span * _TIME_EPS if bounded else _TIME_EPS), upper))
-                owner = np.full((1, len(offsets)), m)
-                times = self._offsets_to_calendar(ctx, np.array([offsets]), owner)
-                merge_times.extend(times[0].tolist())
+                owner = np.full((1, 1, len(offsets)), m)
+                times = self._offsets_to_calendar(ctx, np.array([[offsets]]), owner)
+                merge_times.extend(times[0, 0].tolist())
             active = end_state
 
         if active != 1 or len(merge_times) != 2:

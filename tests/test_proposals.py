@@ -709,12 +709,13 @@ class TestSetKernel:
         tree = simulate_genealogy(8, 1.0, rng)
         resim = NeighborhoodResimulator(1.0, validate=True)
         for target in (int(t) for t in eligible_targets(tree)):
-            ctx = resim._build_set_context(tree, target)
-            uniforms = rng.random((12, len(ctx.intervals) + 4))
-            offsets, owner = resim._forward_block(ctx, uniforms)
-            merge_times = resim._offsets_to_calendar(ctx, offsets, owner)
+            ctx = resim._build_set_context([tree], [target])
+            uniforms = rng.random((12, len(ctx.intervals[0]) + 4))
+            offsets, owner = resim._forward_block(ctx, uniforms[None])
+            merge_times = resim._offsets_to_calendar(ctx, offsets, owner)[0]
             pair_u = uniforms[:, -2:]
-            outcomes = resim._stitch_block(tree, ctx.region, merge_times, pair_u)
+            (outcomes,) = resim._stitch_block(ctx, merge_times[None], pair_u[None])
+            region = ctx.regions[0]
             for i, outcome in enumerate(outcomes):
                 ref = tree.copy()
 
@@ -724,15 +725,141 @@ class TestSetKernel:
                     return ((0, 1), (0, 2), (1, 2))[min(int(u[event_index] * 3.0), 2)]
 
                 new_nodes, first_pair = ReferenceResimulator._stitch(
-                    ref.times, ref.parent, ref.children, ctx.region, merge_times[i], choose_pair
+                    ref.times, ref.parent, ref.children, region, merge_times[i], choose_pair
                 )
                 assert outcome.tree.times.tobytes() == ref.times.tobytes()
                 assert np.array_equal(outcome.tree.parent, ref.parent)
                 assert np.array_equal(outcome.tree.children, ref.children)
                 assert outcome.new_times == (ref.times[new_nodes[0]], ref.times[new_nodes[1]])
                 assert outcome.topology_changed == ReferenceResimulator._topology_changed(
-                    tree, ctx.region, first_pair
+                    tree, region, first_pair
                 )
+
+
+class TestStackedProgram:
+    """A stack of chains proposes as one program, and each chain gets its solo bits."""
+
+    @pytest.mark.parametrize("n_tips", [12, 48])
+    @pytest.mark.parametrize(
+        "growth", [None, 5.0, -5.0], ids=["constant", "growth5", "decline5"]
+    )
+    def test_stack_equals_solo_grid(self, n_tips, growth):
+        """K = 1, 2, 4 and 8 chains, 30 seeds and 20 rounds of trees that
+        advance to their proposals: each chain's times, children, new times
+        and topology flag equal its solo ``propose_random`` bitwise, its
+        stream ends where the solo run's does, and the stack's counters are
+        the solo chains' sums.  A chain's solo run does not depend on K, so
+        the first K of eight solo runs serve every stack width."""
+        demography = None if growth is None else ExponentialDemography(growth=growth)
+        widths, n_rounds = (1, 2, 4, 8), 20
+        for seed in range(30):
+            starts = [
+                simulate_genealogy(n_tips, 1.0, np.random.default_rng([seed, i])) for i in range(8)
+            ]
+            solo_resims = [NeighborhoodResimulator(1.0, demography=demography) for _ in range(8)]
+            solo_rngs = [np.random.default_rng([seed, 100 + i]) for i in range(8)]
+            solo_trees, solo = list(starts), []
+            for _ in range(n_rounds):
+                outcomes = [
+                    r.propose_random(t, g) for r, t, g in zip(solo_resims, solo_trees, solo_rngs)
+                ]
+                solo.append(outcomes)
+                solo_trees = [o.tree for o in outcomes]
+            for width in widths:
+                resim = NeighborhoodResimulator(1.0, demography=demography)
+                rngs = [np.random.default_rng([seed, 100 + i]) for i in range(width)]
+                trees = starts[:width]
+                for round_outcomes in solo:
+                    stacked = resim.propose_random_stack(trees, rngs)
+                    for a, b in zip(stacked, round_outcomes):
+                        assert a.tree.times.tobytes() == b.tree.times.tobytes(), (seed, width)
+                        assert np.array_equal(a.tree.children, b.tree.children)
+                        assert a.new_times == b.new_times
+                        assert a.topology_changed == b.topology_changed
+                    trees = [o.tree for o in stacked]
+                # Stream positions: every stacked stream continues as the solo one.
+                for i, rng in enumerate(rngs):
+                    assert rng.bit_generator.state == solo_rngs[i].bit_generator.state
+                totals = {
+                    key: sum(r.counters()[key] for r in solo_resims[:width])
+                    for key in resim.counters()
+                }
+                assert resim.counters() == totals
+
+    @pytest.mark.parametrize(
+        "growth", [None, 5.0, -5.0], ids=["constant", "growth5", "decline5"]
+    )
+    def test_stacked_context_rows_are_solo_contexts(self, growth):
+        """Every array of a stack's set context, cut to set k's own interval
+        count, is set k's solo context bitwise — the backward pass's goal
+        table included, zeros' signs too."""
+        demography = None if growth is None else ExponentialDemography(growth=growth)
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        for seed in range(20):
+            trees = [simulate_genealogy(12, 1.0, np.random.default_rng([seed, i])) for i in range(5)]
+            rng = np.random.default_rng(seed)
+            targets = [resim.choose_target(t, rng) for t in trees]
+            ctx = resim._build_set_context(trees, targets)
+            assert len(set(ctx.intervals.counts.tolist())) > 1
+            for k, (tree, target) in enumerate(zip(trees, targets)):
+                solo = resim._build_set_context([tree], [target])
+                m = int(ctx.intervals.counts[k])
+                assert solo.spans.shape == (1, m)
+                for name in ("spans", "matrices", "shifted"):
+                    assert getattr(ctx, name)[k, :m].tobytes() == getattr(solo, name)[0].tobytes()
+                assert ctx.rates[:, k, :m].tobytes() == solo.rates[:, 0].tobytes()
+                assert ctx.goal[k, : m + 1].tobytes() == solo.goal[0].tobytes(), (seed, k)
+
+    @pytest.mark.parametrize(
+        "demography", [None, ExponentialDemography(growth=50.0)], ids=["constant", "growth50"]
+    )
+    def test_dead_chain_stops_the_stack_as_it_stops_its_solo_call(self, demography):
+        """A chain whose goal table has no valid finish (as in
+        ``test_forced_dead_end_raises``) raises the dead-end error of its
+        solo call from inside a stack; its neighbours alone do not."""
+        trees = [simulate_genealogy(6 + i, 1.0, np.random.default_rng(4 + i)) for i in range(3)]
+        dead_tree = trees[1]
+        resim = NeighborhoodResimulator(1.0, demography=demography)
+        build = resim._build_set_context
+
+        def kill_dead_tree(stack_trees, targets):
+            ctx = build(stack_trees, targets)
+            for k, tree in enumerate(stack_trees):
+                if tree is dead_tree:
+                    ctx.goal[k] = -np.inf if ctx.log_space else 0.0
+            return ctx
+
+        resim._build_set_context = kill_dead_tree
+        same_tips = [simulate_genealogy(7, 1.0, np.random.default_rng(s)) for s in (8, 9)]
+        for stack in (trees, [same_tips[0], dead_tree, same_tips[1]]):
+            rngs = [np.random.default_rng([5, i]) for i in range(3)]
+            with pytest.raises(RuntimeError) as stacked:
+                resim.propose_random_stack(stack, rngs)
+            with pytest.raises(RuntimeError) as solo:
+                resim.propose_random(dead_tree, np.random.default_rng([5, 1]))
+            assert type(stacked.value) is type(solo.value)
+            assert str(stacked.value) == str(solo.value) == "conditioned resimulation reached a dead end"
+        alive = [same_tips[0], same_tips[1]]
+        resim.propose_random_stack(alive, [np.random.default_rng(i) for i in range(2)])
+
+    def test_reference_stack_runs_the_oracle_per_chain(self):
+        """``ReferenceResimulator.propose_random_stack`` is each chain's solo
+        oracle call in turn: the same bits and streams, and one interval
+        build per proposal."""
+        trees = [simulate_genealogy(8, 1.0, np.random.default_rng(i)) for i in range(3)]
+        stacked_resim, solo_resim = ReferenceResimulator(1.0), ReferenceResimulator(1.0)
+        stack_rngs = [np.random.default_rng([3, i]) for i in range(3)]
+        solo_rngs = [np.random.default_rng([3, i]) for i in range(3)]
+        for _ in range(4):
+            stacked = stacked_resim.propose_random_stack(trees, stack_rngs)
+            solo = [solo_resim.propose_random(t, r) for t, r in zip(trees, solo_rngs)]
+            for a, b in zip(stacked, solo):
+                assert a.tree.times.tobytes() == b.tree.times.tobytes()
+                assert np.array_equal(a.tree.children, b.tree.children)
+            trees = [o.tree for o in stacked]
+        assert [r.random() for r in stack_rngs] == [r.random() for r in solo_rngs]
+        assert stacked_resim.counters() == solo_resim.counters()
+        assert stacked_resim.counters()["n_interval_builds"] == 12
 
 
 class _FixedUniform:

@@ -200,14 +200,15 @@ def _reference_row(ctx, m: int, a: int) -> np.ndarray | None:
     sibling with ``a`` active lineages in interval ``m``: cumulative weights
     over the end count b = 1, 2, 3, or None where the conditioned walk
     reaches a dead end."""
-    n_intervals = len(ctx.intervals)
+    intervals = ctx.intervals[0]
+    n_intervals = len(intervals)
     b_range = np.arange(1, 4)
-    next_activations = ctx.intervals.activations[m + 1] if m + 1 < n_intervals else 0
+    next_activations = intervals.activations[m + 1] if m + 1 < n_intervals else 0
     carried = b_range + next_activations
     active = np.array([a])
     allowed = (b_range[None, :] <= active[:, None]) & (carried[None, :] <= 3)
-    tail = ctx.goal[m + 1, np.minimum(carried, 3) - 1]
-    rows = ctx.matrices[m][active - 1]
+    tail = ctx.goal[0, m + 1, np.minimum(carried, 3) - 1]
+    rows = ctx.matrices[0, m][active - 1]
     if ctx.log_space:
         w = np.where(allowed, rows + tail[None, :], -np.inf)
         peak = w.max(axis=1)
@@ -271,12 +272,13 @@ class TestTableDrivenKernel:
         tree = simulate_genealogy(n_tips, 1.0, np.random.default_rng(seed))
         resim = NeighborhoodResimulator(1.0, demography=demography)
         for target in eligible_targets(tree):
-            ctx = resim._build_set_context(tree, int(target))
+            ctx = resim._build_set_context([tree], [int(target)])
             assert ctx.log_space == (demography is not None)
-            cum, total, dead = resim._end_state_table(ctx)
-            n_intervals = len(ctx.intervals)
+            (cum, total, dead) = (table[0] for table in resim._end_state_table(ctx))
+            intervals = ctx.intervals[0]
+            n_intervals = len(intervals)
             for m in range(n_intervals):
-                k = int(ctx.intervals.activations[m + 1]) if m + 1 < n_intervals else 0
+                k = int(intervals.activations[m + 1]) if m + 1 < n_intervals else 0
                 for a in (1, 2, 3):
                     want = _reference_row(ctx, m, a)
                     if want is None:
@@ -292,9 +294,9 @@ class TestTableDrivenKernel:
         """A goal table with no valid finish stops both forward passes."""
         tree = simulate_genealogy(6, 1.0, np.random.default_rng(4))
         resim = ReferenceResimulator(1.0, demography=demography)
-        ctx = resim._build_set_context(tree, int(eligible_targets(tree)[0]))
+        ctx = resim._build_set_context([tree], [int(eligible_targets(tree)[0])])
         ctx.goal = np.full_like(ctx.goal, -np.inf if ctx.log_space else 0.0)
-        uniforms = np.random.default_rng(0).random((4, len(ctx.intervals) + 4))
+        uniforms = np.random.default_rng(0).random((1, 4, len(ctx.intervals[0]) + 4))
         with pytest.raises(RuntimeError, match="dead end"):
             resim._forward_block(ctx, uniforms)
         with pytest.raises(RuntimeError, match="dead end"):
@@ -308,12 +310,12 @@ class TestTableDrivenKernel:
         tree = simulate_genealogy(9, 1.0, np.random.default_rng(4))
         resim = NeighborhoodResimulator(1.0, demography=demography)
         ctx = max(
-            (resim._build_set_context(tree, int(t)) for t in eligible_targets(tree)),
-            key=lambda c: len(c.intervals),
+            (resim._build_set_context([tree], [int(t)]) for t in eligible_targets(tree)),
+            key=lambda c: len(c.intervals[0]),
         )
-        assert len(ctx.intervals) > alive + 1
-        ctx.goal[alive + 1 :] = -np.inf if ctx.log_space else 0.0
-        uniforms = np.random.default_rng(0).random((4, len(ctx.intervals) + 4))
+        assert len(ctx.intervals[0]) > alive + 1
+        ctx.goal[0, alive + 1 :] = -np.inf if ctx.log_space else 0.0
+        uniforms = np.random.default_rng(0).random((1, 4, len(ctx.intervals[0]) + 4))
         with pytest.raises(RuntimeError, match="dead end"):
             resim._forward_block(ctx, uniforms)
 
