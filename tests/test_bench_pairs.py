@@ -133,17 +133,68 @@ class TestHashes:
         assert "wins 3/3" in lines[0]
 
 
+    def test_report_shows_the_control_and_its_aa_difference(self):
+        benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        sides = bench_pairs.Sides(
+            parent=[bench_pairs.parse_output(_output(w, HASHES)) for w in (0.86, 0.85, 0.87)],
+            change=[bench_pairs.parse_output(_output(w, HASHES)) for w in (0.70, 0.69, 0.71)],
+            control=[bench_pairs.parse_output(_output(w, HASHES)) for w in (0.90, 0.89, 0.91)],
+        )
+        lines = bench_pairs.report(sides, benchmark)
+        assert "control 0.9 (A/A +4.7%)" in lines[0]
+        assert lines[0].endswith("gain")
+        assert "control 53.4 (A/A +0.0%)" in lines[1]
+
+
+class TestPairOrder:
+    def test_parent_and_change_alternate_without_a_control(self):
+        checkouts = {"parent": Path("p"), "change": Path("c")}
+        assert [side for side, _ in bench_pairs.pair_order(0, checkouts)] == ["parent", "change"]
+        assert [side for side, _ in bench_pairs.pair_order(1, checkouts)] == ["change", "parent"]
+
+    def test_three_sides_rotate(self):
+        checkouts = {"parent": Path("p"), "change": Path("c"), "control": Path("a")}
+        orders = [[side for side, _ in bench_pairs.pair_order(i, checkouts)] for i in range(3)]
+        assert orders[0] == ["parent", "change", "control"]
+        assert orders[1] == ["change", "control", "parent"]
+        assert orders[2] == ["control", "parent", "change"]
+        assert bench_pairs.pair_order(3, checkouts) == bench_pairs.pair_order(0, checkouts)
+
+
 class TestMain:
     @staticmethod
-    def _run(monkeypatch, outputs: dict[str, list[str]]) -> int:
+    def _run(monkeypatch, outputs: dict[str, list[str]], control: bool = False) -> int:
         """``main`` over two pairs, with each side's runs replaced by canned output."""
         def run_once(checkout, args):
             return bench_pairs.parse_output(outputs[checkout.name].pop(0))
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
-        return bench_pairs.main(
-            [str(REPO_ROOT / "parent"), str(REPO_ROOT), "--workload", "em-deep", "--pairs", "2"]
-        )
+        argv = [str(REPO_ROOT / "parent"), str(REPO_ROOT), "--workload", "em-deep", "--pairs", "2"]
+        if control:
+            argv += ["--control", str(REPO_ROOT / "control")]
+        return bench_pairs.main(argv)
+
+    def test_a_control_runs_in_every_pair_and_is_reported(self, monkeypatch, capsys):
+        outputs = {
+            "parent": [_output(0.86, HASHES), _output(0.85, HASHES)],
+            REPO_ROOT.name: [_output(0.70, HASHES), _output(0.69, HASHES)],
+            "control": [_output(0.88, HASHES), _output(0.87, HASHES)],
+        }
+        assert self._run(monkeypatch, outputs, control=True) == 0
+        # Every checkout ran once in each pair.
+        assert all(not left for left in outputs.values())
+        out = capsys.readouterr().out
+        assert "pair 1 control" in out
+        assert "control 0.875 (A/A +2.3%)" in out
+
+    def test_a_control_with_a_moved_trajectory_exits_one(self, monkeypatch):
+        moved = dict(HASHES, **{"data0.phy": "0000000000000000"})
+        outputs = {
+            "parent": [_output(0.86, HASHES), _output(0.85, HASHES)],
+            REPO_ROOT.name: [_output(0.70, HASHES), _output(0.69, HASHES)],
+            "control": [_output(0.88, HASHES), _output(0.87, moved)],
+        }
+        assert self._run(monkeypatch, outputs, control=True) == 1
 
     def test_identical_trajectories_exit_zero(self, monkeypatch, capsys):
         outputs = {

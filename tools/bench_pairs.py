@@ -2,13 +2,20 @@
 """Alternating parent/change pairs of the repository benchmark, with a verdict.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload em-deep --seed 1 --pairs 10
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --control CONTROL_DIR ...
 
 Each directory is a full checkout (e.g. the parent made with ``git archive``
 into a scratch directory).  Pair ``i`` runs ``perfbench/run.py`` once in each
 checkout, the parent first on even pairs and the change first on odd ones,
-with identical arguments.  For every end-to-end metric declared in the
-change's ``BENCHMARK.json`` it prints each side's median and quartiles, how
-many pairs the change won (ties count for neither side), and a verdict:
+with identical arguments.  With ``--control``, ``CONTROL_DIR`` is a second
+fresh checkout of the parent: every pair runs it too, the three runs in an
+order that rotates from pair to pair, so the pairs measure an A/A difference
+(parent against an identical parent) under the same conditions as the
+change.  For every end-to-end metric declared in the change's
+``BENCHMARK.json`` it prints each side's median and quartiles, how many pairs
+the change won (ties count for neither side), with a control the control's
+median and its difference from the parent's (the A/A noise the verdict has
+to beat), and a verdict:
 
 * ``gain``: the change won at least nine tenths of the pairs and the medians
   differ, in the better direction, by more than the parent's quartile
@@ -20,7 +27,7 @@ many pairs the change won (ties count for neither side), and a verdict:
   every change run reads better than every parent run;
 * ``within bound``: otherwise.
 
-Both sides must produce bit-identical θ trajectories: the script exits with
+Every side must produce bit-identical θ trajectories: the script exits with
 status 1 when the ``theta_trajectory_hashes`` notes of any run differ from
 the first parent run's, and with status 2 when a run fails or reports a
 failed check.
@@ -51,10 +58,11 @@ class RunResult:
 
 @dataclass
 class Sides:
-    """Every run of both sides, in pair order."""
+    """Every run of every side, in pair order (``control`` stays empty without one)."""
 
     parent: list[RunResult] = field(default_factory=list)
     change: list[RunResult] = field(default_factory=list)
+    control: list[RunResult] = field(default_factory=list)
 
 
 def parse_output(text: str) -> RunResult:
@@ -114,8 +122,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 def hash_mismatches(sides: Sides) -> list[str]:
     """Descriptions of runs whose θ-trajectory hashes differ from the first parent run."""
-    runs = [("parent", i, r) for i, r in enumerate(sides.parent)]
-    runs += [("change", i, r) for i, r in enumerate(sides.change)]
+    runs = [
+        (side, i, r)
+        for side in ("parent", "change", "control")
+        for i, r in enumerate(getattr(sides, side))
+    ]
     if not runs:
         return []
     reference = runs[0][2].hashes
@@ -146,7 +157,7 @@ def report(sides: Sides, benchmark: dict) -> list[str]:
     lines = []
     for entry in benchmark["end_to_end"]:
         name = entry["name"]
-        if not all(name in r.metrics for r in sides.parent + sides.change):
+        if not all(name in r.metrics for r in sides.parent + sides.change + sides.control):
             continue
         v = verdict(
             [r.metrics[name] for r in sides.parent],
@@ -155,13 +166,26 @@ def report(sides: Sides, benchmark: dict) -> list[str]:
             float(entry["bound"]),
         )
         (pq1, pm, pq3), (cq1, cm, cq3) = v["parent"], v["change"]
+        control = ""
+        if sides.control:
+            am = statistics.median(r.metrics[name] for r in sides.control)
+            control = f"control {am:.4g} (A/A {(am - pm) / abs(pm):+.1%})  "
         lines.append(
             f"{name:18s} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
             f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
             f"wins {v['wins']}/{v['pairs']} (losses {v['losses']})  "
-            f"parent IQR {v['parent_iqr']:.3g}  {v['status']}"
+            f"parent IQR {v['parent_iqr']:.3g}  {control}{v['status']}"
         )
     return lines
+
+
+def pair_order(i: int, checkouts: dict[str, Path]) -> list[tuple[str, Path]]:
+    """The runs of pair ``i``: parent and change alternate which goes first;
+    with a control the order of the three rotates by one each pair."""
+    order = list(checkouts.items())
+    if "control" in checkouts:
+        return order[i % 3 :] + order[: i % 3]
+    return order[::-1] if i % 2 else order
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,15 +196,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument(
+        "--control", type=Path, default=None,
+        help="a second fresh checkout of the parent, run in every pair for an A/A difference",
+    )
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    checkouts = {"parent": args.parent, "change": args.change}
+    if args.control is not None:
+        checkouts["control"] = args.control
     sides = Sides()
     for i in range(args.pairs):
-        order = [("parent", args.parent), ("change", args.change)]
-        if i % 2:
-            order.reverse()
-        for side, checkout in order:
+        for side, checkout in pair_order(i, checkouts):
             try:
                 result = run_once(checkout, args)
             except RuntimeError as exc:
