@@ -95,9 +95,6 @@ class Regions:
     def __len__(self) -> int:
         return int(self.target.shape[0])
 
-    def __getitem__(self, k: int) -> Region:
-        return self.rows()[k]
-
     def rows(self) -> list[Region]:
         """Every row as a :class:`Region`, in order."""
         return [
@@ -173,7 +170,8 @@ class IntervalStack:
     are ``(K, P)`` with ``P = max M_k``, row ``k`` holding range ``k``'s
     :class:`FeasibleIntervals` in its first ``M_k`` entries.  The entries
     past ``M_k`` are zero: empty intervals at time 0 with nothing inactive
-    and nothing activated.
+    and nothing activated.  ``padded`` says whether any range has such
+    entries (``M_k < P``).
     """
 
     starts: np.ndarray
@@ -181,6 +179,7 @@ class IntervalStack:
     n_inactive: np.ndarray
     activations: np.ndarray
     counts: np.ndarray
+    padded: bool
 
     def __getitem__(self, k: int) -> FeasibleIntervals:
         m = int(self.counts[k])
@@ -202,9 +201,10 @@ def extract_region(tree: Genealogy, target: int) -> Region:
 
     ``target`` must be an interior node other than the root.
     """
-    return extract_regions(
+    (region,) = extract_regions(
         tree.times[None], tree.parent[None], tree.children[None], np.array([target])
-    )[0]
+    ).rows()
+    return region
 
 
 def extract_regions(
@@ -217,12 +217,12 @@ def extract_regions(
     be an interior node other than its tree's root.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.min() < (times.shape[1] + 1) // 2:
-        tip = int(targets.min())
-        raise ValueError(f"target {tip} is a tip; only interior nodes can be resimulated")
+    lowest = min(targets.tolist())
+    if lowest < (times.shape[1] + 1) // 2:
+        raise ValueError(f"target {lowest} is a tip; only interior nodes can be resimulated")
     rows = np.arange(targets.shape[0])
     parents = parent[rows, targets]
-    if parents.min() < 0:
+    if min(parents.tolist()) < 0:
         raise ValueError("the root cannot be targeted for resimulation")
     ancestors = parent[rows, parents]
     child_roots = np.empty((targets.shape[0], 3), dtype=np.int64)
@@ -339,12 +339,13 @@ def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions
     points.sort(axis=1)
     points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
     points.sort(axis=1)
-    counts = (points == points).sum(axis=1) - 1
-    if counts.min() < 1:
+    # The target and its parent are never candidates, so every row has a NaN.
+    counts = np.isnan(points).argmax(axis=1) - 1
+    fewest, width = min(counts.tolist()), max(counts.tolist())
+    if fewest < 1:
         raise ValueError("resimulation region is empty; the tree is degenerate")
-    width = int(counts.max())
     lo, hi = points[:, :width], points[:, 1 : width + 1]
-    real = np.arange(width) < counts[:, None] if counts.min() < width else None
+    real = np.arange(width) < counts[:, None] if fewest < width else None
     if real is not None:
         lo, hi = np.where(real, lo, 0.0), np.where(real, hi, 0.0)
 
@@ -364,7 +365,12 @@ def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions
     if real is not None:
         n_inactive, activations = np.where(real, n_inactive, 0), np.where(real, activations, 0)
     return IntervalStack(
-        starts=lo, ends=hi, n_inactive=n_inactive, activations=activations, counts=counts
+        starts=lo,
+        ends=hi,
+        n_inactive=n_inactive,
+        activations=activations,
+        counts=counts,
+        padded=real is not None,
     )
 
 

@@ -320,11 +320,14 @@ class NeighborhoodResimulator:
         ctx = self._build_set_context(trees, targets)
         counts = ctx.intervals.counts
         n_sets, width = ctx.spans.shape
-        uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
-        for k, (rng, m) in enumerate(zip(rngs, counts.tolist())):
-            block = rng.random((n, m + _BLOCK_EXTRA))
-            uniforms[k, :, :m] = block[:, :m]
-            uniforms[k, :, width:] = block[:, m:]
+        blocks = [rng.random((n, m + _BLOCK_EXTRA)) for rng, m in zip(rngs, counts.tolist())]
+        if n_sets == 1:
+            uniforms = blocks[0][None]
+        else:
+            uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
+            for k, (block, m) in enumerate(zip(blocks, counts.tolist())):
+                uniforms[k, :, :m] = block[:, :m]
+                uniforms[k, :, width:] = block[:, m:]
         self.n_proposal_sets += n_sets
         offsets, owner = self._forward_block(ctx, uniforms)
         merge_times = self._offsets_to_calendar(ctx, offsets, owner)
@@ -357,7 +360,7 @@ class NeighborhoodResimulator:
         matrices = transition_matrices(rates, spans.ravel(), self.theta, log=log_space)
         matrices = matrices.reshape(n_sets, width, 3, 3)
         shifted = self._shift_columns(intervals.activations, matrices, log_space)
-        goal = self._backward_pass(shifted, intervals.counts, log_space)
+        goal = self._backward_pass(shifted, intervals.counts if intervals.padded else None, log_space)
         self.n_backward_passes += n_sets
         return _SetContext(
             trees=trees,
@@ -403,7 +406,9 @@ class NeighborhoodResimulator:
         return shifted.reshape(matrices.shape)
 
     @staticmethod
-    def _backward_pass(shifted: np.ndarray, counts: np.ndarray, log_space: bool) -> np.ndarray:
+    def _backward_pass(
+        shifted: np.ndarray, counts: np.ndarray | None, log_space: bool
+    ) -> np.ndarray:
         """Probability of a valid finish given ``a`` active lineages at each interval start.
 
         ``goal[k, m, a-1]`` is the probability that, starting interval
@@ -424,16 +429,17 @@ class NeighborhoodResimulator:
         ``shifted[m] ⋯ shifted[M−1]``.  All of those come from one
         doubling scan over the ``(K, P, 3, 3)`` stack: ⌈log₂ P⌉ batched
         (log-space) matrix products, each over every interval of every set
-        at once.  A row takes a product only while its partner lies within
-        its own set's ``counts[k]`` intervals, so set ``k`` gets exactly
-        the products of a scan over its own ``M_k`` intervals.  From
-        ``counts[k]`` on, the goal is the virtual state beyond the final
-        boundary: success iff one active lineage.
+        at once.  When the sets have different interval counts
+        (``counts``; None when every set has all ``P``), a row takes a
+        product only while its partner lies within its own set's
+        ``counts[k]`` intervals, so set ``k`` gets exactly the products of a
+        scan over its own ``M_k`` intervals.  From ``counts[k]`` on, the
+        goal is the virtual state beyond the final boundary: success iff
+        one active lineage.
         """
         width = shifted.shape[1]
         step = shifted.copy()
         shift = 1
-        ragged = counts.min() < width
         while shift < width:
             head, tail = step[:, :-shift], step[:, shift:]
             if log_space:
@@ -445,7 +451,7 @@ class NeighborhoodResimulator:
                 )
             else:
                 product = np.matmul(head, tail)
-            if ragged:
+            if counts is not None:
                 inside = np.arange(shift, width) < counts[:, None]
                 np.copyto(head, product, where=inside[:, :, None, None])
             else:
@@ -453,9 +459,11 @@ class NeighborhoodResimulator:
             shift *= 2
         goal = np.empty((shifted.shape[0], width + 1, 3))
         goal[:, :width] = step[..., 0]
-        goal[np.arange(width + 1) >= counts[:, None]] = (
-            (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
-        )
+        virtual = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
+        if counts is None:
+            goal[:, width] = virtual
+        else:
+            goal[np.arange(width + 1) >= counts[:, None]] = virtual
         return goal
 
     @staticmethod
@@ -531,8 +539,9 @@ class NeighborhoodResimulator:
         drawn = 1 + np.minimum(count, last[..., None])
         following = np.full((width, _DEAD + 1, n_sets, n), _DEAD, dtype=np.int64)
         following[:, 1:4] = np.where(dead.transpose(1, 2, 0)[..., None], _DEAD, drawn)
-        past = np.arange(width)[:, None] >= intervals.counts
-        following.transpose(0, 2, 1, 3)[past] = np.arange(_DEAD + 1)[:, None]
+        if intervals.padded:
+            past = np.arange(width)[:, None] >= intervals.counts
+            following.transpose(0, 2, 1, 3)[past] = np.arange(_DEAD + 1)[:, None]
 
         # The walk over (state, lane) codes, state·L + lane, where lane
         # k·n + i is sibling i of set k: one gather per interval through

@@ -386,7 +386,7 @@ class ReferenceResimulator(NeighborhoodResimulator):
             i, j = sorted(int(x) for x in rng.choice(n_active, size=2, replace=False))
             return i, j
 
-        region = ctx.regions[0]
+        region = ctx.regions.rows()[0]
         outcomes = []
         for _ in range(n):
             merge_times = self._forward_pass(ctx, rng)

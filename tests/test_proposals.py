@@ -715,7 +715,7 @@ class TestSetKernel:
             merge_times = resim._offsets_to_calendar(ctx, offsets, owner)[0]
             pair_u = uniforms[:, -2:]
             (outcomes,) = resim._stitch_block(ctx, merge_times[None], pair_u[None])
-            region = ctx.regions[0]
+            region = ctx.regions.rows()[0]
             for i, outcome in enumerate(outcomes):
                 ref = tree.copy()
 
