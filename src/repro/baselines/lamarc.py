@@ -7,8 +7,8 @@ probability ``min(1, P(D|G') / P(D|G))`` (Eq. 28 — the coalescent-prior
 terms cancel because the proposal is drawn from the conditional prior).
 
 Every single-proposal chain runs through one core: each round of
-:func:`run_lockstep` proposes one candidate per chain through the stack
-kernel (each chain on its own stream), scores them all in one
+:func:`run_lockstep` proposes one candidate per chain in one pass of the
+proposal program (each chain on its own stream), scores them all in one
 ``evaluate_batch`` call and applies each chain's :func:`metropolis_step`.
 :class:`LamarcSampler` is one :class:`ChainState` on the caller's stream,
 :class:`~repro.parallel.stacked.StackedMultiChain` K states on the
@@ -121,10 +121,12 @@ def propose_and_evaluate(
     resimulator: NeighborhoodResimulator,
     states: list[ChainState],
 ) -> list[tuple[Genealogy, float]]:
-    """One candidate per chain, all scored by one ``evaluate_batch`` call.
+    """One candidate per chain, all proposed in one pass and scored by one ``evaluate_batch`` call.
 
-    Engine values do not depend on batch composition, so every chain gets
-    the bits it would get in a batch of its own.
+    The proposals come from one ``propose_random_stack`` call: one array
+    program over all chains, each drawing from its own stream.  Neither
+    the proposal program nor the engine's values depend on what else shares
+    the stack or the batch, so every chain gets the bits it would get alone.
     """
     outcomes = resimulator.propose_random_stack(
         [st.current for st in states], [st.rng for st in states]

@@ -10,8 +10,11 @@ instead of once with K trees.
 :class:`StackedMultiChain` inverts the layout: the K chains are K states of
 the single-proposal core (:func:`~repro.baselines.lamarc.run_lockstep`) in
 one process, each on its private stream ``("chain", i)``.  Every round
-scores all K candidates through **one** ``evaluate_batch`` call on a single
-shared engine — one stacked sweep, transition matrices deduplicated across
+proposes all K candidates as **one** array program
+(:meth:`~repro.proposals.neighborhood.NeighborhoodResimulator.propose_random_stack`:
+one set context, one forward block and one stitch for the K chains) and
+scores them through **one** ``evaluate_batch`` call on a single shared
+engine — one stacked sweep, transition matrices deduplicated across
 chains, one partials arena warm for every chain's neighbourhood.  A solo
 :class:`~repro.baselines.lamarc.LamarcSampler` is the same core with one
 state, so each chain's trajectory is bit-identical to its solo run for any
