@@ -49,7 +49,10 @@ axis: a GMH set is a stack of one, and
 rounds of K chains as a stack of K sets of one.  Set ``k``'s intervals are
 padded to the stack's largest count; the backward scan multiplies a row
 only by rows of its own set and the double-merge solve stops set by set,
-so every set gets the bits it gets alone.
+so every set gets the bits it gets alone — given a demography whose Λ⁻¹
+works element by element (the generic bisection of
+:meth:`~repro.demography.base.Demography.inverse_cumulative_intensity`
+stops when its whole batch has converged).
 
 This is the only proposal kernel.  The per-proposal reference kernel it is
 tested against (the same distribution, drawn one interval and one event at
@@ -318,14 +321,14 @@ class NeighborhoodResimulator:
         context, one forward block, one τ → t mapping, one stitch.
         """
         ctx = self._build_set_context(trees, targets)
-        counts = ctx.intervals.counts
+        counts = ctx.intervals.counts.tolist()
         n_sets, width = ctx.spans.shape
-        blocks = [rng.random((n, m + _BLOCK_EXTRA)) for rng, m in zip(rngs, counts.tolist())]
+        blocks = [rng.random((n, m + _BLOCK_EXTRA)) for rng, m in zip(rngs, counts)]
         if n_sets == 1:
             uniforms = blocks[0][None]
         else:
             uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
-            for k, (block, m) in enumerate(zip(blocks, counts.tolist())):
+            for k, (block, m) in enumerate(zip(blocks, counts)):
                 uniforms[k, :, :m] = block[:, :m]
                 uniforms[k, :, width:] = block[:, m:]
         self.n_proposal_sets += n_sets
@@ -700,29 +703,24 @@ class NeighborhoodResimulator:
                 )
             time_b[over] = squeezed
 
-        # Every write below goes through a flat index into the block: row
-        # (set, sibling) of the block starts at ``base``.
         n_nodes = ctx.times.shape[1]
-        base = np.arange(n_sets * n).reshape(n_sets, n) * n_nodes
-        target, parent = base + regions.target[:, None], base + regions.parent[:, None]
+        siblings = np.arange(n)
+        target, parent = regions.target[:, None], regions.parent[:, None]
         times = np.repeat(ctx.times[:, None], n, axis=1)
-        flat = times.reshape(-1)
-        flat[target] = time_a
-        flat[parent] = time_b
+        times[sets, siblings, target] = time_a
+        times[sets, siblings, parent] = time_b
         parents = np.repeat(ctx.parent[:, None], n, axis=1)
-        flat = parents.reshape(-1)
-        flat[base + first] = regions.target[:, None]
-        flat[base + second] = regions.target[:, None]
-        flat[base + left] = regions.parent[:, None]
+        parents[sets, siblings, first] = target
+        parents[sets, siblings, second] = target
+        parents[sets, siblings, left] = parent
         children = np.repeat(ctx.children[:, None], n, axis=1)
-        flat = children.reshape(-1)
-        flat[2 * target] = first
-        flat[2 * target + 1] = second
+        children[sets, siblings, target, 0] = first
+        children[sets, siblings, target, 1] = second
         # The second merge lists the root left out first when it was already
         # active at the first merge (activation order, as the oracle's stitch
         # in tests/reference_kernel.py does, so the two compare row for row).
-        flat[2 * parent] = np.where(three, left, regions.target[:, None])
-        flat[2 * parent + 1] = np.where(three, regions.target[:, None], left)
+        children[sets, siblings, parent, 0] = np.where(three, left, target)
+        children[sets, siblings, parent, 1] = np.where(three, target, left)
 
         lanes = zip(
             times.reshape(n_sets * n, n_nodes),

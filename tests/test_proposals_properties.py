@@ -274,7 +274,7 @@ class TestTableDrivenKernel:
         for target in eligible_targets(tree):
             ctx = resim._build_set_context([tree], [int(target)])
             assert ctx.log_space == (demography is not None)
-            (cum, total, dead) = (table[0] for table in resim._end_state_table(ctx))
+            cum, total, dead = (table[0] for table in resim._end_state_table(ctx))
             intervals = ctx.intervals[0]
             n_intervals = len(intervals)
             for m in range(n_intervals):
