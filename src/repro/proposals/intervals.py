@@ -302,6 +302,18 @@ def rescaled_interval_spans(
     return tau_starts, tau_ends - tau_starts
 
 
+def _range_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ``(row, value)`` pairs, flat, as complex numbers: NumPy orders them by row, then value.
+
+    The parts are assigned, not computed, so every value keeps its bits
+    (``1j * inf`` would make a NaN real part).
+    """
+    keys = np.empty(values.shape, dtype=complex)
+    keys.real = rows
+    keys.imag = values
+    return keys.ravel()
+
+
 def build_intervals(tree: Genealogy, region: Region) -> FeasibleIntervals:
     """Split the resimulation range of ``region`` into feasible intervals.
 
@@ -350,14 +362,21 @@ def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions
         lo, hi = np.where(real, lo, 0.0), np.where(real, hi, 0.0)
 
     midpoints = np.where(np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5)
-    # Fixed edges do not involve the deleted nodes (the target and its
-    # parent); one crosses t when child ≤ t < parent.  Other nodes get an
-    # edge that crosses nothing.
+    # A fixed edge (one not involving the deleted target and parent)
+    # crosses t when child ≤ t < parent; every edge with its parent at or
+    # below t has its child there too, so the count is a difference of two
+    # sorted counts.  Other nodes' edges sit at inf and count nowhere.  Each
+    # range's counts come from one searchsorted over every range at once:
+    # complex keys (range, time) sort by range, then by time.
+    rows = np.arange(n_ranges)[:, None]
     fixed = kept & (parent >= 0) & (parent != target) & (parent != region_parent)
-    child_side = np.where(fixed, times, np.inf)[:, None, :]
-    parent_side = times[np.arange(n_ranges)[:, None], parent][:, None, :]
-    mid = midpoints[:, :, None]
-    n_inactive = ((child_side <= mid) & (mid < parent_side)).sum(axis=2)
+    child_side = np.where(fixed, times, np.inf)
+    parent_side = np.where(fixed, times[rows, parent], np.inf)
+    queries = _range_keys(rows, midpoints)
+    n_inactive = (
+        np.searchsorted(np.sort(_range_keys(rows, child_side)), queries, side="right")
+        - np.searchsorted(np.sort(_range_keys(rows, parent_side)), queries, side="right")
+    ).reshape(midpoints.shape)
     # Each child root activates in exactly one interval: the one whose
     # start equals its time (child times are themselves breakpoints, so
     # exact floating-point equality is the right test here).
