@@ -92,9 +92,6 @@ class Regions:
     child_roots: np.ndarray
     child_times: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.target.shape[0])
-
     def rows(self) -> list[Region]:
         """Every row as a :class:`Region`, in order."""
         return [

@@ -299,7 +299,10 @@ class NeighborhoodResimulator:
         outcomes: list[ResimulationOutcome | None] = [None] * len(trees)
         for members in groups.values():
             sets = self._propose_stack(
-                [trees[i] for i in members], [targets[i] for i in members], 1, [rngs[i] for i in members]
+                [trees[i] for i in members],
+                [targets[i] for i in members],
+                1,
+                [rngs[i] for i in members],
             )
             for i, (outcome,) in zip(members, sets):
                 outcomes[i] = outcome
@@ -363,7 +366,8 @@ class NeighborhoodResimulator:
         matrices = transition_matrices(rates, spans.ravel(), self.theta, log=log_space)
         matrices = matrices.reshape(n_sets, width, 3, 3)
         shifted = self._shift_columns(intervals.activations, matrices, log_space)
-        goal = self._backward_pass(shifted, intervals.counts if intervals.padded else None, log_space)
+        counts = intervals.counts if intervals.padded else None
+        goal = self._backward_pass(shifted, counts, log_space)
         self.n_backward_passes += n_sets
         return _SetContext(
             trees=trees,
@@ -536,7 +540,8 @@ class NeighborhoodResimulator:
         # sibling).  The draw stops at the last positive weight, so rounding
         # at the top of a row cannot select a state of no weight.
         cum = cum.transpose(1, 2, 0, 3)
-        draw = total.transpose(1, 2, 0)[..., None] * uniforms[:, :, :width].transpose(2, 0, 1)[:, None]
+        u_states = uniforms[:, :, :width].transpose(2, 0, 1)[:, None]
+        draw = total.transpose(1, 2, 0)[..., None] * u_states
         count = (cum[..., 0, None] <= draw).view(np.int8) + (cum[..., 1, None] <= draw)
         last = np.where(cum[..., 2] > cum[..., 1], 2, (cum[..., 1] > cum[..., 0]).view(np.int8))
         drawn = 1 + np.minimum(count, last[..., None])

@@ -380,7 +380,7 @@ class ReferenceResimulator(NeighborhoodResimulator):
     def _propose_block(
         self, tree: Genealogy, ctx, n: int, rng: np.random.Generator
     ) -> list[ResimulationOutcome]:
-        """``n`` proposals from a set context of one set, each drawn whole (walk, merges, pairs) in turn."""
+        """``n`` proposals from a context of one set, each drawn whole (walk, merges, pairs) in turn."""
 
         def choose_pair(event_index: int, n_active: int) -> tuple[int, int]:
             i, j = sorted(int(x) for x in rng.choice(n_active, size=2, replace=False))

@@ -796,7 +796,9 @@ class TestStackedProgram:
         demography = None if growth is None else ExponentialDemography(growth=growth)
         resim = NeighborhoodResimulator(1.0, demography=demography)
         for seed in range(20):
-            trees = [simulate_genealogy(12, 1.0, np.random.default_rng([seed, i])) for i in range(5)]
+            trees = [
+                simulate_genealogy(12, 1.0, np.random.default_rng([seed, i])) for i in range(5)
+            ]
             rng = np.random.default_rng(seed)
             targets = [resim.choose_target(t, rng) for t in trees]
             ctx = resim._build_set_context(trees, targets)
@@ -838,7 +840,8 @@ class TestStackedProgram:
             with pytest.raises(RuntimeError) as solo:
                 resim.propose_random(dead_tree, np.random.default_rng([5, 1]))
             assert type(stacked.value) is type(solo.value)
-            assert str(stacked.value) == str(solo.value) == "conditioned resimulation reached a dead end"
+            assert str(stacked.value) == str(solo.value)
+            assert str(solo.value) == "conditioned resimulation reached a dead end"
         alive = [same_tips[0], same_tips[1]]
         resim.propose_random_stack(alive, [np.random.default_rng(i) for i in range(2)])
 
