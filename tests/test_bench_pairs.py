@@ -152,13 +152,20 @@ class TestPairOrder:
         assert [side for side, _ in bench_pairs.pair_order(0, checkouts)] == ["parent", "change"]
         assert [side for side, _ in bench_pairs.pair_order(1, checkouts)] == ["change", "parent"]
 
-    def test_three_sides_rotate(self):
+    def test_a_control_visits_every_position(self):
         checkouts = {"parent": Path("p"), "change": Path("c"), "control": Path("a")}
-        orders = [[side for side, _ in bench_pairs.pair_order(i, checkouts)] for i in range(3)]
-        assert orders[0] == ["parent", "change", "control"]
-        assert orders[1] == ["change", "control", "parent"]
-        assert orders[2] == ["control", "parent", "change"]
-        assert bench_pairs.pair_order(3, checkouts) == bench_pairs.pair_order(0, checkouts)
+        orders = [tuple(side for side, _ in bench_pairs.pair_order(i, checkouts)) for i in range(6)]
+        assert orders[0] == ("control", "parent", "change")
+        assert orders[1] == ("control", "change", "parent")
+        assert len(set(orders)) == 6
+        assert bench_pairs.pair_order(6, checkouts) == bench_pairs.pair_order(0, checkouts)
+
+    def test_parent_runs_first_in_half_the_pairs_with_a_control(self):
+        checkouts = {"parent": Path("p"), "change": Path("c"), "control": Path("a")}
+        for pairs in (2, 4, 10, 12):
+            orders = [[side for side, _ in bench_pairs.pair_order(i, checkouts)] for i in range(pairs)]
+            parent_first = sum(o.index("parent") < o.index("change") for o in orders)
+            assert parent_first == pairs // 2
 
 
 class TestMain:

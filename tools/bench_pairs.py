@@ -8,8 +8,9 @@ Each directory is a full checkout (e.g. the parent made with ``git archive``
 into a scratch directory).  Pair ``i`` runs ``perfbench/run.py`` once in each
 checkout, the parent first on even pairs and the change first on odd ones,
 with identical arguments.  With ``--control``, ``CONTROL_DIR`` is a second
-fresh checkout of the parent: every pair runs it too, the three runs in an
-order that rotates from pair to pair, so the pairs measure an A/A difference
+fresh checkout of the parent: every pair runs it too, first, between the
+other two or last (parent and change still alternate), so the pairs
+measure an A/A difference
 (parent against an identical parent) under the same conditions as the
 change.  For every end-to-end metric declared in the change's
 ``BENCHMARK.json`` it prints each side's median and quartiles, how many pairs
@@ -181,11 +182,14 @@ def report(sides: Sides, benchmark: dict) -> list[str]:
 
 def pair_order(i: int, checkouts: dict[str, Path]) -> list[tuple[str, Path]]:
     """The runs of pair ``i``: parent and change alternate which goes first;
-    with a control the order of the three rotates by one each pair."""
-    order = list(checkouts.items())
+    a control goes first, between them or last, moving on every two pairs,
+    so six pairs run the three checkouts in all six orders."""
+    pair = [("parent", checkouts["parent"]), ("change", checkouts["change"])]
+    if i % 2:
+        pair.reverse()
     if "control" in checkouts:
-        return order[i % 3 :] + order[: i % 3]
-    return order[::-1] if i % 2 else order
+        pair.insert((i // 2) % 3, ("control", checkouts["control"]))
+    return pair
 
 
 def main(argv: list[str] | None = None) -> int:
