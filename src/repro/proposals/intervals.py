@@ -167,8 +167,7 @@ class IntervalStack:
     are ``(K, P)`` with ``P = max M_k``, row ``k`` holding range ``k``'s
     :class:`FeasibleIntervals` in its first ``M_k`` entries.  The entries
     past ``M_k`` are zero: empty intervals at time 0 with nothing inactive
-    and nothing activated.  ``padded`` says whether any range has such
-    entries (``M_k < P``).
+    and nothing activated.
     """
 
     starts: np.ndarray
@@ -176,7 +175,6 @@ class IntervalStack:
     n_inactive: np.ndarray
     activations: np.ndarray
     counts: np.ndarray
-    padded: bool
 
     def __getitem__(self, k: int) -> FeasibleIntervals:
         m = int(self.counts[k])
@@ -350,13 +348,12 @@ def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions
     points.sort(axis=1)
     # The target and its parent are never candidates, so every row has a NaN.
     counts = np.isnan(points).argmax(axis=1) - 1
-    fewest, width = min(counts.tolist()), max(counts.tolist())
-    if fewest < 1:
+    if min(counts.tolist()) < 1:
         raise ValueError("resimulation region is empty; the tree is degenerate")
-    lo, hi = points[:, :width], points[:, 1 : width + 1]
-    real = np.arange(width) < counts[:, None] if fewest < width else None
-    if real is not None:
-        lo, hi = np.where(real, lo, 0.0), np.where(real, hi, 0.0)
+    width = max(counts.tolist())
+    real = np.arange(width) < counts[:, None]
+    lo = np.where(real, points[:, :width], 0.0)
+    hi = np.where(real, points[:, 1 : width + 1], 0.0)
 
     midpoints = np.where(np.isfinite(hi), lo + (np.minimum(hi, lo + 1.0) - lo) * 0.5, lo + 0.5)
     # A fixed edge (one not involving the deleted target and parent)
@@ -378,15 +375,12 @@ def build_interval_stack(times: np.ndarray, parent: np.ndarray, regions: Regions
     # start equals its time (child times are themselves breakpoints, so
     # exact floating-point equality is the right test here).
     activations = (child_times[:, None, :] == lo[:, :, None]).sum(axis=2)
-    if real is not None:
-        n_inactive, activations = np.where(real, n_inactive, 0), np.where(real, activations, 0)
     return IntervalStack(
         starts=lo,
         ends=hi,
-        n_inactive=n_inactive,
-        activations=activations,
+        n_inactive=np.where(real, n_inactive, 0),
+        activations=np.where(real, activations, 0),
         counts=counts,
-        padded=real is not None,
     )
 
 

@@ -47,8 +47,9 @@ equal-sized trees, ``n`` siblings each — with every array gaining a set
 axis: a GMH set is a stack of one, and
 :meth:`NeighborhoodResimulator.propose_random_stack` proposes the lock-step
 rounds of K chains as a stack of K sets of one.  Set ``k``'s intervals are
-padded to the stack's largest count; the backward scan multiplies a row
-only by rows of its own set and the double-merge solve stops set by set,
+padded to the stack's largest count with empty ones, whose transition
+matrices are exact identities, so the backward scan gives each set the
+products of its own intervals; the double-merge solve stops set by set,
 so every set gets the bits it gets alone — given a demography whose Λ⁻¹
 works element by element (the generic bisection of
 :meth:`~repro.demography.base.Demography.inverse_cumulative_intensity`
@@ -108,11 +109,6 @@ _PAIR_LEFT = np.array([2, 1, 0])
 _BLOCK_EXTRA = 4
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The equal-shaped ``arrays`` as one array; a view of the array when there is one."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 class ResimulationError(RuntimeError):
     """A resimulated neighbourhood could not be stitched into a valid tree."""
 
@@ -149,7 +145,7 @@ class _SetContext:
     :meth:`NeighborhoodResimulator._shift_columns`), the ``(K, P + 1, 3)``
     backward-pass goal table and, on the demography path, the Λ-rescaled
     interval starts.  Set ``k``'s entries past its own interval count are
-    padding that no sibling of it reads.
+    empty intervals: identity matrices, and the goal of the final boundary.
     """
 
     trees: list[Genealogy]
@@ -326,14 +322,11 @@ class NeighborhoodResimulator:
         ctx = self._build_set_context(trees, targets)
         counts = ctx.intervals.counts.tolist()
         n_sets, width = ctx.spans.shape
-        blocks = [rng.random((n, m + _BLOCK_EXTRA)) for rng, m in zip(rngs, counts)]
-        if n_sets == 1:
-            uniforms = blocks[0][None]
-        else:
-            uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
-            for k, (block, m) in enumerate(zip(blocks, counts)):
-                uniforms[k, :, :m] = block[:, :m]
-                uniforms[k, :, width:] = block[:, m:]
+        uniforms = np.zeros((n_sets, n, width + _BLOCK_EXTRA))
+        for k, (rng, m) in enumerate(zip(rngs, counts)):
+            block = rng.random((n, m + _BLOCK_EXTRA))
+            uniforms[k, :, :m] = block[:, :m]
+            uniforms[k, :, width:] = block[:, m:]
         self.n_proposal_sets += n_sets
         offsets, owner = self._forward_block(ctx, uniforms)
         merge_times = self._offsets_to_calendar(ctx, offsets, owner)
@@ -347,7 +340,7 @@ class NeighborhoodResimulator:
     def _build_set_context(self, trees: list[Genealogy], targets: list[int]) -> _SetContext:
         """All the sibling-invariant work of a stack of sets: done once per stack."""
         times, parent, children = (
-            _stacked([getattr(t, name) for t in trees]) for name in ("times", "parent", "children")
+            np.array([getattr(t, name) for t in trees]) for name in ("times", "parent", "children")
         )
         regions = extract_regions(times, parent, children, np.array(targets))
         intervals = build_interval_stack(times, parent, regions)
@@ -364,10 +357,12 @@ class NeighborhoodResimulator:
             tau_starts, spans = None, intervals.lengths
         rates = exit_rates(intervals.n_inactive.ravel(), self.theta)
         matrices = transition_matrices(rates, spans.ravel(), self.theta, log=log_space)
-        matrices = matrices.reshape(n_sets, width, 3, 3)
+        # Set k's padding intervals span nothing, so their matrices are
+        # identities; a product with an identity is exact up to the sign of
+        # a zero, which adding 0.0 settles beforehand.
+        matrices = matrices.reshape(n_sets, width, 3, 3) + 0.0
         shifted = self._shift_columns(intervals.activations, matrices, log_space)
-        counts = intervals.counts if intervals.padded else None
-        goal = self._backward_pass(shifted, counts, log_space)
+        goal = self._backward_pass(shifted, log_space)
         self.n_backward_passes += n_sets
         return _SetContext(
             trees=trees,
@@ -413,9 +408,7 @@ class NeighborhoodResimulator:
         return shifted.reshape(matrices.shape)
 
     @staticmethod
-    def _backward_pass(
-        shifted: np.ndarray, counts: np.ndarray | None, log_space: bool
-    ) -> np.ndarray:
+    def _backward_pass(shifted: np.ndarray, log_space: bool) -> np.ndarray:
         """Probability of a valid finish given ``a`` active lineages at each interval start.
 
         ``goal[k, m, a-1]`` is the probability that, starting interval
@@ -436,13 +429,10 @@ class NeighborhoodResimulator:
         ``shifted[m] ⋯ shifted[M−1]``.  All of those come from one
         doubling scan over the ``(K, P, 3, 3)`` stack: ⌈log₂ P⌉ batched
         (log-space) matrix products, each over every interval of every set
-        at once.  When the sets have different interval counts
-        (``counts``; None when every set has all ``P``), a row takes a
-        product only while its partner lies within its own set's
-        ``counts[k]`` intervals, so set ``k`` gets exactly the products of a
-        scan over its own ``M_k`` intervals.  From ``counts[k]`` on, the
-        goal is the virtual state beyond the final boundary: success iff
-        one active lineage.
+        at once.  Set ``k``'s matrices past its own ``M_k`` intervals are
+        identities, so its products are those of a scan over its own
+        intervals, and from ``M_k`` on its goal is the virtual state beyond
+        the final boundary: success iff one active lineage.
         """
         width = shifted.shape[1]
         step = shifted.copy()
@@ -458,19 +448,11 @@ class NeighborhoodResimulator:
                 )
             else:
                 product = np.matmul(head, tail)
-            if counts is not None:
-                inside = np.arange(shift, width) < counts[:, None]
-                np.copyto(head, product, where=inside[:, :, None, None])
-            else:
-                head[...] = product
+            head[...] = product
             shift *= 2
         goal = np.empty((shifted.shape[0], width + 1, 3))
         goal[:, :width] = step[..., 0]
-        virtual = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
-        if counts is None:
-            goal[:, width] = virtual
-        else:
-            goal[np.arange(width + 1) >= counts[:, None]] = virtual
+        goal[:, width] = (0.0, -np.inf, -np.inf) if log_space else (1.0, 0.0, 0.0)
         return goal
 
     @staticmethod
@@ -520,8 +502,9 @@ class NeighborhoodResimulator:
         and sibling — is read off the end-state table with the sibling's
         uniform for that interval, all at once, into a table of next start
         states; a start state with no valid finish leads to the dead state,
-        which the table keeps dead, and past its set's last interval a walk
-        stays where it is.  The walk itself is one gather per interval over
+        which the table keeps dead, and past its set's last interval (the
+        empty padding, whose identity rows lead one active lineage to one)
+        a finished walk stays finished.  The walk itself is one gather per interval over
         all siblings of all sets, and since the dead state has a row of its
         own the walked state is a valid index at every step; a walk that
         ends anywhere but one active lineage stops the stack with the
@@ -547,9 +530,6 @@ class NeighborhoodResimulator:
         drawn = 1 + np.minimum(count, last[..., None])
         following = np.full((width, _DEAD + 1, n_sets, n), _DEAD, dtype=np.int64)
         following[:, 1:4] = np.where(dead.transpose(1, 2, 0)[..., None], _DEAD, drawn)
-        if intervals.padded:
-            past = np.arange(width)[:, None] >= intervals.counts
-            following.transpose(0, 2, 1, 3)[past] = np.arange(_DEAD + 1)[:, None]
 
         # The walk over (state, lane) codes, state·L + lane, where lane
         # k·n + i is sibling i of set k: one gather per interval through
@@ -584,7 +564,7 @@ class NeighborhoodResimulator:
                 span[double],
                 u_offsets[ids[double], 0],
                 self.theta,
-                sets[double] if n_sets > 1 else None,
+                sets[double],
             )
         # Single merges a → a−1, and the 2 → 1 after the first of a double.
         active = np.where(double, 2, starts[ms, ids])
