@@ -303,8 +303,6 @@ class _DoubleMergeCdf:
         span = self.spans
         target = u * self.reach
         tol = 1e-14 * np.maximum(span, 1.0)
-        if groups is None:
-            groups = np.zeros(u.shape, dtype=np.int64)
         x = np.minimum(
             span * (1.0 - np.sqrt(1.0 - u)),
             -np.log1p(-u * -np.expm1(-self.l1 * span)) * self.inv_l1,
@@ -313,19 +311,21 @@ class _DoubleMergeCdf:
         step = (value - target) / slope
         x = np.maximum(x - step, 0.0)
         previous = np.abs(step)
-        live = np.ones(u.shape, dtype=bool)
+        live = None  # every element updates until a group stops
         for _ in range(_MAX_SOLVE_STEPS):
             value, slope = self(x)
             step = (value - target) / slope
-            x = np.where(live, x - step, x)
+            x = x - step if live is None else np.where(live, x - step, x)
             size = np.abs(step)
             settled = (size <= tol) | (size >= previous)
             if settled.all():
                 break
-            # A group goes on while any element of it has not converged.
-            live &= np.bincount(groups[~settled], minlength=groups.max() + 1)[groups] > 0
-            if not live.any():
-                break
+            if groups is not None:
+                # A group goes on while any element of it has not converged.
+                going = np.bincount(groups[~settled], minlength=groups.max() + 1)[groups] > 0
+                live = going if live is None else live & going
+                if not live.any():
+                    break
             previous = size
         return x
 
