@@ -65,10 +65,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from ..genealogy.tree import Genealogy
+from ..genealogy.tree import ArenaRows, Genealogy
 from .intervals import (
     IntervalStack,
     Region,
@@ -119,9 +120,12 @@ def eligible_targets(tree: Genealogy) -> np.ndarray:
     return internal[internal != tree.root]
 
 
-@dataclass(frozen=True)
-class ResimulationOutcome:
-    """A resimulated genealogy plus bookkeeping about what changed."""
+class ResimulationOutcome(NamedTuple):
+    """A resimulated genealogy plus bookkeeping about what changed.
+
+    A named tuple: a GMH set builds one per sibling, and a frozen dataclass
+    costs about four times as much to build.
+    """
 
     tree: Genealogy
     region: Region
@@ -724,7 +728,8 @@ class NeighborhoodResimulator:
                     lane_times, lane_parents, lane_children, tree.tip_names, tree.root
                 )
                 if inherited is not None:
-                    new.arena_rows = inherited._replace(key=new._structure_key())
+                    owner, _, arena, versions = inherited
+                    new.arena_rows = ArenaRows(owner, new._structure_key(), arena, versions)
                 if self.validate:
                     new.validate()
                 row.append(
