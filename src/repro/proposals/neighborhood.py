@@ -123,8 +123,8 @@ def eligible_targets(tree: Genealogy) -> np.ndarray:
 class ResimulationOutcome(NamedTuple):
     """A resimulated genealogy plus bookkeeping about what changed.
 
-    A named tuple: a GMH set builds one per sibling, and a frozen dataclass
-    costs about four times as much to build.
+    A named tuple, the cheapest immutable record to build: a GMH set builds
+    one per sibling.
     """
 
     tree: Genealogy

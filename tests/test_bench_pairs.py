@@ -163,7 +163,8 @@ class TestPairOrder:
     def test_parent_runs_first_in_half_the_pairs_with_a_control(self):
         checkouts = {"parent": Path("p"), "change": Path("c"), "control": Path("a")}
         for pairs in (2, 4, 10, 12):
-            orders = [[side for side, _ in bench_pairs.pair_order(i, checkouts)] for i in range(pairs)]
+            orders = [[side for side, _ in bench_pairs.pair_order(i, checkouts)]
+                      for i in range(pairs)]
             parent_first = sum(o.index("parent") < o.index("change") for o in orders)
             assert parent_first == pairs // 2
 
