@@ -229,8 +229,8 @@ class Demography:
         override this.  Scalars go through :func:`repro.brent.brentq`; array
         inputs run one vectorized bracketing-plus-bisection over the whole
         batch (the batched proposal kernel maps every sampled τ of a
-        proposal set back to calendar time in a single call).  ``y`` beyond
-        Λ(∞) raises.
+        proposal set back to calendar time in a single call); no element's
+        value depends on the rest of the batch.  ``y`` beyond Λ(∞) raises.
         """
         if np.ndim(y) == 0:
             return self._invert_scalar(float(y))
@@ -263,15 +263,18 @@ class Demography:
         else:  # pragma: no cover - total_intensity() guard prevents this
             raise ValueError("failed to bracket the inverse cumulative intensity")
         lo = np.zeros_like(hi)
-        # 100 halvings shrink the widest bracket below any representable
-        # spacing (matches the xtol of 1e-12·max(hi, 1) that _invert_scalar
-        # passes to repro.brent.brentq).
+        # Each element stops once its own bracket has converged, so its bits
+        # do not depend on the batch.  100 halvings shrink the widest bracket
+        # below any representable spacing (matches the xtol of
+        # 1e-12·max(hi, 1) that _invert_scalar passes to repro.brent.brentq).
+        active = np.arange(y.size)
         for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cumulative_intensity(mid), dtype=float) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= 1e-12 * np.maximum(hi, 1.0)):
+            mid = 0.5 * (lo[active] + hi[active])
+            below = np.asarray(self.cumulative_intensity(mid), dtype=float) < y[active]
+            lo[active] = np.where(below, mid, lo[active])
+            hi[active] = np.where(below, hi[active], mid)
+            active = active[hi[active] - lo[active] > 1e-12 * np.maximum(hi[active], 1.0)]
+            if not active.size:
                 break
         out[live] = 0.5 * (lo + hi)
         return out.reshape(targets.shape)

@@ -49,11 +49,9 @@ axis: a GMH set is a stack of one, and
 rounds of K chains as a stack of K sets of one.  Set ``k``'s intervals are
 padded to the stack's largest count with empty ones, whose transition
 matrices are exact identities, so the backward scan gives each set the
-products of its own intervals; the double-merge solve stops set by set,
-so every set gets the bits it gets alone — given a demography whose Λ⁻¹
-works element by element (the generic bisection of
-:meth:`~repro.demography.base.Demography.inverse_cumulative_intensity`
-stops when its whole batch has converged).
+products of its own intervals; the double-merge solve stops set by set
+and every Λ⁻¹ works element by element, so every set gets the bits it
+gets alone.
 
 This is the only proposal kernel.  The per-proposal reference kernel it is
 tested against (the same distribution, drawn one interval and one event at

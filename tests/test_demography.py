@@ -214,6 +214,30 @@ class TestIntensityConsistency:
             t, rel=1e-8, abs=1e-8
         )
 
+    def test_generic_inverse_keeps_its_one_element_bits(self):
+        """A one-element call to the generic Λ⁻¹ (the logistic model's
+        bisection) returns the bits it returned before elements stopped
+        one by one."""
+        dem = LogisticDemography(rate=2.0, midpoint=0.5, floor=0.2)
+        pinned = {
+            0.05: "0x1.3eedac9030000p-5",
+            0.3: "0x1.cabec70134000p-3",
+            0.7: "0x1.f204ca89ee000p-2",
+            1.9: "0x1.11f96fa72becep+0",
+            3.3: "0x1.89854c030e6cdp+0",
+        }
+        for y, bits in pinned.items():
+            assert float(dem.inverse_cumulative_intensity(np.array([y]))[0]).hex() == bits
+
+    def test_generic_inverse_does_not_depend_on_its_batch(self):
+        """Each element of the generic Λ⁻¹ gets the bits it gets alone,
+        whatever else shares the call."""
+        dem = LogisticDemography(rate=2.0, midpoint=0.5, floor=0.2)
+        y = np.random.default_rng(5).exponential(1.0, size=64)
+        batch = dem.inverse_cumulative_intensity(y)
+        alone = np.array([dem.inverse_cumulative_intensity(y[i : i + 1])[0] for i in range(y.size)])
+        assert batch.tobytes() == alone.tobytes()
+
     def test_declining_exponential_total_intensity(self):
         dem = ExponentialDemography(growth=-0.5)
         assert dem.total_intensity() == pytest.approx(2.0)
