@@ -7,11 +7,12 @@ whose samples are reported), and neighbouring chains periodically propose to
 swap states.  Hot chains move freely across low-likelihood valleys and feed
 good states to the cold chain through swaps.
 
-This is a *within-chain-step* form of parallelism that is orthogonal to the
-paper's multi-proposal scheme: all chains still advance in lock-step, and
-only the cold chain's samples count, so it does not remove the burn-in
-bottleneck of Section 3 — which is exactly why it is implemented here as a
-baseline to compare against rather than as part of the core sampler.
+The rungs are states of the lock-step core
+(:func:`~repro.baselines.lamarc.run_lockstep`): a sweep proposes and scores
+all rungs in one pass.  They still advance together and only the cold
+chain's samples count, so this does not remove the burn-in bottleneck of
+Section 3 — which is exactly why it is a baseline to compare against
+rather than part of the core sampler.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import time
 
 import numpy as np
 
+from ..backend.rng_registry import derive_master_seed, named_stream
 from ..core.config import SamplerConfig
 from ..core.sampler import driving_kernel
 from ..demography.base import Demography
 from ..diagnostics.traces import ChainResult
 from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
-from .lamarc import ChainState, metropolis_step, propose_and_evaluate
+from .lamarc import ChainState, run_lockstep
 
 __all__ = ["HeatedChainSampler", "default_temperatures"]
 
@@ -115,13 +117,13 @@ class HeatedChainSampler:
         """Propose swapping the states of a random adjacent temperature pair."""
         i = int(rng.integers(0, len(rungs) - 1))
         a, b = rungs[i], rungs[i + 1]
-        beta_a, beta_b = self.temperatures[i], self.temperatures[i + 1]
-        log_ratio = (beta_a - beta_b) * (b.current_loglik - a.current_loglik)
+        log_ratio = (a.beta - b.beta) * (b.current_loglik - a.current_loglik)
         accepted = log_ratio >= 0.0 or rng.random() < np.exp(log_ratio)
         if accepted:
-            # The untempered prior terms cancel out of the swap ratio (both
-            # rungs share one prior), but the cached per-state adjustment
-            # must travel with the state it describes.
+            # Streams, temperatures and counters stay with their rungs.  The
+            # untempered prior terms cancel out of the swap ratio (both rungs
+            # share one prior), but the cached per-state adjustment must
+            # travel with the state it describes.
             a.current, b.current = b.current, a.current
             a.current_loglik, b.current_loglik = b.current_loglik, a.current_loglik
             a.current_adjust, b.current_adjust = b.current_adjust, a.current_adjust
@@ -130,39 +132,40 @@ class HeatedChainSampler:
     def run(self, initial_tree: Genealogy, rng: np.random.Generator) -> ChainResult:
         """Run all temperature chains and return the cold chain's samples.
 
-        Each sweep steps the rungs one after another through the
-        single-proposal core (:func:`~repro.baselines.lamarc.metropolis_step`),
-        all of them on the one shared stream ``rng``.
+        A ladder with hot rungs draws one master seed from ``rng``: rung
+        ``i`` draws from the named stream ``("rung", i)`` and swaps from
+        ``("swap",)``.  A one-rung ladder is a solo LAMARC chain on ``rng``.
         """
         cfg = self.config
         if initial_tree.n_tips < 3:
             raise ValueError("the sampler requires at least three sequences")
 
+        streams = [rng]
+        if self.n_chains > 1:
+            master = derive_master_seed(rng)
+            streams = [named_stream(master, "rung", i) for i in range(self.n_chains)]
+            swap_rng = named_stream(master, "swap")
+
         # Engines may be shared across runs; report per-run deltas.
         evals_before = self.engine.n_evaluations
-        initial_loglik = self.engine.evaluate(initial_tree)
+        loglik = self.engine.evaluate(initial_tree)
         rungs = [
-            ChainState.start(rng, initial_tree, initial_loglik, cfg, cfg.n_samples, self._adjust)
-            for _ in self.temperatures
+            ChainState.start(stream, initial_tree, loglik, cfg, cfg.n_samples, self._adjust, beta)
+            for stream, beta in zip(streams, self.temperatures)
         ]
         cold = rungs[0]
+        for hot in rungs[1:]:
+            hot.trace = None  # only the cold chain's samples count
 
-        swap_attempts = 0
-        swap_accepts = 0
+        swaps: list[bool] = []
+
+        def swap() -> None:
+            if cold.n_steps % self.swap_interval == 0:
+                swaps.append(self._propose_swap(rungs, swap_rng))
+
         start = time.perf_counter()
-        # An incremental engine keeps only the rungs' current partials (its
-        # working set); full-pruning engines have no ``retain``.
-        retain = getattr(self.engine, "retain", None)
-        while cold.n_steps < cold.target_steps:
-            if retain is not None:
-                retain([rung.current for rung in rungs])
-            for beta, rung in zip(self.temperatures, rungs):
-                [(proposal, loglik)] = propose_and_evaluate(self.engine, self.resimulator, [rung])
-                metropolis_step(rung, proposal, loglik, beta, self._adjust)
-            if cold.n_steps % self.swap_interval == 0 and self.n_chains > 1:
-                swap_accepts += int(self._propose_swap(rungs, rng))
-                swap_attempts += 1
-            cold.record_if_due(cfg)
+        between = swap if self.n_chains > 1 else None
+        run_lockstep(self.engine, self.resimulator, rungs, cfg, self._adjust, between)
         elapsed = time.perf_counter() - start
 
         return ChainResult(
@@ -175,8 +178,8 @@ class HeatedChainSampler:
             wall_time_seconds=elapsed,
             extras={
                 "temperatures": list(self.temperatures),
-                "swap_attempts": swap_attempts,
-                "swap_accepts": swap_accepts,
+                "swap_attempts": len(swaps),
+                "swap_accepts": sum(swaps),
                 "per_chain_acceptance": [
                     rung.n_accepted / rung.n_steps if rung.n_steps else 0.0 for rung in rungs
                 ],

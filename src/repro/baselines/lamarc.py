@@ -9,14 +9,15 @@ terms cancel because the proposal is drawn from the conditional prior).
 Every single-proposal chain runs through one core: each round of
 :func:`run_lockstep` proposes one candidate per chain in one pass of the
 proposal program (each chain on its own stream), scores them all in one
-``evaluate_batch`` call and applies each chain's :func:`metropolis_step`.
+``evaluate_batch`` call, applies each chain's :func:`metropolis_step`
+(tempered by the chain's own ``beta``) and then records.
 :class:`LamarcSampler` is one :class:`ChainState` on the caller's stream,
 :class:`~repro.parallel.stacked.StackedMultiChain` K states on the
 ``("chain", i)`` streams, and :class:`~repro.baselines.heated.HeatedChainSampler`
-steps its rungs one after another with :func:`metropolis_step`.  A chain
-consumes its stream in the same order at any stack width and engine values
-do not depend on batch composition, so its trajectory is the same bits alone
-or stacked, on every engine.
+one state per temperature rung, swapping rung states between decisions and
+records.  A chain consumes its stream in the same order at any stack width
+and engine values do not depend on batch composition, so its trajectory is
+the same bits alone or stacked, on every engine.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..genealogy.tree import Genealogy
 from ..likelihood.engines import LikelihoodEngine
 from ..proposals.neighborhood import NeighborhoodResimulator
 
-__all__ = ["ChainState", "LamarcSampler", "metropolis_step", "propose_and_evaluate", "run_lockstep"]
+__all__ = ["ChainState", "LamarcSampler", "metropolis_step", "run_lockstep"]
 
 #: The batched hook of :func:`~repro.demography.base.prior_ratio_adjustment`.
 Adjust = Callable[[list[Genealogy]], np.ndarray]
@@ -51,10 +52,13 @@ class ChainState:
     #: Steps after which the chain has recorded its quota:
     #: ``burn_in + n_samples * thin``.
     target_steps: int
-    trace: ChainTrace
+    #: Recorded samples (``None`` for a chain that records nothing).
+    trace: ChainTrace | None
     #: Prior-ratio correction of ``current`` (importance-corrected
     #: demography runs only; 0 otherwise).
     current_adjust: float = 0.0
+    #: Inverse temperature of the data likelihood (1 unless tempered).
+    beta: float = 1.0
     n_steps: int = 0
     n_accepted: int = 0
 
@@ -67,6 +71,7 @@ class ChainState:
         config: SamplerConfig,
         n_samples: int,
         adjust: Adjust | None = None,
+        beta: float = 1.0,
     ) -> "ChainState":
         """A chain at ``tree`` that will record ``n_samples`` samples."""
         return cls(
@@ -76,12 +81,13 @@ class ChainState:
             target_steps=config.burn_in + n_samples * config.thin,
             trace=ChainTrace(n_intervals=tree.n_tips - 1),
             current_adjust=0.0 if adjust is None else float(adjust([tree])[0]),
+            beta=beta,
         )
 
     def record_if_due(self, config: SamplerConfig) -> None:
         """Record the current state when the burn-in/thin schedule says so."""
         past = self.n_steps - config.burn_in
-        if past > 0 and past % config.thin == 0:
+        if self.trace is not None and past > 0 and past % config.thin == 0:
             self.trace.record(
                 intervals=self.current.interval_representation(),
                 log_likelihood=self.current_loglik,
@@ -90,20 +96,16 @@ class ChainState:
 
 
 def metropolis_step(
-    state: ChainState,
-    proposal: Genealogy,
-    loglik: float,
-    beta: float = 1.0,
-    adjust: Adjust | None = None,
+    state: ChainState, proposal: Genealogy, loglik: float, adjust: Adjust | None = None
 ) -> None:
     """One Metropolis-Hastings decision on ``state``'s own stream.
 
-    The data likelihood is tempered by ``beta`` (1 for an untempered
-    chain).  With ``adjust`` the constant kernel proposed under a
-    demography prior, so the prior no longer cancels out of Eq. 28: the
-    untempered prior-ratio correction enters the ratio at full strength.
+    The data likelihood is tempered by the chain's ``beta``.  With
+    ``adjust`` the constant kernel proposed under a demography prior, so
+    the prior no longer cancels out of Eq. 28: the untempered prior-ratio
+    correction enters the ratio at full strength.
     """
-    log_ratio = beta * (loglik - state.current_loglik)
+    log_ratio = state.beta * (loglik - state.current_loglik)
     proposal_adjust = 0.0
     if adjust is not None:
         proposal_adjust = float(adjust([proposal])[0])
@@ -116,36 +118,20 @@ def metropolis_step(
         state.n_accepted += 1
 
 
-def propose_and_evaluate(
-    engine: LikelihoodEngine,
-    resimulator: NeighborhoodResimulator,
-    states: list[ChainState],
-) -> list[tuple[Genealogy, float]]:
-    """One candidate per chain, all proposed in one pass and scored by one ``evaluate_batch`` call.
-
-    The proposals come from one ``propose_random_stack`` call: one array
-    program over all chains, each drawing from its own stream.  Neither
-    the proposal program nor the engine's values depend on what else shares
-    the stack or the batch, so every chain gets the bits it would get alone.
-    """
-    outcomes = resimulator.propose_random_stack(
-        [st.current for st in states], [st.rng for st in states]
-    )
-    values = engine.evaluate_batch([o.tree for o in outcomes])
-    return [(o.tree, float(v)) for o, v in zip(outcomes, values)]
-
-
 def run_lockstep(
     engine: LikelihoodEngine,
     resimulator: NeighborhoodResimulator,
     states: list[ChainState],
     config: SamplerConfig,
     adjust: Adjust | None = None,
+    between: Callable[[], None] | None = None,
 ) -> int:
     """Advance every chain to its ``target_steps`` in lock-step rounds.
 
-    A chain drops out once it reaches its target, so the stack narrows as
-    chains with smaller quotas finish.  Returns the number of rounds.
+    A round makes every chain's decision, runs ``between`` (a heated
+    ladder's swap) and then records every chain that is due.  A chain drops
+    out once it reaches its target, so the stack narrows as chains with
+    smaller quotas finish.  Returns the number of rounds.
     """
     # An incremental engine keeps only the running chains' current partials
     # (its working set); full-pruning engines have no ``retain``.
@@ -156,10 +142,15 @@ def run_lockstep(
         rounds += 1
         if retain is not None:
             retain([st.current for st in running])
-        for st, (proposal, loglik) in zip(
-            running, propose_and_evaluate(engine, resimulator, running)
-        ):
-            metropolis_step(st, proposal, loglik, adjust=adjust)
+        outcomes = resimulator.propose_random_stack(
+            [st.current for st in running], [st.rng for st in running]
+        )
+        values = engine.evaluate_batch([o.tree for o in outcomes])
+        for st, outcome, loglik in zip(running, outcomes, values):
+            metropolis_step(st, outcome.tree, float(loglik), adjust)
+        if between is not None:
+            between()
+        for st in running:
             st.record_if_due(config)
         running = [st for st in running if st.n_steps < st.target_steps]
     return rounds

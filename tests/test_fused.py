@@ -291,11 +291,12 @@ class TestArenaPlanMatchesWalk:
             LamarcSampler(engine, 1.0, cfg, demography=demography).run(start, rng)
             minimum = 200
         elif sampler == "heated":
-            cfg = SamplerConfig(n_proposals=1, n_samples=40, burn_in=10)
+            # One batch per sweep of the four rungs.
+            cfg = SamplerConfig(n_proposals=1, n_samples=190, burn_in=10)
             HeatedChainSampler(
                 engine, 1.0, (1.0, 0.8, 0.6, 0.4), cfg, demography=demography
             ).run(start, rng)
-            minimum = 4 * 50
+            minimum = 200
         else:
             # The stacked sampler takes no demography; its proposals are
             # drawn under one all the same, to cover the growth kernel.
