@@ -118,7 +118,7 @@ class HeatedChainSampler:
         i = int(rng.integers(0, len(rungs) - 1))
         a, b = rungs[i], rungs[i + 1]
         log_ratio = (a.beta - b.beta) * (b.current_loglik - a.current_loglik)
-        accepted = log_ratio >= 0.0 or rng.random() < np.exp(log_ratio)
+        accepted = bool(log_ratio >= 0.0 or rng.random() < np.exp(log_ratio))
         if accepted:
             # Streams, temperatures and counters stay with their rungs.  The
             # untempered prior terms cancel out of the swap ratio (both rungs

@@ -77,6 +77,9 @@ class TestRun:
         result = HeatedChainSampler(engine, 1.0, config=cfg, swap_interval=2).run(tree, rng)
         assert result.extras["swap_attempts"] >= 1
         assert 0 <= result.extras["swap_accepts"] <= result.extras["swap_attempts"]
+        # Plain ints: the extras travel into JSON reports.
+        assert type(result.extras["swap_accepts"]) is int
+        assert type(result.extras["swap_attempts"]) is int
 
     def test_single_temperature_behaves_like_plain_mh(self, small_dataset, uniform_model):
         """A one-rung heated chain is the LAMARC chain, bit for bit, on the
