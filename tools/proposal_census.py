@@ -7,8 +7,9 @@ Draw ``s`` simulates a 6-tip genealogy with ``numpy.random.default_rng(s)``,
 targets its eligible node ``s mod #targets`` and resimulates it as one
 proposal set of 3 (``NeighborhoodResimulator.propose_set``, with
 ``validate=True``) drawn from the same generator.  The draws run under the
-constant model and exponential growth g ∈ {−50, −20, −5, 5, 50}, on the set
-kernel and the per-proposal reference kernel (the test oracle
+constant model, exponential growth g ∈ {−50, −20, −5, 5, 50} and the
+logistic model (rate 2, midpoint 0.5, floor 0.2, whose Λ⁻¹ is the generic
+bisection), on the set kernel and the per-proposal reference kernel (the test oracle
 ``ReferenceResimulator``, loaded from ``tests/reference_kernel.py`` by
 path).  The script prints the failure counts of every cell and exits 1 on
 any failure outside the g = −50 cells, or on a failure there that is not
@@ -28,11 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.demography.models import ExponentialDemography
+from repro.demography.base import Demography
+from repro.demography.models import ExponentialDemography, LogisticDemography
 from repro.proposals.neighborhood import NeighborhoodResimulator, eligible_targets
 from repro.simulate.coalescent_sim import simulate_genealogy
 
-GROWTHS = (None, -50.0, -20.0, -5.0, 5.0, 50.0)
+#: The cells: the constant model (``None``), growth rates of the exponential
+#: model, and one logistic model.
+CELLS = (None, -50.0, -20.0, -5.0, 5.0, 50.0, LogisticDemography(rate=2.0, midpoint=0.5, floor=0.2))
 
 #: The one cell allowed to fail, and the failure kinds it may show.
 TAIL_GROWTH = -50.0
@@ -54,9 +58,18 @@ def reference_kernel() -> type[NeighborhoodResimulator]:
     return runpy.run_path(str(path))["ReferenceResimulator"]
 
 
-def census(growth: float | None, n_draws: int, batch: bool) -> Counter:
+def label(cell: Demography | float | None) -> str:
+    """``"constant"``, ``"g=+5"`` for a growth rate, or the demography's name."""
+    if cell is None:
+        return "constant"
+    return cell.name if isinstance(cell, Demography) else f"g={cell:+g}"
+
+
+def census(cell: Demography | float | None, n_draws: int, batch: bool) -> Counter:
     """Failure kinds over draws ``0 … n_draws−1`` of one cell (``batch=False``: the oracle)."""
-    demography = None if growth is None else ExponentialDemography(growth=growth)
+    demography = cell
+    if cell is not None and not isinstance(cell, Demography):
+        demography = ExponentialDemography(growth=cell)
     kernel = NeighborhoodResimulator if batch else reference_kernel()
     resim = kernel(1.0, validate=True, demography=demography)
     failures: Counter = Counter()
@@ -77,13 +90,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     unexpected = 0
     for batch in (True, False):
-        for growth in GROWTHS:
-            failures = census(growth, args.draws, batch)
-            label = "constant" if growth is None else f"g={growth:+g}"
+        for cell in CELLS:
+            failures = census(cell, args.draws, batch)
             kernel = "set" if batch else "reference"
             counts = ", ".join(f"{kind} {n}" for kind, n in sorted(failures.items())) or "none"
-            print(f"{kernel:9s} {label:9s} {sum(failures.values()):4d} of {args.draws} failed: {counts}")
-            allowed = TAIL_KINDS if growth == TAIL_GROWTH else ()
+            total = sum(failures.values())
+            print(f"{kernel:9s} {label(cell):9s} {total:4d} of {args.draws} failed: {counts}")
+            allowed = TAIL_KINDS if cell == TAIL_GROWTH else ()
             unexpected += sum(n for kind, n in failures.items() if kind not in allowed)
     if unexpected:
         print(f"{unexpected} unexpected failures (only the g={TAIL_GROWTH:+g} tail may fail)")
