@@ -191,6 +191,7 @@ def build() -> str:
             "### A4 — heated chains (MC³) vs plain MH\n\n"
             f"For the same retained-sample budget the 4-rung ladder performs "
             f"{heat['evaluation_overhead_factor']:.1f}× the likelihood evaluations of plain MH "
+            f"at {heat['wall_clock_overhead_factor']:.1f}× its wall clock "
             f"(plain ESS {heat['plain_mh']['ess']:.1f}, heated ESS {heat['heated_mc3']['ess']:.1f}) — "
             "heating buys mixing with per-step work, it does not remove the burn-in bottleneck."
         )
