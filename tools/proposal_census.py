@@ -11,12 +11,12 @@ constant model, exponential growth g ∈ {−50, −20, −5, 5, 50} and the
 logistic model (rate 2, midpoint 0.5, floor 0.2, whose Λ⁻¹ is the generic
 bisection), on the set kernel and the per-proposal reference kernel (the
 test oracle ``ReferenceResimulator``, loaded from
-``tests/reference_kernel.py`` by path).  The script prints the failure counts of every cell and exits 1 on
-any failure outside the g = −50 cells, or on a failure there that is not
-one of the two kinds the g < 0 tail is known to produce (ROADMAP item 1):
-the dead-end ``RuntimeError`` of the conditioned walk, or the
-``ValueError`` of a cumulative intensity past the declining demography's
-total.
+``tests/reference_kernel.py`` by path).  The script prints the failure
+counts of every cell and exits 1 on any failure outside the g = −50 cells,
+or on a failure there that is not one of the two kinds the g < 0 tail is
+known to produce (ROADMAP item 1): the dead-end ``RuntimeError`` of the
+conditioned walk, or the ``ValueError`` of a cumulative intensity past the
+declining demography's total.
 """
 
 from __future__ import annotations
