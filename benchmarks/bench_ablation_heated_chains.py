@@ -47,12 +47,22 @@ def test_ablation_heated_chains(benchmark, record):
     dataset = make_dataset(n_sequences=10, n_sites=200, true_theta=1.0, seed=29)
     cfg = SamplerConfig(n_samples=150, burn_in=50)
 
-    plain = _run(lambda eng: LamarcSampler(eng, 1.0, cfg), dataset, seed=5)
-    heated = _run(
-        lambda eng: HeatedChainSampler(eng, 1.0, default_temperatures(4), cfg),
-        dataset,
-        seed=5,
-    )
+    def make_plain(eng):
+        return LamarcSampler(eng, 1.0, cfg)
+
+    def make_heated(eng):
+        return HeatedChainSampler(eng, 1.0, default_temperatures(4), cfg)
+
+    plain = _run(make_plain, dataset, seed=5)
+    heated = _run(make_heated, dataset, seed=5)
+    # One pair of ~0.2 s runs cannot tell 1x from 1.4x on a shared machine:
+    # the wall-clock ratio is the median over five pairs, alternating order.
+    ratios = []
+    for i in range(5):
+        walls = {}
+        for make in (make_plain, make_heated)[:: 1 if i % 2 else -1]:
+            walls[make] = _run(make, dataset, seed=5)["wall_seconds"]
+        ratios.append(walls[make_heated] / walls[make_plain])
 
     # The benchmarked unit is one heated sweep cycle (all rungs + swap),
     # measured on a fresh short run to keep pytest-benchmark's timing loop cheap.
@@ -75,7 +85,7 @@ def test_ablation_heated_chains(benchmark, record):
             "heated_mc3": heated,
             "evaluation_overhead_factor": heated["likelihood_evaluations"]
             / max(plain["likelihood_evaluations"], 1),
-            "wall_clock_overhead_factor": heated["wall_seconds"] / plain["wall_seconds"],
+            "wall_clock_overhead_factor": float(np.median(ratios)),
             "paper": "heating multiplies likelihood evaluations per step by the rung count "
             "without removing burn-in",
         },
